@@ -2,17 +2,15 @@
 rotating-wave approximation.
 
 Typical use: integrate the single-qubit channel once per parameter set, then
-reuse its coefficients across initial states.
+reuse its time-major coefficient arrays across initial states.
 
-    from beyondrwa import (BathParams, IntegratorSettings, integrate,
-                           channel_at, BellFamilyState, initial_state,
-                           evolve_pair, concurrence_xstate)
+    from beyondrwa import (BathParams, integrate, BellFamilyState,
+                           initial_state, evolve_pair, concurrence_xstate)
 
     p = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
-    states = integrate(p, times)
+    series = integrate(p, times)          # a ChannelSeries over times
     rho0 = initial_state(BellFamilyState("phi", 0.5 ** 0.5))
-    curve = [concurrence_xstate(evolve_pair(channel_at(s), rho0)).value
-             for s in states]
+    curve = concurrence_xstate(evolve_pair(series, rho0)).value
 """
 
 from .entanglement import (ConcurrenceResult, ESDReport, RevivalEpisode,
@@ -23,9 +21,8 @@ from .errors import (BeyondRwaError, BlowupError, DomainError, GridError,
 from .kernels import (BathParams, CoefficientSet, alpha, alpha1, alpha2,
                       alpha_tilde, coefficients, decay_exponent,
                       spectral_density)
-from .lie_channel import (ChannelCoefficients, DisentangleState,
-                          IntegratorSettings, apply_channel, channel_at,
-                          integrate, riccati_rhs, transfer_matrix)
+from .lie_channel import (ChannelSeries, IntegratorSettings, apply_channel,
+                          channel_at, integrate, transfer_matrix)
 from .two_qubit import (BellFamilyState, evolve_pair, explicit_elements,
                         initial_state, is_x_state)
 
@@ -34,9 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BathParams", "CoefficientSet", "spectral_density", "alpha1", "alpha2",
     "alpha", "alpha_tilde", "decay_exponent", "coefficients",
-    "IntegratorSettings", "DisentangleState", "ChannelCoefficients",
-    "riccati_rhs", "integrate", "channel_at", "apply_channel",
-    "transfer_matrix",
+    "IntegratorSettings", "ChannelSeries", "integrate", "channel_at",
+    "apply_channel", "transfer_matrix",
     "BellFamilyState", "initial_state", "evolve_pair", "explicit_elements",
     "is_x_state",
     "ConcurrenceResult", "concurrence_xstate", "concurrence_general",

@@ -25,14 +25,17 @@ import numpy as np
 
 from . import kernels, lie_channel, oracle
 from .entanglement import concurrence_general, concurrence_xstate, detect_esd
-from .errors import BeyondRwaError, BlowupError, DomainError, IoError, NumericalError
+from .errors import BeyondRwaError, BlowupError, DomainError, IoError
 from .kernels import BathParams
-from .lie_channel import IntegratorSettings, channel_at
+from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
 from .two_qubit import BellFamilyState, evolve_pair, explicit_elements, initial_state
 
 BETA2_FLOOR = 1e-4
 REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
 DEATH_THRESHOLD = 1e-6
+# compute_surface evolves at most this many (time, beta^2) cells at once
+# (at least one time row), which bounds its working memory
+SURFACE_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,11 @@ def beta2_grid(steps: int, fixed: Optional[float] = None) -> tuple:
     return tuple(float(b) for b in np.clip(vals, BETA2_FLOOR, 1.0 - BETA2_FLOOR))
 
 
-def _channel_sequence(spec: SweepSpec, times: np.ndarray) -> list:
-    """Channel coefficients per sample time; None past a blowup or overflow."""
+def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
+    """The channel on a prefix of `times`: all of it unless the integration
+    blows up or the coefficients leave float range, with a warning then."""
     if spec.channel == "rwa":
-        return [oracle.rwa_channel(t, spec.params) for t in times]
+        return oracle.rwa_channel(times, spec.params)
 
     cfn = dfn = None
     if spec.channel == "truncated":
@@ -97,44 +101,40 @@ def _channel_sequence(spec: SweepSpec, times: np.ndarray) -> list:
         dfn = oracle.truncated_decay_exponent
 
     try:
-        states = lie_channel.integrate(spec.params, times, spec.settings,
+        series = lie_channel.integrate(spec.params, times, spec.settings,
                                        coefficient_fn=cfn, decay_exponent_fn=dfn)
     except BlowupError as err:
         print(f"warning: {err}; later rows recorded as NaN", file=sys.stderr)
-        states = err.partial
+        return err.partial
+    if len(series) < times.size:
+        print(f"warning: channel coefficients exceed float range at "
+              f"t={times[len(series)]:.6g}; later rows recorded as NaN",
+              file=sys.stderr)
+    return series
 
-    coeffs: list = []
-    for st in states:
-        try:
-            coeffs.append(channel_at(st))
-        except OverflowError as err:
-            print(f"warning: {err}; later rows recorded as NaN", file=sys.stderr)
-            break
-    coeffs.extend([None] * (times.size - len(coeffs)))
-    return coeffs
+
+def _initial_states(family: str, b2s: np.ndarray, phase: float = 0.0) -> np.ndarray:
+    """Stack (S, 4, 4) of the family's states, one per beta^2."""
+    return np.array([initial_state(BellFamilyState(family, math.sqrt(b2), phase))
+                     for b2 in b2s], dtype=complex).reshape(-1, 4, 4)
 
 
 def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     """Concurrence over the full grid with one channel integration.
 
-    The channel depends on time only, so each time's coefficients are
-    reused across every beta^2 column.
+    The channel depends on time only, so it is evolved against every beta^2
+    at once, SURFACE_BLOCK_CELLS cells at a time.
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    times = gts / spec.params.gamma
-    coeffs = _channel_sequence(spec, times)
-
+    series = _channel_series(spec, gts / spec.params.gamma)
     b2s = np.asarray(spec.beta2_values, dtype=float)
-    rho0s = [initial_state(BellFamilyState(spec.family, math.sqrt(b2),
-                                           spec.eta_phase))
-             for b2 in b2s]
+    rho0s = _initial_states(spec.family, b2s, spec.eta_phase)
 
-    values = np.full((times.size, b2s.size), np.nan)
-    for i, cf in enumerate(coeffs):
-        if cf is None:
-            continue
-        for j, rho0 in enumerate(rho0s):
-            values[i, j] = concurrence_xstate(evolve_pair(cf, rho0)).value
+    values = np.full((gts.size, b2s.size), np.nan)
+    rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
+    for i in range(0, len(series), rows):
+        block = series[i:i + rows]
+        values[i:i + len(block)] = concurrence_xstate(evolve_pair(block, rho0s)).value
     return ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
 
 
@@ -178,8 +178,6 @@ def _spec_from_args(args) -> SweepSpec:
             raise DomainError("--truncated-rwa does not combine with preset RWA")
         channel = "truncated"
 
-    settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.rel_tol,
-                                  blowup_threshold=args.blowup_threshold)
     return SweepSpec(
         params=params,
         channel=channel,
@@ -188,7 +186,7 @@ def _spec_from_args(args) -> SweepSpec:
         eta_phase=args.phase,
         t_max=args.tmax,
         t_steps=args.t_steps,
-        settings=settings,
+        settings=IntegratorSettings(rel_tol=args.rel_tol),
     )
 
 
@@ -217,62 +215,53 @@ def _verify_direct(presets, settings, lines) -> None:
     for pr in presets:
         p = pr.params
         ts = np.linspace(0.0, 10.0 / p.gamma, 201)
-        states = lie_channel.integrate(p, ts, settings)
-        dev = 0.0
-        for rho0 in (excited, plus):
-            direct = oracle.integrate_master_direct(p, rho0, ts, settings)
-            for st, dr in zip(states, direct):
-                dev = max(dev, float(np.max(np.abs(
-                    lie_channel.apply_channel(channel_at(st), rho0) - dr))))
+        series = lie_channel.integrate(p, ts, settings)
+        dev = max(float(np.max(np.abs(
+            apply_channel(series, rho0)
+            - oracle.integrate_master_direct(p, rho0, ts, settings))))
+            for rho0 in (excited, plus))
         _check_line(f"direct_vs_channel[{pr.name}]", dev, 1e-6, lines)
 
     mixed = np.eye(2, dtype=complex) / 2.0
     p = PRESETS["C"].params
     ts = np.linspace(0.0, 10.0 / p.gamma, 201)
-    traces = [abs(np.trace(r).real - 1.0)
-              for r in oracle.integrate_master_direct(p, mixed, ts, settings)]
-    _check_line("direct_trace[C]", max(traces), 1e-8, lines)
+    direct = oracle.integrate_master_direct(p, mixed, ts, settings)
+    traces = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
+    _check_line("direct_trace[C]", float(traces.max()), 1e-8, lines)
 
 
 def _verify_two_qubit(settings, lines) -> None:
     p = PRESETS["C"].params
     ts = np.linspace(0.0, 10.0 / p.gamma, 21)
-    states = lie_channel.integrate(p, ts, settings)
+    series = lie_channel.integrate(p, ts, settings)
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
-    dev_elems = 0.0
-    dev_gap = 0.0
+    diff = evolve_pair(series, rho0) - explicit_elements(series, rho0)
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 1] = False
-    for st in states:
-        cf = channel_at(st)
-        tensor = evolve_pair(cf, rho0)
-        explicit = explicit_elements(cf, rho0)
-        dev_elems = max(dev_elems, float(np.max(np.abs((tensor - explicit)[mask]))))
-        expected_gap = (cf.l * cf.n - cf.l * cf.m) * math.exp(-2.0 * cf.gamma_k) \
-            * rho0[1, 1]
-        dev_gap = max(dev_gap, abs((tensor - explicit)[1, 1] - expected_gap))
-    _check_line("two_qubit_dual_path", dev_elems, 1e-12, lines)
-    _check_line("two_qubit_rho22_gap", dev_gap, 1e-12, lines)
+    expected_gap = ((series.l * series.n - series.l * series.m)
+                    * np.exp(-2.0 * series.gamma_k) * rho0[1, 1])
+    _check_line("two_qubit_dual_path", float(np.max(np.abs(diff[:, mask]))),
+                1e-12, lines)
+    _check_line("two_qubit_rho22_gap",
+                float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12, lines)
 
 
 def _verify_concurrence(presets, settings, lines) -> None:
+    b2s = np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20)
     dev = 0.0
     gated = 0
     for pr in presets:
         p = pr.params
-        ts = np.linspace(0.0, 10.0 / p.gamma, 20)
-        states = lie_channel.integrate(p, ts, settings)
-        for b2 in np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20):
-            for family in ("phi", "psi"):
-                rho0 = initial_state(BellFamilyState(family, math.sqrt(b2)))
-                for st in states:
-                    rho = evolve_pair(channel_at(st), rho0)
-                    try:
-                        general = concurrence_general(rho)
-                    except NumericalError:
-                        gated += 1   # transient negativity, oracle declines
-                        continue
-                    dev = max(dev, abs(concurrence_xstate(rho).value - general))
+        series = lie_channel.integrate(p, np.linspace(0.0, 10.0 / p.gamma, 20),
+                                       settings)
+        for family in ("phi", "psi"):
+            rho = evolve_pair(series, _initial_states(family, b2s))
+            general = concurrence_general(rho)
+            kept = ~np.isnan(general)   # NaN: transient negativity, oracle declines
+            gated += int(kept.size - kept.sum())
+            closed = concurrence_xstate(rho[kept]).value
+            dev = max(dev, float(np.max(np.abs(closed - general[kept]),
+                                        initial=0.0)))
     if gated:
         print(f"note: {gated} grid states skipped by the positivity gate",
               file=sys.stderr)
@@ -311,12 +300,9 @@ def _verify_rwa(lines) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.preset_given:
-        presets = [PRESETS[args.preset]]
-    else:
-        presets = [PRESETS[k] for k in ("A", "B", "C")]
-    settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.rel_tol,
-                                  blowup_threshold=args.blowup_threshold,
+    names = ("A", "B", "C") if args.preset is None else (args.preset,)
+    presets = [PRESETS[k] for k in names]
+    settings = IntegratorSettings(rel_tol=args.rel_tol,
                                   cap_step=not args.uncap_step)
     lines: list = []
     groups = (
@@ -397,19 +383,18 @@ def cmd_report(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec_from_args(args)
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    coeffs = _channel_sequence(spec, gts / spec.params.gamma)
+    cf = _channel_series(spec, gts / spec.params.gamma)
+    cols = np.full((gts.size, 14), np.nan)
+    cols[:, 0] = gts
+    cols[:len(cf), 1:] = np.column_stack(
+        (cf.l, cf.m, cf.n, cf.p, cf.x.real, cf.x.imag, cf.y.real, cf.y.imag,
+         cf.q.real, cf.q.imag, cf.r.real, cf.r.imag, cf.gamma_k))
     stream, owned = _open_out(args.out)
     try:
         stream.write("gamma_t,l,m,n,p,x_re,x_im,y_re,y_im,"
                      "q_re,q_im,r_re,r_im,gamma_k\n")
-        for gt, cf in zip(gts, coeffs):
-            if cf is None:
-                stream.write(f"{_fmt(gt)}" + ",NaN" * 13 + "\n")
-                continue
-            cols = (gt, cf.l, cf.m, cf.n, cf.p,
-                    cf.x.real, cf.x.imag, cf.y.real, cf.y.imag,
-                    cf.q.real, cf.q.imag, cf.r.real, cf.r.imag, cf.gamma_k)
-            stream.write(",".join(_fmt(c) for c in cols) + "\n")
+        for row in cols:
+            stream.write(",".join(_fmt(c) for c in row) + "\n")
     finally:
         if owned:
             stream.close()
@@ -428,26 +413,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", choices=sorted(PRESETS), default="B",
-                        help="parameter preset (default B)")
-    common.add_argument("--omega0", type=float, default=None,
-                        help="override atomic frequency")
-    common.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="override coupling strength")
-    common.add_argument("--gamma", type=float, default=None,
-                        help="override spectral width")
     common.add_argument("--rel-tol", type=float, default=1e-9,
                         help="integrator relative tolerance (absolute tracks it)")
-    common.add_argument("--blowup-threshold", type=float, default=1e8,
-                        help="abort integration when any solver variable "
-                             "exceeds this magnitude")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="output file (default stdout)")
     common.add_argument("--seedless", action="store_true",
                         help="accepted for interface compatibility; output "
                              "is always deterministic")
 
     grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--preset", choices=sorted(PRESETS), default="B",
+                      help="parameter preset (default B)")
+    grid.add_argument("--omega0", type=float, default=None,
+                      help="override atomic frequency")
+    grid.add_argument("--lambda", dest="lam", type=float, default=None,
+                      help="override coupling strength")
+    grid.add_argument("--gamma", type=float, default=None,
+                      help="override spectral width")
+    grid.add_argument("--out", default=None, metavar="PATH",
+                      help="output file (default stdout)")
     grid.add_argument("--state", choices=("phi", "psi"), default="phi",
                       help="initial-state family (default phi)")
     grid.add_argument("--beta2", type=float, default=None,
@@ -470,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the oracle cross-check suite")
+    pv.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                    help="check one preset (default A, B and C)")
     pv.add_argument("--uncap-step", action="store_true",
                     help="debug: remove the oscillation-resolving step cap")
     pv.set_defaults(func=cmd_verify)
@@ -485,12 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.preset_given = any(a == "--preset" or a.startswith("--preset=")
-                            for a in argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BeyondRwaError as err:

@@ -23,6 +23,8 @@ about -2.5e-2 on the omega0 = 3 gamma preset).  The X-state branches clamp
 the products under the square roots at zero and only reject inputs whose
 diagonals are negative beyond a gross-error tolerance; the general oracle
 is stricter and refuses any state whose spectrum dips below its tolerance.
+
+Both concurrences take one 4x4 state or a stack with any leading axes.
 """
 
 from __future__ import annotations
@@ -41,60 +43,68 @@ _SY2 = np.kron(np.array([[0.0, -1j], [1j, 0.0]]),
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Clamped concurrence plus the two raw branches that fed the max."""
+    """Clamped concurrence plus the two raw branches that fed the max.
 
-    value: float
-    c1: float
-    c2: float
+    Floats for one state, arrays over the leading axes for a stack.
+    """
+
+    value: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ShapeError(f"expected 4x4 matrices, got shape {rho.shape}")
+    return (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2.0
 
 
 def concurrence_xstate(rho: np.ndarray, diag_tol: float = 0.1) -> ConcurrenceResult:
-    """Closed-form concurrence of an X-state.
+    """Closed-form concurrence of an X-state or a stack of them (..., 4, 4).
 
     diag_tol is a gross-error guard: diagonals below -diag_tol raise
     NegativeDiagonalError, milder transient negativity is tolerated and the
     products under the square roots are clamped at zero.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got {rho.shape}")
+    rh = _hermitian_part(rho)
     if not is_x_state(rho, tol=0.0):
         raise ShapeError("closed-form branches require an exact X-state")
-
-    rh = (rho + rho.conj().T) / 2.0
-    d = np.diagonal(rh).real
-    if d.min() < -diag_tol:
+    d = np.real(np.diagonal(rh, axis1=-2, axis2=-1))
+    if d.size and d.min() < -diag_tol:
         raise NegativeDiagonalError(
             f"diagonal element {d.min():.3g} below -{diag_tol:g}"
         )
-    c1 = 2.0 * (abs(rh[1, 2]) - np.sqrt(max(d[0] * d[3], 0.0)))
-    c2 = 2.0 * (abs(rh[0, 3]) - np.sqrt(max(d[1] * d[2], 0.0)))
-    return ConcurrenceResult(value=max(0.0, c1, c2), c1=float(c1), c2=float(c2))
+    d = np.moveaxis(d, -1, 0)
+    c1 = 2.0 * (np.abs(rh[..., 1, 2]) - np.sqrt(np.maximum(d[0] * d[3], 0.0)))
+    c2 = 2.0 * (np.abs(rh[..., 0, 3]) - np.sqrt(np.maximum(d[1] * d[2], 0.0)))
+    return ConcurrenceResult(value=np.maximum(0.0, np.maximum(c1, c2)), c1=c1, c2=c2)
 
 
-def concurrence_general(rho: np.ndarray, tol: float = 1e-9) -> float:
-    """Spin-flip concurrence of an arbitrary two-qubit state.
+def concurrence_general(rho: np.ndarray, tol: float = 1e-9):
+    """Spin-flip concurrence of an arbitrary two-qubit state or a stack of
+    them (..., 4, 4).
 
     Factors the Hermitian part as L L^dag through its eigensystem and takes
     singular values of L^dag (sy x sy) L*; those are the Wootters lambda_i.
     This stays stable where direct eigenvalues of the non-normal product
     rho rho~ lose half the working precision.
 
-    Raises NumericalError when the spectrum is negative beyond tol.
+    A state whose spectrum is negative beyond tol is refused: a single
+    state raises NumericalError, a state in a stack reads NaN.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got {rho.shape}")
-    rh = (rho + rho.conj().T) / 2.0
-    w, u = np.linalg.eigh(rh)
-    if w.min() < -tol:
+    w, u = np.linalg.eigh(_hermitian_part(rho))
+    refused = w.min(axis=-1) < -tol
+    if refused.ndim == 0 and refused:
         raise NumericalError(
             f"state eigenvalue {w.min():.3g} below -{tol:g}; "
             "not positive within tolerance"
         )
-    lfac = u * np.sqrt(np.clip(w, 0.0, None))
-    s = np.linalg.svd(lfac.conj().T @ _SY2 @ lfac.conj(), compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    lfac = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    s = np.linalg.svd(np.swapaxes(lfac.conj(), -1, -2) @ _SY2 @ lfac.conj(),
+                      compute_uv=False)
+    c = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
+    return float(c) if c.ndim == 0 else np.where(refused, np.nan, c)
 
 
 @dataclass(frozen=True)

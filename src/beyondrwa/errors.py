@@ -1,8 +1,7 @@
 """Shared error taxonomy.
 
-Numeric overflow in the channel-coefficient exponentials raises the builtin
-OverflowError; everything else library-specific derives from BeyondRwaError
-so callers can catch one base class.
+Everything library-specific derives from BeyondRwaError so callers can
+catch one base class.
 """
 
 
@@ -25,14 +24,14 @@ class GridError(BeyondRwaError):
 class BlowupError(BeyondRwaError):
     """A disentangling coefficient crossed the blowup threshold.
 
-    Carries the failure time and the states sampled before it so a sweep can
-    keep the valid prefix of its grid.
+    Carries the failure time and the channel series sampled before it so a
+    sweep can keep the valid prefix of its grid.
     """
 
-    def __init__(self, t_fail, partial=()):
+    def __init__(self, t_fail, partial=None):
         super().__init__(f"disentangling coefficient blowup at t={t_fail:.6g}")
         self.t_fail = t_fail
-        self.partial = tuple(partial)
+        self.partial = partial
 
 
 class ToleranceError(BeyondRwaError):

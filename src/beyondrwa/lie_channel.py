@@ -24,15 +24,16 @@ partners.  Hermiticity of the map demands x = conj(q) and y = conj(r) up to
 integration error; the raw coefficients grow like e^{+Gamma_k}, so any such
 comparison must be relative.
 
-Everything here is per-qubit.  Two-qubit evolution is the tensor square of
-this map (see two_qubit).
+Everything here is per-qubit and time-major: a ChannelSeries holds one
+array per coefficient over the sampled times.  Two-qubit evolution is the
+tensor square of this map (see two_qubit).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,115 +45,90 @@ from .kernels import BathParams, CoefficientSet
 # math.exp overflows just above 709; stay clear of it when forming e^{X0/2}
 _EXP_ARG_LIMIT = 708.0
 
-_integration_calls = 0
+# step cap in units of the reservoir memory time 1/gamma
+MEMORY_STEP = 0.01
 
-
-def integration_call_count() -> int:
-    """How many times integrate() has run since the last reset."""
-    return _integration_calls
-
-
-def reset_integration_call_count() -> None:
-    global _integration_calls
-    _integration_calls = 0
+# integration stops once any Wei-Norman variable exceeds this magnitude
+BLOWUP_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and step policy for the Riccati integration.
+    """Tolerance and step policy for the channel and direct integrations.
 
-    max_step is in units of the reservoir memory time 1/gamma; the actual
-    cap is additionally limited to an eighth of the counter-rotating
-    oscillation half-period pi/(8 omega0) so the 2 omega0 phase is resolved.
-    Set cap_step False to hand step control entirely to the error estimator.
+    rel_tol is both the relative and the absolute tolerance.  With cap_step
+    the step is held below step_cap(); without it the error estimator alone
+    controls the step.
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-9
-    max_step: float = 0.01
-    blowup_threshold: float = 1e8
     cap_step: bool = True
 
 
 @dataclass(frozen=True)
-class DisentangleState:
-    """Wei-Norman parameters of both sectors at one time.
-
-    gamma_k carries the global decay exponent so that channel coefficients
-    can be formed from this object alone.
-    """
-
-    t: float
-    j_plus: complex
-    j0: complex
-    j_minus: complex
-    k_plus: float
-    k0: float
-    k_minus: float
-    gamma_k: float
-
-    @classmethod
-    def origin(cls) -> "DisentangleState":
-        return cls(t=0.0, j_plus=0j, j0=0j, j_minus=0j,
-                   k_plus=0.0, k0=0.0, k_minus=0.0, gamma_k=0.0)
-
-
-@dataclass(frozen=True)
-class ChannelCoefficients:
-    """Raw map coefficients and decay exponent at one time.
+class ChannelSeries:
+    """Map coefficients and decay exponent over time, one array per field.
 
     The physical action carries an extra factor e^{-gamma_k} on every
-    element; l..y here are the bare Wei-Norman combinations, which can be
-    exponentially large on their own.
+    element; l..r here are the bare Wei-Norman combinations, which can be
+    exponentially large on their own.  l, m, n, p and gamma_k are real,
+    x, y, q and r complex.  Indexing slices every field along time.
     """
 
-    t: float
-    l: float
-    m: float
-    n: float
-    p: float
-    x: complex
-    y: complex
-    q: complex
-    r: complex
-    gamma_k: float
+    t: np.ndarray
+    l: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    p: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    gamma_k: np.ndarray
 
-    @classmethod
-    def identity(cls, t: float = 0.0) -> "ChannelCoefficients":
-        return cls(t=t, l=1.0, m=0.0, n=1.0, p=0.0,
-                   x=1.0 + 0j, y=0j, q=1.0 + 0j, r=0j, gamma_k=0.0)
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, idx) -> "ChannelSeries":
+        return ChannelSeries(**{f.name: getattr(self, f.name)[idx]
+                                for f in fields(self)})
 
 
 CoefficientFn = Callable[[float, BathParams], CoefficientSet]
 DecayFn = Callable[[float, BathParams], float]
 
 
-def riccati_rhs(state: DisentangleState, coeffs: CoefficientSet) -> DisentangleState:
-    """Time derivative of the disentangling variables at one instant.
+def check_grid(times: Sequence[float]) -> np.ndarray:
+    """The sample times as an array; GridError unless nonempty, 1-d,
+    nonnegative and strictly increasing."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise GridError("times must be a nonempty 1-d sequence")
+    if ts[0] < 0.0:
+        raise GridError(f"times must be nonnegative, got t={ts[0]}")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
+        raise GridError("times must be strictly increasing")
+    return ts
 
-    Packs d(field)/dt into the corresponding field of the returned object:
-    the t slot is dt/dt = 1 and the gamma_k slot is the decay-exponent rate,
-    which equals (nu_plus + nu_minus)/2 identically.
-    """
-    jp, j0 = state.j_plus, state.j0
-    kp, k0 = state.k_plus, state.k0
-    return DisentangleState(
-        t=1.0,
-        j_plus=coeffs.eps_plus - coeffs.eps_minus * jp * jp + coeffs.eps0 * jp,
-        j0=coeffs.eps0 - 2.0 * coeffs.eps_minus * jp,
-        j_minus=coeffs.eps_minus * np.exp(j0),
-        k_plus=coeffs.nu_plus - coeffs.nu_minus * kp * kp + coeffs.nu0 * kp,
-        k0=coeffs.nu0 - 2.0 * coeffs.nu_minus * kp,
-        k_minus=coeffs.nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT)),
-        gamma_k=(coeffs.nu_plus + coeffs.nu_minus) / 2.0,
-    )
+
+def step_cap(p: BathParams, settings: IntegratorSettings) -> float:
+    """Largest integrator step: MEMORY_STEP/gamma, and an eighth of the
+    counter-rotating half-period pi/(8 omega0) so the 2 omega0 phase is
+    resolved; unbounded without cap_step."""
+    if not settings.cap_step:
+        return math.inf
+    return min(MEMORY_STEP / p.gamma, math.pi / (8.0 * p.omega0))
 
 
 def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
-    # real 9-vector: [Re j+, Im j+, Re j0, Im j0, Re j-, Im j-, k+, k0, k-]
+    """Time derivative of the Wei-Norman variables, the one right-hand side
+    of the channel integration.
+
+    yv is the real 9-vector [Re j+, Im j+, Re j0, Im j0, Re j-, Im j-,
+    k+, k0, k-].
+    """
     c = cfn(t, p)
     jp = complex(yv[0], yv[1])
-    j0 = complex(yv[2], yv[3])
     kp, k0 = yv[6], yv[7]
     djp = c.eps_plus - c.eps_minus * jp * jp + c.eps0 * jp
     dj0 = c.eps0 - 2.0 * c.eps_minus * jp
@@ -166,17 +142,12 @@ def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
             dkp, dk0, dkm]
 
 
-def _state_from_vector(t: float, yv: np.ndarray, gamma_k: float) -> DisentangleState:
-    return DisentangleState(
-        t=t,
-        j_plus=complex(yv[0], yv[1]),
-        j0=complex(yv[2], yv[3]),
-        j_minus=complex(yv[4], yv[5]),
-        k_plus=float(yv[6]),
-        k0=float(yv[7]),
-        k_minus=float(yv[8]),
-        gamma_k=gamma_k,
-    )
+def _blowup(t: float, yv: np.ndarray, *_args) -> float:
+    return float(np.max(np.abs(yv))) - BLOWUP_THRESHOLD
+
+
+_blowup.terminal = True
+_blowup.direction = 1.0
 
 
 def integrate(
@@ -185,150 +156,116 @@ def integrate(
     settings: Optional[IntegratorSettings] = None,
     coefficient_fn: Optional[CoefficientFn] = None,
     decay_exponent_fn: Optional[DecayFn] = None,
-) -> Tuple[DisentangleState, ...]:
-    """Integrate both Riccati sectors from t=0 and sample at `times`.
+) -> ChannelSeries:
+    """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
-    times must be strictly increasing and nonnegative.  The decay exponent
-    is evaluated through its closed form rather than integrated, so swapping
-    in an alternative coefficient_fn requires the matching decay_exponent_fn.
+    The decay exponent is evaluated through its closed form rather than
+    integrated, so swapping in an alternative coefficient_fn requires the
+    matching decay_exponent_fn.  The result covers the prefix of `times`
+    whose coefficients fit in float range (see channel_at); it is shorter
+    than `times` past that point.
 
-    Raises BlowupError when any disentangling variable crosses the blowup
-    threshold (states for earlier sample times ride along on the exception),
-    and ToleranceError when the stepper gives up.
+    Raises GridError on a bad grid, BlowupError when any Wei-Norman variable
+    crosses BLOWUP_THRESHOLD (the channel at earlier sample times rides
+    along on the exception), and ToleranceError when the stepper gives up.
     """
-    global _integration_calls
-    if settings is None:
-        settings = IntegratorSettings()
-    if coefficient_fn is None:
-        coefficient_fn = kernels.coefficients
-    if decay_exponent_fn is None:
-        decay_exponent_fn = kernels.decay_exponent
-
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise GridError("times must be a nonempty 1-d sequence")
-    if ts[0] < 0.0:
-        raise GridError(f"times must be nonnegative, got t={ts[0]}")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
-        raise GridError("times must be strictly increasing")
-
-    _integration_calls += 1
+    settings = settings or IntegratorSettings()
+    cfn = coefficient_fn or kernels.coefficients
+    dfn = decay_exponent_fn or kernels.decay_exponent
+    ts = check_grid(times)
 
     if ts[-1] == 0.0:
-        return (DisentangleState.origin(),)
-
-    threshold = settings.blowup_threshold
-
-    def blowup_event(t, yv, *_args):
-        return float(np.max(np.abs(yv))) - threshold
-
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
-
-    kwargs = {}
-    if settings.cap_step:
-        kwargs["max_step"] = min(settings.max_step / p.gamma,
-                                 math.pi / (8.0 * p.omega0))
+        return channel_at(ts, np.zeros((9, 1)), np.zeros(1))
 
     sol = solve_ivp(
         _rhs,
         (0.0, float(ts[-1])),
         np.zeros(9),
         t_eval=ts,
-        args=(p, coefficient_fn),
+        args=(p, cfn),
         method="RK45",
         rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        events=blowup_event,
-        **kwargs,
+        atol=settings.rel_tol,
+        max_step=step_cap(p, settings),
+        events=_blowup,
     )
-
     if sol.status == -1:
         raise ToleranceError(f"integration failed: {sol.message}")
 
-    states = tuple(
-        _state_from_vector(float(sol.t[i]), sol.y[:, i],
-                           decay_exponent_fn(float(sol.t[i]), p))
-        for i in range(sol.t.size)
-    )
-
+    gamma_k = np.array([dfn(float(t), p) for t in sol.t])
+    series = channel_at(sol.t, sol.y, gamma_k)
     if sol.status == 1:
-        raise BlowupError(float(sol.t_events[0][0]), partial=states)
-    return states
+        raise BlowupError(float(sol.t_events[0][0]), partial=series)
+    return series
 
 
-def channel_at(state: DisentangleState) -> ChannelCoefficients:
-    """Map coefficients from the disentangling variables at one time.
+def channel_at(t: np.ndarray, yv: np.ndarray, gamma_k: np.ndarray) -> ChannelSeries:
+    """Map coefficients from the Wei-Norman variables yv (9 rows, one column
+    per time, laid out as in _rhs).
 
-    Raises OverflowError before forming e^{k0/2} or e^{Re j0 / 2} when the
-    exponent would exceed float range; numpy would silently return inf here,
-    so the check is explicit.
+    Stops before the first time at which e^{k0/2} or e^{Re j0 / 2} would
+    leave float range (numpy would silently return inf there); the series
+    then covers only the earlier times.
     """
-    if abs(state.k0) / 2.0 > _EXP_ARG_LIMIT:
-        raise OverflowError(
-            f"population sector exponent k0/2 = {state.k0 / 2.0:.3g} exceeds "
-            f"float range at t={state.t:.6g}"
-        )
-    if abs(state.j0.real) / 2.0 > _EXP_ARG_LIMIT:
-        raise OverflowError(
-            f"coherence sector exponent Re j0 / 2 = {state.j0.real / 2.0:.3g} "
-            f"exceeds float range at t={state.t:.6g}"
-        )
+    bad = (np.abs(yv[7]) / 2.0 > _EXP_ARG_LIMIT) | (np.abs(yv[2]) / 2.0 > _EXP_ARG_LIMIT)
+    keep = int(np.argmax(bad)) if bad.any() else bad.size
+    t, yv, gamma_k = t[:keep], yv[:, :keep], gamma_k[:keep]
+    jp = yv[0] + 1j * yv[1]
+    j0_re, j0_im = yv[2], yv[3]
+    jm = yv[4] + 1j * yv[5]
+    kp, k0, km = yv[6], yv[7], yv[8]
 
-    ek_half = math.exp(state.k0 / 2.0)
-    ek_mhalf = math.exp(-state.k0 / 2.0)
+    ek_half = np.exp(k0 / 2.0)
+    ek_mhalf = np.exp(-k0 / 2.0)
     # complex exponentials via magnitude and phase of j0/2
-    mag = math.exp(state.j0.real / 2.0)
-    mag_m = math.exp(-state.j0.real / 2.0)
-    ph = complex(math.cos(state.j0.imag / 2.0), math.sin(state.j0.imag / 2.0))
-    ej_half = mag * ph
-    ej_mhalf = mag_m / ph
+    ph = np.cos(j0_im / 2.0) + 1j * np.sin(j0_im / 2.0)
+    ej_half = np.exp(j0_re / 2.0) * ph
+    ej_mhalf = np.exp(-j0_re / 2.0) / ph
 
-    return ChannelCoefficients(
-        t=state.t,
-        l=ek_half + ek_mhalf * state.k_plus * state.k_minus,
-        m=ek_mhalf * state.k_plus,
+    return ChannelSeries(
+        t=np.asarray(t, dtype=float),
+        l=ek_half + ek_mhalf * kp * km,
+        m=ek_mhalf * kp,
         n=ek_mhalf,
-        p=ek_mhalf * state.k_minus,
-        x=ej_half + ej_mhalf * state.j_plus * state.j_minus,
-        y=ej_mhalf * state.j_plus,
+        p=ek_mhalf * km,
+        x=ej_half + ej_mhalf * jp * jm,
+        y=ej_mhalf * jp,
         q=ej_mhalf,
-        r=ej_mhalf * state.j_minus,
-        gamma_k=state.gamma_k,
+        r=ej_mhalf * jm,
+        gamma_k=np.asarray(gamma_k, dtype=float),
     )
 
 
-def apply_channel(coeffs: ChannelCoefficients, rho0: np.ndarray) -> np.ndarray:
-    """Evolve one qubit density matrix through the map.
+def apply_channel(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
+    """Evolve one qubit density matrix through the map at every time.
 
     rho0 is 2x2 in the (excited, ground) basis: rho0[0, 0] is the excited
-    population, rho0[0, 1] the coherence <1|rho|0>.
+    population, rho0[0, 1] the coherence <1|rho|0>.  Returns shape (T, 2, 2).
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    scale = math.exp(-coeffs.gamma_k)
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = scale * (coeffs.l * rho0[0, 0] + coeffs.m * rho0[1, 1])
-    out[0, 1] = scale * (coeffs.x * rho0[0, 1] + coeffs.y * rho0[1, 0])
-    out[1, 0] = scale * (coeffs.q * rho0[1, 0] + coeffs.r * rho0[0, 1])
-    out[1, 1] = scale * (coeffs.n * rho0[1, 1] + coeffs.p * rho0[0, 0])
+    scale = np.exp(-series.gamma_k)
+    out = np.empty((len(series), 2, 2), dtype=complex)
+    out[:, 0, 0] = scale * (series.l * rho0[0, 0] + series.m * rho0[1, 1])
+    out[:, 0, 1] = scale * (series.x * rho0[0, 1] + series.y * rho0[1, 0])
+    out[:, 1, 0] = scale * (series.q * rho0[1, 0] + series.r * rho0[0, 1])
+    out[:, 1, 1] = scale * (series.n * rho0[1, 1] + series.p * rho0[0, 0])
     return out
 
 
-def transfer_matrix(coeffs: ChannelCoefficients) -> np.ndarray:
-    """4x4 matrix acting on vec(rho) = (rho11, rho10, rho01, rho00).
+def transfer_matrix(series: ChannelSeries) -> np.ndarray:
+    """(T, 4, 4) matrices acting on vec(rho) = (rho11, rho10, rho01, rho00).
 
     Includes the e^{-gamma_k} factor, so row sums of the population block
     are trace preserving.  vec() here is the plain row-major flattening of
     the 2x2 matrix.
     """
-    scale = math.exp(-coeffs.gamma_k)
-    tm = np.zeros((4, 4), dtype=complex)
-    tm[0, 0] = coeffs.l
-    tm[0, 3] = coeffs.m
-    tm[1, 1] = coeffs.x
-    tm[1, 2] = coeffs.y
-    tm[2, 1] = coeffs.r
-    tm[2, 2] = coeffs.q
-    tm[3, 0] = coeffs.p
-    tm[3, 3] = coeffs.n
-    return scale * tm
+    tm = np.zeros((len(series), 4, 4), dtype=complex)
+    tm[:, 0, 0] = series.l
+    tm[:, 0, 3] = series.m
+    tm[:, 1, 1] = series.x
+    tm[:, 1, 2] = series.y
+    tm[:, 2, 1] = series.r
+    tm[:, 2, 2] = series.q
+    tm[:, 3, 0] = series.p
+    tm[:, 3, 3] = series.n
+    return np.exp(-series.gamma_k)[:, None, None] * tm

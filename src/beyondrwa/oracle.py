@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import kernels
-from .errors import DomainError, GridError, ToleranceError
+from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
-from .lie_channel import ChannelCoefficients, IntegratorSettings
+from .lie_channel import ChannelSeries, IntegratorSettings, check_grid, step_cap
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
@@ -60,54 +60,41 @@ def integrate_master_direct(
     t_grid: Sequence[float],
     settings: Optional[IntegratorSettings] = None,
     coefficient_fn: Optional[Callable[[float, BathParams], CoefficientSet]] = None,
-) -> Tuple[np.ndarray, ...]:
+) -> np.ndarray:
     """Integrate the master equation directly and sample at t_grid.
 
-    Same step cap as the channel integration so both routes resolve the
-    2 omega0 oscillation equally well.
+    Returns shape (T, 2, 2).  Same grid rules and step cap as the channel
+    integration, so both routes resolve the 2 omega0 oscillation equally
+    well.
     """
-    if settings is None:
-        settings = IntegratorSettings()
-    if coefficient_fn is None:
-        coefficient_fn = kernels.coefficients
-
+    settings = settings or IntegratorSettings()
+    ts = check_grid(t_grid)
     rho0 = np.asarray(rho0, dtype=complex)
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise GridError("t_grid must be a nonempty 1-d sequence")
-    if ts[0] < 0.0:
-        raise GridError(f"t_grid must be nonnegative, got t={ts[0]}")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
-        raise GridError("t_grid must be strictly increasing")
-
     if ts[-1] == 0.0:
-        return (rho0.copy(),)
+        return rho0[None].copy()
 
     y0 = [rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, rho0[1, 1].real]
-    kwargs = {}
-    if settings.cap_step:
-        kwargs["max_step"] = min(settings.max_step / p.gamma,
-                                 math.pi / (8.0 * p.omega0))
     sol = solve_ivp(
         _direct_rhs,
         (0.0, float(ts[-1])),
         y0,
         t_eval=ts,
-        args=(p, coefficient_fn),
+        args=(p, coefficient_fn or kernels.coefficients),
         method="RK45",
         rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        **kwargs,
+        atol=settings.rel_tol,
+        max_step=step_cap(p, settings),
     )
     if sol.status != 0:
         raise ToleranceError(f"direct integration failed: {sol.message}")
 
-    out = []
-    for i in range(sol.t.size):
-        r11, re10, im10, r00 = sol.y[:, i]
-        out.append(np.array([[r11, re10 + 1j * im10],
-                             [re10 - 1j * im10, r00]], dtype=complex))
-    return tuple(out)
+    r11, re10, im10, r00 = sol.y
+    out = np.empty((sol.t.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = r11
+    out[:, 0, 1] = re10 + 1j * im10
+    out[:, 1, 0] = re10 - 1j * im10
+    out[:, 1, 1] = r00
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +138,19 @@ def rwa_first_zero(p: BathParams) -> float:
     return 2.0 * (math.pi - math.atan(d / p.gamma)) / d
 
 
-def rwa_channel(t: float, p: BathParams) -> ChannelCoefficients:
-    """Package q(t) as channel coefficients for the shared two-qubit pipeline.
+def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
+    """Package q(t) as a channel series for the shared two-qubit pipeline.
 
     Trace preserving exactly: l + p = 1 and m + n = 1 by construction, with
     gamma_k = 0 since no global decay factor is split off.
     """
-    qa = rwa_amplitude(t, p)
-    pop = abs(qa) ** 2
-    return ChannelCoefficients(
-        t=t, l=pop, m=0.0, n=1.0, p=1.0 - pop,
-        x=qa, y=0j, q=qa.conjugate(), r=0j, gamma_k=0.0,
+    ts = np.asarray(times, dtype=float)
+    qa = np.array([rwa_amplitude(t, p) for t in ts], dtype=complex)
+    pop = np.abs(qa) ** 2
+    zeros, czeros = np.zeros(ts.size), np.zeros(ts.size, dtype=complex)
+    return ChannelSeries(
+        t=ts, l=pop, m=zeros, n=np.ones(ts.size), p=1.0 - pop,
+        x=qa, y=czeros, q=qa.conj(), r=czeros, gamma_k=zeros,
     )
 
 

@@ -11,6 +11,9 @@ one-parameter families of pure states,
 with beta real in (0,1) and eta = sqrt(1-beta^2) e^{i phase}.  Both families
 produce X-shaped density matrices, and the X sparsity pattern is preserved
 exactly by the evolution.
+
+Evolution takes a ChannelSeries and returns one matrix per time (a leading
+time axis); evolve_pair also takes a stack of initial states.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .lie_channel import ChannelCoefficients, transfer_matrix
+from .lie_channel import ChannelSeries, transfer_matrix
 
-# indices of the elements an X-state may populate
-_X_SLOTS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2), (2, 1), (3, 0))
+# elements an X-state must leave empty: all but the diagonal and antidiagonal
+_NON_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass(frozen=True)
@@ -69,41 +72,41 @@ def initial_state(s: BellFamilyState) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _pair_vec(rho: np.ndarray) -> np.ndarray:
-    # reorder indices (a,b,a',b') -> (a,a',b,b') so kron(T,T) acts per qubit
-    return rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+def _pair_shuffle(a: np.ndarray, lead: tuple) -> np.ndarray:
+    # reorder the qubit indices (a,b,a',b') -> (a,a',b,b') after the leading
+    # axes, so kron(T,T) acts per qubit; the shuffle is its own inverse
+    return a.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2)
 
 
-def _pair_unvec(w: np.ndarray) -> np.ndarray:
-    # the index shuffle is its own inverse
-    return w.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+def evolve_pair(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
+    """Evolve joint density matrices through identical local channels.
 
-
-def evolve_pair(coeffs: ChannelCoefficients, rho0: np.ndarray) -> np.ndarray:
-    """Evolve a joint density matrix through identical local channels.
-
-    Authoritative route: (T x T) on the vectorized state, T the single-qubit
-    transfer matrix (decay factor included, so the result carries e^{-2*gamma_k}).
+    rho0 is one 4x4 state or a stack (S, 4, 4); the result has shape
+    (T, 4, 4) or (T, S, 4, 4).  Authoritative route: (T x T) on the
+    vectorized state, T the single-qubit transfer matrix (decay factor
+    included, so the result carries e^{-2*gamma_k}).
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ShapeError(f"joint state must be 4x4, got {rho0.shape}")
-    tm = transfer_matrix(coeffs)
-    return _pair_unvec(np.kron(tm, tm) @ _pair_vec(rho0))
+    if rho0.shape[-2:] != (4, 4) or rho0.ndim > 3:
+        raise ShapeError(f"joint state must be 4x4 or a stack of them, got {rho0.shape}")
+    tm = transfer_matrix(series)
+    kron = (tm[:, :, None, :, None] * tm[:, None, :, None, :]).reshape(-1, 16, 16)
+    vec = _pair_shuffle(rho0, rho0.shape[:-2]).reshape(rho0.shape[:-2] + (16,))
+    out = kron @ vec.T                       # (T, 16) or (T, 16, S)
+    if rho0.ndim == 3:
+        out = out.swapaxes(1, 2)
+    return _pair_shuffle(out, out.shape[:-1]).reshape(out.shape[:-1] + (4, 4))
 
 
 def is_x_state(rho: np.ndarray, tol: float = 0.0) -> bool:
     """True when every element outside the diagonal+antidiagonal X pattern
-    has magnitude <= tol."""
+    has magnitude <= tol, in every matrix of a stack (..., 4, 4)."""
     rho = np.asarray(rho)
-    mask = np.ones((4, 4), dtype=bool)
-    for i, j in _X_SLOTS:
-        mask[i, j] = False
-    return bool(np.all(np.abs(rho[mask]) <= tol))
+    return bool(np.all(np.abs(rho[..., _NON_X]) <= tol))
 
 
-def explicit_elements(coeffs: ChannelCoefficients, rho0: np.ndarray) -> np.ndarray:
-    """Element-by-element closed forms for the X-state sector.
+def explicit_elements(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
+    """Element-by-element closed forms for the X-state sector, shape (T, 4, 4).
 
     Cross-check surface only; evolve_pair is authoritative.  The tabulation
     is kept verbatim, including the rho22 cross weight l*m where the tensor
@@ -118,18 +121,18 @@ def explicit_elements(coeffs: ChannelCoefficients, rho0: np.ndarray) -> np.ndarr
     if not is_x_state(rho0, tol=0.0):
         raise ShapeError("explicit element formulas require an exact X-state input")
 
-    l, m, n, p = coeffs.l, coeffs.m, coeffs.n, coeffs.p
-    x, y, q, r = coeffs.x, coeffs.y, coeffs.q, coeffs.r
+    l, m, n, p = series.l, series.m, series.n, series.p
+    x, y, q, r = series.x, series.y, series.q, series.r
     d11, d22, d33, d44 = rho0[0, 0], rho0[1, 1], rho0[2, 2], rho0[3, 3]
     o14, o23, o32, o41 = rho0[0, 3], rho0[1, 2], rho0[2, 1], rho0[3, 0]
 
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = l * l * d11 + l * m * d22 + m * l * d33 + m * m * d44
-    out[1, 1] = l * p * d11 + l * m * d22 + m * p * d33 + m * n * d44
-    out[2, 2] = l * p * d11 + p * m * d22 + n * l * d33 + n * m * d44
-    out[3, 3] = p * p * d11 + p * n * d22 + n * p * d33 + n * n * d44
-    out[0, 3] = x * x * o14 + x * y * o23 + y * x * o32 + y * y * o41
-    out[1, 2] = x * r * o14 + x * q * o23 + y * r * o32 + y * q * o41
-    out[2, 1] = r * x * o14 + r * y * o23 + q * x * o32 + q * y * o41
-    out[3, 0] = r * r * o14 + r * q * o23 + q * r * o32 + q * q * o41
-    return math.exp(-2.0 * coeffs.gamma_k) * out
+    out = np.zeros((len(series), 4, 4), dtype=complex)
+    out[:, 0, 0] = l * l * d11 + l * m * d22 + m * l * d33 + m * m * d44
+    out[:, 1, 1] = l * p * d11 + l * m * d22 + m * p * d33 + m * n * d44
+    out[:, 2, 2] = l * p * d11 + p * m * d22 + n * l * d33 + n * m * d44
+    out[:, 3, 3] = p * p * d11 + p * n * d22 + n * p * d33 + n * n * d44
+    out[:, 0, 3] = x * x * o14 + x * y * o23 + y * x * o32 + y * y * o41
+    out[:, 1, 2] = x * r * o14 + x * q * o23 + y * r * o32 + y * q * o41
+    out[:, 2, 1] = r * x * o14 + r * y * o23 + q * x * o32 + q * y * o41
+    out[:, 3, 0] = r * r * o14 + r * q * o23 + q * r * o32 + q * q * o41
+    return np.exp(-2.0 * series.gamma_k)[:, None, None] * out

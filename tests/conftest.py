@@ -2,14 +2,15 @@
 integrated once per session and every test reads from the bank."""
 
 import math
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from beyondrwa import lie_channel, oracle
-from beyondrwa.cli import PRESETS
+from beyondrwa import lie_channel
+from beyondrwa.cli import PRESETS, SweepSpec, compute_surface
 from beyondrwa.entanglement import concurrence_xstate
+from beyondrwa.lie_channel import ChannelSeries
 from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
 
 GAMMA_T_GRID = np.linspace(0.0, 10.0, 201)
@@ -22,8 +23,7 @@ DENSE_GAMMA_T = np.linspace(0.0, 10.0, 40001)
 class BankEntry(NamedTuple):
     params: object
     times: np.ndarray
-    states: Tuple
-    coeffs: Tuple
+    series: ChannelSeries
 
 
 @pytest.fixture(scope="session")
@@ -32,25 +32,36 @@ def channel_bank():
     for name in ("A", "B", "C"):
         p = PRESETS[name].params
         times = GAMMA_T_GRID / p.gamma
-        states = lie_channel.integrate(p, times)
-        coeffs = tuple(lie_channel.channel_at(s) for s in states)
-        bank[name] = BankEntry(p, times, states, coeffs)
+        bank[name] = BankEntry(p, times, lie_channel.integrate(p, times))
     return bank
 
 
-def concurrence_curve(coeffs, family: str, beta2: float, phase: float = 0.0):
+def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,
+                       q=1.0, r=0.0, gamma_k=0.0) -> ChannelSeries:
+    """A channel series at one time; the defaults give the identity map."""
+    real = lambda v: np.array([v], dtype=float)
+    cplx = lambda v: np.array([v], dtype=complex)
+    return ChannelSeries(t=real(t), l=real(l), m=real(m), n=real(n), p=real(p),
+                         x=cplx(x), y=cplx(y), q=cplx(q), r=cplx(r),
+                         gamma_k=real(gamma_k))
+
+
+def concurrence_curve(series, family: str, beta2: float, phase: float = 0.0):
     rho0 = initial_state(BellFamilyState(family, math.sqrt(beta2), phase))
-    return np.array([concurrence_xstate(evolve_pair(cf, rho0)).value
-                     for cf in coeffs])
+    return concurrence_xstate(evolve_pair(series, rho0)).value
 
 
 @pytest.fixture(scope="session")
 def rwa_dense_curves():
     """Concurrence of the rotating-wave channel on the dense grid, for the
-    two configurations the shape checks care about."""
+    two configurations the shape checks care about.  compute_surface
+    evolves the 40001 times in bounded blocks."""
     p = PRESETS["RWA"].params
-    coeffs = [oracle.rwa_channel(t, p) for t in DENSE_GAMMA_T / p.gamma]
-    return {
-        ("phi", 0.5): concurrence_curve(coeffs, "phi", 0.5),
-        ("psi", 0.4): concurrence_curve(coeffs, "psi", 0.4),
-    }
+
+    def curve(family, beta2):
+        spec = SweepSpec(params=p, channel="rwa", family=family,
+                         beta2_values=(beta2,), t_max=float(DENSE_GAMMA_T[-1]),
+                         t_steps=DENSE_GAMMA_T.size)
+        return compute_surface(spec).values[:, 0]
+
+    return {("phi", 0.5): curve("phi", 0.5), ("psi", 0.4): curve("psi", 0.4)}

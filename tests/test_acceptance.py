@@ -21,7 +21,6 @@ from beyondrwa import kernels, oracle
 from beyondrwa.cli import PRESETS, beta2_grid, main as cli_main
 from beyondrwa.entanglement import (concurrence_general, concurrence_xstate,
                                     detect_esd)
-from beyondrwa.errors import NumericalError
 from beyondrwa.lie_channel import apply_channel
 from beyondrwa.two_qubit import (BellFamilyState, evolve_pair,
                                  explicit_elements, initial_state)
@@ -41,28 +40,22 @@ def full_grid_stats(channel_bank):
              "gated": 0, "total": 0, "surfaces": {}}
     for name, entry in channel_bank.items():
         for family in ("phi", "psi"):
-            initials = [initial_state(BellFamilyState(family, math.sqrt(b)))
-                        for b in betas]
-            surface = np.empty((len(entry.coeffs), len(betas)))
-            for i, cf in enumerate(entry.coeffs):
-                for j, rho0 in enumerate(initials):
-                    rho = evolve_pair(cf, rho0)
-                    stats["trace_dev"] = max(stats["trace_dev"],
-                                             abs(np.trace(rho) - 1.0))
-                    stats["herm_dev"] = max(
-                        stats["herm_dev"], np.abs(rho - rho.conj().T).max())
-                    closed = concurrence_xstate(rho).value
-                    surface[i, j] = closed
-                    stats["total"] += 1
-                    try:
-                        general = concurrence_general(rho)
-                    except NumericalError:
-                        stats["gated"] += 1
-                    else:
-                        stats["dual_dev"] = max(stats["dual_dev"],
-                                                abs(closed - general))
+            initials = np.array([initial_state(BellFamilyState(family, math.sqrt(b)))
+                                 for b in betas])
+            rho = evolve_pair(entry.series, initials)     # (time, beta2, 4, 4)
+            stats["trace_dev"] = max(stats["trace_dev"], np.abs(
+                np.trace(rho, axis1=-2, axis2=-1) - 1.0).max())
+            stats["herm_dev"] = max(stats["herm_dev"], np.abs(
+                rho - np.conj(np.swapaxes(rho, -1, -2))).max())
+            closed = concurrence_xstate(rho).value
+            general = concurrence_general(rho)   # NaN where it refuses
+            kept = ~np.isnan(general)
+            stats["total"] += kept.size
+            stats["gated"] += int(kept.size - kept.sum())
+            stats["dual_dev"] = max(stats["dual_dev"],
+                                    np.abs(closed - general)[kept].max())
             if family == "phi":
-                stats["surfaces"][name] = surface
+                stats["surfaces"][name] = closed
     return stats
 
 
@@ -73,8 +66,7 @@ def test_criterion_01_channel_matches_direct_integration(channel_bank):
         for rho0 in (excited, plus):
             direct = oracle.integrate_master_direct(entry.params, rho0,
                                                     entry.times)
-            dev = max(np.abs(apply_channel(cf, rho0) - dr).max()
-                      for cf, dr in zip(entry.coeffs, direct))
+            dev = np.abs(apply_channel(entry.series, rho0) - direct).max()
             assert dev < 1e-6, f"preset {name}: routes disagree by {dev:.3g}"
 
 
@@ -112,25 +104,22 @@ def test_criterion_05_kernel_quadrature():
 
 
 def test_criterion_06_two_qubit_assembly_dual_path(channel_bank):
-    entry = channel_bank["C"]
+    cf = channel_bank["C"].series[::5]
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 1] = False
     for family, b2, phase in (("phi", 0.3, 0.4), ("psi", 0.6, 1.1),
                               ("phi", 0.5, 0.0)):
         rho0 = initial_state(BellFamilyState(family, math.sqrt(b2), phase))
-        for cf in entry.coeffs[::5]:
-            via_tensor = evolve_pair(cf, rho0)
-            via_formulas = explicit_elements(cf, rho0)
-            diff = via_tensor - via_formulas
-            assert np.abs(diff[mask]).max() < 1e-12
-            expected_gap = ((cf.l * cf.n - cf.l * cf.m)
-                            * math.exp(-2.0 * cf.gamma_k) * rho0[1, 1])
-            assert abs(diff[1, 1] - expected_gap) < 1e-13
+        diff = evolve_pair(cf, rho0) - explicit_elements(cf, rho0)
+        assert np.abs(diff[:, mask]).max() < 1e-12
+        expected_gap = ((cf.l * cf.n - cf.l * cf.m)
+                        * np.exp(-2.0 * cf.gamma_k) * rho0[1, 1])
+        assert np.abs(diff[:, 1, 1] - expected_gap).max() < 1e-13
 
 
 def test_criterion_07_preset_a_decays_without_revival(channel_bank):
     entry = channel_bank["A"]
-    curve = concurrence_curve(entry.coeffs, "phi", 0.5)
+    curve = concurrence_curve(entry.series, "phi", 0.5)
     assert curve[np.searchsorted(entry.times, 5.0)] < 0.1
     below = np.nonzero(curve < 1e-3)[0]
     assert below.size, "concurrence never dropped below 1e-3"
@@ -151,7 +140,7 @@ def test_criterion_08_preset_b_plateau_then_revival(channel_bank):
     """
     entry = channel_bank["B"]
     report = detect_esd(entry.times,
-                        concurrence_curve(entry.coeffs, "phi", 0.5))
+                        concurrence_curve(entry.series, "phi", 0.5))
     assert report.max_revival > 0.01, (
         "expected a revival above 0.01 after sudden death; measured: death "
         f"at gamma t = {report.death_time}, largest post-death episode peak "
@@ -163,7 +152,7 @@ def test_criterion_08_preset_b_plateau_then_revival(channel_bank):
 
 def test_criterion_09_preset_c_damped_revival_train(channel_bank):
     entry = channel_bank["C"]
-    curve = concurrence_curve(entry.coeffs, "phi", 0.5)
+    curve = concurrence_curve(entry.series, "phi", 0.5)
     report = detect_esd(entry.times, curve)
     assert report.death_time is not None
     assert report.episode_count >= 2
@@ -186,7 +175,7 @@ def _rwa_psi_revival_window():
     p = PRESETS["RWA"].params
     times = DENSE_GAMMA_T / p.gamma
     after = times[times > oracle.rwa_first_zero(p)]
-    q2_max = max(abs(oracle.rwa_amplitude(t, p)) ** 2 for t in after)
+    q2_max = oracle.rwa_channel(after, p).l.max()    # l = |q|^2
     ratio2 = (1.0 - q2_max) ** 2
     return ratio2 / (1.0 + ratio2), 0.5
 
@@ -202,7 +191,7 @@ def test_criterion_10_sudden_death_permanence_vs_rwa(channel_bank,
         f"revival window ({low:.4f}, {high:.4f}); no grid can show a revival")
 
     entry = channel_bank["A"]
-    curve = concurrence_curve(entry.coeffs, "psi", RWA_REVIVAL_BETA2)
+    curve = concurrence_curve(entry.series, "psi", RWA_REVIVAL_BETA2)
     report = detect_esd(entry.times, curve)
     assert report.death_time is not None, "preset A Psi state never dies"
     post = curve[np.searchsorted(entry.times, report.death_time):]

@@ -1,9 +1,10 @@
 """Command-line contract: CSV format, determinism, verify report shape."""
 
-import math
+import importlib
+import importlib.util
 import re
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from beyondrwa import lie_channel
@@ -72,24 +73,30 @@ def test_sweep_to_stdout(capsys):
     assert len(out.splitlines()) == 4
 
 
-def test_sweep_reuses_one_integration(capsys):
-    lie_channel.reset_integration_call_count()
+def test_sweep_reuses_one_integration(capsys, monkeypatch):
+    calls = []
+    integrate = lie_channel.integrate
+    monkeypatch.setattr(lie_channel, "integrate",
+                        lambda *a, **k: calls.append(1) or integrate(*a, **k))
     code, out, _ = run_cli(capsys, "sweep", "--preset", "B", "--t-steps", "11",
                            "--tmax", "2", "--beta2-steps", "7")
     assert code == 0
-    assert lie_channel.integration_call_count() == 1
+    assert len(calls) == 1
     assert len(out.splitlines()) == 1 + 11 * 7
 
 
 def test_sweep_blowup_writes_nan_rows(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--preset", "C", "--beta2", "0.5",
-                             "--t-steps", "6", "--tmax", "10",
-                             "--blowup-threshold", "5")
+    # at lam = 100 gamma the raw coefficients leave float range between
+    # gamma t = 10 and 15; rows from there on are NaN
+    code, out, err = run_cli(capsys, "sweep", "--preset", "C", "--lambda", "100",
+                             "--beta2", "0.5", "--tmax", "20", "--t-steps", "5")
     assert code == 0
     assert "warning:" in err and "NaN" in err
     lines = out.splitlines()
     assert lines[1] == "0,0.5,1"
-    assert all(line.endswith(",NaN") for line in lines[2:])
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "5", "10", "15", "20"]
+    assert not any(line.endswith(",NaN") for line in lines[1:4])
+    assert all(line.endswith(",NaN") for line in lines[4:])
 
 
 def test_parameter_overrides_and_seedless(capsys):
@@ -113,6 +120,23 @@ def test_verify_all_pass_on_cheap_preset(capsys):
     assert "concurrence_dual_path" in names
     assert "kernel_alpha_tilde" in names
     assert "rwa_residual" in names
+
+
+def test_verify_abbreviated_preset_runs_only_that_preset(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pres", "C")
+    assert code == 0
+    names = [line.split("\t")[0] for line in out.splitlines()]
+    assert [n for n in names if n.startswith("direct_vs_channel")] == [
+        "direct_vs_channel[C]"]
+
+
+def test_verify_rejects_parameter_overrides(capsys):
+    # verify checks the stock presets only; an override must not be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--omega0", "5", "--lambda", "0.1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_verify_degraded_tolerance_stays_well_formed(capsys):
@@ -182,3 +206,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
                            "--out", str(tmp_path / "nope" / "x.csv"))
     assert code == 2
     assert "error:" in err
+
+
+def test_traced_functions_exist():
+    # perfbench/tracer.py wraps these by name; a missing one breaks --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, funcs in tracer.TRACED.values():
+        module = importlib.import_module("beyondrwa." + modname)
+        for fname in funcs:
+            assert callable(getattr(module, fname, None)), f"{modname}.{fname}"

@@ -107,6 +107,10 @@ def test_general_rejects_indefinite_states():
     rho = np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)
     with pytest.raises(NumericalError):
         concurrence_general(rho)
+    # in a stack the refused state reads NaN and the others are kept
+    bell = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
+    both = concurrence_general(np.array([bell, rho]))
+    assert both[0] == pytest.approx(1.0, abs=1e-12) and np.isnan(both[1])
 
 
 def test_shape_rejection():

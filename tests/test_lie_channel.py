@@ -5,132 +5,148 @@ import math
 import numpy as np
 import pytest
 
+from conftest import single_time_series
+
 from beyondrwa import BathParams, kernels, lie_channel
 from beyondrwa.errors import BlowupError, GridError
-from beyondrwa.lie_channel import (ChannelCoefficients, DisentangleState,
-                                   IntegratorSettings, apply_channel,
-                                   channel_at, integrate, riccati_rhs,
-                                   transfer_matrix)
+from beyondrwa.lie_channel import (IntegratorSettings, apply_channel,
+                                   channel_at, integrate, transfer_matrix)
 
 P_B = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
 P_C = BathParams(omega0=3.0, gamma=1.0, lam=10.0)
 
+IDENTITY = single_time_series()
+
+
+def _at_one_time(yv, t=1.0, gamma_k=0.0):
+    """channel_at on the 9 Wei-Norman reals of one time, laid out as in _rhs."""
+    return channel_at(np.array([t]), np.array(yv, dtype=float).reshape(9, 1),
+                      np.array([gamma_k]))
+
+
+def _assert_identity(cf):
+    for name in ("l", "m", "n", "p", "x", "y", "q", "r", "gamma_k"):
+        want = getattr(IDENTITY, name)[0]
+        assert np.all(getattr(cf, name) == want), name
+
+
+def _wei_norman(cf):
+    """Invert channel_at: the Wei-Norman reals per time (Im j0 mod 2 pi)."""
+    jp, jm, j0 = cf.y / cf.q, cf.r / cf.q, -2.0 * np.log(cf.q)
+    kp, km, k0 = cf.m / cf.n, cf.p / cf.n, -2.0 * np.log(cf.n)
+    return np.array([jp.real, jp.imag, j0.real, j0.imag, jm.real, jm.imag,
+                     kp, k0, km])
+
 
 def test_identity_at_origin():
-    cf = channel_at(DisentangleState.origin())
-    ident = ChannelCoefficients.identity()
-    assert cf == ident
+    cf = _at_one_time(np.zeros(9), t=0.0)
+    _assert_identity(cf)
     rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    assert np.array_equal(apply_channel(cf, rho), rho)
+    assert np.array_equal(apply_channel(cf, rho)[0], rho)
 
 
-def test_riccati_rhs_at_origin():
-    c0 = kernels.coefficients(0.0, P_B)
-    d = riccati_rhs(DisentangleState.origin(), c0)
-    assert d.t == 1.0
-    assert d.j_plus == 0.0
-    assert d.j0 == -2j * P_B.omega0
-    assert d.j_minus == 0.0
-    assert d.k_plus == 0.0
-    assert d.k0 == 0.0
-    assert d.k_minus == 0.0
-    assert d.gamma_k == 0.0
+def test_rhs_at_origin():
+    d = lie_channel._rhs(0.0, np.zeros(9), P_B, kernels.coefficients)
+    # only j0 moves at t=0: j0' = eps0 = -2i omega0
+    assert d == [0.0, 0.0, 0.0, -2.0 * P_B.omega0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_riccati_rhs_matches_finite_difference():
+def test_rhs_matches_finite_difference():
+    # the right-hand side integrate() uses, against a central difference of
+    # the Wei-Norman variables recovered from its output
     t, h = 0.7, 1e-4
-    tight = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-12)
-    sm, s0, sp = integrate(P_B, [t - h, t, t + h], tight)
-    d = riccati_rhs(s0, kernels.coefficients(t, P_B))
-    for name in ("j_plus", "j0", "j_minus", "k_plus", "k0", "k_minus"):
-        fd = (getattr(sp, name) - getattr(sm, name)) / (2.0 * h)
-        assert abs(getattr(d, name) - fd) < 1e-4, name
+    cf = integrate(P_B, [t - h, t, t + h], IntegratorSettings(rel_tol=1e-12))
+    yv = _wei_norman(cf)
+    d = lie_channel._rhs(t, yv[:, 1], P_B, kernels.coefficients)
+    fd = (yv[:, 2] - yv[:, 0]) / (2.0 * h)
+    # j0 by the log of a ratio near 1, clear of the 2 pi branch cut
+    dj0 = -2.0 * np.log(cf.q[2] / cf.q[0]) / (2.0 * h)
+    fd[2], fd[3] = dj0.real, dj0.imag
+    for i, name in enumerate(("Re j+", "Im j+", "Re j0", "Im j0", "Re j-",
+                              "Im j-", "k+", "k0", "k-")):
+        assert abs(d[i] - fd[i]) < 1e-4, name
 
 
 def test_channel_at_hand_values():
     # e^{k0/2}=1/2, e^{-k0/2}=2; e^{j0/2}=2i, e^{-j0/2}=-i/2
-    st = DisentangleState(
-        t=1.0,
-        j_plus=1.0 + 1.0j, j0=complex(math.log(4.0), math.pi), j_minus=2.0 + 0j,
-        k_plus=0.25, k0=-2.0 * math.log(2.0), k_minus=0.5,
-        gamma_k=0.0,
-    )
-    cf = channel_at(st)
-    assert cf.l == pytest.approx(0.75, rel=1e-14)
-    assert cf.m == pytest.approx(0.5, rel=1e-14)
-    assert cf.n == pytest.approx(2.0, rel=1e-14)
-    assert cf.p == pytest.approx(1.0, rel=1e-14)
-    assert cf.x == pytest.approx(1.0 + 1.0j, rel=1e-14)
-    assert cf.y == pytest.approx(0.5 - 0.5j, rel=1e-14)
-    assert cf.q == pytest.approx(-0.5j, rel=1e-14)
-    assert cf.r == pytest.approx(-1.0j, rel=1e-14)
+    cf = _at_one_time([1.0, 1.0, math.log(4.0), math.pi, 2.0, 0.0,
+                       0.25, -2.0 * math.log(2.0), 0.5])
+    assert cf.l[0] == pytest.approx(0.75, rel=1e-14)
+    assert cf.m[0] == pytest.approx(0.5, rel=1e-14)
+    assert cf.n[0] == pytest.approx(2.0, rel=1e-14)
+    assert cf.p[0] == pytest.approx(1.0, rel=1e-14)
+    assert cf.x[0] == pytest.approx(1.0 + 1.0j, rel=1e-14)
+    assert cf.y[0] == pytest.approx(0.5 - 0.5j, rel=1e-14)
+    assert cf.q[0] == pytest.approx(-0.5j, rel=1e-14)
+    assert cf.r[0] == pytest.approx(-1.0j, rel=1e-14)
 
 
 def test_transfer_matrix_matches_apply():
-    st = DisentangleState(
-        t=1.0,
-        j_plus=0.1 - 0.2j, j0=-0.4 + 2.0j, j_minus=0.05 + 0.01j,
-        k_plus=0.3, k0=-1.1, k_minus=0.2,
-        gamma_k=0.8,
-    )
-    cf = channel_at(st)
+    # j+ = 0.1-0.2i, j0 = -0.4+2i, j- = 0.05+0.01i, k+ = 0.3, k0 = -1.1,
+    # k- = 0.2, gamma_k = 0.8
+    cf = _at_one_time([0.1, -0.2, -0.4, 2.0, 0.05, 0.01, 0.3, -1.1, 0.2],
+                      gamma_k=0.8)
     rho = np.array([[0.55, 0.2 - 0.1j], [0.2 + 0.1j, 0.45]])
-    via_matrix = (transfer_matrix(cf) @ rho.reshape(4)).reshape(2, 2)
-    assert np.allclose(via_matrix, apply_channel(cf, rho), rtol=0, atol=1e-16)
+    (tm,) = transfer_matrix(cf)
+    via_matrix = (tm @ rho.reshape(4)).reshape(2, 2)
+    assert np.allclose(via_matrix, apply_channel(cf, rho)[0], rtol=0, atol=1e-16)
     # vec order is (rho11, rho10, rho01, rho00)
-    scale = math.exp(-cf.gamma_k)
-    tm = transfer_matrix(cf)
-    assert tm[0, 3] == scale * cf.m
-    assert tm[3, 0] == scale * cf.p
-    assert tm[1, 2] == scale * cf.y
-    assert tm[2, 1] == scale * cf.r
+    (scale,) = np.exp(-cf.gamma_k)
+    assert tm[0, 3] == scale * cf.m[0]
+    assert tm[3, 0] == scale * cf.p[0]
+    assert tm[1, 2] == scale * cf.y[0]
+    assert tm[2, 1] == scale * cf.r[0]
 
 
 def test_trace_preserved_and_hermiticity_compatible(channel_bank):
     rhos = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
             np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex))
     for entry in channel_bank.values():
-        for cf in entry.coeffs:
-            for rho in rhos:
-                out = apply_channel(cf, rho)
-                assert abs(np.trace(out).real - 1.0) < 1e-8
-            # raw coefficients carry integration noise amplified by e^{+gamma_k};
-            # the physical (decayed, state-weighted) Hermiticity bound is the
-            # acceptance-level 1e-6 check, this structural one is looser
-            assert abs(cf.x - np.conj(cf.q)) / abs(cf.x) < 1e-5
-            assert abs(cf.y - np.conj(cf.r)) / abs(cf.x) < 1e-5
+        cf = entry.series
+        for rho in rhos:
+            out = apply_channel(cf, rho)
+            assert np.max(np.abs(np.trace(out, axis1=1, axis2=2).real - 1.0)) < 1e-8
+        # raw coefficients carry integration noise amplified by e^{+gamma_k};
+        # the physical (decayed, state-weighted) Hermiticity bound is the
+        # acceptance-level 1e-6 check, this structural one is looser
+        assert np.max(np.abs(cf.x - np.conj(cf.q)) / np.abs(cf.x)) < 1e-5
+        assert np.max(np.abs(cf.y - np.conj(cf.r)) / np.abs(cf.x)) < 1e-5
 
 
 def test_tolerance_refinement_is_a_noop(channel_bank):
     entry = channel_bank["C"]
     pick = [0, 50, 100, 200]
     tighter = integrate(entry.params, entry.times[pick],
-                        IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11))
-    for st_t, st_b in zip(tighter, (entry.states[i] for i in pick)):
-        assert abs(st_t.j0 - st_b.j0) < 1e-6
-        assert abs(st_t.k0 - st_b.k0) < 1e-6
+                        IntegratorSettings(rel_tol=1e-11))
+    base = entry.series[pick]
+    # n = e^{-k0/2} and q = e^{-j0/2}: the shifts of k0 and j0
+    assert np.max(np.abs(2.0 * np.log(tighter.n / base.n))) < 1e-6
+    assert np.max(np.abs(2.0 * np.log(tighter.q / base.q))) < 1e-6
 
 
 def test_blowup_reports_failure_time_and_prefix():
-    times = np.linspace(0.0, 10.0, 11)
+    # j+' = 1 + j+^2 is solved by tan t, which blows up at pi/2
+    riccati = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j,
+                                                  0.0, 0.0, 0.0)
+    times = np.linspace(0.0, 2.0, 11)
     with pytest.raises(BlowupError) as exc:
-        integrate(P_C, times, IntegratorSettings(blowup_threshold=5.0))
+        integrate(P_C, times, coefficient_fn=riccati,
+                  decay_exponent_fn=lambda t, p: 0.0)
     err = exc.value
-    assert 0.0 < err.t_fail < 10.0
+    assert abs(err.t_fail - math.pi / 2.0) < 1e-6
     assert 0 < len(err.partial) < times.size
-    assert all(st.t < err.t_fail for st in err.partial)
+    assert np.all(err.partial.t < err.t_fail)
 
 
 def test_overflow_prechecks():
-    huge_k = DisentangleState(t=1.0, j_plus=0j, j0=0j, j_minus=0j,
-                              k_plus=0.0, k0=2000.0, k_minus=0.0, gamma_k=0.0)
-    with pytest.raises(OverflowError):
-        channel_at(huge_k)
-    huge_j = DisentangleState(t=1.0, j_plus=0j, j0=complex(-2000.0, 1.0),
-                              j_minus=0j, k_plus=0.0, k0=0.0, k_minus=0.0,
-                              gamma_k=0.0)
-    with pytest.raises(OverflowError):
-        channel_at(huge_j)
+    # the series stops before the first time at which e^{k0/2} or
+    # e^{Re j0 / 2} would leave float range
+    for row, value in ((7, 2000.0), (2, -2000.0)):
+        yv = np.zeros((9, 3))
+        yv[row, 1:] = value
+        cf = channel_at(np.arange(3.0), yv, np.zeros(3))
+        assert len(cf) == 1 and cf.t.tolist() == [0.0]
+        _assert_identity(cf)
 
 
 def test_grid_validation():
@@ -145,23 +161,15 @@ def test_grid_validation():
 
 
 def test_time_zero_only_grid():
-    (st,) = integrate(P_B, [0.0])
-    assert st == DisentangleState.origin()
-
-
-def test_integration_call_counter():
-    lie_channel.reset_integration_call_count()
-    integrate(P_B, [0.0, 0.5])
-    integrate(P_B, [0.0])
-    assert lie_channel.integration_call_count() == 2
-    lie_channel.reset_integration_call_count()
-    assert lie_channel.integration_call_count() == 0
+    cf = integrate(P_B, [0.0])
+    assert cf.t.tolist() == [0.0]
+    _assert_identity(cf)
 
 
 def test_coefficient_fn_plumbing():
     # a generator with all coefficients zero must leave the origin fixed
     frozen = lambda t, p: kernels.CoefficientSet(0j, 0j, 0j, 0.0, 0.0, 0.0)
-    states = integrate(P_B, [0.0, 1.0, 2.0], coefficient_fn=frozen,
-                       decay_exponent_fn=lambda t, p: 0.0)
-    for st in states:
-        assert channel_at(st) == ChannelCoefficients.identity(t=st.t)
+    cf = integrate(P_B, [0.0, 1.0, 2.0], coefficient_fn=frozen,
+                   decay_exponent_fn=lambda t, p: 0.0)
+    assert cf.t.tolist() == [0.0, 1.0, 2.0]
+    _assert_identity(cf)

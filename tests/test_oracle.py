@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from beyondrwa import BathParams, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError
-from beyondrwa.lie_channel import IntegratorSettings, apply_channel, channel_at
+from beyondrwa.lie_channel import apply_channel
 
 P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
 P_B = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
@@ -24,8 +24,9 @@ RWA_POST_DEATH_PEAK = 0.23658172551984274
 
 
 def test_direct_time_zero_round_trip():
-    (out,) = oracle.integrate_master_direct(P_B, PLUS, [0.0])
-    assert np.array_equal(out, PLUS)
+    out = oracle.integrate_master_direct(P_B, PLUS, [0.0])
+    assert out.shape == (1, 2, 2)
+    assert np.array_equal(out[0], PLUS)
 
 
 def test_direct_grid_validation():
@@ -37,19 +38,17 @@ def test_direct_grid_validation():
 
 def test_direct_matches_channel_on_coherent_state():
     ts = np.linspace(0.0, 10.0, 51)
-    states = lie_channel.integrate(P_B, ts)
+    series = lie_channel.integrate(P_B, ts)
     direct = oracle.integrate_master_direct(P_B, PLUS, ts)
-    dev = max(np.max(np.abs(apply_channel(channel_at(s), PLUS) - d))
-              for s, d in zip(states, direct))
-    assert dev < 1e-6
+    assert np.max(np.abs(apply_channel(series, PLUS) - direct)) < 1e-6
 
 
 def test_direct_preserves_trace_of_maximally_mixed():
     ts = np.linspace(0.0, 10.0, 201)
     mixed = np.eye(2, dtype=complex) / 2.0
-    drift = max(abs(np.trace(r).real - 1.0)
-                for r in oracle.integrate_master_direct(P_C, mixed, ts))
-    assert drift < 1e-8
+    direct = oracle.integrate_master_direct(P_C, mixed, ts)
+    drift = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
+    assert drift.max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +109,14 @@ def test_rwa_critical_damping_branch():
 
 
 def test_rwa_channel_structure():
-    for t in (0.0, 0.5, 2.0):
-        cf = oracle.rwa_channel(t, P_B)
-        assert cf.l + cf.p == 1.0
-        assert cf.m == 0.0 and cf.n == 1.0
-        assert cf.x == np.conj(cf.q)
-        assert cf.y == 0.0 and cf.r == 0.0
-        assert cf.gamma_k == 0.0
-    assert oracle.rwa_channel(0.0, P_B).l == 1.0
+    cf = oracle.rwa_channel([0.0, 0.5, 2.0], P_B)
+    assert cf.t.tolist() == [0.0, 0.5, 2.0]
+    assert np.all(cf.l + cf.p == 1.0)
+    assert np.all(cf.m == 0.0) and np.all(cf.n == 1.0)
+    assert np.all(cf.x == np.conj(cf.q))
+    assert np.all(cf.y == 0.0) and np.all(cf.r == 0.0)
+    assert np.all(cf.gamma_k == 0.0)
+    assert cf.l[0] == 1.0
 
 
 def test_rwa_residual_small():
@@ -130,18 +129,16 @@ def test_rwa_residual_small():
 
 def test_truncated_generator_self_consistency():
     ts = np.linspace(0.0, 6.0, 31)
-    states = lie_channel.integrate(
+    series = lie_channel.integrate(
         P_B, ts,
         coefficient_fn=oracle.truncated_coefficients,
         decay_exponent_fn=oracle.truncated_decay_exponent,
     )
     direct = oracle.integrate_master_direct(
         P_B, PLUS, ts, coefficient_fn=oracle.truncated_coefficients)
-    dev = max(np.max(np.abs(apply_channel(channel_at(s), PLUS) - d))
-              for s, d in zip(states, direct))
-    assert dev < 1e-6
+    assert np.max(np.abs(apply_channel(series, PLUS) - direct)) < 1e-6
     # decay exponent follows (lam/2) F(t)
-    assert states[-1].gamma_k == pytest.approx(
+    assert series.gamma_k[-1] == pytest.approx(
         oracle.truncated_decay_exponent(ts[-1], P_B), rel=1e-12)
 
 
@@ -159,13 +156,9 @@ def test_counter_rotating_deviation_shrinks_with_frequency():
             coefficient_fn=oracle.truncated_coefficients,
             decay_exponent_fn=oracle.truncated_decay_exponent,
         )
-        dev = 0.0
-        for sf, st in zip(full, trunc):
-            for rho in (EXCITED, PLUS):
-                a = apply_channel(channel_at(sf), rho)
-                b = apply_channel(channel_at(st), rho)
-                dev = max(dev, float(np.max(np.abs(a - b))))
-        devs.append(dev)
+        devs.append(max(float(np.max(np.abs(apply_channel(full, rho)
+                                            - apply_channel(trunc, rho))))
+                        for rho in (EXCITED, PLUS)))
     print("counter-rotating channel deviation vs omega0:",
           dict(zip((30, 100, 300), devs)))
     assert devs[0] > devs[1] > devs[2]

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import single_time_series
 from hypothesis import given, strategies as st
 
+from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import DomainError, ShapeError
-from beyondrwa.lie_channel import ChannelCoefficients, channel_at
+from beyondrwa.lie_channel import transfer_matrix
 from beyondrwa.two_qubit import (BellFamilyState, evolve_pair,
                                  explicit_elements, initial_state, is_x_state)
 
-IDENT = ChannelCoefficients.identity()
+IDENT = single_time_series()
 
 
 def test_family_and_beta_validation():
@@ -60,19 +62,22 @@ def test_initial_state_is_pure_and_unit_trace(family, beta2, phase):
 
 def test_identity_channel_fixes_states():
     rho0 = initial_state(BellFamilyState("psi", 0.6, 0.3))
-    assert np.array_equal(evolve_pair(IDENT, rho0), rho0)
+    assert np.array_equal(evolve_pair(IDENT, rho0)[0], rho0)
+    stack = np.array([rho0, initial_state(BellFamilyState("phi", 0.3))])
+    assert np.array_equal(evolve_pair(IDENT, stack)[0], stack)
 
 
 def test_evolve_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         evolve_pair(IDENT, np.eye(2))
     with pytest.raises(ShapeError):
+        evolve_pair(IDENT, np.zeros((2, 2, 4, 4)))
+    with pytest.raises(ShapeError):
         explicit_elements(IDENT, np.eye(3))
 
 
 coeff_strategy = st.builds(
-    ChannelCoefficients,
-    t=st.just(1.0),
+    single_time_series,
     l=st.floats(-2.0, 2.0), m=st.floats(-2.0, 2.0),
     n=st.floats(-2.0, 2.0), p=st.floats(-2.0, 2.0),
     x=st.complex_numbers(max_magnitude=2.0),
@@ -93,22 +98,19 @@ def test_x_sparsity_closure_is_algebraic(cf, beta2):
 
 
 def test_dual_path_agreement_and_rho22_gap(channel_bank):
-    entry = channel_bank["C"]
+    cf = channel_bank["C"].series
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 1] = False
-    for cf in entry.coeffs:
-        tensor = evolve_pair(cf, rho0)
-        explicit = explicit_elements(cf, rho0)
-        assert np.max(np.abs((tensor - explicit)[mask])) < 1e-12
-        gap = (tensor - explicit)[1, 1]
-        want = (cf.l * cf.n - cf.l * cf.m) * math.exp(-2.0 * cf.gamma_k) * rho0[1, 1]
-        assert abs(gap - want) < 1e-13
+    diff = evolve_pair(cf, rho0) - explicit_elements(cf, rho0)
+    assert np.max(np.abs(diff[:, mask])) < 1e-12
+    want = (cf.l * cf.n - cf.l * cf.m) * np.exp(-2.0 * cf.gamma_k) * rho0[1, 1]
+    assert np.max(np.abs(diff[:, 1, 1] - want)) < 1e-13
 
 
 def test_explicit_identity_shows_rho22_quirk():
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.3)))
-    out = explicit_elements(IDENT, rho0)
+    (out,) = explicit_elements(IDENT, rho0)
     # at identity the tabulated rho22 weight l*m evaluates to 0, not 1
     assert out[1, 1] == 0.0
     mask = np.ones((4, 4), dtype=bool)
@@ -126,19 +128,33 @@ def test_trace_and_hermiticity_on_evolved_states(channel_bank):
     for entry in channel_bank.values():
         for family in ("phi", "psi"):
             rho0 = initial_state(BellFamilyState(family, math.sqrt(0.35), 0.4))
-            for cf in entry.coeffs[::10]:
-                rho = evolve_pair(cf, rho0)
-                assert abs(np.trace(rho).real - 1.0) < 1e-6
-                assert np.max(np.abs(rho - rho.conj().T)) < 1e-6
+            rho = evolve_pair(entry.series[::10], rho0)
+            assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)) < 1e-6
+            assert np.max(np.abs(rho - np.conj(np.swapaxes(rho, 1, 2)))) < 1e-6
 
 
 def test_phi_swap_symmetry(channel_bank):
-    from beyondrwa.entanglement import concurrence_xstate
-    entry = channel_bank["B"]
+    series = channel_bank["B"].series[::20]
     for b2 in (0.2, 0.35):
         lo = initial_state(BellFamilyState("phi", math.sqrt(b2)))
         hi = initial_state(BellFamilyState("phi", math.sqrt(1.0 - b2)))
-        for cf in entry.coeffs[::20]:
-            c_lo = concurrence_xstate(evolve_pair(cf, lo)).value
-            c_hi = concurrence_xstate(evolve_pair(cf, hi)).value
-            assert abs(c_lo - c_hi) < 1e-12
+        c_lo = concurrence_xstate(evolve_pair(series, lo)).value
+        c_hi = concurrence_xstate(evolve_pair(series, hi)).value
+        assert np.max(np.abs(c_lo - c_hi)) < 1e-12
+
+
+def test_batched_evolution_matches_per_cell_kron(channel_bank):
+    # reference: one kron(T, T) product per (time, state) cell; the batched
+    # route sums in another order, so agreement is to a few ulps of 1
+    series = channel_bank["C"].series[::10]
+    rho0s = np.array([initial_state(BellFamilyState(family, math.sqrt(b2), 0.3))
+                      for family in ("phi", "psi") for b2 in (0.1, 0.5, 0.8)])
+    batched = evolve_pair(series, rho0s)
+    closed = concurrence_xstate(batched).value
+    assert batched.shape == (len(series), rho0s.shape[0], 4, 4)
+    shuffle = lambda a: a.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    for i, tm in enumerate(transfer_matrix(series)):
+        for j, rho0 in enumerate(rho0s):
+            ref = shuffle(np.kron(tm, tm) @ shuffle(rho0).reshape(16)).reshape(4, 4)
+            assert np.abs(batched[i, j] - ref).max() <= 4 * np.finfo(float).eps
+            assert closed[i, j] == concurrence_xstate(batched[i, j]).value
