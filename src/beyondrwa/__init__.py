@@ -1,14 +1,17 @@
 """Exact decoherence of qubits in Lorentzian vacuum reservoirs, beyond the
 rotating-wave approximation.
 
-Typical use: integrate the single-qubit channel once per parameter set, then
-reuse its time-major coefficient arrays across initial states.
+Typical use: compute the single-qubit channel once per parameter set, then
+reuse its time-major coefficient arrays across initial states.  propagate
+takes fixed Magnus steps on the two linear sectors; integrate is the
+paper's Wei-Norman route, adaptive, whose e^{+Gamma_k} factors overflow
+at long times (gamma t ~ 140 on the presets).
 
-    from beyondrwa import (BathParams, integrate, BellFamilyState,
+    from beyondrwa import (BathParams, propagate, BellFamilyState,
                            initial_state, evolve_pair, concurrence_xstate)
 
     p = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
-    series = integrate(p, times)          # a ChannelSeries over times
+    series = propagate(p, times)          # a ChannelSeries over times
     rho0 = initial_state(BellFamilyState("phi", 0.5 ** 0.5))
     curve = concurrence_xstate(evolve_pair(series, rho0)).value
 """
@@ -22,7 +25,7 @@ from .kernels import (BathParams, CoefficientSet, alpha, alpha1, alpha2,
                       alpha_tilde, coefficients, decay_exponent,
                       spectral_density)
 from .lie_channel import (ChannelSeries, IntegratorSettings, apply_channel,
-                          channel_at, integrate, transfer_matrix)
+                          channel_at, integrate, propagate, transfer_matrix)
 from .two_qubit import (BellFamilyState, evolve_pair, explicit_elements,
                         initial_state, is_x_state)
 
@@ -31,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BathParams", "CoefficientSet", "spectral_density", "alpha1", "alpha2",
     "alpha", "alpha_tilde", "decay_exponent", "coefficients",
-    "IntegratorSettings", "ChannelSeries", "integrate", "channel_at",
+    "IntegratorSettings", "ChannelSeries", "integrate", "propagate", "channel_at",
     "apply_channel", "transfer_matrix",
     "BellFamilyState", "initial_state", "evolve_pair", "explicit_elements",
     "is_x_state",

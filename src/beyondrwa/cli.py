@@ -7,6 +7,10 @@ Four subcommands:
 * report - death/revival/plateau summary per beta^2 row of a sweep
 * trace  - dump channel coefficients along a single trajectory
 
+sweep and report take the channel from lie_channel.propagate (fixed Magnus
+steps, no tolerance to set); trace and verify integrate the Wei-Norman
+equations adaptively and take --rel-tol.
+
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
 are dimensionless gamma*t; the solver works in physical time internally.
@@ -70,14 +74,13 @@ class SweepSpec:
     eta_phase: float = 0.0
     t_max: float = 10.0            # gamma*t units
     t_steps: int = 201
-    settings: IntegratorSettings = IntegratorSettings()
 
 
 @dataclass(frozen=True)
 class ConcurrenceSurface:
     gamma_t: np.ndarray
     beta2: np.ndarray
-    values: np.ndarray   # shape (t, beta2); NaN rows past a blowup
+    values: np.ndarray   # shape (t, beta2)
 
 
 def beta2_grid(steps: int, fixed: Optional[float] = None) -> tuple:
@@ -90,7 +93,18 @@ def beta2_grid(steps: int, fixed: Optional[float] = None) -> tuple:
 
 
 def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
-    """The channel on a prefix of `times`: all of it unless the integration
+    """The channel at every one of `times`: the rotating-wave closed form,
+    or the Magnus propagator of the full or truncated generator."""
+    if spec.channel == "rwa":
+        return oracle.rwa_channel(times, spec.params)
+    cfn = oracle.truncated_coefficients if spec.channel == "truncated" else None
+    return lie_channel.propagate(spec.params, times, coefficient_fn=cfn)
+
+
+def _wei_norman_series(spec: SweepSpec, times: np.ndarray,
+                       settings: IntegratorSettings) -> ChannelSeries:
+    """trace's channel: the rotating-wave closed form, or the Wei-Norman
+    integration on a prefix of `times`, all of it unless the integration
     blows up or the coefficients leave float range, with a warning then."""
     if spec.channel == "rwa":
         return oracle.rwa_channel(times, spec.params)
@@ -101,7 +115,7 @@ def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
         dfn = oracle.truncated_decay_exponent
 
     try:
-        series = lie_channel.integrate(spec.params, times, spec.settings,
+        series = lie_channel.integrate(spec.params, times, settings,
                                        coefficient_fn=cfn, decay_exponent_fn=dfn)
     except BlowupError as err:
         print(f"warning: {err}; later rows recorded as NaN", file=sys.stderr)
@@ -120,7 +134,7 @@ def _initial_states(family: str, b2s: np.ndarray, phase: float = 0.0) -> np.ndar
 
 
 def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
-    """Concurrence over the full grid with one channel integration.
+    """Concurrence over the full grid with one channel propagation.
 
     The channel depends on time only, so it is evolved against every beta^2
     at once, SURFACE_BLOCK_CELLS cells at a time.
@@ -130,9 +144,9 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     b2s = np.asarray(spec.beta2_values, dtype=float)
     rho0s = _initial_states(spec.family, b2s, spec.eta_phase)
 
-    values = np.full((gts.size, b2s.size), np.nan)
+    values = np.empty((gts.size, b2s.size))
     rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
-    for i in range(0, len(series), rows):
+    for i in range(0, gts.size, rows):
         block = series[i:i + rows]
         values[i:i + len(block)] = concurrence_xstate(evolve_pair(block, rho0s)).value
     return ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
@@ -143,11 +157,16 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(surface: ConcurrenceSurface, stream: TextIO) -> None:
-    """Rows in t-outer, beta^2-inner order, 17 significant digits."""
+    """Rows in t-outer, beta^2-inner order, 17 significant digits; each
+    gamma_t and beta^2 is formatted once."""
     stream.write("gamma_t,beta2,concurrence\n")
-    for i, gt in enumerate(surface.gamma_t):
-        for j, b2 in enumerate(surface.beta2):
-            stream.write(f"{_fmt(gt)},{_fmt(b2)},{_fmt(surface.values[i, j])}\n")
+    b2s = [_fmt(b2) for b2 in surface.beta2.tolist()]
+    for gt, row in zip(surface.gamma_t.tolist(), surface.values):
+        g = _fmt(gt)
+        # one row of Python floats at a time: a whole-surface tolist() would
+        # hold ~32 bytes per cell
+        stream.write("".join([f"{g},{b2},{_fmt(v)}\n"
+                              for b2, v in zip(b2s, row.tolist())]))
 
 
 def _open_out(path: Optional[str]):
@@ -186,7 +205,6 @@ def _spec_from_args(args) -> SweepSpec:
         eta_phase=args.phase,
         t_max=args.tmax,
         t_steps=args.t_steps,
-        settings=IntegratorSettings(rel_tol=args.rel_tol),
     )
 
 
@@ -215,12 +233,15 @@ def _verify_direct(presets, settings, lines) -> None:
     for pr in presets:
         p = pr.params
         ts = np.linspace(0.0, 10.0 / p.gamma, 201)
-        series = lie_channel.integrate(p, ts, settings)
-        dev = max(float(np.max(np.abs(
-            apply_channel(series, rho0)
-            - oracle.integrate_master_direct(p, rho0, ts, settings))))
-            for rho0 in (excited, plus))
-        _check_line(f"direct_vs_channel[{pr.name}]", dev, 1e-6, lines)
+        probes = (excited, plus)
+        direct = [oracle.integrate_master_direct(p, rho0, ts, settings)
+                  for rho0 in probes]
+        for name, series in (
+                ("direct_vs_channel", lie_channel.integrate(p, ts, settings)),
+                ("magnus_vs_direct", lie_channel.propagate(p, ts))):
+            dev = max(float(np.max(np.abs(apply_channel(series, rho0) - ref)))
+                      for rho0, ref in zip(probes, direct))
+            _check_line(f"{name}[{pr.name}]", dev, 1e-6, lines)
 
     mixed = np.eye(2, dtype=complex) / 2.0
     p = PRESETS["C"].params
@@ -354,10 +375,9 @@ def cmd_report(args) -> int:
                      f"tmax={spec.t_max:g} t_steps={spec.t_steps}\n")
         stream.write("beta2\tdeath_gamma_t\trevivals\tmax_revival\t"
                      "plateau_start\tplateau_end\tplateau_level\n")
+        gts = surface.gamma_t
         for j, b2 in enumerate(surface.beta2):
-            col = surface.values[:, j]
-            valid = ~np.isnan(col)
-            gts, vals = surface.gamma_t[valid], col[valid]
+            vals = surface.values[:, j]
             rep = detect_esd(gts, vals, threshold=DEATH_THRESHOLD)
             episodes = [e for e in rep.episodes if e.peak >= REVIVAL_AMPLITUDE]
             death = "none" if rep.death_time is None else f"{rep.death_time:.6g}"
@@ -383,7 +403,8 @@ def cmd_report(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec_from_args(args)
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    cf = _channel_series(spec, gts / spec.params.gamma)
+    cf = _wei_norman_series(spec, gts / spec.params.gamma,
+                            IntegratorSettings(rel_tol=args.rel_tol))
     cols = np.full((gts.size, 14), np.nan)
     cols[:, 0] = gts
     cols[:len(cf), 1:] = np.column_stack(
@@ -413,11 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rel-tol", type=float, default=1e-9,
-                        help="integrator relative tolerance (absolute tracks it)")
     common.add_argument("--seedless", action="store_true",
                         help="accepted for interface compatibility; output "
                              "is always deterministic")
+
+    # only the adaptive Wei-Norman and direct integrations take a tolerance
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--rel-tol", type=float, default=1e-9,
+                           help="integrator relative tolerance (absolute "
+                                "tracks it)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--preset", choices=sorted(PRESETS), default="B",
@@ -450,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrence surface as CSV")
     ps.set_defaults(func=cmd_sweep)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[common, tolerance],
                         help="run the oracle cross-check suite")
     pv.add_argument("--preset", choices=sorted(PRESETS), default=None,
                     help="check one preset (default A, B and C)")
@@ -462,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sudden-death and revival summary per beta^2")
     pr.set_defaults(func=cmd_report)
 
-    pt = sub.add_parser("trace", parents=[common, grid],
+    pt = sub.add_parser("trace", parents=[common, tolerance, grid],
                         help="dump channel coefficients along one trajectory")
     pt.set_defaults(func=cmd_trace)
     return parser

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,11 @@ class BathParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and self.gamma > 0 and self.lam > 0):
+        values = (self.omega0, self.gamma, self.lam)
+        if not all(v > 0 and math.isfinite(v) for v in values):
             raise DomainError(
-                f"bath parameters must be positive, got omega0={self.omega0}, "
+                f"bath parameters must be positive and finite, got "
+                f"omega0={self.omega0}, "
                 f"gamma={self.gamma}, lam={self.lam}"
             )
 
@@ -65,9 +68,13 @@ class BathParams:
         return 1.0 / self.gamma
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The six generator coefficients at one instant.
+class CoefficientSet(NamedTuple):
+    """The six generator coefficients at one instant or over an array of times.
+
+    A named tuple, which is cheap to build on the adaptive integrators' one
+    call per right-hand side.  Each field is a scalar or an array of the
+    shape of the times it was evaluated at; a field that does not depend on
+    time may stay a scalar.
 
     eps0, eps_plus, eps_minus drive the coherence sector; nu0, nu_plus,
     nu_minus drive the population sector and are real.  eps_minus is always
@@ -101,10 +108,11 @@ def alpha2(t: float, p: BathParams) -> complex:
     return (p.gamma * p.lam / 2.0) * np.exp((-p.gamma + 2j * p.omega0) * t)
 
 
-def f(t: float, p: BathParams) -> float:
-    """Running integral of the alpha1 envelope: 1 - e^{-gamma t}."""
+def f(t, p: BathParams):
+    """Running integral of the alpha1 envelope: 1 - e^{-gamma t}; t may be
+    an array."""
     # expm1 keeps small-t values accurate where the propagator is near identity
-    return -math.expm1(-p.gamma * t)
+    return -np.expm1(-p.gamma * t)
 
 
 def big_f(t: float, p: BathParams) -> float:
@@ -112,18 +120,16 @@ def big_f(t: float, p: BathParams) -> float:
     return t + math.expm1(-p.gamma * t) / p.gamma
 
 
-def alpha(t: float, p: BathParams) -> complex:
-    """Running integral of the counter-rotating kernel shape.
+def alpha(t, p: BathParams):
+    """Running integral of the counter-rotating kernel shape; t may be an
+    array.
 
     alpha(t) = int_0^t e^{-(gamma + 2i omega0)s} ds; tends to
     1/(gamma + 2i omega0) for t >> 1/gamma.
     """
     c = p.gamma + 2j * p.omega0
-    z = c * t
-    if abs(z) < 1e-6:
-        # series for 1 - e^{-z} to avoid cancellation at tiny t
-        return t * (1.0 - z / 2.0 + z * z / 6.0)
-    return (1.0 - np.exp(-z)) / c
+    # complex expm1 keeps 1 - e^{-ct} free of cancellation at tiny t
+    return -np.expm1(-c * t) / c
 
 
 def alpha_tilde(t: float, p: BathParams) -> complex:
@@ -151,8 +157,8 @@ def decay_exponent(t: float, p: BathParams) -> float:
     return p.lam * (p.gamma * alpha_tilde(t, p).real + big_f(t, p)) / 2.0
 
 
-def coefficients(t: float, p: BathParams) -> CoefficientSet:
-    """All six generator coefficients at time t.
+def coefficients(t, p: BathParams) -> CoefficientSet:
+    """All six generator coefficients at time t, or at every time of an array.
 
     At t=0 this is (eps0=-2i omega0, all others zero): the free rotation
     alone.  The sector decay rate Gamma_k' = lam (gamma alpha^R + f)/2 is not

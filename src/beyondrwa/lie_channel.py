@@ -24,6 +24,14 @@ partners.  Hermiticity of the map demands x = conj(q) and y = conj(r) up to
 integration error; the raw coefficients grow like e^{+Gamma_k}, so any such
 comparison must be relative.
 
+A second route, propagate, integrates the same master equation without
+the disentangling: per qubit it is two real 2x2 linear systems, the
+populations (rho11, rho00) and the coherence (Re rho10, Im rho10), which a
+fourth-order Magnus scheme steps on a fixed grid.  Its coefficients are
+bounded, so it has no e^{+Gamma_k} overflow and no blowup; the command
+line's sweep and report use it, trace and the Wei-Norman checks use
+integrate.
+
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
 tensor square of this map (see two_qubit).
@@ -50,6 +58,13 @@ MEMORY_STEP = 0.01
 
 # integration stops once any Wei-Norman variable exceeds this magnitude
 BLOWUP_THRESHOLD = 1e8
+
+# propagate evaluates the generator on at most this many Magnus steps at
+# once, which bounds its working memory
+MAGNUS_BLOCK_STEPS = 2048
+
+# the two Gauss-Legendre nodes of a step, as fractions of it
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,7 @@ class ChannelSeries:
                                 for f in fields(self)})
 
 
+# called with a float by integrate and with an array of times by propagate
 CoefficientFn = Callable[[float, BathParams], CoefficientSet]
 DecayFn = Callable[[float, BathParams], float]
 
@@ -118,6 +134,12 @@ def step_cap(p: BathParams, settings: IntegratorSettings) -> float:
     if not settings.cap_step:
         return math.inf
     return min(MEMORY_STEP / p.gamma, math.pi / (8.0 * p.omega0))
+
+
+def magnus_step(p: BathParams) -> float:
+    """Step of propagate: a quarter of step_cap, and at most 1/(40 lam) so
+    that strong coupling is resolved as well as the 2 omega0 phase."""
+    return min(step_cap(p, IntegratorSettings()) / 4.0, 1.0 / (40.0 * p.lam))
 
 
 def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
@@ -197,6 +219,159 @@ def integrate(
     if sol.status == 1:
         raise BlowupError(float(sol.t_events[0][0]), partial=series)
     return series
+
+
+def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:
+    """Real generators of both sectors, shape (2,) + shape + (2, 2).
+
+    Index 0 acts on the populations (rho11, rho00), index 1 on the
+    coherence (Re rho10, Im rho10) through
+    rho10' = (-Gdot + eps0/2) rho10 + eps_plus conj(rho10), where
+    Gdot = (nu_plus + nu_minus)/2; the rho01 equation is its conjugate
+    because eps_minus = conj(eps_plus).
+    """
+    gdot = (c.nu_plus + c.nu_minus) / 2.0
+    e = -gdot + c.eps0 / 2.0
+    e_re, e_im = np.real(e), np.imag(e)
+    ep_re, ep_im = np.real(c.eps_plus), np.imag(c.eps_plus)
+    a = np.empty((2,) + shape + (2, 2))
+    a[0, ..., 0, 0] = -gdot + c.nu0 / 2.0
+    a[0, ..., 0, 1] = c.nu_plus
+    a[0, ..., 1, 0] = c.nu_minus
+    a[0, ..., 1, 1] = -gdot - c.nu0 / 2.0
+    a[1, ..., 0, 0] = e_re + ep_re
+    a[1, ..., 0, 1] = ep_im - e_im
+    a[1, ..., 1, 0] = e_im + ep_im
+    a[1, ..., 1, 1] = e_re - ep_re
+    return a
+
+
+def _expm2(m: np.ndarray) -> np.ndarray:
+    """exp of real 2x2 matrices (..., 2, 2) in closed form.
+
+    With m = s I + N and N traceless, N^2 = d2 I, so
+    exp(m) = e^s (cosh(sqrt d2) I + sinh(sqrt d2)/sqrt d2 N), continued to
+    cos and sin for d2 < 0.
+    """
+    s = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
+    half = (m[..., 0, 0] - m[..., 1, 1]) / 2.0
+    d2 = half * half + m[..., 0, 1] * m[..., 1, 0]
+    root = np.sqrt(np.abs(d2))
+    grows = d2 > 0.0
+    even = np.where(grows, np.cosh(root), np.cos(root))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        odd = np.where(grows, np.sinh(root), np.sin(root)) / root
+    odd[root == 0.0] = 1.0
+    scale = np.exp(s)
+    out = np.empty_like(m)
+    out[..., 0, 0] = scale * (even + odd * half)
+    out[..., 1, 1] = scale * (even - odd * half)
+    out[..., 0, 1] = scale * odd * m[..., 0, 1]
+    out[..., 1, 0] = scale * odd * m[..., 1, 0]
+    return out
+
+
+def _magnus_pieces(ts: np.ndarray, h: float):
+    """Split each interval before a sample time into equal Magnus steps of
+    at most h, in pieces of at most MAGNUS_BLOCK_STEPS steps.
+
+    The first interval runs from 0 to ts[0] and may be empty.  Returns, per
+    piece: start time, step, step count, and whether it ends an interval.
+    """
+    prev = np.concatenate(([0.0], ts[:-1]))
+    spans = ts - prev
+    steps = np.maximum(1, np.ceil(spans / h)).astype(np.int64)
+    dt = spans / steps
+    parts = -(-steps // MAGNUS_BLOCK_STEPS)
+    owner = np.repeat(np.arange(ts.size), parts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    base, extra = steps[owner] // parts[owner], steps[owner] % parts[owner]
+    count = base + (k < extra)
+    first = k * base + np.minimum(k, extra)
+    start = prev[owner] + first * dt[owner]
+    return start, dt[owner], count, k == parts[owner] - 1
+
+
+def _blocks(count: np.ndarray):
+    """Consecutive runs of pieces whose count x widest piece fits in
+    MAGNUS_BLOCK_STEPS: (first, stop, width) per run."""
+    first, width = 0, 0
+    for i, c in enumerate(count.tolist()):
+        w = max(width, c)
+        if (i - first + 1) * w > MAGNUS_BLOCK_STEPS:
+            yield first, i, width
+            first, w = i, c
+        width = w
+    yield first, count.size, width
+
+
+def _ordered_product(e: np.ndarray) -> np.ndarray:
+    """Product along axis -3 with later factors on the left, by pairwise
+    halving: (..., n, 2, 2) -> (..., 2, 2)."""
+    while e.shape[-3] > 1:
+        if e.shape[-3] % 2:
+            eye = np.broadcast_to(np.eye(2), e.shape[:-3] + (1, 2, 2))
+            e = np.concatenate((e, eye), axis=-3)
+        e = e[..., 1::2, :, :] @ e[..., 0::2, :, :]
+    return e[..., 0, :, :]
+
+
+def propagate(
+    p: BathParams,
+    times: Sequence[float],
+    coefficient_fn: Optional[CoefficientFn] = None,
+) -> ChannelSeries:
+    """The channel at `times` from both sector propagators, by fourth-order
+    Magnus steps with two Gauss nodes:
+
+        Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],
+
+    exponentiated in closed form (_expm2).  Each interval between sample
+    times takes equal steps of at most magnus_step(p); their propagators
+    are multiplied within the interval and then prefix-multiplied across
+    intervals.  coefficient_fn is called with arrays of times, once per
+    block of at most MAGNUS_BLOCK_STEPS steps.
+
+    The result is a ChannelSeries with gamma_k = 0, like the rotating-wave
+    channel: l, m, p, n come from the population propagator and x, y from
+    the coherence propagator C through x = (C00 + C11)/2 + i (C10 - C01)/2
+    and y = (C00 - C11)/2 + i (C10 + C01)/2, with q = conj(x), r = conj(y).
+    Raises GridError on a bad grid.
+    """
+    cfn = coefficient_fn or kernels.coefficients
+    ts = check_grid(times)
+    start, dt, count, ends = _magnus_pieces(ts, magnus_step(p))
+
+    props = []
+    current = np.broadcast_to(np.eye(2), (2, 2, 2))
+    for first, stop, width in _blocks(count):
+        j = np.arange(width)
+        n = count[first:stop, None]
+        h = np.where(j < n, dt[first:stop, None], 0.0)
+        t0 = start[first:stop, None] + np.minimum(j, n) * dt[first:stop, None]
+        nodes = np.stack([t0 + g * h for g in _GAUSS_NODES])
+        a = _generators(cfn(nodes, p), nodes.shape)
+        a1, a2 = a[:, 0], a[:, 1]
+        w = h[..., None, None]
+        omega = (w / 2.0 * (a1 + a2)
+                 + math.sqrt(3.0) / 12.0 * w * w * (a2 @ a1 - a1 @ a2))
+        piece = _ordered_product(_expm2(omega))
+        # prefix products over the pieces of the block by doubling
+        d = 1
+        while d < stop - first:
+            piece[:, d:] = piece[:, d:] @ piece[:, :-d]
+            d *= 2
+        piece = piece @ current[:, None]
+        current = piece[:, -1]
+        props.append(piece[:, ends[first:stop]])
+
+    pop, coh = np.concatenate(props, axis=1)
+    x = (coh[:, 0, 0] + coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] - coh[:, 0, 1])
+    y = (coh[:, 0, 0] - coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] + coh[:, 0, 1])
+    return ChannelSeries(
+        t=ts, l=pop[:, 0, 0], m=pop[:, 0, 1], n=pop[:, 1, 1], p=pop[:, 1, 0],
+        x=x, y=y, q=x.conj(), r=y.conj(), gamma_k=np.zeros(ts.size),
+    )
 
 
 def channel_at(t: np.ndarray, yv: np.ndarray, gamma_k: np.ndarray) -> ChannelSeries:

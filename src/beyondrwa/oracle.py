@@ -244,8 +244,9 @@ def decay_exponent_quadrature(t: float, p: BathParams) -> float:
 # ---------------------------------------------------------------------------
 # truncated generator (exploratory, no accuracy claims)
 
-def truncated_coefficients(t: float, p: BathParams) -> CoefficientSet:
-    """Generator with every counter-rotating contribution removed.
+def truncated_coefficients(t, p: BathParams) -> CoefficientSet:
+    """Generator with every counter-rotating contribution removed; t may be
+    an array, and the fields that do not depend on it stay scalars.
 
     Only the alpha1-driven decay survives: nu_minus = lam f(t), no upward
     pumping, no coherence coupling to the conjugate, bare 2 omega0 rotation.

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from beyondrwa import lie_channel
+from beyondrwa import lie_channel, oracle
 from beyondrwa.cli import PRESETS, SweepSpec, compute_surface
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.lie_channel import ChannelSeries
@@ -18,6 +18,15 @@ GAMMA_T_GRID = np.linspace(0.0, 10.0, 201)
 # touching-zero detection on the rotating-wave curves needs samples inside
 # below-threshold windows only ~1e-3 wide
 DENSE_GAMMA_T = np.linspace(0.0, 10.0, 40001)
+
+
+# single-qubit states whose images fix the whole map: the excited
+# population and both quadratures of the coherence
+HERMITIAN_PROBES = {
+    "excited": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
+    "plus_i": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
+}
 
 
 class BankEntry(NamedTuple):
@@ -33,6 +42,20 @@ def channel_bank():
         p = PRESETS[name].params
         times = GAMMA_T_GRID / p.gamma
         bank[name] = BankEntry(p, times, lie_channel.integrate(p, times))
+    return bank
+
+
+@pytest.fixture(scope="session")
+def direct_bank():
+    """oracle.integrate_master_direct on presets A, B and C, on the channel
+    bank's grid, for the excited and plus probes (the plus_i solves would
+    add about 40% to the cost): {preset: {probe: (T, 2, 2)}}."""
+    bank = {}
+    for name in ("A", "B", "C"):
+        p = PRESETS[name].params
+        times = GAMMA_T_GRID / p.gamma
+        bank[name] = {key: oracle.integrate_master_direct(
+            p, HERMITIAN_PROBES[key], times) for key in ("excited", "plus")}
     return bank
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import DENSE_GAMMA_T, concurrence_curve
+from conftest import DENSE_GAMMA_T, HERMITIAN_PROBES, concurrence_curve
 
 from beyondrwa import kernels, oracle
 from beyondrwa.cli import PRESETS, beta2_grid, main as cli_main
@@ -59,14 +59,13 @@ def full_grid_stats(channel_bank):
     return stats
 
 
-def test_criterion_01_channel_matches_direct_integration(channel_bank):
-    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    plus = np.full((2, 2), 0.5, dtype=complex)
+def test_criterion_01_channel_matches_direct_integration(channel_bank,
+                                                        direct_bank):
     for name, entry in channel_bank.items():
-        for rho0 in (excited, plus):
-            direct = oracle.integrate_master_direct(entry.params, rho0,
-                                                    entry.times)
-            dev = np.abs(apply_channel(entry.series, rho0) - direct).max()
+        for probe in ("excited", "plus"):
+            direct = direct_bank[name][probe]
+            dev = np.abs(apply_channel(entry.series, HERMITIAN_PROBES[probe])
+                         - direct).max()
             assert dev < 1e-6, f"preset {name}: routes disagree by {dev:.3g}"
 
 

@@ -2,13 +2,20 @@
 
 import importlib
 import importlib.util
+import io
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from beyondrwa import lie_channel
-from beyondrwa.cli import PRESETS, beta2_grid, main
+from beyondrwa import BathParams, lie_channel, oracle
+from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt, beta2_grid,
+                           main, write_csv)
+from beyondrwa.entanglement import concurrence_xstate
+from beyondrwa.lie_channel import ChannelSeries
+from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
 
 VERIFY_LINE = re.compile(r"^[\w\[\]]+\t\S+\t\S+\t(PASS|FAIL)$")
 
@@ -75,28 +82,65 @@ def test_sweep_to_stdout(capsys):
 
 def test_sweep_reuses_one_integration(capsys, monkeypatch):
     calls = []
-    integrate = lie_channel.integrate
-    monkeypatch.setattr(lie_channel, "integrate",
-                        lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    for name in ("propagate", "integrate"):
+        monkeypatch.setattr(lie_channel, name,
+                            lambda *a, _name=name, _fn=getattr(lie_channel, name), **k:
+                            calls.append(_name) or _fn(*a, **k))
     code, out, _ = run_cli(capsys, "sweep", "--preset", "B", "--t-steps", "11",
                            "--tmax", "2", "--beta2-steps", "7")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["propagate"]
     assert len(out.splitlines()) == 1 + 11 * 7
 
 
-def test_sweep_blowup_writes_nan_rows(capsys):
-    # at lam = 100 gamma the raw coefficients leave float range between
-    # gamma t = 10 and 15; rows from there on are NaN
-    code, out, err = run_cli(capsys, "sweep", "--preset", "C", "--lambda", "100",
-                             "--beta2", "0.5", "--tmax", "20", "--t-steps", "5")
+BLOWUP_ARGS = ("--preset", "C", "--lambda", "100", "--beta2", "0.5",
+               "--tmax", "20", "--t-steps", "5")
+
+
+def test_trace_blowup_writes_nan_rows(capsys):
+    # at lam = 100 gamma the raw Wei-Norman coefficients leave float range
+    # between gamma t = 10 and 15; rows from there on are NaN
+    code, out, err = run_cli(capsys, "trace", *BLOWUP_ARGS)
     assert code == 0
     assert "warning:" in err and "NaN" in err
     lines = out.splitlines()
-    assert lines[1] == "0,0.5,1"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "5", "10", "15", "20"]
-    assert not any(line.endswith(",NaN") for line in lines[1:4])
-    assert all(line.endswith(",NaN") for line in lines[4:])
+    assert not any("NaN" in line for line in lines[1:4])
+    assert all(line.split(",")[1:] == ["NaN"] * 13 for line in lines[4:])
+
+
+def _direct_series(p, times) -> ChannelSeries:
+    """The channel rebuilt from the direct route on four Hermitian probes
+    (the map is linear, so the images of |1><0| and |0><1| follow)."""
+    probes = (np.array([[1, 0], [0, 0]], complex),
+              np.array([[0, 0], [0, 1]], complex),
+              np.array([[0.5, 0.5], [0.5, 0.5]], complex),
+              np.array([[0.5, -0.5j], [0.5j, 0.5]], complex))
+    e, g, x, y = (oracle.integrate_master_direct(p, rho0, times)
+                  for rho0 in probes)
+    up = (2.0 * x - e - g + 1j * (2.0 * y - e - g)) / 2.0     # image of |1><0|
+    down = (2.0 * x - e - g - 1j * (2.0 * y - e - g)) / 2.0   # image of |0><1|
+    return ChannelSeries(t=times, l=e[:, 0, 0].real, m=g[:, 0, 0].real,
+                         n=g[:, 1, 1].real, p=e[:, 1, 1].real,
+                         x=up[:, 0, 1], y=down[:, 0, 1], q=down[:, 1, 0],
+                         r=up[:, 1, 0], gamma_k=np.zeros(times.size))
+
+
+def test_sweep_runs_past_the_wei_norman_overflow(capsys):
+    # the same arguments that cut trace to NaN: the sector propagators
+    # stay bounded, and every row matches the direct route
+    code, out, err = run_cli(capsys, "sweep", *BLOWUP_ARGS)
+    assert code == 0
+    assert err == ""
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    gts = np.array([r[0] for r in rows])
+    vals = np.array([r[2] for r in rows])
+    assert gts.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
+    assert np.all(np.isfinite(vals))
+    p = BathParams(omega0=3.0, gamma=1.0, lam=100.0)
+    rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
+    ref = concurrence_xstate(evolve_pair(_direct_series(p, gts), rho0)).value
+    assert np.max(np.abs(vals - ref)) < 1e-6
 
 
 def test_parameter_overrides_and_seedless(capsys):
@@ -108,6 +152,47 @@ def test_parameter_overrides_and_seedless(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("override", ["--omega0=inf", "--lambda=nan",
+                                      "--gamma=-inf"])
+def test_sweep_rejects_non_finite_parameters(capsys, override):
+    code, out, err = run_cli(capsys, "sweep", "--preset", "C", override,
+                             "--t-steps", "3", "--tmax", "1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_rel_tol_only_on_adaptive_commands(capsys, command):
+    # sweep and report take fixed Magnus steps and have no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "C", "--rel-tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+    code, _, _ = run_cli(capsys, "trace", "--preset", "C", "--rel-tol", "1e-6",
+                         "--t-steps", "3", "--tmax", "1")
+    assert code == 0
+
+
+def test_write_csv_matches_per_cell_formatting():
+    gts = np.linspace(0.0, 10.0, 7)
+    b2s = np.array([1e-4, 0.1, 1.0 / 3.0, 0.9999])
+    values = np.random.default_rng(3).random((gts.size, b2s.size))
+    values[2] = 0.0
+    values[4, 1] = np.nan
+    values[:, 3] = np.nan
+    values[5, 0] = -0.0
+    surface = ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
+    out = io.StringIO()
+    write_csv(surface, out)
+    expected = ["gamma_t,beta2,concurrence\n"]
+    for i, gt in enumerate(gts):
+        for j, b2 in enumerate(b2s):
+            expected.append(f"{_fmt(gt)},{_fmt(b2)},{_fmt(values[i, j])}\n")
+    assert out.getvalue() == "".join(expected)
+    assert "NaN" in out.getvalue() and ",0\n" in out.getvalue()
+
+
 def test_verify_all_pass_on_cheap_preset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--preset", "C")
     lines = out.splitlines()
@@ -117,6 +202,7 @@ def test_verify_all_pass_on_cheap_preset(capsys):
     assert code == 0
     names = [line.split("\t")[0] for line in lines]
     assert "direct_vs_channel[C]" in names
+    assert "magnus_vs_direct[C]" in names
     assert "concurrence_dual_path" in names
     assert "kernel_alpha_tilde" in names
     assert "rwa_residual" in names

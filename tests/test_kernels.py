@@ -32,6 +32,14 @@ def test_params_must_be_positive(field, bad):
         BathParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["omega0", "gamma", "lam"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_params_must_be_finite(field, bad):
+    kwargs = {"omega0": 10.0, "gamma": 1.0, "lam": 10.0, field: bad}
+    with pytest.raises(DomainError, match="finite"):
+        BathParams(**kwargs)
+
+
 def test_memory_time():
     assert BathParams(10.0, 4.0, 10.0).memory_time == 0.25
 
@@ -90,7 +98,7 @@ def test_alpha_against_quadrature(name, gt):
 
 @pytest.mark.parametrize("t", [1e-9, 1e-7, 2e-5])
 def test_alpha_small_time_branch(t):
-    # the series branch must join the closed form smoothly
+    # expm1 keeps 1 - e^{-ct} free of cancellation at tiny t
     p = PRESET_PARAMS["B"]
     assert abs(kernels.alpha(t, p) - oracle.alpha_quadrature(t, p)) < 1e-16
     assert kernels.alpha(t, p) == pytest.approx(t, rel=1e-3)
@@ -169,6 +177,23 @@ def test_coefficients_structure(p, t):
     assert c.nu_minus >= 0.0
     # rate identity: nu0 = nu_plus - nu_minus
     assert c.nu0 == pytest.approx(c.nu_plus - c.nu_minus, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_coefficients_on_arrays_match_scalar_calls(name):
+    # one function serves the adaptive integrators (a float per call) and
+    # the Magnus propagator (an array of nodes per call)
+    p = PRESET_PARAMS[name]
+    ts = np.concatenate(([0.0, 1e-9, 2e-5], np.linspace(0.01, 20.0, 401)))
+    grid = kernels.coefficients(ts.reshape(2, -1), p)
+    for field in kernels.CoefficientSet._fields:
+        vec = np.asarray(getattr(grid, field)).ravel()
+        one = np.array([getattr(kernels.coefficients(float(t), p), field)
+                        for t in ts])
+        np.testing.assert_allclose(vec, one, rtol=4 * np.finfo(float).eps,
+                                   atol=0.0, err_msg=field)
+    trunc = oracle.truncated_coefficients(ts, p)
+    assert np.array_equal(trunc.nu_minus, p.lam * kernels.f(ts, p))
 
 
 def test_nu_plus_goes_negative():

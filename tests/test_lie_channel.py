@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import single_time_series
+from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series
 
-from beyondrwa import BathParams, kernels, lie_channel
+from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa.errors import BlowupError, GridError
 from beyondrwa.lie_channel import (IntegratorSettings, apply_channel,
-                                   channel_at, integrate, transfer_matrix)
+                                   channel_at, integrate, magnus_step,
+                                   propagate, step_cap, transfer_matrix)
 
+P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
 P_B = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
 P_C = BathParams(omega0=3.0, gamma=1.0, lam=10.0)
 
@@ -173,3 +175,86 @@ def test_coefficient_fn_plumbing():
                    decay_exponent_fn=lambda t, p: 0.0)
     assert cf.t.tolist() == [0.0, 1.0, 2.0]
     _assert_identity(cf)
+
+
+# ---------------------------------------------------------------------------
+# Magnus sector propagator
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_propagate_matches_direct_route(direct_bank, name):
+    p = {"A": P_A, "B": P_B, "C": P_C}[name]
+    cf = propagate(p, GAMMA_T_GRID / p.gamma)
+    dev = max(float(np.max(np.abs(apply_channel(cf, HERMITIAN_PROBES[key])
+                                  - direct)))
+              for key, direct in direct_bank[name].items())
+    assert dev < 1e-6
+
+
+def test_propagate_matches_direct_route_at_strong_coupling():
+    # at lam = 1000 gamma the 1/(40 lam) term sets the step
+    p = BathParams(omega0=10.0, gamma=1.0, lam=1000.0)
+    ts = np.linspace(0.0, 2.0 / p.gamma, 201)
+    cf = propagate(p, ts)
+    dev = max(float(np.max(np.abs(apply_channel(cf, rho)
+                                  - oracle.integrate_master_direct(p, rho, ts))))
+              for rho in HERMITIAN_PROBES.values())
+    assert dev < 1e-6
+
+
+def test_propagate_truncated_generator_matches_direct_route():
+    ts = np.linspace(0.0, 6.0, 31)
+    plus = HERMITIAN_PROBES["plus"]
+    cf = propagate(P_B, ts, coefficient_fn=oracle.truncated_coefficients)
+    direct = oracle.integrate_master_direct(
+        P_B, plus, ts, coefficient_fn=oracle.truncated_coefficients)
+    assert np.max(np.abs(apply_channel(cf, plus) - direct)) < 1e-6
+
+
+@pytest.mark.parametrize("p", [P_A, P_B, P_C])
+def test_propagate_population_columns_sum_to_one(p):
+    cf = propagate(p, np.linspace(0.0, 10.0 / p.gamma, 201))
+    assert np.all(cf.gamma_k == 0.0)
+    assert np.max(np.abs(cf.l + cf.p - 1.0)) < 1e-12
+    assert np.max(np.abs(cf.m + cf.n - 1.0)) < 1e-12
+    # the coherence map is real-linear on rho10, so q and r mirror x and y
+    assert np.all(cf.q == np.conj(cf.x)) and np.all(cf.r == np.conj(cf.y))
+
+
+def test_propagate_runs_to_the_stationary_state():
+    # far past the gamma t ~ 140 where the Wei-Norman e^{+Gamma_k} factors
+    # overflow; the excited population settles at 0.0263 on preset C
+    cf = propagate(P_C, np.linspace(0.0, 200.0 / P_C.gamma, 201))
+    for name in ("l", "m", "n", "p", "x", "y"):
+        assert np.all(np.isfinite(getattr(cf, name))), name
+    assert np.max(np.abs(cf.l + cf.p - 1.0)) < 1e-10
+    assert np.max(np.abs(cf.m + cf.n - 1.0)) < 1e-10
+    assert np.all(np.abs(cf.l[-20:] - 0.0263) < 5e-5)
+    assert np.all(np.abs(cf.m[-20:] - 0.0263) < 5e-5)
+    assert np.max(np.abs(cf.x[-20:])) < 1e-10
+
+
+def test_magnus_step_rule():
+    for p in (P_A, P_B, P_C):
+        assert magnus_step(p) == step_cap(p, IntegratorSettings()) / 4.0
+    strong = BathParams(omega0=10.0, gamma=1.0, lam=1000.0)
+    assert magnus_step(strong) == 1.0 / 40000.0
+
+
+def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
+    # uneven intervals; at 37 steps per block most of them are split into
+    # pieces, and the pieces and blocks regroup the same steps
+    ts = np.array([0.25, 0.5, 0.503, 3.0, 3.2, 7.0])
+    base = propagate(P_C, ts)
+    monkeypatch.setattr(lie_channel, "MAGNUS_BLOCK_STEPS", 37)
+    small = propagate(P_C, ts)
+    for name in ("l", "m", "n", "p", "x", "y"):
+        assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
+    # the first interval runs from t = 0 to the first sample time
+    assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
+
+
+def test_propagate_grid_rules():
+    _assert_identity(propagate(P_B, [0.0]))
+    for bad in ([], [-1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(GridError):
+            propagate(P_B, bad)
