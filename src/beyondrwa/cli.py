@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels, lie_channel, oracle
 from .entanglement import concurrence_general, concurrence_xstate, detect_esd
-from .errors import BeyondRwaError, BlowupError, DomainError, IoError
+from .errors import BeyondRwaError, BlowupError, DomainError, GridError, IoError
 from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
 from .two_qubit import BellFamilyState, evolve_pair, explicit_elements, initial_state
@@ -84,7 +84,8 @@ class ConcurrenceSurface:
 
 
 def beta2_grid(steps: int, fixed: Optional[float] = None) -> tuple:
-    """Default grid on the clipped open interval, or a single clipped value."""
+    """Default grid on the clipped open interval, or a single clipped value;
+    the command line rejects a fixed value outside [0, 1] before this."""
     if fixed is not None:
         vals = np.array([fixed])
     else:
@@ -178,7 +179,23 @@ def _open_out(path: Optional[str]):
         raise IoError(f"cannot open output file {path!r}: {err}") from err
 
 
+def _check_grid_flags(args) -> None:
+    """DomainError, naming the flag, for a grid the sweep cannot sample."""
+    if args.beta2 is not None and not 0.0 <= args.beta2 <= 1.0:
+        raise DomainError(f"--beta2 must lie in [0, 1], got {args.beta2:g}")
+    if args.beta2_steps < 1:
+        raise DomainError(f"--beta2-steps must be at least 1, got {args.beta2_steps}")
+    if args.t_steps < 1:
+        raise DomainError(f"--t-steps must be at least 1, got {args.t_steps}")
+    # a single sample may sit at t = 0; more samples need a span to spread over
+    if not (math.isfinite(args.tmax) and args.tmax >= 0.0
+            and (args.tmax > 0.0 or args.t_steps == 1)):
+        raise DomainError(f"--tmax must be positive and finite (0 only with "
+                          f"--t-steps 1), got {args.tmax:g}")
+
+
 def _spec_from_args(args) -> SweepSpec:
+    _check_grid_flags(args)
     preset = PRESETS[args.preset]
     params = preset.params
     overrides = {}
@@ -227,17 +244,61 @@ def _check_line(name: str, dev: float, bound: float, lines: list) -> None:
     lines.append(f"{name}\t{dev:.6g}\t{bound:g}\t{status}")
 
 
-def _verify_direct(presets, settings, lines) -> None:
+# sample counts of the verify grids, each over gamma*t in [0, 10]: the
+# direct comparisons, the two-qubit dual path and the concurrence dual path
+DIRECT_STEPS, TWO_QUBIT_STEPS, CONCURRENCE_STEPS = 201, 21, 20
+
+
+def _verify_grid(p: BathParams, steps: int) -> np.ndarray:
+    return np.linspace(0.0, 10.0 / p.gamma, steps)
+
+
+def _shared_wei_norman(settings: IntegratorSettings):
+    """A function (preset, steps) -> the Wei-Norman series on that preset's
+    verify grid of `steps` points.
+
+    Each preset is integrated once, when a check first asks for it, on the
+    union of all the verify grids; every grid is then a slice of that one
+    series.  solve_ivp's t_eval only samples the dense output and never
+    steers the steps, so a slice is bit-identical to integrating on its
+    grid alone.  An exception is kept and raised again for every later
+    request of the same preset, as a separate integration would raise it.
+    """
+    done: dict = {}
+
+    def series(pr: Preset, steps: int) -> ChannelSeries:
+        if pr.name not in done:
+            union = np.unique(np.concatenate(
+                [_verify_grid(pr.params, n)
+                 for n in (DIRECT_STEPS, TWO_QUBIT_STEPS, CONCURRENCE_STEPS)]))
+            try:
+                done[pr.name] = lie_channel.integrate(pr.params, union, settings)
+            except Exception as err:
+                done[pr.name] = err
+        full = done[pr.name]
+        if isinstance(full, Exception):
+            raise full
+        ts = _verify_grid(pr.params, steps)
+        idx = np.searchsorted(full.t, ts)
+        if idx[-1] == len(full) or not np.array_equal(full.t[idx], ts):
+            raise GridError(f"the shared series of preset {pr.name} does not "
+                            f"hold the {steps}-point verify grid")
+        return full[idx]
+
+    return series
+
+
+def _verify_direct(presets, settings, wei_norman, lines) -> None:
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     for pr in presets:
         p = pr.params
-        ts = np.linspace(0.0, 10.0 / p.gamma, 201)
+        ts = _verify_grid(p, DIRECT_STEPS)
         probes = (excited, plus)
         direct = [oracle.integrate_master_direct(p, rho0, ts, settings)
                   for rho0 in probes]
         for name, series in (
-                ("direct_vs_channel", lie_channel.integrate(p, ts, settings)),
+                ("direct_vs_channel", wei_norman(pr, DIRECT_STEPS)),
                 ("magnus_vs_direct", lie_channel.propagate(p, ts))):
             dev = max(float(np.max(np.abs(apply_channel(series, rho0) - ref)))
                       for rho0, ref in zip(probes, direct))
@@ -245,16 +306,14 @@ def _verify_direct(presets, settings, lines) -> None:
 
     mixed = np.eye(2, dtype=complex) / 2.0
     p = PRESETS["C"].params
-    ts = np.linspace(0.0, 10.0 / p.gamma, 201)
-    direct = oracle.integrate_master_direct(p, mixed, ts, settings)
+    direct = oracle.integrate_master_direct(
+        p, mixed, _verify_grid(p, DIRECT_STEPS), settings)
     traces = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
     _check_line("direct_trace[C]", float(traces.max()), 1e-8, lines)
 
 
-def _verify_two_qubit(settings, lines) -> None:
-    p = PRESETS["C"].params
-    ts = np.linspace(0.0, 10.0 / p.gamma, 21)
-    series = lie_channel.integrate(p, ts, settings)
+def _verify_two_qubit(wei_norman, lines) -> None:
+    series = wei_norman(PRESETS["C"], TWO_QUBIT_STEPS)
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     diff = evolve_pair(series, rho0) - explicit_elements(series, rho0)
     mask = np.ones((4, 4), dtype=bool)
@@ -267,14 +326,12 @@ def _verify_two_qubit(settings, lines) -> None:
                 float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12, lines)
 
 
-def _verify_concurrence(presets, settings, lines) -> None:
+def _verify_concurrence(presets, wei_norman, lines) -> None:
     b2s = np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20)
     dev = 0.0
     gated = 0
     for pr in presets:
-        p = pr.params
-        series = lie_channel.integrate(p, np.linspace(0.0, 10.0 / p.gamma, 20),
-                                       settings)
+        series = wei_norman(pr, CONCURRENCE_STEPS)
         for family in ("phi", "psi"):
             rho = evolve_pair(series, _initial_states(family, b2s))
             general = concurrence_general(rho)
@@ -325,11 +382,12 @@ def cmd_verify(args) -> int:
     presets = [PRESETS[k] for k in names]
     settings = IntegratorSettings(rel_tol=args.rel_tol,
                                   cap_step=not args.uncap_step)
+    wei_norman = _shared_wei_norman(settings)
     lines: list = []
     groups = (
-        lambda: _verify_direct(presets, settings, lines),
-        lambda: _verify_two_qubit(settings, lines),
-        lambda: _verify_concurrence(presets, settings, lines),
+        lambda: _verify_direct(presets, settings, wei_norman, lines),
+        lambda: _verify_two_qubit(wei_norman, lines),
+        lambda: _verify_concurrence(presets, wei_norman, lines),
         lambda: _verify_kernels(presets, lines),
         lambda: _verify_rwa(lines),
     )

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
-from .errors import BlowupError, GridError, ToleranceError
+from .errors import BlowupError, DomainError, GridError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 
 # math.exp overflows just above 709; stay clear of it when forming e^{X0/2}
@@ -63,6 +63,10 @@ BLOWUP_THRESHOLD = 1e8
 # once, which bounds its working memory
 MAGNUS_BLOCK_STEPS = 2048
 
+# smallest rel_tol the integrations accept: scipy's own floor for rtol,
+# below which it would raise rtol and keep atol
+MIN_REL_TOL = 100.0 * np.finfo(float).eps
+
 # the two Gauss-Legendre nodes of a step, as fractions of it
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -71,13 +75,19 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 class IntegratorSettings:
     """Tolerance and step policy for the channel and direct integrations.
 
-    rel_tol is both the relative and the absolute tolerance.  With cap_step
-    the step is held below step_cap(); without it the error estimator alone
+    rel_tol is both the relative and the absolute tolerance; it must be
+    finite and at least MIN_REL_TOL, or DomainError.  With cap_step the
+    step is held below step_cap(); without it the error estimator alone
     controls the step.
     """
 
     rel_tol: float = 1e-9
     cap_step: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= MIN_REL_TOL):
+            raise DomainError(f"rel_tol (--rel-tol) must be finite and at least "
+                              f"{MIN_REL_TOL:.3g}, got {self.rel_tol:g}")
 
 
 @dataclass(frozen=True)

@@ -37,21 +37,60 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PE = _SP @ _SM                                            # excited projector
 
 
-def _direct_rhs(t, yv, p, cfn):
+def _hermitian(yv) -> np.ndarray:
     # Hermitian parameterization: [rho11, Re rho10, Im rho10, rho00];
     # rho00 is integrated on its own so trace drift stays visible
-    c = cfn(t, p)
-    rho = np.array([[yv[0], yv[1] + 1j * yv[2]],
-                    [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
-    gdot = (c.nu_plus + c.nu_minus) / 2.0
-    d = (-gdot * rho
-         + c.eps0 * (_SZ @ rho - rho @ _SZ) / 4.0
-         + c.eps_plus * (_SP @ rho @ _SP)
-         + c.eps_minus * (_SM @ rho @ _SM)
-         + c.nu0 * (_PE @ rho + rho @ _PE - rho) / 2.0
-         + c.nu_plus * (_SP @ rho @ _SM)
-         + c.nu_minus * (_SM @ rho @ _SP))
+    return np.array([[yv[0], yv[1] + 1j * yv[2]],
+                     [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
+
+
+def _components(d: np.ndarray) -> list:
     return [d[0, 0].real, d[0, 1].real, d[0, 1].imag, d[1, 1].real]
+
+
+# the superoperators of the master equation, each without its coefficient,
+# in the order of the weights _direct_rhs forms
+_TERMS = (
+    lambda rho: -rho,                                   # Gdot
+    lambda rho: (_SZ @ rho - rho @ _SZ) / 4.0,          # eps0
+    lambda rho: _SP @ rho @ _SP,                        # eps_plus
+    lambda rho: _SM @ rho @ _SM,                        # eps_minus
+    lambda rho: (_PE @ rho + rho @ _PE - rho) / 2.0,    # nu0
+    lambda rho: _SP @ rho @ _SM,                        # nu_plus
+    lambda rho: _SM @ rho @ _SP,                        # nu_minus
+)
+
+
+def _superoperator_basis() -> np.ndarray:
+    """Real 4x4 matrix of every term on the parameterization, for the
+    coefficient 1 and for the coefficient i: shape (2 len(_TERMS), 16),
+    rows in the order (term 0, 1), (term 0, i), (term 1, 1), ...
+
+    Built by applying each term to the four unit vectors, so it follows
+    the operator expressions above rather than a hand derivation.
+    """
+    basis = np.empty((len(_TERMS), 2, 4, 4))
+    for k, term in enumerate(_TERMS):
+        for j, unit in enumerate(np.eye(4)):
+            d = term(_hermitian(unit))
+            basis[k, 0, :, j] = _components(d)
+            basis[k, 1, :, j] = _components(1j * d)
+    return basis.reshape(2 * len(_TERMS), 16)
+
+
+_BASIS = _superoperator_basis()
+
+
+def _direct_rhs(t, yv, p, cfn):
+    """The master equation on [rho11, Re rho10, Im rho10, rho00]: the
+    coefficients weight the superoperator basis into one real 4x4 matrix."""
+    c = cfn(t, p)
+    gdot = (c.nu_plus + c.nu_minus) / 2.0
+    # a complex array viewed as floats interleaves real and imaginary parts,
+    # matching the row order of _BASIS
+    w = np.array([gdot, c.eps0, c.eps_plus, c.eps_minus, c.nu0, c.nu_plus,
+                  c.nu_minus], dtype=complex).view(float)
+    return (w @ _BASIS).reshape(4, 4) @ yv
 
 
 def integrate_master_direct(
@@ -73,7 +112,7 @@ def integrate_master_direct(
     if ts[-1] == 0.0:
         return rho0[None].copy()
 
-    y0 = [rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, rho0[1, 1].real]
+    y0 = _components(rho0)
     sol = solve_ivp(
         _direct_rhs,
         (0.0, float(ts[-1])),

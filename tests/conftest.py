@@ -48,14 +48,13 @@ def channel_bank():
 @pytest.fixture(scope="session")
 def direct_bank():
     """oracle.integrate_master_direct on presets A, B and C, on the channel
-    bank's grid, for the excited and plus probes (the plus_i solves would
-    add about 40% to the cost): {preset: {probe: (T, 2, 2)}}."""
+    bank's grid, for every Hermitian probe: {preset: {probe: (T, 2, 2)}}."""
     bank = {}
     for name in ("A", "B", "C"):
         p = PRESETS[name].params
         times = GAMMA_T_GRID / p.gamma
-        bank[name] = {key: oracle.integrate_master_direct(
-            p, HERMITIAN_PROBES[key], times) for key in ("excited", "plus")}
+        bank[name] = {key: oracle.integrate_master_direct(p, rho0, times)
+                      for key, rho0 in HERMITIAN_PROBES.items()}
     return bank
 
 

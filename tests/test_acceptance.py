@@ -62,8 +62,7 @@ def full_grid_stats(channel_bank):
 def test_criterion_01_channel_matches_direct_integration(channel_bank,
                                                         direct_bank):
     for name, entry in channel_bank.items():
-        for probe in ("excited", "plus"):
-            direct = direct_bank[name][probe]
+        for probe, direct in direct_bank[name].items():
             dev = np.abs(apply_channel(entry.series, HERMITIAN_PROBES[probe])
                          - direct).max()
             assert dev < 1e-6, f"preset {name}: routes disagree by {dev:.3g}"

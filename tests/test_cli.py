@@ -11,13 +11,30 @@ import numpy as np
 import pytest
 
 from beyondrwa import BathParams, lie_channel, oracle
-from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt, beta2_grid,
-                           main, write_csv)
+from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt,
+                           _shared_wei_norman, beta2_grid, main, write_csv)
 from beyondrwa.entanglement import concurrence_xstate
-from beyondrwa.lie_channel import ChannelSeries
+from beyondrwa.errors import ToleranceError
+from beyondrwa.lie_channel import ChannelSeries, IntegratorSettings
 from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
 
 VERIFY_LINE = re.compile(r"^[\w\[\]]+\t\S+\t\S+\t(PASS|FAIL)$")
+
+# the lines of a default verify, in order, with their bounds
+VERIFY_CONTRACT = [
+    *((f"{check}[{preset}]", "1e-06") for preset in "ABC"
+      for check in ("direct_vs_channel", "magnus_vs_direct")),
+    ("direct_trace[C]", "1e-08"),
+    ("two_qubit_dual_path", "1e-12"),
+    ("two_qubit_rho22_gap", "1e-12"),
+    ("concurrence_dual_path", "1e-10"),
+    ("kernel_alpha1", "1e-10"),
+    ("kernel_alpha2", "1e-10"),
+    ("kernel_alpha", "1e-10"),
+    ("kernel_alpha_tilde", "1e-08"),
+    ("kernel_decay_exponent", "1e-08"),
+    ("rwa_residual", "1e-06"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +223,105 @@ def test_verify_all_pass_on_cheap_preset(capsys):
     assert "concurrence_dual_path" in names
     assert "kernel_alpha_tilde" in names
     assert "rwa_residual" in names
+
+
+def _count_solvers(monkeypatch):
+    """Wrap integrate and integrate_master_direct; returns the lists of
+    preset names they were called with."""
+    names = {pr.params: name for name, pr in PRESETS.items() if name != "RWA"}
+    calls = {"integrate": [], "integrate_master_direct": []}
+    for module, fname in ((lie_channel, "integrate"),
+                          (oracle, "integrate_master_direct")):
+        monkeypatch.setattr(module, fname,
+                            lambda p, *a, _log=calls[fname],
+                            _fn=getattr(module, fname), **k:
+                            _log.append(names[p]) or _fn(p, *a, **k))
+    return calls
+
+
+def test_verify_integrates_each_preset_once(capsys, monkeypatch):
+    # one Wei-Norman integration per preset serves all three verify grids;
+    # the output contract stays the 16 lines, in order, all passing
+    calls = _count_solvers(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [(r[0], r[2]) for r in rows] == VERIFY_CONTRACT
+    assert all(r[3] == "PASS" and float(r[1]) < float(r[2]) for r in rows)
+    assert calls["integrate"] == ["A", "B", "C"]
+    assert calls["integrate_master_direct"] == ["A", "A", "B", "B", "C", "C",
+                                                "C"]
+
+
+def test_verify_one_preset_integrates_it_and_c(capsys, monkeypatch):
+    # the two-qubit checks always run on preset C
+    calls = _count_solvers(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "--preset", "A")
+    assert code == 0
+    assert calls["integrate"] == ["A", "C"]
+
+
+def test_verify_grids_are_slices_of_one_integration(channel_bank):
+    # solve_ivp's t_eval samples the dense output without steering the
+    # steps, so each verify grid cut from the shared integration is
+    # bit-identical to an integration on that grid alone
+    p = PRESETS["A"].params
+    series = _shared_wei_norman(IntegratorSettings())
+    alone = {201: channel_bank["A"].series}
+    for steps in (21, 20):
+        alone[steps] = lie_channel.integrate(
+            p, np.linspace(0.0, 10.0 / p.gamma, steps))
+    for steps, ref in alone.items():
+        got = series(PRESETS["A"], steps)
+        assert len(got) == steps
+        for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r", "gamma_k"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_verify_survives_a_failing_integration(capsys, monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[0])
+        raise ToleranceError("integration failed: step size too small")
+
+    monkeypatch.setattr(lie_channel, "integrate", failing)
+    code, out, err = run_cli(capsys, "verify", "--preset", "C")
+    assert code == 1
+    names = [line.split("\t")[0] for line in out.splitlines()]
+    assert names == ["aborted_ToleranceError"] * 3 + [
+        "kernel_alpha1", "kernel_alpha2", "kernel_alpha",
+        "kernel_alpha_tilde", "kernel_decay_exponent", "rwa_residual"]
+    assert all(line.endswith("FAIL") for line in out.splitlines()[:3])
+    assert all(line.endswith("PASS") for line in out.splitlines()[3:])
+    # the failure is remembered: the three check groups share one attempt
+    assert len(calls) == 1
+    assert err.count("warning: check group raised ToleranceError") == 3
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--preset", "C", "--rel-tol", "0"),
+    ("trace", "--preset", "C", "--rel-tol", "-1"),
+    ("verify", "--rel-tol", "nan"),
+])
+def test_unusable_tolerance_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--rel-tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta2", "1.5"), ("--beta2", "-0.1"), ("--beta2-steps", "0"),
+    ("--tmax", "0"), ("--tmax", "-1"), ("--t-steps", "0"),
+])
+def test_sweep_rejects_unusable_grid_flags(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "--preset", "C", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} " in err and "Traceback" not in err
+    assert "strictly increasing" not in err
 
 
 def test_verify_abbreviated_preset_runs_only_that_preset(capsys):

@@ -8,10 +8,11 @@ import pytest
 from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series
 
 from beyondrwa import BathParams, kernels, lie_channel, oracle
-from beyondrwa.errors import BlowupError, GridError
-from beyondrwa.lie_channel import (IntegratorSettings, apply_channel,
-                                   channel_at, integrate, magnus_step,
-                                   propagate, step_cap, transfer_matrix)
+from beyondrwa.errors import BlowupError, DomainError, GridError
+from beyondrwa.lie_channel import (MIN_REL_TOL, IntegratorSettings,
+                                   apply_channel, channel_at, integrate,
+                                   magnus_step, propagate, step_cap,
+                                   transfer_matrix)
 
 P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
 P_B = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
@@ -124,6 +125,15 @@ def test_tolerance_refinement_is_a_noop(channel_bank):
     # n = e^{-k0/2} and q = e^{-j0/2}: the shifts of k0 and j0
     assert np.max(np.abs(2.0 * np.log(tighter.n / base.n))) < 1e-6
     assert np.max(np.abs(2.0 * np.log(tighter.q / base.q))) < 1e-6
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1e-14, math.nan, math.inf])
+def test_settings_reject_unusable_tolerance(rel_tol):
+    # below scipy's floor of 100 eps it would raise rtol itself and keep
+    # atol; 0 used to make the step collapse, and -1 ran anyway
+    with pytest.raises(DomainError, match="rel-tol"):
+        IntegratorSettings(rel_tol=rel_tol)
+    assert IntegratorSettings(rel_tol=MIN_REL_TOL).rel_tol == MIN_REL_TOL
 
 
 def test_blowup_reports_failure_time_and_prefix():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from beyondrwa import BathParams, lie_channel, oracle
+from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError
 from beyondrwa.lie_channel import apply_channel
 
@@ -49,6 +49,35 @@ def test_direct_preserves_trace_of_maximally_mixed():
     direct = oracle.integrate_master_direct(P_C, mixed, ts)
     drift = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
     assert drift.max() < 1e-8
+
+
+def _operator_rhs(t, yv, p, cfn):
+    """The direct right-hand side term by term on the 2x2 density matrix,
+    the form _direct_rhs replaced by its superoperator basis."""
+    c = cfn(t, p)
+    rho = np.array([[yv[0], yv[1] + 1j * yv[2]],
+                    [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
+    sp, sm, sz, pe = oracle._SP, oracle._SM, oracle._SZ, oracle._PE
+    gdot = (c.nu_plus + c.nu_minus) / 2.0
+    d = (-gdot * rho
+         + c.eps0 * (sz @ rho - rho @ sz) / 4.0
+         + c.eps_plus * (sp @ rho @ sp)
+         + c.eps_minus * (sm @ rho @ sm)
+         + c.nu0 * (pe @ rho + rho @ pe - rho) / 2.0
+         + c.nu_plus * (sp @ rho @ sm)
+         + c.nu_minus * (sm @ rho @ sp))
+    return np.array([d[0, 0].real, d[0, 1].real, d[0, 1].imag, d[1, 1].real])
+
+
+@pytest.mark.parametrize("cfn", [kernels.coefficients,
+                                 oracle.truncated_coefficients])
+@pytest.mark.parametrize("p", [P_A, P_B, P_C])
+def test_direct_rhs_matches_operator_expression(p, cfn):
+    rng = np.random.default_rng(11)
+    for t, yv in zip(rng.uniform(0.0, 10.0, 50), rng.normal(size=(50, 4))):
+        ref = _operator_rhs(t, yv, p, cfn)
+        got = oracle._direct_rhs(t, yv, p, cfn)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
