@@ -16,6 +16,18 @@ at long times (gamma t ~ 140 on the presets).
     curve = concurrence_xstate(evolve_pair(series, rho0)).value
 """
 
+import os
+
+# OpenBLAS worker threads busy-wait for 2^28 cycles (about 0.13 s at
+# 2.1 GHz) after they start and after each job, before they sleep.  Nothing
+# is queued for them at start-up, so with no SciPy import to hide it that
+# spin ran beside the first tens of milliseconds of every command.  2^24
+# cycles (about 8 ms) ends it long before a command runs, and still bridges
+# the gaps between the threaded products of a wide sweep, which sleeping
+# threads would be slow to pick up.  A caller's own setting is kept; this
+# acts only before NumPy (or SciPy) first loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+
 from .entanglement import (ConcurrenceResult, ESDReport, RevivalEpisode,
                            concurrence_general, concurrence_xstate, detect_esd)
 from .errors import (BeyondRwaError, BlowupError, DomainError, GridError,

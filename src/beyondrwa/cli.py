@@ -8,8 +8,9 @@ Four subcommands:
 * trace  - dump channel coefficients along a single trajectory
 
 sweep and report take the channel from lie_channel.propagate (fixed Magnus
-steps, no tolerance to set); trace and verify integrate the Wei-Norman
-equations adaptively and take --rel-tol.
+steps, no tolerance to set) and run on NumPy alone; trace and verify
+integrate the Wei-Norman equations adaptively through lie_channel.solve,
+take --rel-tol, and import SciPy when they first need it.
 
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
@@ -183,6 +184,8 @@ def _check_grid_flags(args) -> None:
     """DomainError, naming the flag, for a grid the sweep cannot sample."""
     if args.beta2 is not None and not 0.0 <= args.beta2 <= 1.0:
         raise DomainError(f"--beta2 must lie in [0, 1], got {args.beta2:g}")
+    if not math.isfinite(args.phase):
+        raise DomainError(f"--phase must be finite, got {args.phase:g}")
     if args.beta2_steps < 1:
         raise DomainError(f"--beta2-steps must be at least 1, got {args.beta2_steps}")
     if args.t_steps < 1:
@@ -248,6 +251,9 @@ def _check_line(name: str, dev: float, bound: float, lines: list) -> None:
 # direct comparisons, the two-qubit dual path and the concurrence dual path
 DIRECT_STEPS, TWO_QUBIT_STEPS, CONCURRENCE_STEPS = 201, 21, 20
 
+# the presets whose full generator verify checks
+VERIFY_PRESETS = ("A", "B", "C")
+
 
 def _verify_grid(p: BathParams, steps: int) -> np.ndarray:
     return np.linspace(0.0, 10.0 / p.gamma, steps)
@@ -259,10 +265,11 @@ def _shared_wei_norman(settings: IntegratorSettings):
 
     Each preset is integrated once, when a check first asks for it, on the
     union of all the verify grids; every grid is then a slice of that one
-    series.  solve_ivp's t_eval only samples the dense output and never
-    steers the steps, so a slice is bit-identical to integrating on its
-    grid alone.  An exception is kept and raised again for every later
-    request of the same preset, as a separate integration would raise it.
+    series.  lie_channel.solve only samples the dense output at the grid
+    and never lets it steer the steps, so a slice is bit-identical to
+    integrating on its grid alone.  An exception is kept and raised again
+    for every later request of the same preset, as a separate integration
+    would raise it.
     """
     done: dict = {}
 
@@ -378,7 +385,7 @@ def _verify_rwa(lines) -> None:
 
 
 def cmd_verify(args) -> int:
-    names = ("A", "B", "C") if args.preset is None else (args.preset,)
+    names = VERIFY_PRESETS if args.preset is None else (args.preset,)
     presets = [PRESETS[k] for k in names]
     settings = IntegratorSettings(rel_tol=args.rel_tol,
                                   cap_step=not args.uncap_step)
@@ -535,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common, tolerance],
                         help="run the oracle cross-check suite")
-    pv.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    # RWA has no generator of its own to check: rwa_residual covers it
+    pv.add_argument("--preset", choices=VERIFY_PRESETS, default=None,
                     help="check one preset (default A, B and C)")
     pv.add_argument("--uncap-step", action="store_true",
                     help="debug: remove the oscillation-resolving step cap")

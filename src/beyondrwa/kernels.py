@@ -166,10 +166,14 @@ def coefficients(t, p: BathParams) -> CoefficientSet:
     """
     a = alpha(t, p)
     ft = f(t, p)
+    if isinstance(t, float):
+        # the adaptive integrators call this once per RK stage, and Python
+        # scalar arithmetic is cheaper than numpy's
+        a, ft = complex(a), float(ft)
     return CoefficientSet(
         eps0=-1j * (2.0 * p.omega0 - p.lam * p.gamma * a.imag),
         eps_plus=p.lam * (p.gamma * a + ft) / 2.0,
-        eps_minus=p.lam * (p.gamma * np.conj(a) + ft) / 2.0,
+        eps_minus=p.lam * (p.gamma * a.conjugate() + ft) / 2.0,
         nu0=p.lam * (p.gamma * a.real - ft),
         nu_plus=p.lam * p.gamma * a.real,
         nu_minus=p.lam * ft,

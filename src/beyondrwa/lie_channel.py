@@ -32,6 +32,10 @@ bounded, so it has no e^{+Gamma_k} overflow and no blowup; the command
 line's sweep and report use it, trace and the Wei-Norman checks use
 integrate.
 
+integrate and the direct oracle share one adaptive loop, solve, which
+steps SciPy's Dormand-Prince RK45 pair.  SciPy is imported there, on the
+first adaptive integration, so the Magnus route runs on NumPy alone.
+
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
 tensor square of this map (see two_qubit).
@@ -39,12 +43,12 @@ tensor square of this map (see two_qubit).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import kernels
 from .errors import BlowupError, DomainError, GridError, ToleranceError
@@ -63,9 +67,11 @@ BLOWUP_THRESHOLD = 1e8
 # once, which bounds its working memory
 MAGNUS_BLOCK_STEPS = 2048
 
+_EPS = np.finfo(float).eps
+
 # smallest rel_tol the integrations accept: scipy's own floor for rtol,
 # below which it would raise rtol and keep atol
-MIN_REL_TOL = 100.0 * np.finfo(float).eps
+MIN_REL_TOL = 100.0 * _EPS
 
 # the two Gauss-Legendre nodes of a step, as fractions of it
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -160,13 +166,14 @@ def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
     k+, k0, k-].
     """
     c = cfn(t, p)
-    jp = complex(yv[0], yv[1])
-    kp, k0 = yv[6], yv[7]
+    # Python scalars: cheaper than numpy's at one call per RK stage
+    jp_re, jp_im, j0_re, j0_im, _, _, kp, k0, _ = yv.tolist()
+    jp = complex(jp_re, jp_im)
     djp = c.eps_plus - c.eps_minus * jp * jp + c.eps0 * jp
     dj0 = c.eps0 - 2.0 * c.eps_minus * jp
     # Re j0 and k0 track -2 Gamma_k and stay negative on-solution; the cap
     # only protects wild trial steps of the error estimator from overflow
-    djm = c.eps_minus * np.exp(complex(min(yv[2], _EXP_ARG_LIMIT), yv[3]))
+    djm = c.eps_minus * cmath.exp(complex(min(j0_re, _EXP_ARG_LIMIT), j0_im))
     dkm = c.nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT))
     dkp = c.nu_plus - c.nu_minus * kp * kp + c.nu0 * kp
     dk0 = c.nu0 - 2.0 * c.nu_minus * kp
@@ -174,12 +181,62 @@ def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
             dkp, dk0, dkm]
 
 
-def _blowup(t: float, yv: np.ndarray, *_args) -> float:
-    return float(np.max(np.abs(yv))) - BLOWUP_THRESHOLD
+class Solution(NamedTuple):
+    """What solve sampled: the times reached, the state at each (one column
+    per time), the right-hand-side evaluations, and the time at which
+    max|y| reached the limit, or None."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    t_fail: Optional[float]
 
 
-_blowup.terminal = True
-_blowup.direction = 1.0
+def solve(fun: Callable, y0, ts: np.ndarray, settings: IntegratorSettings,
+          max_step: float, limit: float = math.inf) -> Solution:
+    """Integrate y' = fun(t, y) from y(0) = y0 with the Dormand-Prince RK45
+    pair (rtol = atol = settings.rel_tol, steps at most max_step) up to
+    ts[-1] > 0, and sample each time of the checked grid ts from the dense
+    output of the step that covers it.
+
+    The samples never steer the steps.  Once max|y| at the end of a step
+    reaches `limit`, brentq finds the crossing inside that step (xtol =
+    rtol = 4 eps) and the samples stop there; Solution.t_fail holds it.
+    Raises ToleranceError when the stepper gives up.
+    """
+    # SciPy costs about half a second to import; only the adaptive
+    # integrations need it
+    from scipy.integrate import RK45
+
+    solver = RK45(fun, 0.0, y0, float(ts[-1]), max_step=max_step,
+                  rtol=settings.rel_tol, atol=settings.rel_tol)
+    times = ts.tolist()
+    t_out, y_out = [ts[:0]], [np.empty((len(y0), 0))]
+    i = 0
+    t_fail = None
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise ToleranceError(f"integration failed: {message}")
+        t, dense = solver.t, None
+        if limit < math.inf and np.abs(solver.y).max() >= limit:
+            from scipy.optimize import brentq
+
+            dense = solver.dense_output()
+            t = t_fail = brentq(lambda s: np.max(np.abs(dense(s))) - limit,
+                                solver.t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+        j = i
+        while j < len(times) and times[j] <= t:
+            j += 1
+        if j > i:
+            if dense is None:
+                dense = solver.dense_output()
+            t_out.append(ts[i:j])
+            y_out.append(dense(ts[i:j]))
+            i = j
+        if t_fail is not None:
+            break
+    return Solution(np.concatenate(t_out), np.hstack(y_out), solver.nfev, t_fail)
 
 
 def integrate(
@@ -209,25 +266,12 @@ def integrate(
     if ts[-1] == 0.0:
         return channel_at(ts, np.zeros((9, 1)), np.zeros(1))
 
-    sol = solve_ivp(
-        _rhs,
-        (0.0, float(ts[-1])),
-        np.zeros(9),
-        t_eval=ts,
-        args=(p, cfn),
-        method="RK45",
-        rtol=settings.rel_tol,
-        atol=settings.rel_tol,
-        max_step=step_cap(p, settings),
-        events=_blowup,
-    )
-    if sol.status == -1:
-        raise ToleranceError(f"integration failed: {sol.message}")
-
+    sol = solve(lambda t, yv: _rhs(t, yv, p, cfn), np.zeros(9), ts, settings,
+                step_cap(p, settings), limit=BLOWUP_THRESHOLD)
     gamma_k = np.array([dfn(float(t), p) for t in sol.t])
     series = channel_at(sol.t, sol.y, gamma_k)
-    if sol.status == 1:
-        raise BlowupError(float(sol.t_events[0][0]), partial=series)
+    if sol.t_fail is not None:
+        raise BlowupError(sol.t_fail, partial=series)
     return series
 
 

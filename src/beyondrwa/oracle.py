@@ -24,12 +24,12 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import kernels
-from .errors import DomainError, ToleranceError
+from .errors import DomainError
 from .kernels import BathParams, CoefficientSet
-from .lie_channel import ChannelSeries, IntegratorSettings, check_grid, step_cap
+from .lie_channel import (ChannelSeries, IntegratorSettings, check_grid, solve,
+                          step_cap)
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
@@ -102,9 +102,10 @@ def integrate_master_direct(
 ) -> np.ndarray:
     """Integrate the master equation directly and sample at t_grid.
 
-    Returns shape (T, 2, 2).  Same grid rules and step cap as the channel
-    integration, so both routes resolve the 2 omega0 oscillation equally
-    well.
+    Returns shape (T, 2, 2).  Same grid rules, step cap and adaptive loop
+    (lie_channel.solve) as the channel integration, so both routes resolve
+    the 2 omega0 oscillation equally well.  Raises ToleranceError when the
+    stepper gives up.
     """
     settings = settings or IntegratorSettings()
     ts = check_grid(t_grid)
@@ -112,20 +113,9 @@ def integrate_master_direct(
     if ts[-1] == 0.0:
         return rho0[None].copy()
 
-    y0 = _components(rho0)
-    sol = solve_ivp(
-        _direct_rhs,
-        (0.0, float(ts[-1])),
-        y0,
-        t_eval=ts,
-        args=(p, coefficient_fn or kernels.coefficients),
-        method="RK45",
-        rtol=settings.rel_tol,
-        atol=settings.rel_tol,
-        max_step=step_cap(p, settings),
-    )
-    if sol.status != 0:
-        raise ToleranceError(f"direct integration failed: {sol.message}")
+    cfn = coefficient_fn or kernels.coefficients
+    sol = solve(lambda t, yv: _direct_rhs(t, yv, p, cfn), _components(rho0),
+                ts, settings, step_cap(p, settings))
 
     r11, re10, im10, r00 = sol.y
     out = np.empty((sol.t.size, 2, 2), dtype=complex)
@@ -134,6 +124,14 @@ def integrate_master_direct(
     out[:, 1, 0] = re10 - 1j * im10
     out[:, 1, 1] = r00
     return out
+
+
+def _quad(fn, a: float, b: float, **options) -> float:
+    """The value of scipy.integrate.quad; SciPy is imported on first use, so
+    importing this module costs NumPy only."""
+    from scipy.integrate import quad
+
+    return quad(fn, a, b, **options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def rwa_residual(p: BathParams, t_grid: Sequence[float]) -> float:
         if t == 0.0:
             conv = 0.0
         else:
-            conv, _ = quad(
+            conv = _quad(
                 lambda s, tt=t: (kernels.alpha1(tt - s, p)
                                  * rwa_amplitude(s, p)).real,
                 0.0, t, limit=400, epsabs=1e-12, epsrel=1e-12,
@@ -218,19 +216,18 @@ def rwa_residual(p: BathParams, t_grid: Sequence[float]) -> float:
 
 def spectral_integral(p: BathParams) -> float:
     """Numerical total weight of the coupling spectrum (analytically lam gamma/2)."""
-    val, _ = quad(lambda u: kernels.spectral_density(u + p.omega0, p),
-                  -np.inf, np.inf, limit=400)
-    return val
+    return _quad(lambda u: kernels.spectral_density(u + p.omega0, p),
+                 -np.inf, np.inf, limit=400)
 
 
 def _lorentzian_core(t: float, p: BathParams) -> float:
     # 2 int_0^inf L(u) cos(ut) du for the even shifted spectrum L
     lor = lambda u: (p.lam * p.gamma**2 / (2.0 * math.pi)) / (u * u + p.gamma**2)
     if t == 0.0:
-        val, _ = quad(lor, 0.0, np.inf, limit=800, epsabs=1e-12, epsrel=1e-12)
+        val = _quad(lor, 0.0, np.inf, limit=800, epsabs=1e-12, epsrel=1e-12)
     else:
-        val, _ = quad(lor, 0.0, np.inf, weight="cos", wvar=t, limit=800,
-                      epsabs=1e-12, epsrel=1e-12)
+        val = _quad(lor, 0.0, np.inf, weight="cos", wvar=t, limit=800,
+                    epsabs=1e-12, epsrel=1e-12)
     return 2.0 * val
 
 
@@ -253,30 +250,30 @@ def alpha_quadrature(t: float, p: BathParams) -> complex:
         return 0j
     env = lambda s: math.exp(-p.gamma * s)
     w = 2.0 * p.omega0
-    re, _ = quad(env, 0.0, t, weight="cos", wvar=w, limit=2000,
-                 epsabs=1e-13, epsrel=1e-13)
-    im, _ = quad(env, 0.0, t, weight="sin", wvar=w, limit=2000,
-                 epsabs=1e-13, epsrel=1e-13)
+    re = _quad(env, 0.0, t, weight="cos", wvar=w, limit=2000,
+               epsabs=1e-13, epsrel=1e-13)
+    im = _quad(env, 0.0, t, weight="sin", wvar=w, limit=2000,
+               epsabs=1e-13, epsrel=1e-13)
     return complex(re, -im)
 
 
 def alpha_tilde_quadrature(t: float, p: BathParams, s_lower: float = 0.0) -> complex:
     """int_{s_lower}^{t} alpha(s) ds by adaptive quadrature of the closed-form
     alpha (itself pinned by alpha_quadrature)."""
-    re, _ = quad(lambda s: kernels.alpha(s, p).real, s_lower, t,
-                 limit=20000, epsabs=1e-12, epsrel=1e-12)
-    im, _ = quad(lambda s: kernels.alpha(s, p).imag, s_lower, t,
-                 limit=20000, epsabs=1e-12, epsrel=1e-12)
+    re = _quad(lambda s: kernels.alpha(s, p).real, s_lower, t,
+               limit=20000, epsabs=1e-12, epsrel=1e-12)
+    im = _quad(lambda s: kernels.alpha(s, p).imag, s_lower, t,
+               limit=20000, epsabs=1e-12, epsrel=1e-12)
     return complex(re, im)
 
 
 def decay_exponent_quadrature(t: float, p: BathParams) -> float:
     """Defining integral of Gamma_k, with the alpha^R and f parts integrated
     separately so neither term's roundoff hides the other's."""
-    i1, _ = quad(lambda s: kernels.alpha(s, p).real, 0.0, t,
-                 limit=20000, epsabs=1e-12, epsrel=1e-12)
-    i2, _ = quad(lambda s: kernels.f(s, p), 0.0, t,
-                 limit=2000, epsabs=1e-12, epsrel=1e-12)
+    i1 = _quad(lambda s: kernels.alpha(s, p).real, 0.0, t,
+               limit=20000, epsabs=1e-12, epsrel=1e-12)
+    i2 = _quad(lambda s: kernels.f(s, p), 0.0, t,
+               limit=2000, epsabs=1e-12, epsrel=1e-12)
     return p.lam * (p.gamma * i1 + i2) / 2.0
 
 

@@ -3,8 +3,12 @@
 import importlib
 import importlib.util
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +266,8 @@ def test_verify_one_preset_integrates_it_and_c(capsys, monkeypatch):
 
 
 def test_verify_grids_are_slices_of_one_integration(channel_bank):
-    # solve_ivp's t_eval samples the dense output without steering the
-    # steps, so each verify grid cut from the shared integration is
+    # lie_channel.solve samples the dense output without letting the grid
+    # steer the steps, so each verify grid cut from the shared integration is
     # bit-identical to an integration on that grid alone
     p = PRESETS["A"].params
     series = _shared_wei_norman(IntegratorSettings())
@@ -315,6 +319,7 @@ def test_unusable_tolerance_exits_2(capsys, argv):
 @pytest.mark.parametrize("flag, value", [
     ("--beta2", "1.5"), ("--beta2", "-0.1"), ("--beta2-steps", "0"),
     ("--tmax", "0"), ("--tmax", "-1"), ("--t-steps", "0"),
+    ("--phase", "inf"), ("--phase", "nan"),
 ])
 def test_sweep_rejects_unusable_grid_flags(capsys, flag, value):
     code, out, err = run_cli(capsys, "sweep", "--preset", "C", flag, value)
@@ -330,6 +335,76 @@ def test_verify_abbreviated_preset_runs_only_that_preset(capsys):
     names = [line.split("\t")[0] for line in out.splitlines()]
     assert [n for n in names if n.startswith("direct_vs_channel")] == [
         "direct_vs_channel[C]"]
+
+
+def test_verify_rejects_the_rwa_preset(capsys):
+    # its placeholder omega0 would check preset B's generator again under
+    # the name RWA; rwa_residual covers the rotating-wave channel
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "RWA"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err and "Traceback" not in captured.err
+
+
+# the package sources, for checks that need a fresh interpreter
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# sweep and report run on NumPy alone; verify imports SciPy on first use
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from beyondrwa import cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": loaded()}
+for argv in (["sweep", "--preset", "A"],
+             ["report", "--preset", "RWA", "--beta2", "0.5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen[argv[0]] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--preset", "C"]) == 0
+seen["verify"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_sweep_and_report_never_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["sweep"] == seen["report"] == []
+    assert "scipy.integrate" in seen["verify"]
+
+
+# records OpenBLAS's thread timeout at the moment NumPy is first imported
+BLAS_PROBE = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import beyondrwa
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "24"), ("20", "20")])
+def test_blas_threads_sleep_unless_the_caller_chose(preset, want):
+    # OpenBLAS reads the timeout when NumPy loads it, so the package sets
+    # it before its first NumPy import, and keeps a value already set
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want]
 
 
 def test_verify_rejects_parameter_overrides(capsys):

@@ -196,6 +196,21 @@ def test_coefficients_on_arrays_match_scalar_calls(name):
     assert np.array_equal(trunc.nu_minus, p.lam * kernels.f(ts, p))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_coefficients_at_a_float_equal_the_array_call(name):
+    # a float t takes the Python-scalar path of the adaptive integrators;
+    # it must give the array path's numbers to the bit, signed zeros too
+    p = PRESET_PARAMS[name]
+    for t in np.concatenate(([0.0, 1e-9, 2e-5], np.linspace(0.01, 20.0, 401))):
+        one = kernels.coefficients(float(t), p)
+        grid = kernels.coefficients(np.array([t]), p)
+        assert type(one.eps_plus) is complex and type(one.nu0) is float
+        for field in kernels.CoefficientSet._fields:
+            got = np.complex128(getattr(one, field))
+            want = np.complex128(np.ravel(getattr(grid, field))[0])
+            assert got.tobytes() == want.tobytes(), (field, t)
+
+
 def test_nu_plus_goes_negative():
     # the upward population rate is genuinely sign-indefinite
     p = PRESET_PARAMS["B"]

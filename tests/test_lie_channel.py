@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series
 
 from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa.errors import BlowupError, DomainError, GridError
-from beyondrwa.lie_channel import (MIN_REL_TOL, IntegratorSettings,
-                                   apply_channel, channel_at, integrate,
-                                   magnus_step, propagate, step_cap,
+from beyondrwa.lie_channel import (BLOWUP_THRESHOLD, MIN_REL_TOL,
+                                   IntegratorSettings, apply_channel,
+                                   channel_at, integrate, magnus_step,
+                                   propagate, solve, step_cap,
                                    transfer_matrix)
 
 P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
@@ -136,18 +138,80 @@ def test_settings_reject_unusable_tolerance(rel_tol):
     assert IntegratorSettings(rel_tol=MIN_REL_TOL).rel_tol == MIN_REL_TOL
 
 
-def test_blowup_reports_failure_time_and_prefix():
+def _tan_riccati(t, p):
     # j+' = 1 + j+^2 is solved by tan t, which blows up at pi/2
-    riccati = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j,
-                                                  0.0, 0.0, 0.0)
+    return kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)
+
+
+def test_blowup_reports_failure_time_and_prefix():
     times = np.linspace(0.0, 2.0, 11)
     with pytest.raises(BlowupError) as exc:
-        integrate(P_C, times, coefficient_fn=riccati,
+        integrate(P_C, times, coefficient_fn=_tan_riccati,
                   decay_exponent_fn=lambda t, p: 0.0)
     err = exc.value
     assert abs(err.t_fail - math.pi / 2.0) < 1e-6
     assert 0 < len(err.partial) < times.size
     assert np.all(err.partial.t < err.t_fail)
+    # before the first sample time the prefix is empty
+    with pytest.raises(BlowupError) as exc:
+        integrate(P_C, [2.0, 3.0], coefficient_fn=_tan_riccati,
+                  decay_exponent_fn=lambda t, p: 0.0)
+    assert len(exc.value.partial) == 0
+
+
+def _solve_ivp_reference(fun, y0, ts, max_step, limit=None):
+    """solve_ivp's RK45 on the same problem, with max|y| >= limit as a
+    terminal event when a limit is given; the loop solve replaced."""
+    events = None
+    if limit is not None:
+        events = lambda t, y: float(np.max(np.abs(y))) - limit
+        events.terminal, events.direction = True, 1.0
+    settings = IntegratorSettings()
+    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method="RK45", t_eval=ts,
+                     rtol=settings.rel_tol, atol=settings.rel_tol,
+                     max_step=max_step, events=events)
+
+
+@pytest.mark.parametrize("route", ["wei_norman_A", "direct_B_plus"])
+def test_solve_matches_solve_ivp(route):
+    # the shared loop steps scipy's RK45 and samples its dense output as
+    # solve_ivp(t_eval=...) does: same samples to the bit, same work
+    if route == "wei_norman_A":
+        p, y0 = P_A, np.zeros(9)
+        fun = lambda t, y: lie_channel._rhs(t, y, p, kernels.coefficients)
+    else:
+        p, y0 = P_B, [0.5, 0.5, 0.0, 0.5]
+        fun = lambda t, y: oracle._direct_rhs(t, y, p, kernels.coefficients)
+    ts = GAMMA_T_GRID / p.gamma
+    cap = step_cap(p, IntegratorSettings())
+    ref = _solve_ivp_reference(fun, y0, ts, cap)
+    got = solve(fun, y0, ts, IntegratorSettings(), cap)
+    assert ref.status == 0 and got.t_fail is None
+    assert got.t.tobytes() == ref.t.tobytes()
+    assert got.y.tobytes() == ref.y.tobytes()
+    assert got.nfev == ref.nfev
+
+
+def test_blowup_matches_solve_ivp_terminal_event():
+    times = np.linspace(0.0, 2.0, 11)
+    fun = lambda t, y: lie_channel._rhs(t, y, P_C, _tan_riccati)
+    cap = step_cap(P_C, IntegratorSettings())
+    ref = _solve_ivp_reference(fun, np.zeros(9), times, cap, BLOWUP_THRESHOLD)
+    assert ref.status == 1
+    got = solve(fun, np.zeros(9), times, IntegratorSettings(), cap,
+                limit=BLOWUP_THRESHOLD)
+    assert got.t_fail == ref.t_events[0][0]
+    assert got.t.tobytes() == ref.t.tobytes()
+    assert got.y.tobytes() == ref.y.tobytes()
+    assert got.nfev == ref.nfev
+    with pytest.raises(BlowupError) as exc:
+        integrate(P_C, times, coefficient_fn=_tan_riccati,
+                  decay_exponent_fn=lambda t, p: 0.0)
+    assert exc.value.t_fail == ref.t_events[0][0]
+    want = channel_at(ref.t, ref.y, np.zeros(ref.t.size))
+    for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r"):
+        assert (getattr(exc.value.partial, name).tobytes()
+                == getattr(want, name).tobytes()), name
 
 
 def test_overflow_prechecks():
