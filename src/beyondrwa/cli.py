@@ -160,15 +160,16 @@ def _fmt(v: float) -> str:
 
 def write_csv(surface: ConcurrenceSurface, stream: TextIO) -> None:
     """Rows in t-outer, beta^2-inner order, 17 significant digits; each
-    gamma_t and beta^2 is formatted once."""
+    gamma_t and beta^2 is formatted once and each row by one % operation."""
     stream.write("gamma_t,beta2,concurrence\n")
-    b2s = [_fmt(b2) for b2 in surface.beta2.tolist()]
+    # joined by gamma_t, the leading "" puts it before every cell's tail
+    tails = [""] + [f",{_fmt(b2)},%.17g\n" for b2 in surface.beta2.tolist()]
     for gt, row in zip(surface.gamma_t.tolist(), surface.values):
-        g = _fmt(gt)
         # one row of Python floats at a time: a whole-surface tolist() would
         # hold ~32 bytes per cell
-        stream.write("".join([f"{g},{b2},{_fmt(v)}\n"
-                              for b2, v in zip(b2s, row.tolist())]))
+        text = _fmt(gt).join(tails) % tuple(row.tolist())
+        # %g writes NaN as "nan", which no gamma_t or beta^2 string contains
+        stream.write(text.replace("nan", "NaN") if np.isnan(row).any() else text)
 
 
 def _open_out(path: Optional[str]):

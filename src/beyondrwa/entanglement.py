@@ -12,10 +12,11 @@ spin-flip construction is kept alongside as an independent oracle: the
 square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy) in
 decreasing order give C = max{0, l1 - l2 - l3 - l4}.
 
-Both entry points symmetrize their input first.  The integrated channel
-leaves ~1e-8 scale Hermiticity noise on evolved matrices, and taking the
-Hermitian part before either formula keeps the two routes within 1e-10 of
-each other instead of inheriting that noise.
+The integrated channel leaves ~1e-8 scale Hermiticity noise on evolved
+matrices, so neither route reads a raw element: the X route symmetrizes the
+six elements it reads (the diagonal, rho23 and rho14), the general oracle
+the whole matrix.  That keeps the two routes within 1e-10 of each other
+instead of inheriting the noise.
 
 The time-local generator is only approximately positive at strong coupling:
 short transients can push diagonal elements slightly negative (worst case
@@ -53,10 +54,15 @@ class ConcurrenceResult:
     c2: np.ndarray
 
 
-def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+def _states(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ShapeError(f"expected 4x4 matrices, got shape {rho.shape}")
+    return rho
+
+
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    rho = _states(rho)
     return (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2.0
 
 
@@ -67,17 +73,19 @@ def concurrence_xstate(rho: np.ndarray, diag_tol: float = 0.1) -> ConcurrenceRes
     NegativeDiagonalError, milder transient negativity is tolerated and the
     products under the square roots are clamped at zero.
     """
-    rh = _hermitian_part(rho)
-    if not is_x_state(rho, tol=0.0):
+    rho = _states(rho)
+    if not is_x_state(rho):
         raise ShapeError("closed-form branches require an exact X-state")
-    d = np.real(np.diagonal(rh, axis1=-2, axis2=-1))
+    d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
     if d.size and d.min() < -diag_tol:
         raise NegativeDiagonalError(
             f"diagonal element {d.min():.3g} below -{diag_tol:g}"
         )
     d = np.moveaxis(d, -1, 0)
-    c1 = 2.0 * (np.abs(rh[..., 1, 2]) - np.sqrt(np.maximum(d[0] * d[3], 0.0)))
-    c2 = 2.0 * (np.abs(rh[..., 0, 3]) - np.sqrt(np.maximum(d[1] * d[2], 0.0)))
+    r23 = (rho[..., 1, 2] + np.conj(rho[..., 2, 1])) / 2.0
+    r14 = (rho[..., 0, 3] + np.conj(rho[..., 3, 0])) / 2.0
+    c1 = 2.0 * (np.abs(r23) - np.sqrt(np.maximum(d[0] * d[3], 0.0)))
+    c2 = 2.0 * (np.abs(r14) - np.sqrt(np.maximum(d[1] * d[2], 0.0)))
     return ConcurrenceResult(value=np.maximum(0.0, np.maximum(c1, c2)), c1=c1, c2=c2)
 
 

@@ -98,11 +98,10 @@ def evolve_pair(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     return _pair_shuffle(out, out.shape[:-1]).reshape(out.shape[:-1] + (4, 4))
 
 
-def is_x_state(rho: np.ndarray, tol: float = 0.0) -> bool:
+def is_x_state(rho: np.ndarray) -> bool:
     """True when every element outside the diagonal+antidiagonal X pattern
-    has magnitude <= tol, in every matrix of a stack (..., 4, 4)."""
-    rho = np.asarray(rho)
-    return bool(np.all(np.abs(rho[..., _NON_X]) <= tol))
+    is exactly zero (NaN is not), in every matrix of a stack (..., 4, 4)."""
+    return not np.asarray(rho)[..., _NON_X].any()
 
 
 def explicit_elements(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def explicit_elements(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ShapeError(f"joint state must be 4x4, got {rho0.shape}")
-    if not is_x_state(rho0, tol=0.0):
+    if not is_x_state(rho0):
         raise ShapeError("explicit element formulas require an exact X-state input")
 
     l, m, n, p = series.l, series.m, series.n, series.p

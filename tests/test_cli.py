@@ -130,14 +130,15 @@ def test_trace_blowup_writes_nan_rows(capsys):
     assert all(line.split(",")[1:] == ["NaN"] * 13 for line in lines[4:])
 
 
-def _direct_series(p, times) -> ChannelSeries:
+def _direct_series(p, times, settings=None) -> ChannelSeries:
     """The channel rebuilt from the direct route on four Hermitian probes
-    (the map is linear, so the images of |1><0| and |0><1| follow)."""
+    (the map is linear, so the images of |1><0| and |0><1| follow), solved
+    with `settings` (IntegratorSettings() when None)."""
     probes = (np.array([[1, 0], [0, 0]], complex),
               np.array([[0, 0], [0, 1]], complex),
               np.array([[0.5, 0.5], [0.5, 0.5]], complex),
               np.array([[0.5, -0.5j], [0.5j, 0.5]], complex))
-    e, g, x, y = (oracle.integrate_master_direct(p, rho0, times)
+    e, g, x, y = (oracle.integrate_master_direct(p, rho0, times, settings)
                   for rho0 in probes)
     up = (2.0 * x - e - g + 1j * (2.0 * y - e - g)) / 2.0     # image of |1><0|
     down = (2.0 * x - e - g - 1j * (2.0 * y - e - g)) / 2.0   # image of |0><1|
@@ -162,6 +163,20 @@ def test_sweep_runs_past_the_wei_norman_overflow(capsys):
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     ref = concurrence_xstate(evolve_pair(_direct_series(p, gts), rho0)).value
     assert np.max(np.abs(vals - ref)) < 1e-6
+
+
+def test_propagate_matches_a_tight_direct_reference_off_preset_a():
+    # omega0 and lam of a perturbed preset A where the direct route at the
+    # default rel_tol 1e-9 is itself about 2e-6 off (at gamma t = 0.5,
+    # beta^2 = 0.5); against a 1e-12 reference the propagator is within 4e-7
+    p = BathParams(omega0=100.50897508788049, gamma=1.0, lam=10.02429376385862)
+    gts = np.linspace(0.0, 1.0, 21)
+    rho0s = np.array([initial_state(BellFamilyState("phi", math.sqrt(b2)))
+                      for b2 in beta2_grid(51)])
+    got = concurrence_xstate(evolve_pair(lie_channel.propagate(p, gts), rho0s))
+    ref = concurrence_xstate(evolve_pair(
+        _direct_series(p, gts, IntegratorSettings(rel_tol=1e-12)), rho0s))
+    assert np.max(np.abs(got.value - ref.value)) < 1e-6
 
 
 def test_parameter_overrides_and_seedless(capsys):
@@ -203,6 +218,9 @@ def test_write_csv_matches_per_cell_formatting():
     values[4, 1] = np.nan
     values[:, 3] = np.nan
     values[5, 0] = -0.0
+    values[6] = np.nan
+    values[1] = [np.inf, -np.inf, 5e-324, 0.1 + 0.2]
+    values[3, :3] = [1.0 / 3.0, 2.0 ** -1074 * 3, -np.nextafter(1.0, 2.0)]
     surface = ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
     out = io.StringIO()
     write_csv(surface, out)
@@ -211,7 +229,16 @@ def test_write_csv_matches_per_cell_formatting():
         for j, b2 in enumerate(b2s):
             expected.append(f"{_fmt(gt)},{_fmt(b2)},{_fmt(values[i, j])}\n")
     assert out.getvalue() == "".join(expected)
-    assert "NaN" in out.getvalue() and ",0\n" in out.getvalue()
+    text = out.getvalue()
+    assert "NaN" in text and "nan" not in text and ",0\n" in text
+    assert ",inf\n" in text and ",-inf\n" in text
+    assert ",4.9406564584124654e-324\n" in text
+    assert ",0.30000000000000004\n" in text and ",-1.0000000000000002\n" in text
+    # no beta^2 column: the header alone, as with the per-cell join
+    out = io.StringIO()
+    write_csv(ConcurrenceSurface(gamma_t=gts, beta2=b2s[:0],
+                                 values=values[:, :0]), out)
+    assert out.getvalue() == "gamma_t,beta2,concurrence\n"
 
 
 def test_verify_all_pass_on_cheap_preset(capsys):

@@ -123,6 +123,78 @@ def test_shape_rejection():
         concurrence_xstate(non_x)
 
 
+def _xstate_reference(rho):
+    """The closed form on the full Hermitian part, as first written: the
+    reference that concurrence_xstate must match bit for bit."""
+    rh = (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2.0
+    d = np.moveaxis(np.real(np.diagonal(rh, axis1=-2, axis2=-1)), -1, 0)
+    c1 = 2.0 * (np.abs(rh[..., 1, 2]) - np.sqrt(np.maximum(d[0] * d[3], 0.0)))
+    c2 = 2.0 * (np.abs(rh[..., 0, 3]) - np.sqrt(np.maximum(d[1] * d[2], 0.0)))
+    return np.maximum(0.0, np.maximum(c1, c2)), c1, c2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def test_xstate_reads_six_elements_bit_for_bit():
+    rng = np.random.default_rng(9)
+    shape = (6, 40)
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    x = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+    # X elements with non-Hermitian noise: complex diagonals and
+    # antidiagonal pairs that are not each other's conjugates
+    rho[..., x] = (rng.normal(size=shape + (8,))
+                   + 1j * rng.normal(size=shape + (8,)))
+    rho[..., x] *= rng.choice([1e-12, 1e-8, 0.1, 1.0], size=shape + (8,))
+    diag = np.arange(4)
+    rho[..., diag, diag] = np.abs(rho[..., diag, diag]) + 1e-9j
+    # mildly negative diagonals, so the products under the roots clamp
+    rho[0, :, 3, 3] = -rng.uniform(0.0, 0.1, size=shape[1])
+    rho[1, :, 1, 1] = -0.05
+    rho[2, ::3, 0, 0] = -0.0
+    # weak coherences, so both branches go negative and C clamps at zero
+    rho[2][..., x & ~np.eye(4, dtype=bool)] *= 1e-6
+    # NaN cells on the diagonal and on the antidiagonal
+    rho[3, 0, 0, 0] = np.nan
+    rho[3, 1, 1, 2] = np.nan
+    rho[3, 2, 3, 0] = complex(0.0, np.nan)
+    rho[4, 3, 2, 2] = complex(np.nan, np.nan)
+    res = concurrence_xstate(rho)
+    for got, want in zip((res.value, res.c1, res.c2), _xstate_reference(rho)):
+        assert _same_bits(got, want)
+    assert np.isnan(res.value[3, :3]).all() and np.isnan(res.value[4, 3])
+    assert np.isfinite(res.value[5]).all() and (res.value[2] == 0.0).any()
+    # one state gives the same floats
+    one = concurrence_xstate(rho[5, 7])
+    assert all(_same_bits(g, w) for g, w in
+               zip((one.value, one.c1, one.c2), _xstate_reference(rho[5, 7])))
+
+
+def test_xstate_guards_keep_their_order_and_messages():
+    with pytest.raises(ShapeError, match="expected 4x4 matrices"):
+        concurrence_xstate(np.eye(3))
+    with pytest.raises(ShapeError, match="expected 4x4 matrices"):
+        concurrence_xstate(np.zeros((2, 4, 3)))
+    # the X check comes before the diagonal guard, and NaN is not zero
+    non_x = np.diag([0.6, 0.3, 0.3, -0.9]).astype(complex)
+    non_x[0, 1] = 1e-300
+    with pytest.raises(ShapeError, match="exact X-state"):
+        concurrence_xstate(non_x)
+    nan_off_x = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    nan_off_x[2, 0] = np.nan
+    with pytest.raises(ShapeError, match="exact X-state"):
+        concurrence_xstate(np.array([np.eye(4), nan_off_x]))
+    with pytest.raises(NegativeDiagonalError, match="-0.2 below -0.1"):
+        concurrence_xstate(np.diag([0.6, 0.3, 0.3, -0.2]).astype(complex))
+    # the guard reads the real part only
+    imag = np.diag([0.6, 0.3, 0.3, 0.1 - 5.0j])
+    assert concurrence_xstate(imag).value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sudden-death detection
 

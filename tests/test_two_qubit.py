@@ -57,7 +57,7 @@ def test_initial_state_is_pure_and_unit_trace(family, beta2, phase):
     rho = initial_state(BellFamilyState(family, math.sqrt(beta2), phase))
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(rho @ rho, rho, rtol=0, atol=1e-12)
-    assert is_x_state(rho, tol=0.0)
+    assert is_x_state(rho)
 
 
 def test_identity_channel_fixes_states():
@@ -94,7 +94,7 @@ def test_x_sparsity_closure_is_algebraic(cf, beta2):
     # X slots to non-X slots
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(beta2), 0.7))
     out = evolve_pair(cf, rho0)
-    assert is_x_state(out, tol=0.0)
+    assert is_x_state(out)
 
 
 def test_dual_path_agreement_and_rho22_gap(channel_bank):
