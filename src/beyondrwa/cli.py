@@ -3,14 +3,17 @@
 Four subcommands:
 
 * sweep  - concurrence over a (gamma_t, beta^2) grid, CSV output
-* verify - run the oracle cross-check suite, one PASS/FAIL line per check
+* verify - run the oracle checks of CHECKS, one PASS/FAIL line per record
 * report - death/revival/plateau summary per beta^2 row of a sweep
-* trace  - dump channel coefficients along a single trajectory
+  (at least 3 time samples)
+* trace  - dump channel coefficients along a single trajectory; it evolves
+  no pair state, so it takes no --state, --beta2, --phase or --beta2-steps
 
 sweep and report take the channel from lie_channel.propagate (fixed Magnus
 steps, no tolerance to set) and run on NumPy alone; trace and verify
 integrate the Wei-Norman equations adaptively through lie_channel.solve,
-take --rel-tol, and import SciPy when they first need it.
+take --rel-tol, and import SciPy when they first need it.  run_checks
+integrates each verified preset once; the tests call the same checks.
 
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import kernels, lie_channel, oracle
 from .entanglement import concurrence_general, concurrence_xstate, detect_esd
-from .errors import BeyondRwaError, BlowupError, DomainError, GridError, IoError
+from .errors import BeyondRwaError, BlowupError, DomainError, IoError
 from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
 from .two_qubit import BellFamilyState, evolve_pair, explicit_elements, initial_state
@@ -182,13 +185,14 @@ def _open_out(path: Optional[str]):
 
 
 def _check_grid_flags(args) -> None:
-    """DomainError, naming the flag, for a grid the sweep cannot sample."""
-    if args.beta2 is not None and not 0.0 <= args.beta2 <= 1.0:
-        raise DomainError(f"--beta2 must lie in [0, 1], got {args.beta2:g}")
-    if not math.isfinite(args.phase):
-        raise DomainError(f"--phase must be finite, got {args.phase:g}")
-    if args.beta2_steps < 1:
-        raise DomainError(f"--beta2-steps must be at least 1, got {args.beta2_steps}")
+    """DomainError, naming the flag, for a grid the command cannot sample."""
+    if "beta2" in args:   # trace evolves no pair state and has no beta^2 grid
+        if args.beta2 is not None and not 0.0 <= args.beta2 <= 1.0:
+            raise DomainError(f"--beta2 must lie in [0, 1], got {args.beta2:g}")
+        if not math.isfinite(args.phase):
+            raise DomainError(f"--phase must be finite, got {args.phase:g}")
+        if args.beta2_steps < 1:
+            raise DomainError(f"--beta2-steps must be at least 1, got {args.beta2_steps}")
     if args.t_steps < 1:
         raise DomainError(f"--t-steps must be at least 1, got {args.t_steps}")
     # a single sample may sit at t = 0; more samples need a span to spread over
@@ -213,20 +217,17 @@ def _spec_from_args(args) -> SweepSpec:
         params = dataclasses.replace(params, **overrides)
 
     channel = "rwa" if args.preset == "RWA" else "full"
-    if getattr(args, "truncated_rwa", False):
+    if args.truncated_rwa:
         if channel == "rwa":
             raise DomainError("--truncated-rwa does not combine with preset RWA")
         channel = "truncated"
 
-    return SweepSpec(
-        params=params,
-        channel=channel,
-        family=args.state,
-        beta2_values=beta2_grid(args.beta2_steps, args.beta2),
-        eta_phase=args.phase,
-        t_max=args.tmax,
-        t_steps=args.t_steps,
-    )
+    pair = {}
+    if "beta2" in args:
+        pair = dict(family=args.state, eta_phase=args.phase,
+                    beta2_values=beta2_grid(args.beta2_steps, args.beta2))
+    return SweepSpec(params=params, channel=channel, t_max=args.tmax,
+                     t_steps=args.t_steps, **pair)
 
 
 def cmd_sweep(args) -> int:
@@ -241,109 +242,65 @@ def cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
-
-def _check_line(name: str, dev: float, bound: float, lines: list) -> None:
-    status = "PASS" if dev < bound else "FAIL"
-    lines.append(f"{name}\t{dev:.6g}\t{bound:g}\t{status}")
-
-
-# sample counts of the verify grids, each over gamma*t in [0, 10]: the
-# direct comparisons, the two-qubit dual path and the concurrence dual path
-DIRECT_STEPS, TWO_QUBIT_STEPS, CONCURRENCE_STEPS = 201, 21, 20
+# verify: a registry of oracle checks.  Each check is called as
+# check(presets, settings, wei_norman) and yields (name, deviation, bound)
+# records; a record passes when deviation < bound.
 
 # the presets whose full generator verify checks
 VERIFY_PRESETS = ("A", "B", "C")
 
 
-def _verify_grid(p: BathParams, steps: int) -> np.ndarray:
-    return np.linspace(0.0, 10.0 / p.gamma, steps)
+def _verify_grid(p: BathParams) -> np.ndarray:
+    """201 points over gamma*t in [0, 10]; the dual paths and rwa_residual
+    read every 10th, which is bit for bit np.linspace(0, 10/gamma, 21)."""
+    return np.linspace(0.0, 10.0 / p.gamma, 201)
 
 
-def _shared_wei_norman(settings: IntegratorSettings):
-    """A function (preset, steps) -> the Wei-Norman series on that preset's
-    verify grid of `steps` points.
-
-    Each preset is integrated once, when a check first asks for it, on the
-    union of all the verify grids; every grid is then a slice of that one
-    series.  lie_channel.solve only samples the dense output at the grid
-    and never lets it steer the steps, so a slice is bit-identical to
-    integrating on its grid alone.  An exception is kept and raised again
-    for every later request of the same preset, as a separate integration
-    would raise it.
-    """
-    done: dict = {}
-
-    def series(pr: Preset, steps: int) -> ChannelSeries:
-        if pr.name not in done:
-            union = np.unique(np.concatenate(
-                [_verify_grid(pr.params, n)
-                 for n in (DIRECT_STEPS, TWO_QUBIT_STEPS, CONCURRENCE_STEPS)]))
-            try:
-                done[pr.name] = lie_channel.integrate(pr.params, union, settings)
-            except Exception as err:
-                done[pr.name] = err
-        full = done[pr.name]
-        if isinstance(full, Exception):
-            raise full
-        ts = _verify_grid(pr.params, steps)
-        idx = np.searchsorted(full.t, ts)
-        if idx[-1] == len(full) or not np.array_equal(full.t[idx], ts):
-            raise GridError(f"the shared series of preset {pr.name} does not "
-                            f"hold the {steps}-point verify grid")
-        return full[idx]
-
-    return series
-
-
-def _verify_direct(presets, settings, wei_norman, lines) -> None:
-    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+def check_direct(presets, settings, wei_norman):
+    probes = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),   # excited
+              np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))   # plus
     for pr in presets:
         p = pr.params
-        ts = _verify_grid(p, DIRECT_STEPS)
-        probes = (excited, plus)
+        ts = _verify_grid(p)
         direct = [oracle.integrate_master_direct(p, rho0, ts, settings)
                   for rho0 in probes]
-        for name, series in (
-                ("direct_vs_channel", wei_norman(pr, DIRECT_STEPS)),
-                ("magnus_vs_direct", lie_channel.propagate(p, ts))):
+        for name, series in (("direct_vs_channel", wei_norman(pr)),
+                             ("magnus_vs_direct", lie_channel.propagate(p, ts))):
             dev = max(float(np.max(np.abs(apply_channel(series, rho0) - ref)))
                       for rho0, ref in zip(probes, direct))
-            _check_line(f"{name}[{pr.name}]", dev, 1e-6, lines)
+            yield f"{name}[{pr.name}]", dev, 1e-6
 
     mixed = np.eye(2, dtype=complex) / 2.0
     p = PRESETS["C"].params
-    direct = oracle.integrate_master_direct(
-        p, mixed, _verify_grid(p, DIRECT_STEPS), settings)
+    direct = oracle.integrate_master_direct(p, mixed, _verify_grid(p), settings)
     traces = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
-    _check_line("direct_trace[C]", float(traces.max()), 1e-8, lines)
+    yield "direct_trace[C]", float(traces.max()), 1e-8
 
 
-def _verify_two_qubit(wei_norman, lines) -> None:
-    series = wei_norman(PRESETS["C"], TWO_QUBIT_STEPS)
+def check_two_qubit(presets, settings, wei_norman):
+    series = wei_norman(PRESETS["C"])[::10]
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     diff = evolve_pair(series, rho0) - explicit_elements(series, rho0)
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 1] = False
     expected_gap = ((series.l * series.n - series.l * series.m)
                     * np.exp(-2.0 * series.gamma_k) * rho0[1, 1])
-    _check_line("two_qubit_dual_path", float(np.max(np.abs(diff[:, mask]))),
-                1e-12, lines)
-    _check_line("two_qubit_rho22_gap",
-                float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12, lines)
+    yield "two_qubit_dual_path", float(np.max(np.abs(diff[:, mask]))), 1e-12
+    yield ("two_qubit_rho22_gap",
+           float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12)
 
 
-def _verify_concurrence(presets, wei_norman, lines) -> None:
+def check_concurrence(presets, settings, wei_norman):
     b2s = np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20)
     dev = 0.0
-    gated = 0
+    gated = total = 0
     for pr in presets:
-        series = wei_norman(pr, CONCURRENCE_STEPS)
+        series = wei_norman(pr)[::10]
         for family in ("phi", "psi"):
             rho = evolve_pair(series, _initial_states(family, b2s))
             general = concurrence_general(rho)
             kept = ~np.isnan(general)   # NaN: transient negativity, oracle declines
+            total += kept.size
             gated += int(kept.size - kept.sum())
             closed = concurrence_xstate(rho[kept]).value
             dev = max(dev, float(np.max(np.abs(closed - general[kept]),
@@ -351,64 +308,73 @@ def _verify_concurrence(presets, wei_norman, lines) -> None:
     if gated:
         print(f"note: {gated} grid states skipped by the positivity gate",
               file=sys.stderr)
-    _check_line("concurrence_dual_path", dev, 1e-10, lines)
+    # as criterion 03: a comparison that skips a quarter of its states or
+    # more shows nothing
+    yield "concurrence_dual_path", dev if 4 * gated < total else math.inf, 1e-10
 
 
-def _verify_kernels(presets, lines) -> None:
-    ts = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-    devs = {"alpha1": 0.0, "alpha2": 0.0, "alpha": 0.0,
-            "alpha_tilde": 0.0, "decay_exponent": 0.0}
-    for pr in presets:
-        p = pr.params
-        for gt in ts:
-            t = gt / p.gamma
-            devs["alpha1"] = max(devs["alpha1"], abs(
-                kernels.alpha1(t, p) - oracle.alpha1_quadrature(t, p)))
-            devs["alpha2"] = max(devs["alpha2"], abs(
-                kernels.alpha2(t, p) - oracle.alpha2_quadrature(t, p)))
-            devs["alpha"] = max(devs["alpha"], abs(
-                kernels.alpha(t, p) - oracle.alpha_quadrature(t, p)))
-            devs["alpha_tilde"] = max(devs["alpha_tilde"], abs(
-                kernels.alpha_tilde(t, p) - oracle.alpha_tilde_quadrature(t, p)))
-            devs["decay_exponent"] = max(devs["decay_exponent"], abs(
-                kernels.decay_exponent(t, p) - oracle.decay_exponent_quadrature(t, p)))
-    _check_line("kernel_alpha1", devs["alpha1"], 1e-10, lines)
-    _check_line("kernel_alpha2", devs["alpha2"], 1e-10, lines)
-    _check_line("kernel_alpha", devs["alpha"], 1e-10, lines)
-    _check_line("kernel_alpha_tilde", devs["alpha_tilde"], 1e-8, lines)
-    _check_line("kernel_decay_exponent", devs["decay_exponent"], 1e-8, lines)
+# kernels.<name> against oracle.<name>_quadrature, both looked up at call
+# time, with the bound of kernel_<name>
+KERNEL_BOUNDS = (("alpha1", 1e-10), ("alpha2", 1e-10), ("alpha", 1e-10),
+                 ("alpha_tilde", 1e-8), ("decay_exponent", 1e-8))
 
 
-def _verify_rwa(lines) -> None:
+def check_kernels(presets, *_):
+    points = [(gt / pr.params.gamma, pr.params) for pr in presets
+              for gt in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
+    for name, bound in KERNEL_BOUNDS:
+        closed = getattr(kernels, name)
+        quadrature = getattr(oracle, f"{name}_quadrature")
+        yield (f"kernel_{name}", float(np.max(
+            [abs(closed(t, p) - quadrature(t, p)) for t, p in points])), bound)
+
+
+def check_rwa(*_):
     p = PRESETS["RWA"].params
-    res = oracle.rwa_residual(p, np.linspace(0.0, 10.0 / p.gamma, 21))
-    _check_line("rwa_residual", res, 1e-6, lines)
+    yield "rwa_residual", oracle.rwa_residual(p, _verify_grid(p)[::10]), 1e-6
+
+
+# in print order
+CHECKS = (check_direct, check_two_qubit, check_concurrence, check_kernels,
+          check_rwa)
+
+
+def run_checks(presets, settings: IntegratorSettings):
+    """The records of every check in CHECKS, over one Wei-Norman
+    integration per preset on its verify grid, made when a check first asks
+    for it.  An integration that raises is not attempted again: each later
+    request raises the same error.  A check that raises keeps the records
+    it yielded and adds aborted_<Error>, deviation inf, bound 0."""
+    done: dict = {}
+
+    def wei_norman(pr: Preset) -> ChannelSeries:
+        if pr.name not in done:
+            try:
+                done[pr.name] = lie_channel.integrate(
+                    pr.params, _verify_grid(pr.params), settings)
+            except Exception as err:
+                done[pr.name] = err
+        if isinstance(done[pr.name], Exception):
+            raise done[pr.name]
+        return done[pr.name]
+
+    for check in CHECKS:
+        try:
+            yield from check(presets, settings, wei_norman)
+        except Exception as err:   # a failed oracle is a FAIL line, not a crash
+            print(f"warning: check group raised {type(err).__name__}: {err}",
+                  file=sys.stderr)
+            yield f"aborted_{type(err).__name__}", math.inf, 0.0
 
 
 def cmd_verify(args) -> int:
     names = VERIFY_PRESETS if args.preset is None else (args.preset,)
-    presets = [PRESETS[k] for k in names]
-    settings = IntegratorSettings(rel_tol=args.rel_tol,
-                                  cap_step=not args.uncap_step)
-    wei_norman = _shared_wei_norman(settings)
-    lines: list = []
-    groups = (
-        lambda: _verify_direct(presets, settings, wei_norman, lines),
-        lambda: _verify_two_qubit(wei_norman, lines),
-        lambda: _verify_concurrence(presets, wei_norman, lines),
-        lambda: _verify_kernels(presets, lines),
-        lambda: _verify_rwa(lines),
-    )
-    for group in groups:
-        try:
-            group()
-        except Exception as err:   # a failed oracle is a FAIL line, not a crash
-            print(f"warning: check group raised {type(err).__name__}: {err}",
-                  file=sys.stderr)
-            _check_line(f"aborted_{type(err).__name__}", math.inf, 0.0, lines)
-    for line in lines:
-        print(line)
-    return 0 if all(line.endswith("PASS") for line in lines) else 1
+    records = list(run_checks([PRESETS[k] for k in names],
+                              IntegratorSettings(rel_tol=args.rel_tol,
+                                                 cap_step=not args.uncap_step)))
+    for name, dev, bound in records:
+        print(f"{name}\t{dev:.6g}\t{bound:g}\t{'PASS' if dev < bound else 'FAIL'}")
+    return 0 if all(dev < bound for _, dev, bound in records) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +398,11 @@ def _plateau(gts: np.ndarray, vals: np.ndarray):
 
 
 def cmd_report(args) -> int:
+    # detect_esd and the plateau slopes need three samples; refuse fewer
+    # before the header is written
+    if args.t_steps < 3:
+        raise DomainError(f"--t-steps must be at least 3 for a report, "
+                          f"got {args.t_steps}")
     spec = _spec_from_args(args)
     surface = compute_surface(spec)
     stream, owned = _open_out(args.out)
@@ -521,23 +492,26 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override spectral width")
     grid.add_argument("--out", default=None, metavar="PATH",
                       help="output file (default stdout)")
-    grid.add_argument("--state", choices=("phi", "psi"), default="phi",
-                      help="initial-state family (default phi)")
-    grid.add_argument("--beta2", type=float, default=None,
-                      help="single beta^2 value instead of a grid")
-    grid.add_argument("--phase", type=float, default=0.0,
-                      help="relative phase of the second amplitude")
     grid.add_argument("--tmax", type=float, default=10.0,
                       help="time range in gamma*t units (default 10)")
     grid.add_argument("--t-steps", type=int, default=201,
                       help="number of time samples (default 201)")
-    grid.add_argument("--beta2-steps", type=int, default=51,
-                      help="number of beta^2 samples (default 51)")
     grid.add_argument("--truncated-rwa", action="store_true",
                       help="exploratory mode: drop every counter-rotating "
                            "generator coefficient")
 
-    ps = sub.add_parser("sweep", parents=[common, grid],
+    # the initial pair states of sweep and report; trace evolves none
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--state", choices=("phi", "psi"), default="phi",
+                        help="initial-state family (default phi)")
+    states.add_argument("--beta2", type=float, default=None,
+                        help="single beta^2 value instead of a grid")
+    states.add_argument("--phase", type=float, default=0.0,
+                        help="relative phase of the second amplitude")
+    states.add_argument("--beta2-steps", type=int, default=51,
+                        help="number of beta^2 samples (default 51)")
+
+    ps = sub.add_parser("sweep", parents=[common, grid, states],
                         help="concurrence surface as CSV")
     ps.set_defaults(func=cmd_sweep)
 
@@ -550,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="debug: remove the oscillation-resolving step cap")
     pv.set_defaults(func=cmd_verify)
 
-    pr = sub.add_parser("report", parents=[common, grid],
+    pr = sub.add_parser("report", parents=[common, grid, states],
                         help="sudden-death and revival summary per beta^2")
     pr.set_defaults(func=cmd_report)
 

@@ -1,5 +1,7 @@
 """Command-line contract: CSV format, determinism, verify report shape."""
 
+import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 from beyondrwa import BathParams, lie_channel, oracle
-from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt,
-                           _shared_wei_norman, beta2_grid, main, write_csv)
+from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt, beta2_grid,
+                           main, write_csv)
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import ChannelSeries, IntegratorSettings
@@ -28,16 +30,11 @@ VERIFY_LINE = re.compile(r"^[\w\[\]]+\t\S+\t\S+\t(PASS|FAIL)$")
 VERIFY_CONTRACT = [
     *((f"{check}[{preset}]", "1e-06") for preset in "ABC"
       for check in ("direct_vs_channel", "magnus_vs_direct")),
-    ("direct_trace[C]", "1e-08"),
-    ("two_qubit_dual_path", "1e-12"),
-    ("two_qubit_rho22_gap", "1e-12"),
-    ("concurrence_dual_path", "1e-10"),
-    ("kernel_alpha1", "1e-10"),
-    ("kernel_alpha2", "1e-10"),
-    ("kernel_alpha", "1e-10"),
-    ("kernel_alpha_tilde", "1e-08"),
-    ("kernel_decay_exponent", "1e-08"),
-    ("rwa_residual", "1e-06"),
+    ("direct_trace[C]", "1e-08"), ("two_qubit_dual_path", "1e-12"),
+    ("two_qubit_rho22_gap", "1e-12"), ("concurrence_dual_path", "1e-10"),
+    ("kernel_alpha1", "1e-10"), ("kernel_alpha2", "1e-10"),
+    ("kernel_alpha", "1e-10"), ("kernel_alpha_tilde", "1e-08"),
+    ("kernel_decay_exponent", "1e-08"), ("rwa_residual", "1e-06"),
 ]
 
 
@@ -45,6 +42,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_2(capsys, *argv) -> str:
+    """stderr of a command that exits 2 with no output and no traceback."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    return err
 
 
 def test_presets_catalog():
@@ -114,8 +122,8 @@ def test_sweep_reuses_one_integration(capsys, monkeypatch):
     assert len(out.splitlines()) == 1 + 11 * 7
 
 
-BLOWUP_ARGS = ("--preset", "C", "--lambda", "100", "--beta2", "0.5",
-               "--tmax", "20", "--t-steps", "5")
+BLOWUP_ARGS = ("--preset", "C", "--lambda", "100", "--tmax", "20",
+               "--t-steps", "5")
 
 
 def test_trace_blowup_writes_nan_rows(capsys):
@@ -151,7 +159,7 @@ def _direct_series(p, times, settings=None) -> ChannelSeries:
 def test_sweep_runs_past_the_wei_norman_overflow(capsys):
     # the same arguments that cut trace to NaN: the sector propagators
     # stay bounded, and every row matches the direct route
-    code, out, err = run_cli(capsys, "sweep", *BLOWUP_ARGS)
+    code, out, err = run_cli(capsys, "sweep", *BLOWUP_ARGS, "--beta2", "0.5")
     assert code == 0
     assert err == ""
     rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
@@ -191,20 +199,16 @@ def test_parameter_overrides_and_seedless(capsys):
 @pytest.mark.parametrize("override", ["--omega0=inf", "--lambda=nan",
                                       "--gamma=-inf"])
 def test_sweep_rejects_non_finite_parameters(capsys, override):
-    code, out, err = run_cli(capsys, "sweep", "--preset", "C", override,
-                             "--t-steps", "3", "--tmax", "1")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err and "finite" in err and "Traceback" not in err
+    err = exit_2(capsys, "sweep", "--preset", "C", override, "--t-steps", "3",
+                 "--tmax", "1")
+    assert "error:" in err and "finite" in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "report"])
 def test_rel_tol_only_on_adaptive_commands(capsys, command):
     # sweep and report take fixed Magnus steps and have no tolerance to set
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--preset", "C", "--rel-tol", "1e-6"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+    assert "unrecognized arguments: --rel-tol" in exit_2(
+        capsys, command, "--preset", "C", "--rel-tol", "1e-6")
     code, _, _ = run_cli(capsys, "trace", "--preset", "C", "--rel-tol", "1e-6",
                          "--t-steps", "3", "--tmax", "1")
     assert code == 0
@@ -241,94 +245,99 @@ def test_write_csv_matches_per_cell_formatting():
     assert out.getvalue() == "gamma_t,beta2,concurrence\n"
 
 
-def test_verify_all_pass_on_cheap_preset(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--preset", "C")
-    lines = out.splitlines()
-    assert lines
-    assert all(VERIFY_LINE.match(line) for line in lines)
-    assert all(line.endswith("PASS") for line in lines)
-    assert code == 0
-    names = [line.split("\t")[0] for line in lines]
-    assert "direct_vs_channel[C]" in names
-    assert "magnus_vs_direct[C]" in names
-    assert "concurrence_dual_path" in names
-    assert "kernel_alpha_tilde" in names
-    assert "rwa_residual" in names
-
-
-def _count_solvers(monkeypatch):
-    """Wrap integrate and integrate_master_direct; returns the lists of
-    preset names they were called with."""
+def _count_solvers(monkeypatch, failing=""):
+    """Wrap integrate and integrate_master_direct to log the preset of each
+    call, and integrate to raise ToleranceError on the presets in `failing`;
+    returns the logs."""
     names = {pr.params: name for name, pr in PRESETS.items() if name != "RWA"}
     calls = {"integrate": [], "integrate_master_direct": []}
+
+    def counted(fname, fn, p, *args, **kwargs):
+        calls[fname].append(names[p])
+        if fname == "integrate" and names[p] in failing:
+            raise ToleranceError("integration failed: step size too small")
+        return fn(p, *args, **kwargs)
+
     for module, fname in ((lie_channel, "integrate"),
                           (oracle, "integrate_master_direct")):
-        monkeypatch.setattr(module, fname,
-                            lambda p, *a, _log=calls[fname],
-                            _fn=getattr(module, fname), **k:
-                            _log.append(names[p]) or _fn(p, *a, **k))
+        monkeypatch.setattr(module, fname, functools.partial(
+            counted, fname, getattr(module, fname)))
     return calls
 
 
-def test_verify_integrates_each_preset_once(capsys, monkeypatch):
-    # one Wei-Norman integration per preset serves all three verify grids;
-    # the output contract stays the 16 lines, in order, all passing
-    calls = _count_solvers(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify")
+@pytest.fixture(scope="session")
+def default_verify():
+    """Exit code, tab-split lines and solver calls of one default verify."""
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        calls = _count_solvers(mp)
+        code = main(["verify"])
+    return code, [line.split("\t") for line in out.getvalue().splitlines()], calls
+
+
+def test_verify_integrates_each_preset_once(default_verify):
+    # one Wei-Norman integration per preset serves every check; the output
+    # contract stays the 16 lines, in order
+    code, rows, calls = default_verify
     assert code == 0
-    rows = [line.split("\t") for line in out.splitlines()]
     assert [(r[0], r[2]) for r in rows] == VERIFY_CONTRACT
-    assert all(r[3] == "PASS" and float(r[1]) < float(r[2]) for r in rows)
-    assert calls["integrate"] == ["A", "B", "C"]
-    assert calls["integrate_master_direct"] == ["A", "A", "B", "B", "C", "C",
-                                                "C"]
+    assert calls == {"integrate": list("ABC"),
+                     "integrate_master_direct": list("AABBCCC")}
+
+
+@pytest.mark.parametrize("name, bound", VERIFY_CONTRACT,
+                         ids=[name for name, _ in VERIFY_CONTRACT])
+def test_verify_check_passes(default_verify, name, bound):
+    [row] = [r for r in default_verify[1] if r[0] == name]
+    assert row[2:] == [bound, "PASS"] and float(row[1]) < float(bound)
 
 
 def test_verify_one_preset_integrates_it_and_c(capsys, monkeypatch):
     # the two-qubit checks always run on preset C
     calls = _count_solvers(monkeypatch)
-    code, _, _ = run_cli(capsys, "verify", "--preset", "A")
-    assert code == 0
+    assert run_cli(capsys, "verify", "--preset", "A")[0] == 0
     assert calls["integrate"] == ["A", "C"]
 
 
-def test_verify_grids_are_slices_of_one_integration(channel_bank):
-    # lie_channel.solve samples the dense output without letting the grid
-    # steer the steps, so each verify grid cut from the shared integration is
-    # bit-identical to an integration on that grid alone
-    p = PRESETS["A"].params
-    series = _shared_wei_norman(IntegratorSettings())
-    alone = {201: channel_bank["A"].series}
-    for steps in (21, 20):
-        alone[steps] = lie_channel.integrate(
-            p, np.linspace(0.0, 10.0 / p.gamma, steps))
-    for steps, ref in alone.items():
-        got = series(PRESETS["A"], steps)
-        assert len(got) == steps
-        for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r", "gamma_k"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-
-
 def test_verify_survives_a_failing_integration(capsys, monkeypatch):
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(args[0])
-        raise ToleranceError("integration failed: step size too small")
-
-    monkeypatch.setattr(lie_channel, "integrate", failing)
+    calls = _count_solvers(monkeypatch, failing="C")
     code, out, err = run_cli(capsys, "verify", "--preset", "C")
     assert code == 1
-    names = [line.split("\t")[0] for line in out.splitlines()]
-    assert names == ["aborted_ToleranceError"] * 3 + [
-        "kernel_alpha1", "kernel_alpha2", "kernel_alpha",
-        "kernel_alpha_tilde", "kernel_decay_exponent", "rwa_residual"]
-    assert all(line.endswith("FAIL") for line in out.splitlines()[:3])
-    assert all(line.endswith("PASS") for line in out.splitlines()[3:])
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [r[0] for r in rows] == ["aborted_ToleranceError"] * 3 + [
+        name for name, _ in VERIFY_CONTRACT[-6:]]
+    assert [r[3] for r in rows] == ["FAIL"] * 3 + ["PASS"] * 6
     # the failure is remembered: the three check groups share one attempt
-    assert len(calls) == 1
+    assert calls["integrate"] == ["C"]
     assert err.count("warning: check group raised ToleranceError") == 3
     assert "Traceback" not in err
+
+
+def test_verify_keeps_the_records_before_a_failure_mid_group(capsys,
+                                                             monkeypatch):
+    # a check that raises keeps the records it already yielded; the checks
+    # that never ask for preset B still pass
+    calls = _count_solvers(monkeypatch, failing="B")
+    code, out, err = run_cli(capsys, "verify")
+    rows = [line.split("\t") for line in out.splitlines()]
+    aborted = ["aborted_ToleranceError", "inf", "0", "FAIL"]
+    names = [name for name, _ in VERIFY_CONTRACT]
+    assert [r[0] for r in rows] == [*names[:2], aborted[0], *names[7:9],
+                                    aborted[0], *names[10:]]
+    assert all(r == aborted or r[3] == "PASS" for r in rows)
+    assert code == 1 and err.count("warning: check group raised") == 2
+    assert calls == {"integrate": list("ABC"),
+                     "integrate_master_direct": list("AABB")}
+
+
+def test_verify_fails_when_the_oracle_refuses_every_state(capsys, monkeypatch):
+    # NaN is the spin-flip oracle's refusal; refusing all once read 0, PASS
+    monkeypatch.setattr("beyondrwa.cli.concurrence_general",
+                        lambda rho: np.full(rho.shape[:-2], np.nan))
+    code, out, err = run_cli(capsys, "verify", "--preset", "C")
+    assert code == 1 and "concurrence_dual_path\tinf\t1e-10\tFAIL" in out
+    assert "note: 840 grid states skipped" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,10 +346,8 @@ def test_verify_survives_a_failing_integration(capsys, monkeypatch):
     ("verify", "--rel-tol", "nan"),
 ])
 def test_unusable_tolerance_exits_2(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "error:" in err and "--rel-tol" in err and "Traceback" not in err
+    err = exit_2(capsys, *argv)
+    assert "error:" in err and "--rel-tol" in err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -349,30 +356,44 @@ def test_unusable_tolerance_exits_2(capsys, argv):
     ("--phase", "inf"), ("--phase", "nan"),
 ])
 def test_sweep_rejects_unusable_grid_flags(capsys, flag, value):
-    code, out, err = run_cli(capsys, "sweep", "--preset", "C", flag, value)
-    assert code == 2
-    assert out == ""
-    assert f"error: {flag} " in err and "Traceback" not in err
-    assert "strictly increasing" not in err
+    err = exit_2(capsys, "sweep", "--preset", "C", flag, value)
+    assert f"error: {flag} " in err and "strictly increasing" not in err
 
 
 def test_verify_abbreviated_preset_runs_only_that_preset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--pres", "C")
     assert code == 0
-    names = [line.split("\t")[0] for line in out.splitlines()]
-    assert [n for n in names if n.startswith("direct_vs_channel")] == [
-        "direct_vs_channel[C]"]
+    lines = out.splitlines()
+    assert all(VERIFY_LINE.match(line) and line.endswith("PASS")
+               for line in lines)
+    assert [line.split("\t")[0] for line in lines] == [
+        name for name, _ in VERIFY_CONTRACT if not name.endswith(("[A]", "[B]"))]
+
+
+# the flags of the initial pair states, which trace does not evolve
+PAIR_FLAGS = ("--state", "--beta2", "--phase", "--beta2-steps")
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"trace {flag} 1" for flag in PAIR_FLAGS),
+    "trace --tmax 0", "trace --tmax -1", "trace --t-steps 0",
+    "report --t-steps 1", "report --t-steps 2",   # a report needs 3 samples
+])
+def test_trace_and_report_reject_unusable_flags(tmp_path, capsys, argv):
+    # refused before any computing or writing
+    command, flag, value = argv.split()
+    path = tmp_path / "out.txt"
+    err = exit_2(capsys, command, "--preset", "RWA", flag, value,
+                 "--out", str(path))
+    assert (f"unrecognized arguments: {flag}" if flag in PAIR_FLAGS
+            else f"error: {flag} ") in err
+    assert not path.exists()
 
 
 def test_verify_rejects_the_rwa_preset(capsys):
     # its placeholder omega0 would check preset B's generator again under
     # the name RWA; rwa_residual covers the rotating-wave channel
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--preset", "RWA"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid choice" in captured.err and "Traceback" not in captured.err
+    assert "invalid choice" in exit_2(capsys, "verify", "--preset", "RWA")
 
 
 # the package sources, for checks that need a fresh interpreter
@@ -436,11 +457,8 @@ def test_blas_threads_sleep_unless_the_caller_chose(preset, want):
 
 def test_verify_rejects_parameter_overrides(capsys):
     # verify checks the stock presets only; an override must not be ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--omega0", "5", "--lambda", "0.1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert "unrecognized arguments" in exit_2(capsys, "verify", "--omega0", "5",
+                                              "--lambda", "0.1")
 
 
 def test_verify_degraded_tolerance_stays_well_formed(capsys):
@@ -498,18 +516,14 @@ def test_truncated_flag(capsys):
 
 
 def test_truncated_flag_rejects_rwa_preset(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--preset", "RWA",
-                           "--truncated-rwa", "--t-steps", "3", "--tmax", "1")
-    assert code == 2
-    assert "error:" in err
+    assert "error:" in exit_2(capsys, "sweep", "--preset", "RWA",
+                              "--truncated-rwa", "--t-steps", "3", "--tmax", "1")
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--preset", "C", "--beta2", "0.5",
-                           "--t-steps", "3", "--tmax", "1",
-                           "--out", str(tmp_path / "nope" / "x.csv"))
-    assert code == 2
-    assert "error:" in err
+    assert "error:" in exit_2(capsys, "sweep", "--preset", "C", "--beta2", "0.5",
+                              "--t-steps", "3", "--tmax", "1",
+                              "--out", str(tmp_path / "nope" / "x.csv"))
 
 
 def test_traced_functions_exist():
