@@ -13,7 +13,7 @@ sweep and report take the channel from lie_channel.propagate (fixed Magnus
 steps, no tolerance to set) and run on NumPy alone; trace and verify
 integrate the Wei-Norman equations adaptively through lie_channel.solve,
 take --rel-tol, and import SciPy when they first need it.  run_checks
-integrates each verified preset once; the tests call the same checks.
+integrates each preset once per route; the tests call the same checks.
 
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
@@ -217,6 +217,11 @@ def _spec_from_args(args) -> SweepSpec:
         params = dataclasses.replace(params, **overrides)
 
     channel = "rwa" if args.preset == "RWA" else "full"
+    # the rotating-wave amplitude reads neither omega0 nor a tolerance
+    for flag, value in (("--omega0", args.omega0),
+                        ("--rel-tol", getattr(args, "rel_tol", None))):
+        if channel == "rwa" and value is not None:
+            raise DomainError(f"{flag} does not apply to preset RWA")
     if args.truncated_rwa:
         if channel == "rwa":
             raise DomainError("--truncated-rwa does not combine with preset RWA")
@@ -243,8 +248,8 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: a registry of oracle checks.  Each check is called as
-# check(presets, settings, wei_norman) and yields (name, deviation, bound)
-# records; a record passes when deviation < bound.
+# check(presets, wei_norman, direct), with run_checks's channel getters, and
+# yields (name, deviation, bound) records; one passes when deviation < bound.
 
 # the presets whose full generator verify checks
 VERIFY_PRESETS = ("A", "B", "C")
@@ -256,28 +261,25 @@ def _verify_grid(p: BathParams) -> np.ndarray:
     return np.linspace(0.0, 10.0 / p.gamma, 201)
 
 
-def check_direct(presets, settings, wei_norman):
+def check_direct(presets, wei_norman, direct):
     probes = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),   # excited
               np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))   # plus
     for pr in presets:
-        p = pr.params
-        ts = _verify_grid(p)
-        direct = [oracle.integrate_master_direct(p, rho0, ts, settings)
-                  for rho0 in probes]
+        ref, p = direct(pr), pr.params
         for name, series in (("direct_vs_channel", wei_norman(pr)),
-                             ("magnus_vs_direct", lie_channel.propagate(p, ts))):
-            dev = max(float(np.max(np.abs(apply_channel(series, rho0) - ref)))
-                      for rho0, ref in zip(probes, direct))
+                             ("magnus_vs_direct", lie_channel.propagate(p, ref.t))):
+            dev = max(float(np.max(np.abs(apply_channel(series, rho0)
+                                          - apply_channel(ref, rho0))))
+                      for rho0 in probes)
             yield f"{name}[{pr.name}]", dev, 1e-6
 
-    mixed = np.eye(2, dtype=complex) / 2.0
-    p = PRESETS["C"].params
-    direct = oracle.integrate_master_direct(p, mixed, _verify_grid(p), settings)
-    traces = np.abs(np.trace(direct, axis1=1, axis2=2).real - 1.0)
+    # the trace of the maximally mixed state's image
+    c = direct(PRESETS["C"])
+    traces = np.abs(((c.l + c.p) + (c.m + c.n)) / 2.0 - 1.0)
     yield "direct_trace[C]", float(traces.max()), 1e-8
 
 
-def check_two_qubit(presets, settings, wei_norman):
+def check_two_qubit(presets, wei_norman, direct):
     series = wei_norman(PRESETS["C"])[::10]
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     diff = evolve_pair(series, rho0) - explicit_elements(series, rho0)
@@ -290,7 +292,7 @@ def check_two_qubit(presets, settings, wei_norman):
            float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12)
 
 
-def check_concurrence(presets, settings, wei_norman):
+def check_concurrence(presets, wei_norman, direct):
     b2s = np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20)
     dev = 0.0
     gated = total = 0
@@ -340,38 +342,45 @@ CHECKS = (check_direct, check_two_qubit, check_concurrence, check_kernels,
 
 
 def run_checks(presets, settings: IntegratorSettings):
-    """The records of every check in CHECKS, over one Wei-Norman
-    integration per preset on its verify grid, made when a check first asks
-    for it.  An integration that raises is not attempted again: each later
-    request raises the same error.  A check that raises keeps the records
-    it yielded and adds aborted_<Error>, deviation inf, bound 0."""
+    """The records of every check in CHECKS, over one Wei-Norman integration
+    and one direct channel per preset on its verify grid, each built when a
+    check first asks for it.  A build that raises is not attempted again:
+    each later request raises the same error.  A check that raises keeps
+    the records it yielded and adds aborted_<Error>, deviation inf, bound 0."""
     done: dict = {}
 
-    def wei_norman(pr: Preset) -> ChannelSeries:
-        if pr.name not in done:
+    def channel(build, pr: Preset) -> ChannelSeries:
+        key = (build, pr.name)
+        if key not in done:
             try:
-                done[pr.name] = lie_channel.integrate(
-                    pr.params, _verify_grid(pr.params), settings)
+                done[key] = build(pr.params, _verify_grid(pr.params), settings)
             except Exception as err:
-                done[pr.name] = err
-        if isinstance(done[pr.name], Exception):
-            raise done[pr.name]
-        return done[pr.name]
+                done[key] = err
+        if isinstance(done[key], Exception):
+            raise done[key]
+        return done[key]
 
+    wei_norman = lambda pr: channel(lie_channel.integrate, pr)
+    direct = lambda pr: channel(oracle.direct_channel, pr)
     for check in CHECKS:
         try:
-            yield from check(presets, settings, wei_norman)
+            yield from check(presets, wei_norman, direct)
         except Exception as err:   # a failed oracle is a FAIL line, not a crash
             print(f"warning: check group raised {type(err).__name__}: {err}",
                   file=sys.stderr)
             yield f"aborted_{type(err).__name__}", math.inf, 0.0
 
 
+def _settings(args, cap_step: bool = True) -> IntegratorSettings:
+    """The integrator settings of --rel-tol, None when the flag is absent."""
+    rel_tol = IntegratorSettings.rel_tol if args.rel_tol is None else args.rel_tol
+    return IntegratorSettings(rel_tol=rel_tol, cap_step=cap_step)
+
+
 def cmd_verify(args) -> int:
     names = VERIFY_PRESETS if args.preset is None else (args.preset,)
     records = list(run_checks([PRESETS[k] for k in names],
-                              IntegratorSettings(rel_tol=args.rel_tol,
-                                                 cap_step=not args.uncap_step)))
+                              _settings(args, cap_step=not args.uncap_step)))
     for name, dev, bound in records:
         print(f"{name}\t{dev:.6g}\t{bound:g}\t{'PASS' if dev < bound else 'FAIL'}")
     return 0 if all(dev < bound for _, dev, bound in records) else 1
@@ -440,8 +449,7 @@ def cmd_report(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec_from_args(args)
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    cf = _wei_norman_series(spec, gts / spec.params.gamma,
-                            IntegratorSettings(rel_tol=args.rel_tol))
+    cf = _wei_norman_series(spec, gts / spec.params.gamma, _settings(args))
     cols = np.full((gts.size, 14), np.nan)
     cols[:, 0] = gts
     cols[:len(cf), 1:] = np.column_stack(
@@ -477,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only the adaptive Wei-Norman and direct integrations take a tolerance
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--rel-tol", type=float, default=1e-9,
+    tolerance.add_argument("--rel-tol", type=float, default=None,
                            help="integrator relative tolerance (absolute "
-                                "tracks it)")
+                                "tracks it; default 1e-9)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--preset", choices=sorted(PRESETS), default="B",

@@ -196,8 +196,8 @@ def solve(fun: Callable, y0, ts: np.ndarray, settings: IntegratorSettings,
           max_step: float, limit: float = math.inf) -> Solution:
     """Integrate y' = fun(t, y) from y(0) = y0 with the Dormand-Prince RK45
     pair (rtol = atol = settings.rel_tol, steps at most max_step) up to
-    ts[-1] > 0, and sample each time of the checked grid ts from the dense
-    output of the step that covers it.
+    ts[-1], and sample each time of the checked grid ts from the dense
+    output of the step that covers it (y0 itself on the grid [0]).
 
     The samples never steer the steps.  Once max|y| at the end of a step
     reaches `limit`, brentq finds the crossing inside that step (xtol =
@@ -261,13 +261,9 @@ def integrate(
     settings = settings or IntegratorSettings()
     cfn = coefficient_fn or kernels.coefficients
     dfn = decay_exponent_fn or kernels.decay_exponent
-    ts = check_grid(times)
-
-    if ts[-1] == 0.0:
-        return channel_at(ts, np.zeros((9, 1)), np.zeros(1))
-
-    sol = solve(lambda t, yv: _rhs(t, yv, p, cfn), np.zeros(9), ts, settings,
-                step_cap(p, settings), limit=BLOWUP_THRESHOLD)
+    sol = solve(lambda t, yv: _rhs(t, yv, p, cfn), np.zeros(9),
+                check_grid(times), settings, step_cap(p, settings),
+                limit=BLOWUP_THRESHOLD)
     gamma_k = np.array([dfn(float(t), p) for t in sol.t])
     series = channel_at(sol.t, sol.y, gamma_k)
     if sol.t_fail is not None:
@@ -386,11 +382,8 @@ def propagate(
     intervals.  coefficient_fn is called with arrays of times, once per
     block of at most MAGNUS_BLOCK_STEPS steps.
 
-    The result is a ChannelSeries with gamma_k = 0, like the rotating-wave
-    channel: l, m, p, n come from the population propagator and x, y from
-    the coherence propagator C through x = (C00 + C11)/2 + i (C10 - C01)/2
-    and y = (C00 - C11)/2 + i (C10 + C01)/2, with q = conj(x), r = conj(y).
-    Raises GridError on a bad grid.
+    The result is sector_channel of the two propagators, with gamma_k = 0
+    like the rotating-wave channel.  Raises GridError on a bad grid.
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)
@@ -419,7 +412,14 @@ def propagate(
         current = piece[:, -1]
         props.append(piece[:, ends[first:stop]])
 
-    pop, coh = np.concatenate(props, axis=1)
+    return sector_channel(ts, *np.concatenate(props, axis=1))
+
+
+def sector_channel(ts: np.ndarray, pop: np.ndarray, coh: np.ndarray) -> ChannelSeries:
+    """The channel from the real (T, 2, 2) propagators pop on (rho11, rho00)
+    and C = coh on (Re rho10, Im rho10): l, m, p, n are the entries of pop,
+    x = (C00 + C11)/2 + i (C10 - C01)/2, y = (C00 - C11)/2 + i (C10 + C01)/2,
+    q = conj(x), r = conj(y) and gamma_k = 0."""
     x = (coh[:, 0, 0] + coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] - coh[:, 0, 1])
     y = (coh[:, 0, 0] - coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] + coh[:, 0, 1])
     return ChannelSeries(

@@ -2,10 +2,11 @@
 
 Three families of cross-checks live here:
 
-* integrate_master_direct: the time-local master equation integrated as a
-  plain matrix ODE, superoperator by superoperator, with no Wei-Norman
-  structure.  Agreement with lie_channel is the central correctness check
-  of the repository.
+* direct_channel: the time-local master equation integrated as a plain
+  matrix ODE, superoperator by superoperator, with no Wei-Norman
+  structure: one integration of its 4x4 propagator gives the channel for
+  every input state.  Agreement with lie_channel is the central
+  correctness check of the repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
   quadrature for the correlation kernels, running integrals for the rest).
 * the exact rotating-wave single-excitation amplitude q(t) and the channel
@@ -28,8 +29,8 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .kernels import BathParams, CoefficientSet
-from .lie_channel import (ChannelSeries, IntegratorSettings, check_grid, solve,
-                          step_cap)
+from .lie_channel import (ChannelSeries, IntegratorSettings, apply_channel,
+                          check_grid, sector_channel, solve, step_cap)
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
@@ -83,47 +84,44 @@ _BASIS = _superoperator_basis()
 
 def _direct_rhs(t, yv, p, cfn):
     """The master equation on [rho11, Re rho10, Im rho10, rho00]: the
-    coefficients weight the superoperator basis into one real 4x4 matrix."""
+    coefficients weight the superoperator basis into one real 4x4 matrix,
+    which acts on a 4-vector or on the raveled 4x4 propagator."""
     c = cfn(t, p)
     gdot = (c.nu_plus + c.nu_minus) / 2.0
     # a complex array viewed as floats interleaves real and imaginary parts,
     # matching the row order of _BASIS
     w = np.array([gdot, c.eps0, c.eps_plus, c.eps_minus, c.nu0, c.nu_plus,
                   c.nu_minus], dtype=complex).view(float)
-    return (w @ _BASIS).reshape(4, 4) @ yv
+    return ((w @ _BASIS).reshape(4, 4) @ yv.reshape(4, -1)).ravel()
 
 
-def integrate_master_direct(
+def direct_channel(
     p: BathParams,
-    rho0: np.ndarray,
     t_grid: Sequence[float],
     settings: Optional[IntegratorSettings] = None,
     coefficient_fn: Optional[Callable[[float, BathParams], CoefficientSet]] = None,
-) -> np.ndarray:
-    """Integrate the master equation directly and sample at t_grid.
+) -> ChannelSeries:
+    """The channel at t_grid from one integration of the real 4x4
+    propagator u of the master equation on [rho11, Re rho10, Im rho10,
+    rho00], from the identity: sector_channel of its population block
+    u[:, ::3, ::3] and coherence block u[:, 1:3, 1:3] (no term of _BASIS
+    couples a population to a coherence, so the rest of u stays zero).
 
-    Returns shape (T, 2, 2).  Same grid rules, step cap and adaptive loop
-    (lie_channel.solve) as the channel integration, so both routes resolve
-    the 2 omega0 oscillation equally well.  Raises ToleranceError when the
-    stepper gives up.
-    """
+    Same grid rules, step cap and adaptive loop (lie_channel.solve) as the
+    channel integration, so both routes resolve the 2 omega0 oscillation
+    equally well.  Raises ToleranceError when the stepper gives up."""
     settings = settings or IntegratorSettings()
-    ts = check_grid(t_grid)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if ts[-1] == 0.0:
-        return rho0[None].copy()
-
     cfn = coefficient_fn or kernels.coefficients
-    sol = solve(lambda t, yv: _direct_rhs(t, yv, p, cfn), _components(rho0),
-                ts, settings, step_cap(p, settings))
+    sol = solve(lambda t, yv: _direct_rhs(t, yv, p, cfn), np.eye(4).ravel(),
+                check_grid(t_grid), settings, step_cap(p, settings))
+    u = sol.y.T.reshape(-1, 4, 4)
+    return sector_channel(sol.t, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
-    r11, re10, im10, r00 = sol.y
-    out = np.empty((sol.t.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = r11
-    out[:, 0, 1] = re10 + 1j * im10
-    out[:, 1, 0] = re10 - 1j * im10
-    out[:, 1, 1] = r00
-    return out
+
+def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
+                            settings=None, coefficient_fn=None) -> np.ndarray:
+    """rho0 evolved through direct_channel at t_grid, shape (T, 2, 2)."""
+    return apply_channel(direct_channel(p, t_grid, settings, coefficient_fn), rho0)
 
 
 def _quad(fn, a: float, b: float, **options) -> float:

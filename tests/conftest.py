@@ -47,15 +47,11 @@ def channel_bank():
 
 @pytest.fixture(scope="session")
 def direct_bank():
-    """oracle.integrate_master_direct on presets A, B and C, on the channel
-    bank's grid, for every Hermitian probe: {preset: {probe: (T, 2, 2)}}."""
-    bank = {}
-    for name in ("A", "B", "C"):
-        p = PRESETS[name].params
-        times = GAMMA_T_GRID / p.gamma
-        bank[name] = {key: oracle.integrate_master_direct(p, rho0, times)
-                      for key, rho0 in HERMITIAN_PROBES.items()}
-    return bank
+    """oracle.direct_channel of presets A, B and C on the channel bank's
+    grid: {preset: ChannelSeries}."""
+    return {name: oracle.direct_channel(PRESETS[name].params,
+                                        GAMMA_T_GRID / PRESETS[name].params.gamma)
+            for name in ("A", "B", "C")}
 
 
 def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,

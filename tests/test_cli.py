@@ -21,7 +21,7 @@ from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt, beta2_grid,
                            main, write_csv)
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import ToleranceError
-from beyondrwa.lie_channel import ChannelSeries, IntegratorSettings
+from beyondrwa.lie_channel import IntegratorSettings
 from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
 
 VERIFY_LINE = re.compile(r"^[\w\[\]]+\t\S+\t\S+\t(PASS|FAIL)$")
@@ -138,24 +138,6 @@ def test_trace_blowup_writes_nan_rows(capsys):
     assert all(line.split(",")[1:] == ["NaN"] * 13 for line in lines[4:])
 
 
-def _direct_series(p, times, settings=None) -> ChannelSeries:
-    """The channel rebuilt from the direct route on four Hermitian probes
-    (the map is linear, so the images of |1><0| and |0><1| follow), solved
-    with `settings` (IntegratorSettings() when None)."""
-    probes = (np.array([[1, 0], [0, 0]], complex),
-              np.array([[0, 0], [0, 1]], complex),
-              np.array([[0.5, 0.5], [0.5, 0.5]], complex),
-              np.array([[0.5, -0.5j], [0.5j, 0.5]], complex))
-    e, g, x, y = (oracle.integrate_master_direct(p, rho0, times, settings)
-                  for rho0 in probes)
-    up = (2.0 * x - e - g + 1j * (2.0 * y - e - g)) / 2.0     # image of |1><0|
-    down = (2.0 * x - e - g - 1j * (2.0 * y - e - g)) / 2.0   # image of |0><1|
-    return ChannelSeries(t=times, l=e[:, 0, 0].real, m=g[:, 0, 0].real,
-                         n=g[:, 1, 1].real, p=e[:, 1, 1].real,
-                         x=up[:, 0, 1], y=down[:, 0, 1], q=down[:, 1, 0],
-                         r=up[:, 1, 0], gamma_k=np.zeros(times.size))
-
-
 def test_sweep_runs_past_the_wei_norman_overflow(capsys):
     # the same arguments that cut trace to NaN: the sector propagators
     # stay bounded, and every row matches the direct route
@@ -169,22 +151,25 @@ def test_sweep_runs_past_the_wei_norman_overflow(capsys):
     assert np.all(np.isfinite(vals))
     p = BathParams(omega0=3.0, gamma=1.0, lam=100.0)
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
-    ref = concurrence_xstate(evolve_pair(_direct_series(p, gts), rho0)).value
+    ref = concurrence_xstate(evolve_pair(oracle.direct_channel(p, gts), rho0)).value
     assert np.max(np.abs(vals - ref)) < 1e-6
 
 
 def test_propagate_matches_a_tight_direct_reference_off_preset_a():
-    # omega0 and lam of a perturbed preset A where the direct route at the
-    # default rel_tol 1e-9 is itself about 2e-6 off (at gamma t = 0.5,
-    # beta^2 = 0.5); against a 1e-12 reference the propagator is within 4e-7
+    # omega0 and lam of a perturbed preset A where a direct route that
+    # solved each probe state on its own at the default rel_tol 1e-9 was
+    # itself about 2e-6 off (at gamma t = 0.5, beta^2 = 0.5); against a
+    # 1e-12 reference the propagator is within 4e-7, and the one direct
+    # propagator at the default rel_tol is within 1e-6 too
     p = BathParams(omega0=100.50897508788049, gamma=1.0, lam=10.02429376385862)
     gts = np.linspace(0.0, 1.0, 21)
     rho0s = np.array([initial_state(BellFamilyState("phi", math.sqrt(b2)))
                       for b2 in beta2_grid(51)])
-    got = concurrence_xstate(evolve_pair(lie_channel.propagate(p, gts), rho0s))
     ref = concurrence_xstate(evolve_pair(
-        _direct_series(p, gts, IntegratorSettings(rel_tol=1e-12)), rho0s))
-    assert np.max(np.abs(got.value - ref.value)) < 1e-6
+        oracle.direct_channel(p, gts, IntegratorSettings(rel_tol=1e-12)), rho0s))
+    for series in (lie_channel.propagate(p, gts), oracle.direct_channel(p, gts)):
+        got = concurrence_xstate(evolve_pair(series, rho0s))
+        assert np.max(np.abs(got.value - ref.value)) < 1e-6
 
 
 def test_parameter_overrides_and_seedless(capsys):
@@ -246,11 +231,11 @@ def test_write_csv_matches_per_cell_formatting():
 
 
 def _count_solvers(monkeypatch, failing=""):
-    """Wrap integrate and integrate_master_direct to log the preset of each
-    call, and integrate to raise ToleranceError on the presets in `failing`;
+    """Wrap integrate and direct_channel to log the preset of each call,
+    and integrate to raise ToleranceError on the presets in `failing`;
     returns the logs."""
     names = {pr.params: name for name, pr in PRESETS.items() if name != "RWA"}
-    calls = {"integrate": [], "integrate_master_direct": []}
+    calls = {"integrate": [], "direct_channel": []}
 
     def counted(fname, fn, p, *args, **kwargs):
         calls[fname].append(names[p])
@@ -259,7 +244,7 @@ def _count_solvers(monkeypatch, failing=""):
         return fn(p, *args, **kwargs)
 
     for module, fname in ((lie_channel, "integrate"),
-                          (oracle, "integrate_master_direct")):
+                          (oracle, "direct_channel")):
         monkeypatch.setattr(module, fname, functools.partial(
             counted, fname, getattr(module, fname)))
     return calls
@@ -277,13 +262,12 @@ def default_verify():
 
 
 def test_verify_integrates_each_preset_once(default_verify):
-    # one Wei-Norman integration per preset serves every check; the output
-    # contract stays the 16 lines, in order
+    # one Wei-Norman integration and one direct channel per preset serve
+    # every check; the output contract stays the 16 lines, in order
     code, rows, calls = default_verify
     assert code == 0
     assert [(r[0], r[2]) for r in rows] == VERIFY_CONTRACT
-    assert calls == {"integrate": list("ABC"),
-                     "integrate_master_direct": list("AABBCCC")}
+    assert calls == {"integrate": list("ABC"), "direct_channel": list("ABC")}
 
 
 @pytest.mark.parametrize("name, bound", VERIFY_CONTRACT,
@@ -294,10 +278,10 @@ def test_verify_check_passes(default_verify, name, bound):
 
 
 def test_verify_one_preset_integrates_it_and_c(capsys, monkeypatch):
-    # the two-qubit checks always run on preset C
+    # the two-qubit checks and direct_trace[C] always run on preset C
     calls = _count_solvers(monkeypatch)
     assert run_cli(capsys, "verify", "--preset", "A")[0] == 0
-    assert calls["integrate"] == ["A", "C"]
+    assert calls == {"integrate": ["A", "C"], "direct_channel": ["A", "C"]}
 
 
 def test_verify_survives_a_failing_integration(capsys, monkeypatch):
@@ -327,8 +311,7 @@ def test_verify_keeps_the_records_before_a_failure_mid_group(capsys,
                                     aborted[0], *names[10:]]
     assert all(r == aborted or r[3] == "PASS" for r in rows)
     assert code == 1 and err.count("warning: check group raised") == 2
-    assert calls == {"integrate": list("ABC"),
-                     "integrate_master_direct": list("AABB")}
+    assert calls == {"integrate": list("ABC"), "direct_channel": list("AB")}
 
 
 def test_verify_fails_when_the_oracle_refuses_every_state(capsys, monkeypatch):
@@ -378,6 +361,9 @@ PAIR_FLAGS = ("--state", "--beta2", "--phase", "--beta2-steps")
     *(f"trace {flag} 1" for flag in PAIR_FLAGS),
     "trace --tmax 0", "trace --tmax -1", "trace --t-steps 0",
     "report --t-steps 1", "report --t-steps 2",   # a report needs 3 samples
+    # the rotating-wave amplitude reads neither omega0 nor a tolerance
+    "sweep --omega0 5", "report --omega0 5", "trace --omega0 5",
+    "trace --rel-tol 1e-6",
 ])
 def test_trace_and_report_reject_unusable_flags(tmp_path, capsys, argv):
     # refused before any computing or writing

@@ -172,7 +172,8 @@ def _solve_ivp_reference(fun, y0, ts, max_step, limit=None):
                      max_step=max_step, events=events)
 
 
-@pytest.mark.parametrize("route", ["wei_norman_A", "direct_B_plus"])
+@pytest.mark.parametrize("route", ["wei_norman_A", "direct_B_plus",
+                                   "direct_B_propagator"])
 def test_solve_matches_solve_ivp(route):
     # the shared loop steps scipy's RK45 and samples its dense output as
     # solve_ivp(t_eval=...) does: same samples to the bit, same work
@@ -180,7 +181,10 @@ def test_solve_matches_solve_ivp(route):
         p, y0 = P_A, np.zeros(9)
         fun = lambda t, y: lie_channel._rhs(t, y, p, kernels.coefficients)
     else:
-        p, y0 = P_B, [0.5, 0.5, 0.0, 0.5]
+        # a probe state, or the identity as direct_channel starts its 4x4
+        # propagator, raveled to 16 reals
+        p = P_B
+        y0 = [0.5, 0.5, 0.0, 0.5] if route == "direct_B_plus" else np.eye(4).ravel()
         fun = lambda t, y: oracle._direct_rhs(t, y, p, kernels.coefficients)
     ts = GAMMA_T_GRID / p.gamma
     cap = step_cap(p, IntegratorSettings())
@@ -254,25 +258,23 @@ def test_coefficient_fn_plumbing():
 # ---------------------------------------------------------------------------
 # Magnus sector propagator
 
+def _max_gap(a, b) -> float:
+    """Largest |delta rho| between two channels over the Hermitian probes."""
+    return max(float(np.max(np.abs(apply_channel(a, rho) - apply_channel(b, rho))))
+               for rho in HERMITIAN_PROBES.values())
+
+
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_propagate_matches_direct_route(direct_bank, name):
     p = {"A": P_A, "B": P_B, "C": P_C}[name]
-    cf = propagate(p, GAMMA_T_GRID / p.gamma)
-    dev = max(float(np.max(np.abs(apply_channel(cf, HERMITIAN_PROBES[key])
-                                  - direct)))
-              for key, direct in direct_bank[name].items())
-    assert dev < 1e-6
+    assert _max_gap(propagate(p, GAMMA_T_GRID / p.gamma), direct_bank[name]) < 1e-6
 
 
 def test_propagate_matches_direct_route_at_strong_coupling():
     # at lam = 1000 gamma the 1/(40 lam) term sets the step
     p = BathParams(omega0=10.0, gamma=1.0, lam=1000.0)
     ts = np.linspace(0.0, 2.0 / p.gamma, 201)
-    cf = propagate(p, ts)
-    dev = max(float(np.max(np.abs(apply_channel(cf, rho)
-                                  - oracle.integrate_master_direct(p, rho, ts))))
-              for rho in HERMITIAN_PROBES.values())
-    assert dev < 1e-6
+    assert _max_gap(propagate(p, ts), oracle.direct_channel(p, ts)) < 1e-6
 
 
 def test_propagate_truncated_generator_matches_direct_route():
@@ -284,9 +286,14 @@ def test_propagate_truncated_generator_matches_direct_route():
     assert np.max(np.abs(apply_channel(cf, plus) - direct)) < 1e-6
 
 
-@pytest.mark.parametrize("p", [P_A, P_B, P_C])
-def test_propagate_population_columns_sum_to_one(p):
-    cf = propagate(p, np.linspace(0.0, 10.0 / p.gamma, 201))
+@pytest.mark.parametrize("name, route", [*((n, "magnus") for n in "ABC"),
+                                         *((n, "direct") for n in "ABC")],
+                         ids=["p0", "p1", "p2", "direct_A", "direct_B", "direct_C"])
+def test_propagate_population_columns_sum_to_one(direct_bank, name, route):
+    # the direct propagator's sector blocks go through the same sector_channel
+    p = {"A": P_A, "B": P_B, "C": P_C}[name]
+    cf = (direct_bank[name] if route == "direct"
+          else propagate(p, np.linspace(0.0, 10.0 / p.gamma, 201)))
     assert np.all(cf.gamma_k == 0.0)
     assert np.max(np.abs(cf.l + cf.p - 1.0)) < 1e-12
     assert np.max(np.abs(cf.m + cf.n - 1.0)) < 1e-12

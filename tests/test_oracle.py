@@ -68,6 +68,10 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
         ref = _operator_rhs(t, yv, p, cfn)
         got = oracle._direct_rhs(t, yv, p, cfn)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # direct_channel reads only the population and coherence blocks of the
+    # propagator: no term may couple the two
+    basis = oracle._BASIS.reshape(-1, 4, 4)
+    assert not basis[:, [0, 0, 3, 3, 1, 1, 2, 2], [1, 2, 1, 2, 0, 3, 0, 3]].any()
 
 
 # ---------------------------------------------------------------------------
