@@ -22,14 +22,14 @@ import os
 # 2.1 GHz) after they start and after each job, before they sleep.  Nothing
 # is queued for them at start-up, so with no SciPy import to hide it that
 # spin ran beside the first tens of milliseconds of every command.  2^24
-# cycles (about 8 ms) ends it long before a command runs, and still bridges
-# the gaps between the threaded products of a wide sweep, which sleeping
-# threads would be slow to pick up.  A caller's own setting is kept; this
-# acts only before NumPy (or SciPy) first loads OpenBLAS.
+# cycles (about 8 ms) ends it long before a command runs.  A caller's own
+# setting is kept; this acts only before NumPy (or SciPy) first loads
+# OpenBLAS.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
 from .entanglement import (ConcurrenceResult, ESDReport, RevivalEpisode,
-                           concurrence_general, concurrence_xstate, detect_esd)
+                           concurrence_general, concurrence_sectors,
+                           concurrence_xstate, detect_esd)
 from .errors import (BeyondRwaError, BlowupError, DomainError, GridError,
                      IoError, NegativeDiagonalError, NumericalError,
                      ShapeError, ToleranceError)
@@ -38,8 +38,8 @@ from .kernels import (BathParams, CoefficientSet, alpha, alpha1, alpha2,
                       spectral_density)
 from .lie_channel import (ChannelSeries, IntegratorSettings, apply_channel,
                           channel_at, integrate, propagate, transfer_matrix)
-from .two_qubit import (BellFamilyState, evolve_pair, explicit_elements,
-                        initial_state, is_x_state)
+from .two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
+                        explicit_elements, initial_state, is_x_state)
 
 __version__ = "0.1.0"
 
@@ -48,9 +48,10 @@ __all__ = [
     "alpha", "alpha_tilde", "decay_exponent", "coefficients",
     "IntegratorSettings", "ChannelSeries", "integrate", "propagate", "channel_at",
     "apply_channel", "transfer_matrix",
-    "BellFamilyState", "initial_state", "evolve_pair", "explicit_elements",
-    "is_x_state",
-    "ConcurrenceResult", "concurrence_xstate", "concurrence_general",
+    "BellFamilyState", "initial_state", "evolve_pair", "evolve_xstate",
+    "explicit_elements", "is_x_state",
+    "ConcurrenceResult", "concurrence_xstate", "concurrence_sectors",
+    "concurrence_general",
     "RevivalEpisode", "ESDReport", "detect_esd",
     "BeyondRwaError", "DomainError", "ShapeError", "GridError",
     "BlowupError", "ToleranceError", "NumericalError",

@@ -32,11 +32,13 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import kernels, lie_channel, oracle
-from .entanglement import concurrence_general, concurrence_xstate, detect_esd
+from .entanglement import (concurrence_general, concurrence_sectors,
+                          concurrence_xstate, detect_esd, true_runs)
 from .errors import BeyondRwaError, BlowupError, DomainError, IoError
 from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
-from .two_qubit import BellFamilyState, evolve_pair, explicit_elements, initial_state
+from .two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
+                        explicit_elements, initial_state)
 
 BETA2_FLOOR = 1e-4
 REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
@@ -142,7 +144,9 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     """Concurrence over the full grid with one channel propagation.
 
     The channel depends on time only, so it is evolved against every beta^2
-    at once, SURFACE_BLOCK_CELLS cells at a time.
+    at once, SURFACE_BLOCK_CELLS cells at a time.  Both families are X
+    states, so only their diagonal and antidiagonal are evolved
+    (two_qubit.evolve_xstate).
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     series = _channel_series(spec, gts / spec.params.gamma)
@@ -153,7 +157,7 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
     for i in range(0, gts.size, rows):
         block = series[i:i + rows]
-        values[i:i + len(block)] = concurrence_xstate(evolve_pair(block, rho0s)).value
+        values[i:i + len(block)] = concurrence_sectors(*evolve_xstate(block, rho0s)).value
     return ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
 
 
@@ -390,20 +394,16 @@ def cmd_verify(args) -> int:
 # report
 
 def _plateau(gts: np.ndarray, vals: np.ndarray):
-    """Longest run with |dC/dt| below 1% of the curve maximum."""
+    """Longest run with |dC/dt| below 1% of the curve maximum; the first
+    of equally long runs."""
     vmax = float(np.max(vals))
     slopes = np.gradient(vals, gts)
     flat = np.abs(slopes) < 0.01 * vmax if vmax > 0.0 else np.ones_like(vals, bool)
-    best = None
-    start = None
-    for i, ok in enumerate(np.append(flat, False)):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if best is None or gts[i - 1] - gts[start] > gts[best[1]] - gts[best[0]]:
-                best = (start, i - 1)
-            start = None
-    return best
+    starts, ends = true_runs(flat)
+    if starts.size == 0:
+        return None
+    i = int(np.argmax(gts[ends] - gts[starts]))   # argmax keeps the first
+    return int(starts[i]), int(ends[i])
 
 
 def cmd_report(args) -> int:

@@ -16,7 +16,9 @@ The integrated channel leaves ~1e-8 scale Hermiticity noise on evolved
 matrices, so neither route reads a raw element: the X route symmetrizes the
 six elements it reads (the diagonal, rho23 and rho14), the general oracle
 the whole matrix.  That keeps the two routes within 1e-10 of each other
-instead of inheriting the noise.
+instead of inheriting the noise.  The X route takes a 4x4 state
+(concurrence_xstate) or its diagonal and antidiagonal as 2x2 blocks
+(concurrence_sectors, which concurrence_xstate calls).
 
 The time-local generator is only approximately positive at strong coupling:
 short transients can push diagonal elements slightly negative (worst case
@@ -36,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, GridError, NegativeDiagonalError, NumericalError, ShapeError
-from .two_qubit import is_x_state
+from .two_qubit import is_x_state, x_blocks
 
 _SY2 = np.kron(np.array([[0.0, -1j], [1j, 0.0]]),
                np.array([[0.0, -1j], [1j, 0.0]])).real
@@ -66,27 +68,36 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     return (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2.0
 
 
-def concurrence_xstate(rho: np.ndarray, diag_tol: float = 0.1) -> ConcurrenceResult:
-    """Closed-form concurrence of an X-state or a stack of them (..., 4, 4).
+def concurrence_sectors(diag: np.ndarray, anti: np.ndarray,
+                        diag_tol: float = 0.1) -> ConcurrenceResult:
+    """Closed-form concurrence from the two X-state blocks, each (..., 2, 2):
+    the real populations diag = [[rho11, rho22], [rho33, rho44]] and
+    anti = [[rho14, rho23], [rho32, rho41]], as two_qubit.evolve_xstate
+    returns them.  rho23 and rho14 are symmetrized with conj(rho32) and
+    conj(rho41).
 
-    diag_tol is a gross-error guard: diagonals below -diag_tol raise
+    diag_tol is a gross-error guard: populations below -diag_tol raise
     NegativeDiagonalError, milder transient negativity is tolerated and the
     products under the square roots are clamped at zero.
     """
+    if diag.size and diag.min() < -diag_tol:
+        raise NegativeDiagonalError(
+            f"diagonal element {diag.min():.3g} below -{diag_tol:g}"
+        )
+    r23 = (anti[..., 0, 1] + np.conj(anti[..., 1, 0])) / 2.0
+    r14 = (anti[..., 0, 0] + np.conj(anti[..., 1, 1])) / 2.0
+    c1 = 2.0 * (np.abs(r23) - np.sqrt(np.maximum(diag[..., 0, 0] * diag[..., 1, 1], 0.0)))
+    c2 = 2.0 * (np.abs(r14) - np.sqrt(np.maximum(diag[..., 0, 1] * diag[..., 1, 0], 0.0)))
+    return ConcurrenceResult(value=np.maximum(0.0, np.maximum(c1, c2)), c1=c1, c2=c2)
+
+
+def concurrence_xstate(rho: np.ndarray, diag_tol: float = 0.1) -> ConcurrenceResult:
+    """Closed-form concurrence of an X-state or a stack of them (..., 4, 4):
+    concurrence_sectors of its diagonal and antidiagonal."""
     rho = _states(rho)
     if not is_x_state(rho):
         raise ShapeError("closed-form branches require an exact X-state")
-    d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    if d.size and d.min() < -diag_tol:
-        raise NegativeDiagonalError(
-            f"diagonal element {d.min():.3g} below -{diag_tol:g}"
-        )
-    d = np.moveaxis(d, -1, 0)
-    r23 = (rho[..., 1, 2] + np.conj(rho[..., 2, 1])) / 2.0
-    r14 = (rho[..., 0, 3] + np.conj(rho[..., 3, 0])) / 2.0
-    c1 = 2.0 * (np.abs(r23) - np.sqrt(np.maximum(d[0] * d[3], 0.0)))
-    c2 = 2.0 * (np.abs(r14) - np.sqrt(np.maximum(d[1] * d[2], 0.0)))
-    return ConcurrenceResult(value=np.maximum(0.0, np.maximum(c1, c2)), c1=c1, c2=c2)
+    return concurrence_sectors(*x_blocks(rho), diag_tol)
 
 
 def concurrence_general(rho: np.ndarray, tol: float = 1e-9):
@@ -141,6 +152,13 @@ class ESDReport:
     episodes: Tuple[RevivalEpisode, ...]
 
 
+def true_runs(mask: np.ndarray):
+    """First and last index of every maximal run of True in a 1-d mask, as
+    two index arrays in order."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+
+
 def detect_esd(times: Sequence[float], values: Sequence[float],
                threshold: float = 1e-6) -> ESDReport:
     """Locate entanglement sudden death and any revivals in a sampled curve.
@@ -166,20 +184,9 @@ def detect_esd(times: Sequence[float], values: Sequence[float],
                          max_revival=0.0, episodes=())
     i0 = int(below[0])
 
-    episodes = []
-    start = None
-    for i in range(i0 + 1, t.size):
-        if v[i] > threshold:
-            if start is None:
-                start = i
-        elif start is not None:
-            episodes.append((start, i - 1))
-            start = None
-    if start is not None:
-        episodes.append((start, t.size - 1))
-
+    starts, ends = true_runs(v[i0 + 1:] > threshold)
     records = []
-    for a, b in episodes:
+    for a, b in zip((starts + i0 + 1).tolist(), (ends + i0 + 1).tolist()):
         k = a + int(np.argmax(v[a:b + 1]))
         records.append(RevivalEpisode(t_start=float(t[a]), t_end=float(t[b]),
                                       t_peak=float(t[k]), peak=float(v[k])))

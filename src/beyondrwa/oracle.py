@@ -135,20 +135,22 @@ def _quad(fn, a: float, b: float, **options) -> float:
 # ---------------------------------------------------------------------------
 # rotating-wave reference
 
-def rwa_amplitude(t: float, p: BathParams) -> complex:
-    """Exact single-excitation amplitude of the rotating-wave model.
+def rwa_amplitude(t, p: BathParams):
+    """Exact single-excitation amplitude of the rotating-wave model; t may
+    be an array.
 
     q(t) = e^{-gamma t/2} [cos(d t/2) + (gamma/d) sin(d t/2)] with
     d = sqrt(2 lam gamma - gamma^2); continues through hyperbolic d for
-    weak coupling.  Real-valued for real parameters.
+    weak coupling.  Real-valued for real parameters, complex-typed.
     """
     g = p.gamma
     d = cmath.sqrt(complex(2.0 * p.lam * g - g * g))
-    env = math.exp(-g * t / 2.0)
+    t = np.asarray(t, dtype=float)
+    env = np.exp(-g * t / 2.0)
     if abs(d) < 1e-12:
         # critically damped limit: sin(dt/2)/d -> t/2
-        return complex(env * (1.0 + g * t / 2.0))
-    return env * (cmath.cos(d * t / 2.0) + (g / d) * cmath.sin(d * t / 2.0))
+        return env * (1.0 + g * t / 2.0) + 0j
+    return env * (np.cos(d * t / 2.0) + (g / d) * np.sin(d * t / 2.0))
 
 
 def rwa_amplitude_rate(t: float, p: BathParams) -> complex:
@@ -180,7 +182,7 @@ def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
     gamma_k = 0 since no global decay factor is split off.
     """
     ts = np.asarray(times, dtype=float)
-    qa = np.array([rwa_amplitude(t, p) for t in ts], dtype=complex)
+    qa = rwa_amplitude(ts, p)
     pop = np.abs(qa) ** 2
     zeros, czeros = np.zeros(ts.size), np.zeros(ts.size, dtype=complex)
     return ChannelSeries(

@@ -13,7 +13,13 @@ produce X-shaped density matrices, and the X sparsity pattern is preserved
 exactly by the evolution.
 
 Evolution takes a ChannelSeries and returns one matrix per time (a leading
-time axis); evolve_pair also takes a stack of initial states.
+time axis); evolve_pair also takes a stack of initial states.  A product of
+identical local channels maps X states to X states, and on them it acts on
+two 2x2 blocks apart: the populations D = [[rho11, rho22], [rho33, rho44]]
+evolve as P D P^T and the antidiagonal A = [[rho14, rho23], [rho32, rho41]]
+as C A C^T, with the single-qubit P = e^{-gamma_k} [[l, m], [p, n]] and
+C = e^{-gamma_k} [[x, y], [r, q]] (1-based element labels).  evolve_xstate
+takes that route; evolve_pair is the general one.
 """
 
 from __future__ import annotations
@@ -96,6 +102,54 @@ def evolve_pair(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     if rho0.ndim == 3:
         out = out.swapaxes(1, 2)
     return _pair_shuffle(out, out.shape[:-1]).reshape(out.shape[:-1] + (4, 4))
+
+
+def x_blocks(rho: np.ndarray):
+    """The real part of the diagonal and the antidiagonal of 4x4 states
+    (..., 4, 4) as the 2x2 blocks D = [[rho11, rho22], [rho33, rho44]] and
+    A = [[rho14, rho23], [rho32, rho41]], each (..., 2, 2)."""
+    i = np.arange(4)
+    blocks = rho.shape[:-2] + (2, 2)
+    return np.real(rho[..., i, i]).reshape(blocks), rho[..., i, i[::-1]].reshape(blocks)
+
+
+def _sector_square(k: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """k D0 k^T for every time of k, shape (2, 2, T), and every block of
+    v0, shape (S, 4) (the 2x2 blocks D0 raveled): (2, 2, T, S)."""
+    # (k x k)[2i+j, 2a+b] = k[i, a] k[j, b], time last.  Elementwise sums
+    # over (T, S) planes, not a BLAS product: threaded OpenBLAS spent
+    # milliseconds on a complex 1024-time block that one thread does in
+    # microseconds
+    kk = (k[:, None, :, None] * k[None, :, None, :]).reshape(4, 4, -1, 1)
+    out = kk[:, 0] * v0[:, 0]
+    for j in range(1, 4):
+        out += kk[:, j] * v0[:, j]
+    return out.reshape((2, 2) + out.shape[1:])
+
+
+def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
+    """The populations and the antidiagonal of X states through identical
+    local channels, as two (T, S, 2, 2) arrays (D, A) for a stack rho0s of
+    shape (S, 4, 4): D = P D0 P^T from the real part of the diagonal, and
+    A = C A0 C^T (see the module docstring).  These are the X elements of
+    evolve_pair(series, rho0s), without the twelve that stay zero.
+
+    Raises ShapeError unless rho0s is a stack of exact X states.
+    """
+    rho0s = np.asarray(rho0s, dtype=complex)
+    if rho0s.ndim != 3 or rho0s.shape[1:] != (4, 4):
+        raise ShapeError(f"expected a stack of 4x4 joint states, got {rho0s.shape}")
+    if not is_x_state(rho0s):
+        raise ShapeError("sector evolution requires exact X-state inputs")
+    scale = np.exp(-series.gamma_k)
+    pop = scale * np.array([[series.l, series.m], [series.p, series.n]])
+    coh = scale * np.array([[series.x, series.y], [series.r, series.q]])
+    d0, a0 = x_blocks(rho0s)
+    diag = _sector_square(pop, d0.reshape(-1, 4))
+    anti = _sector_square(coh, a0.reshape(-1, 4))
+    # views with time and state leading; each element's (T, S) plane stays
+    # contiguous for the concurrence that reads it
+    return diag.transpose(2, 3, 0, 1), anti.transpose(2, 3, 0, 1)
 
 
 def is_x_state(rho: np.ndarray) -> bool:

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from beyondrwa import BathParams, lie_channel, oracle
-from beyondrwa.cli import (PRESETS, ConcurrenceSurface, _fmt, beta2_grid,
-                           main, write_csv)
+from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec, _fmt,
+                           _initial_states, _plateau, beta2_grid,
+                           compute_surface, main, write_csv)
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings
@@ -480,6 +481,37 @@ def test_report_structure(capsys):
     assert fields[0] == "0.5"
     assert fields[1] == "none" or float(fields[1]) >= 0.0
     assert int(fields[2]) >= 0
+
+
+def test_surface_matches_the_general_pair_route():
+    # compute_surface evolves only the X sectors; evolve_pair squares the
+    # whole transfer matrix
+    p = PRESETS["C"].params
+    spec = SweepSpec(params=p, family="psi", eta_phase=0.9,
+                     beta2_values=beta2_grid(41))
+    surface = compute_surface(spec)
+    series = lie_channel.propagate(p, surface.gamma_t / p.gamma)
+    rho = evolve_pair(series, _initial_states("psi", surface.beta2, 0.9))
+    assert np.max(np.abs(surface.values - concurrence_xstate(rho).value)) <= 1e-15
+
+
+def test_report_keeps_the_gross_negativity_guard(capsys):
+    # at lam = 100 gamma the second-order generator drives a population
+    # below the guard's -0.1; the whole report is refused
+    err = exit_2(capsys, "report", "--preset", "C", "--lambda", "100",
+                 "--tmax", "20", "--t-steps", "401", "--beta2-steps", "2")
+    assert err == "error: diagonal element -0.102 below -0.1\n"
+
+
+def test_plateau_is_the_first_of_the_longest_flat_runs():
+    gts = np.arange(12.0)
+    # central slopes are flat on samples 0-2 and 6-8 (equal spans), steep
+    # between and after
+    vals = np.array([1.0, 1.0, 1.0, 1.0, 3.0, 5.0, 5.0, 5.0, 5.0, 5.0, 7.0, 9.0])
+    assert _plateau(gts, vals) == (0, 2)
+    assert _plateau(gts, vals[::-1].copy()) == (3, 5)
+    assert _plateau(gts, np.zeros(12)) == (0, 11)
+    assert _plateau(gts, gts) is None
 
 
 def test_trace_dump(capsys):

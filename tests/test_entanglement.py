@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beyondrwa.entanglement import (concurrence_general, concurrence_xstate,
-                                    detect_esd)
+from beyondrwa.entanglement import (concurrence_general, concurrence_sectors,
+                                    concurrence_xstate, detect_esd, true_runs)
 from beyondrwa.errors import (DomainError, GridError, NegativeDiagonalError,
                               NumericalError, ShapeError)
 from beyondrwa.two_qubit import BellFamilyState, initial_state
@@ -195,8 +195,38 @@ def test_xstate_guards_keep_their_order_and_messages():
     assert concurrence_xstate(imag).value == 0.0
 
 
+def test_sectors_guard_the_populations_as_the_matrix_route_does():
+    with pytest.raises(NegativeDiagonalError, match="-0.102 below -0.1"):
+        concurrence_sectors(np.array([[0.6, 0.3], [0.202, -0.102]]),
+                            np.zeros((2, 2), dtype=complex))
+    bell = initial_state(BellFamilyState("psi", math.sqrt(0.3), 0.4))
+    i = np.arange(4)
+    res = concurrence_sectors(bell[i, i].real.reshape(2, 2),
+                              bell[i, i[::-1]].reshape(2, 2))
+    want = concurrence_xstate(bell)
+    assert (res.value, res.c1, res.c2) == (want.value, want.c1, want.c2)
+
+
 # ---------------------------------------------------------------------------
 # sudden-death detection
+
+def _runs_by_loop(mask):
+    """Maximal runs of True as (first, last) pairs, one sample at a time."""
+    runs, start = [], None
+    for i, ok in enumerate(list(mask) + [False]):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    return runs
+
+
+@given(st.lists(st.booleans(), max_size=40))
+def test_true_runs_match_a_sample_by_sample_scan(mask):
+    starts, ends = true_runs(np.array(mask, dtype=bool))
+    assert list(zip(starts.tolist(), ends.tolist())) == _runs_by_loop(mask)
+
 
 def test_esd_constant_zero():
     rep = detect_esd([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
@@ -210,6 +240,22 @@ def test_esd_never_dies():
     rep = detect_esd([0.0, 1.0, 2.0], [1.0, 0.5, 0.2])
     assert rep.death_time is None
     assert not rep.revived
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-6, 2e-6, 0.3, 0.5, math.nan]),
+                min_size=3, max_size=30))
+def test_esd_episodes_match_a_sample_by_sample_scan(values):
+    # episodes: maximal runs strictly above threshold after the first death
+    t = np.arange(float(len(values)))
+    rep = detect_esd(t, values)
+    dead = [i for i, v in enumerate(values) if v < 1e-6]
+    runs = [] if not dead else [
+        (a + dead[0] + 1, b + dead[0] + 1)
+        for a, b in _runs_by_loop([v > 1e-6 for v in values[dead[0] + 1:]])]
+    assert rep.death_time == (float(dead[0]) if dead else None)
+    assert [(e.t_start, e.t_end) for e in rep.episodes] == [
+        (float(a), float(b)) for a, b in runs]
+    assert [e.peak for e in rep.episodes] == [max(values[a:b + 1]) for a, b in runs]
 
 
 def test_esd_synthetic_revivals():

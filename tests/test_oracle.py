@@ -100,7 +100,7 @@ def test_rwa_first_zero_closed_form_vs_root_find():
 
 def test_rwa_post_death_peak_frozen_value():
     ts = np.linspace(RWA_FIRST_ZERO, 10.0, 200001)
-    peak = max(abs(oracle.rwa_amplitude(t, P_B)) ** 2 for t in ts)
+    peak = float(np.max(np.abs(oracle.rwa_amplitude(ts, P_B)) ** 2))
     assert peak == pytest.approx(RWA_POST_DEATH_PEAK, abs=1e-6)
 
 
@@ -129,6 +129,20 @@ def test_rwa_critical_damping_branch():
     for t in (0.1, 1.0, 5.0):
         assert oracle.rwa_amplitude(t, crit) == pytest.approx(
             oracle.rwa_amplitude(t, near), abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [10.0, 0.3, 0.5],
+                         ids=["oscillatory", "hyperbolic", "critical"])
+def test_rwa_amplitude_on_an_array_equals_scalar_calls(lam):
+    p = BathParams(omega0=10.0, gamma=1.0, lam=lam)    # lam = gamma/2: d = 0
+    ts = np.linspace(0.0, 10.0, 1001)
+    q = oracle.rwa_amplitude(ts, p)
+    assert q.shape == ts.shape and q.dtype == complex
+    # perfbench/gate.py calls it with one float
+    scalars = [oracle.rwa_amplitude(float(t), p) for t in ts]
+    assert all(isinstance(v, complex) for v in scalars)
+    assert np.array_equal(q, np.array(scalars))
+    assert np.array_equal(oracle.rwa_channel(ts, p).x, q)
 
 
 def test_rwa_channel_structure():

@@ -7,11 +7,14 @@ import pytest
 from conftest import single_time_series
 from hypothesis import given, strategies as st
 
+from beyondrwa import lie_channel
+from beyondrwa.cli import PRESETS
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import DomainError, ShapeError
 from beyondrwa.lie_channel import transfer_matrix
-from beyondrwa.two_qubit import (BellFamilyState, evolve_pair,
-                                 explicit_elements, initial_state, is_x_state)
+from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
+                                 explicit_elements, initial_state, is_x_state,
+                                 x_blocks)
 
 IDENT = single_time_series()
 
@@ -158,3 +161,53 @@ def test_batched_evolution_matches_per_cell_kron(channel_bank):
             ref = shuffle(np.kron(tm, tm) @ shuffle(rho0).reshape(16)).reshape(4, 4)
             assert np.abs(batched[i, j] - ref).max() <= 4 * np.finfo(float).eps
             assert closed[i, j] == concurrence_xstate(batched[i, j]).value
+
+
+# ---------------------------------------------------------------------------
+# the X-sector route
+
+def test_x_blocks_read_the_diagonal_and_the_antidiagonal():
+    rho = np.arange(16.0).reshape(4, 4) * (1.0 + 1.0j)
+    diag, anti = x_blocks(np.array([rho, 2.0 * rho]))
+    assert diag.tolist() == [[[0.0, 5.0], [10.0, 15.0]], [[0.0, 10.0], [20.0, 30.0]]]
+    assert anti[0].tolist() == [[3 + 3j, 6 + 6j], [9 + 9j, 12 + 12j]]
+    assert np.array_equal(anti[1], 2.0 * anti[0])
+
+
+@pytest.mark.parametrize("route", ["wei_norman", "magnus"])
+def test_sector_route_matches_evolve_pair(channel_bank, route):
+    # Wei-Norman carries the decay factor in gamma_k, Magnus has gamma_k = 0
+    entry = channel_bank["C"]
+    series = (entry.series if route == "wei_norman"
+              else lie_channel.propagate(entry.params, entry.times))[::4]
+    assert (np.max(np.abs(series.gamma_k)) > 1.0) == (route == "wei_norman")
+    rho0s = np.array([initial_state(BellFamilyState(family, math.sqrt(b2), phase))
+                      for family in ("phi", "psi") for b2 in (0.1, 0.5, 0.8)
+                      for phase in (0.0, 0.7, 2.5)])
+    diag, anti = evolve_xstate(series, rho0s)
+    assert diag.shape == anti.shape == (len(series), rho0s.shape[0], 2, 2)
+    assert diag.dtype == float and anti.dtype == complex
+    want_diag, want_anti = x_blocks(evolve_pair(series, rho0s))
+    assert np.max(np.abs(diag - want_diag)) <= 1e-15
+    assert np.max(np.abs(anti - want_anti)) <= 1e-15
+
+
+def test_sector_route_at_identity_returns_the_blocks():
+    rho0s = np.array([initial_state(BellFamilyState("psi", 0.6, 0.3))])
+    diag, anti = evolve_xstate(IDENT, rho0s)
+    want_diag, want_anti = x_blocks(rho0s[None])
+    assert np.array_equal(diag, want_diag)
+    assert np.array_equal(anti, want_anti)
+
+
+def test_sector_route_rejects_non_x_and_unstacked_states():
+    rho = initial_state(BellFamilyState("phi", 0.6))
+    with pytest.raises(ShapeError, match="exact X-state"):
+        evolve_xstate(IDENT, np.full((2, 4, 4), 0.25, dtype=complex))
+    off_x = np.array([rho, rho])
+    off_x[1, 0, 1] = 1e-300
+    with pytest.raises(ShapeError, match="exact X-state"):
+        evolve_xstate(IDENT, off_x)
+    for bad in (rho, np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3))):
+        with pytest.raises(ShapeError, match="stack of 4x4"):
+            evolve_xstate(IDENT, bad)
