@@ -23,6 +23,7 @@ are dimensionless gamma*t; the solver works in physical time internally.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -52,20 +53,18 @@ SURFACE_BLOCK_CELLS = 1024
 class Preset:
     name: str
     params: BathParams
-    description: str
 
 
 PRESETS = {
-    "A": Preset("A", BathParams(omega0=100.0, gamma=1.0, lam=10.0),
-                "far-detuned regime: omega0 = 10 lam = 100 gamma"),
-    "B": Preset("B", BathParams(omega0=10.0, gamma=1.0, lam=10.0),
-                "matched regime: omega0 = lam = 10 gamma"),
-    "C": Preset("C", BathParams(omega0=3.0, gamma=1.0, lam=10.0),
-                "low-frequency regime: omega0 = 3 gamma < lam"),
-    # the rotating-wave amplitude never reads omega0; value kept for the
-    # shared BathParams plumbing only
-    "RWA": Preset("RWA", BathParams(omega0=10.0, gamma=1.0, lam=10.0),
-                  "rotating-wave reference channel, lam = 10 gamma"),
+    # far-detuned regime: omega0 = 10 lam = 100 gamma
+    "A": Preset("A", BathParams(omega0=100.0, gamma=1.0, lam=10.0)),
+    # matched regime: omega0 = lam = 10 gamma
+    "B": Preset("B", BathParams(omega0=10.0, gamma=1.0, lam=10.0)),
+    # low-frequency regime: omega0 = 3 gamma < lam
+    "C": Preset("C", BathParams(omega0=3.0, gamma=1.0, lam=10.0)),
+    # rotating-wave reference channel, lam = 10 gamma; the rotating-wave
+    # amplitude never reads omega0, kept for the shared BathParams plumbing
+    "RWA": Preset("RWA", BathParams(omega0=10.0, gamma=1.0, lam=10.0)),
 }
 
 
@@ -179,13 +178,19 @@ def write_csv(surface: ConcurrenceSurface, stream: TextIO) -> None:
         stream.write(text.replace("nan", "NaN") if np.isnan(row).any() else text)
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The stream of --out: stdout for None or "-", else the file, closed
+    on exit; IoError when it cannot be opened."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8"), True
+        stream = open(path, "w", encoding="utf-8")
     except OSError as err:
         raise IoError(f"cannot open output file {path!r}: {err}") from err
+    with stream:
+        yield stream
 
 
 def _check_grid_flags(args) -> None:
@@ -210,13 +215,8 @@ def _spec_from_args(args) -> SweepSpec:
     _check_grid_flags(args)
     preset = PRESETS[args.preset]
     params = preset.params
-    overrides = {}
-    if args.omega0 is not None:
-        overrides["omega0"] = args.omega0
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
+    overrides = {name: getattr(args, name) for name in ("omega0", "lam", "gamma")
+                 if getattr(args, name) is not None}
     if overrides:
         params = dataclasses.replace(params, **overrides)
 
@@ -241,12 +241,8 @@ def _spec_from_args(args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     surface = compute_surface(_spec_from_args(args))
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         write_csv(surface, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -376,7 +372,8 @@ def run_checks(presets, settings: IntegratorSettings):
 
 
 def _settings(args, cap_step: bool = True) -> IntegratorSettings:
-    """The integrator settings of --rel-tol, None when the flag is absent."""
+    """The integrator settings of --rel-tol, the default tolerance when the
+    flag is absent."""
     rel_tol = IntegratorSettings.rel_tol if args.rel_tol is None else args.rel_tol
     return IntegratorSettings(rel_tol=rel_tol, cap_step=cap_step)
 
@@ -414,8 +411,7 @@ def cmd_report(args) -> int:
                           f"got {args.t_steps}")
     spec = _spec_from_args(args)
     surface = compute_surface(spec)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(f"# preset={args.preset} channel={spec.channel} "
                      f"family={spec.family} phase={spec.eta_phase:g} "
                      f"tmax={spec.t_max:g} t_steps={spec.t_steps}\n")
@@ -437,9 +433,6 @@ def cmd_report(args) -> int:
                 plevel = f"{float(np.mean(vals[pl[0]:pl[1] + 1])):.6g}"
             stream.write(f"{b2:.6g}\t{death}\t{len(episodes)}\t{peak:.6g}\t"
                          f"{pstart}\t{pend}\t{plevel}\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -455,15 +448,11 @@ def cmd_trace(args) -> int:
     cols[:len(cf), 1:] = np.column_stack(
         (cf.l, cf.m, cf.n, cf.p, cf.x.real, cf.x.imag, cf.y.real, cf.y.imag,
          cf.q.real, cf.q.imag, cf.r.real, cf.r.imag, cf.gamma_k))
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write("gamma_t,l,m,n,p,x_re,x_im,y_re,y_im,"
                      "q_re,q_im,r_re,r_im,gamma_k\n")
         for row in cols:
             stream.write(",".join(_fmt(c) for c in row) + "\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 

@@ -38,7 +38,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, GridError, NegativeDiagonalError, NumericalError, ShapeError
+from .lie_channel import check_grid
 from .two_qubit import is_x_state, x_blocks
+
+# gross-error guard of the X route: a population below -DIAG_TOL raises
+DIAG_TOL = 0.1
+# the general oracle refuses a state with an eigenvalue below -SPECTRUM_TOL
+SPECTRUM_TOL = 1e-9
 
 _SY2 = np.kron(np.array([[0.0, -1j], [1j, 0.0]]),
                np.array([[0.0, -1j], [1j, 0.0]])).real
@@ -68,21 +74,20 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     return (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2.0
 
 
-def concurrence_sectors(diag: np.ndarray, anti: np.ndarray,
-                        diag_tol: float = 0.1) -> ConcurrenceResult:
+def concurrence_sectors(diag: np.ndarray, anti: np.ndarray) -> ConcurrenceResult:
     """Closed-form concurrence from the two X-state blocks, each (..., 2, 2):
     the real populations diag = [[rho11, rho22], [rho33, rho44]] and
     anti = [[rho14, rho23], [rho32, rho41]], as two_qubit.evolve_xstate
     returns them.  rho23 and rho14 are symmetrized with conj(rho32) and
     conj(rho41).
 
-    diag_tol is a gross-error guard: populations below -diag_tol raise
-    NegativeDiagonalError, milder transient negativity is tolerated and the
-    products under the square roots are clamped at zero.
+    Populations below -DIAG_TOL raise NegativeDiagonalError; milder
+    transient negativity is tolerated and the products under the square
+    roots are clamped at zero.
     """
-    if diag.size and diag.min() < -diag_tol:
+    if diag.size and diag.min() < -DIAG_TOL:
         raise NegativeDiagonalError(
-            f"diagonal element {diag.min():.3g} below -{diag_tol:g}"
+            f"diagonal element {diag.min():.3g} below -{DIAG_TOL:g}"
         )
     r23 = (anti[..., 0, 1] + np.conj(anti[..., 1, 0])) / 2.0
     r14 = (anti[..., 0, 0] + np.conj(anti[..., 1, 1])) / 2.0
@@ -91,16 +96,16 @@ def concurrence_sectors(diag: np.ndarray, anti: np.ndarray,
     return ConcurrenceResult(value=np.maximum(0.0, np.maximum(c1, c2)), c1=c1, c2=c2)
 
 
-def concurrence_xstate(rho: np.ndarray, diag_tol: float = 0.1) -> ConcurrenceResult:
+def concurrence_xstate(rho: np.ndarray) -> ConcurrenceResult:
     """Closed-form concurrence of an X-state or a stack of them (..., 4, 4):
     concurrence_sectors of its diagonal and antidiagonal."""
     rho = _states(rho)
     if not is_x_state(rho):
         raise ShapeError("closed-form branches require an exact X-state")
-    return concurrence_sectors(*x_blocks(rho), diag_tol)
+    return concurrence_sectors(*x_blocks(rho))
 
 
-def concurrence_general(rho: np.ndarray, tol: float = 1e-9):
+def concurrence_general(rho: np.ndarray):
     """Spin-flip concurrence of an arbitrary two-qubit state or a stack of
     them (..., 4, 4).
 
@@ -109,14 +114,14 @@ def concurrence_general(rho: np.ndarray, tol: float = 1e-9):
     This stays stable where direct eigenvalues of the non-normal product
     rho rho~ lose half the working precision.
 
-    A state whose spectrum is negative beyond tol is refused: a single
-    state raises NumericalError, a state in a stack reads NaN.
+    A state whose spectrum is negative beyond SPECTRUM_TOL is refused: a
+    single state raises NumericalError, a state in a stack reads NaN.
     """
     w, u = np.linalg.eigh(_hermitian_part(rho))
-    refused = w.min(axis=-1) < -tol
+    refused = w.min(axis=-1) < -SPECTRUM_TOL
     if refused.ndim == 0 and refused:
         raise NumericalError(
-            f"state eigenvalue {w.min():.3g} below -{tol:g}; "
+            f"state eigenvalue {w.min():.3g} below -{SPECTRUM_TOL:g}; "
             "not positive within tolerance"
         )
     lfac = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
@@ -165,18 +170,17 @@ def detect_esd(times: Sequence[float], values: Sequence[float],
 
     Grid semantics: death is the first sample with value < threshold;
     a revival episode is a maximal run of consecutive samples strictly above
-    threshold occurring after that sample.
+    threshold occurring after that sample.  The times follow check_grid's
+    rules, and there are at least three of them, one per value.
     """
     if threshold <= 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
-    t = np.asarray(times, dtype=float)
+    t = check_grid(times)
     v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise GridError("times and values must be 1-d and the same length")
+    if t.shape != v.shape:
+        raise GridError("times and values must be the same length")
     if t.size < 3:
         raise GridError(f"need at least 3 samples, got {t.size}")
-    if not np.all(np.diff(t) > 0.0):
-        raise GridError("times must be strictly increasing")
 
     below = np.flatnonzero(v < threshold)
     if below.size == 0:

@@ -21,12 +21,13 @@ The time-local generator is built from running integrals of these kernels:
 
     f(t)     = 1 - e^{-gamma t}
     alpha(t) = (1 - e^{-(gamma + 2i omega0) t}) / (gamma + 2i omega0)
-    F(t)     = t - f(t)/gamma
-    alpha~   = int_0^t alpha(s) ds        (closed form below)
+    F(t)     = int_0^t f(s) ds = t - f(t)/gamma
+    alpha~   = int_0^t alpha(s) ds = (t - alpha(t)) / (gamma + 2i omega0)
     Gamma_k  = lam (gamma alpha~^R + F) / 2
 
-All functions here are pure closed forms of (t, params); their independent
-quadrature checks live in the oracle module.
+All functions here are pure closed forms of (t, params) that take a float or
+an array of times; their independent quadrature checks live in the oracle
+module.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class BathParams:
                 f"gamma={self.gamma}, lam={self.lam}"
             )
 
-    @property
-    def memory_time(self) -> float:
-        """Reservoir correlation time 1/gamma."""
-        return 1.0 / self.gamma
-
 
 class CoefficientSet(NamedTuple):
     """The six generator coefficients at one instant or over an array of times.
@@ -98,31 +94,29 @@ def spectral_density(omega: float, p: BathParams) -> float:
     )
 
 
-def alpha1(t: float, p: BathParams) -> complex:
+def alpha1(t, p: BathParams):
     """Rotating-part correlation kernel; real-valued, returned complex."""
-    return complex((p.gamma * p.lam / 2.0) * math.exp(-p.gamma * t))
+    return (p.gamma * p.lam / 2.0) * np.exp(-p.gamma * t) + 0j
 
 
-def alpha2(t: float, p: BathParams) -> complex:
+def alpha2(t, p: BathParams):
     """Counter-rotating correlation kernel; same modulus as alpha1."""
     return (p.gamma * p.lam / 2.0) * np.exp((-p.gamma + 2j * p.omega0) * t)
 
 
 def f(t, p: BathParams):
-    """Running integral of the alpha1 envelope: 1 - e^{-gamma t}; t may be
-    an array."""
+    """Running integral of the alpha1 envelope: 1 - e^{-gamma t}."""
     # expm1 keeps small-t values accurate where the propagator is near identity
     return -np.expm1(-p.gamma * t)
 
 
-def big_f(t: float, p: BathParams) -> float:
+def big_f(t, p: BathParams):
     """F(t) = t - f(t)/gamma; grows ~ gamma t^2 / 2 at small t."""
-    return t + math.expm1(-p.gamma * t) / p.gamma
+    return t - f(t, p) / p.gamma
 
 
 def alpha(t, p: BathParams):
-    """Running integral of the counter-rotating kernel shape; t may be an
-    array.
+    """Running integral of the counter-rotating kernel shape.
 
     alpha(t) = int_0^t e^{-(gamma + 2i omega0)s} ds; tends to
     1/(gamma + 2i omega0) for t >> 1/gamma.
@@ -132,24 +126,19 @@ def alpha(t, p: BathParams):
     return -np.expm1(-c * t) / c
 
 
-def alpha_tilde(t: float, p: BathParams) -> complex:
-    """Closed form of int_0^t alpha(s) ds.
+def alpha_tilde(t, p: BathParams):
+    """int_0^t alpha(s) ds = (t - alpha(t)) / (gamma + 2i omega0); about
+    t^2/2 at small t, with a relative error of order
+    eps/(|gamma + 2i omega0| t) from the difference.
 
     Real part grows linearly with slope gamma/(gamma^2 + 4 omega0^2) once the
     e^{-gamma t} transient has died; imaginary part with slope
     -2 omega0/(gamma^2 + 4 omega0^2).
     """
-    g, w0 = p.gamma, p.omega0
-    d = g * g + 4.0 * w0 * w0
-    e = math.exp(-g * t)
-    c2 = math.cos(2.0 * w0 * t)
-    s2 = math.sin(2.0 * w0 * t)
-    re = (g * t + ((4.0 * w0 * w0 - g * g) * (1.0 - e * c2) - 4.0 * w0 * g * e * s2) / d) / d
-    im = (-2.0 * w0 * t + (4.0 * w0 * g * (1.0 - e * c2) + (4.0 * w0 * w0 - g * g) * e * s2) / d) / d
-    return complex(re, im)
+    return (t - alpha(t, p)) / (p.gamma + 2j * p.omega0)
 
 
-def decay_exponent(t: float, p: BathParams) -> float:
+def decay_exponent(t, p: BathParams):
     """Global decay exponent Gamma_k(t) = lam (gamma alpha~^R + F)/2, real.
 
     Asymptotic slope (lam/2)(1 + gamma^2/(gamma^2 + 4 omega0^2)).

@@ -127,7 +127,8 @@ class ChannelSeries:
 
 # called with a float by integrate and with an array of times by propagate
 CoefficientFn = Callable[[float, BathParams], CoefficientSet]
-DecayFn = Callable[[float, BathParams], float]
+# called once per integration, with the array of times reached
+DecayFn = Callable[[np.ndarray, BathParams], np.ndarray]
 
 
 def check_grid(times: Sequence[float]) -> np.ndarray:
@@ -249,10 +250,10 @@ def integrate(
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
     The decay exponent is evaluated through its closed form rather than
-    integrated, so swapping in an alternative coefficient_fn requires the
-    matching decay_exponent_fn.  The result covers the prefix of `times`
-    whose coefficients fit in float range (see channel_at); it is shorter
-    than `times` past that point.
+    integrated, in one call on the times reached, so swapping in an
+    alternative coefficient_fn requires the matching decay_exponent_fn.
+    The result covers the prefix of `times` whose coefficients fit in float
+    range (see channel_at); it is shorter than `times` past that point.
 
     Raises GridError on a bad grid, BlowupError when any Wei-Norman variable
     crosses BLOWUP_THRESHOLD (the channel at earlier sample times rides
@@ -264,8 +265,7 @@ def integrate(
     sol = solve(lambda t, yv: _rhs(t, yv, p, cfn), np.zeros(9),
                 check_grid(times), settings, step_cap(p, settings),
                 limit=BLOWUP_THRESHOLD)
-    gamma_k = np.array([dfn(float(t), p) for t in sol.t])
-    series = channel_at(sol.t, sol.y, gamma_k)
+    series = channel_at(sol.t, sol.y, dfn(sol.t, p))
     if sol.t_fail is not None:
         raise BlowupError(sol.t_fail, partial=series)
     return series

@@ -176,12 +176,13 @@ def rwa_first_zero(p: BathParams) -> float:
 
 
 def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
-    """Package q(t) as a channel series for the shared two-qubit pipeline.
+    """Package q(t) as a channel series for the shared two-qubit pipeline;
+    GridError on a grid that check_grid refuses.
 
     Trace preserving exactly: l + p = 1 and m + n = 1 by construction, with
     gamma_k = 0 since no global decay factor is split off.
     """
-    ts = np.asarray(times, dtype=float)
+    ts = check_grid(times)
     qa = rwa_amplitude(ts, p)
     pop = np.abs(qa) ** 2
     zeros, czeros = np.zeros(ts.size), np.zeros(ts.size, dtype=complex)
@@ -298,6 +299,6 @@ def truncated_coefficients(t, p: BathParams) -> CoefficientSet:
     )
 
 
-def truncated_decay_exponent(t: float, p: BathParams) -> float:
+def truncated_decay_exponent(t, p: BathParams):
     """Decay exponent matching truncated_coefficients: (lam/2) F(t)."""
     return p.lam * kernels.big_f(t, p) / 2.0

@@ -57,10 +57,6 @@ class BellFamilyState:
             raise DomainError(f"beta must lie in (0,1), got {self.beta}")
 
     @property
-    def beta2(self) -> float:
-        return self.beta * self.beta
-
-    @property
     def eta(self) -> complex:
         mag = math.sqrt(1.0 - self.beta * self.beta)
         return mag * complex(math.cos(self.eta_phase), math.sin(self.eta_phase))

@@ -40,10 +40,6 @@ def test_params_must_be_finite(field, bad):
         BathParams(**kwargs)
 
 
-def test_memory_time():
-    assert BathParams(10.0, 4.0, 10.0).memory_time == 0.25
-
-
 def test_spectral_density_peak():
     p = PRESET_PARAMS["B"]
     assert kernels.spectral_density(p.omega0, p) == pytest.approx(
@@ -116,6 +112,18 @@ def test_alpha_tilde_against_quadrature(name, gt):
     p = PRESET_PARAMS[name]
     t = gt / p.gamma
     assert abs(kernels.alpha_tilde(t, p) - oracle.alpha_tilde_quadrature(t, p)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
+@pytest.mark.parametrize("gt", [1e-12, 1e-9, 1e-6])
+def test_alpha_tilde_small_time_series(name, gt):
+    # the running integral of alpha(t) = t - c t^2/2 + ...; the difference
+    # t - alpha(t) leaves a relative error of order eps/(|c| t)
+    p = PRESET_PARAMS[name]
+    c = p.gamma + 2j * p.omega0
+    t = gt / p.gamma
+    series = t * t / 2.0 - c * t**3 / 6.0
+    assert abs(kernels.alpha_tilde(t, p) - series) <= 1e-4 * abs(series)
 
 
 def test_alpha_tilde_additivity():
@@ -194,6 +202,13 @@ def test_coefficients_on_arrays_match_scalar_calls(name):
                                    atol=0.0, err_msg=field)
     trunc = oracle.truncated_coefficients(ts, p)
     assert np.array_equal(trunc.nu_minus, p.lam * kernels.f(ts, p))
+    # as do the other closed forms; integrate evaluates the decay exponent
+    # on all its sample times at once
+    for fn in (kernels.alpha1, kernels.big_f, kernels.alpha_tilde,
+               kernels.decay_exponent, oracle.truncated_decay_exponent):
+        one = np.array([fn(float(t), p) for t in ts])
+        np.testing.assert_allclose(fn(ts, p), one, rtol=4 * np.finfo(float).eps,
+                                   atol=0.0, err_msg=fn.__name__)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])

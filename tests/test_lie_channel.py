@@ -147,7 +147,7 @@ def test_blowup_reports_failure_time_and_prefix():
     times = np.linspace(0.0, 2.0, 11)
     with pytest.raises(BlowupError) as exc:
         integrate(P_C, times, coefficient_fn=_tan_riccati,
-                  decay_exponent_fn=lambda t, p: 0.0)
+                  decay_exponent_fn=lambda t, p: 0.0 * t)
     err = exc.value
     assert abs(err.t_fail - math.pi / 2.0) < 1e-6
     assert 0 < len(err.partial) < times.size
@@ -155,7 +155,7 @@ def test_blowup_reports_failure_time_and_prefix():
     # before the first sample time the prefix is empty
     with pytest.raises(BlowupError) as exc:
         integrate(P_C, [2.0, 3.0], coefficient_fn=_tan_riccati,
-                  decay_exponent_fn=lambda t, p: 0.0)
+                  decay_exponent_fn=lambda t, p: 0.0 * t)
     assert len(exc.value.partial) == 0
 
 
@@ -210,7 +210,7 @@ def test_blowup_matches_solve_ivp_terminal_event():
     assert got.nfev == ref.nfev
     with pytest.raises(BlowupError) as exc:
         integrate(P_C, times, coefficient_fn=_tan_riccati,
-                  decay_exponent_fn=lambda t, p: 0.0)
+                  decay_exponent_fn=lambda t, p: 0.0 * t)
     assert exc.value.t_fail == ref.t_events[0][0]
     want = channel_at(ref.t, ref.y, np.zeros(ref.t.size))
     for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r"):
@@ -250,7 +250,7 @@ def test_coefficient_fn_plumbing():
     # a generator with all coefficients zero must leave the origin fixed
     frozen = lambda t, p: kernels.CoefficientSet(0j, 0j, 0j, 0.0, 0.0, 0.0)
     cf = integrate(P_B, [0.0, 1.0, 2.0], coefficient_fn=frozen,
-                   decay_exponent_fn=lambda t, p: 0.0)
+                   decay_exponent_fn=lambda t, p: 0.0 * t)
     assert cf.t.tolist() == [0.0, 1.0, 2.0]
     _assert_identity(cf)
 

@@ -32,6 +32,9 @@ def test_direct_grid_validation():
         oracle.integrate_master_direct(P_B, PLUS, [])
     with pytest.raises(GridError):
         oracle.integrate_master_direct(P_B, PLUS, [0.0, 2.0, 1.0])
+    # the rotating-wave channel follows the same grid rules
+    with pytest.raises(GridError):
+        oracle.rwa_channel([1.0, 0.0], P_B)
 
 
 def test_direct_matches_channel_on_coherent_state():
