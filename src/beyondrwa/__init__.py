@@ -3,9 +3,10 @@ rotating-wave approximation.
 
 Typical use: compute the single-qubit channel once per parameter set, then
 reuse its time-major coefficient arrays across initial states.  propagate
-takes fixed Magnus steps on the two linear sectors; integrate is the
-paper's Wei-Norman route, adaptive, whose e^{+Gamma_k} factors overflow
-at long times (gamma t ~ 140 on the presets).
+takes fixed Magnus steps on the two linear sectors, and every command but
+verify uses it; integrate is the paper's Wei-Norman route, adaptive, whose
+e^{+Gamma_k} factors overflow at long times (gamma t ~ 140 on the
+presets), and verify checks it against the direct route.
 
     from beyondrwa import (BathParams, propagate, BellFamilyState,
                            initial_state, evolve_pair, concurrence_xstate)

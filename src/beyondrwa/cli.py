@@ -6,14 +6,16 @@ Four subcommands:
 * verify - run the oracle checks of CHECKS, one PASS/FAIL line per record
 * report - death/revival/plateau summary per beta^2 row of a sweep
   (at least 3 time samples)
-* trace  - dump channel coefficients along a single trajectory; it evolves
-  no pair state, so it takes no --state, --beta2, --phase or --beta2-steps
+* trace  - dump the channel's coefficients along a single trajectory; it
+  evolves no pair state, so it takes no --state, --beta2, --phase or
+  --beta2-steps
 
-sweep and report take the channel from lie_channel.propagate (fixed Magnus
-steps, no tolerance to set) and run on NumPy alone; trace and verify
-integrate the Wei-Norman equations adaptively through lie_channel.solve,
-take --rel-tol, and import SciPy when they first need it.  run_checks
-integrates each preset once per route; the tests call the same checks.
+sweep, report and trace take the channel from _channel_series: the
+rotating-wave closed form, or lie_channel.propagate (fixed Magnus steps, no
+tolerance to set), and run on NumPy alone.  Only verify integrates the
+Wei-Norman equations adaptively through lie_channel.solve, takes --rel-tol,
+and imports SciPy when it first needs it.  run_checks integrates each
+preset once per route; the tests call the same checks.
 
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
@@ -35,7 +37,7 @@ import numpy as np
 from . import kernels, lie_channel, oracle
 from .entanglement import (concurrence_general, concurrence_sectors,
                           concurrence_xstate, detect_esd, true_runs)
-from .errors import BeyondRwaError, BlowupError, DomainError, IoError
+from .errors import BeyondRwaError, DomainError, IoError
 from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
 from .two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
@@ -105,32 +107,6 @@ def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
         return oracle.rwa_channel(times, spec.params)
     cfn = oracle.truncated_coefficients if spec.channel == "truncated" else None
     return lie_channel.propagate(spec.params, times, coefficient_fn=cfn)
-
-
-def _wei_norman_series(spec: SweepSpec, times: np.ndarray,
-                       settings: IntegratorSettings) -> ChannelSeries:
-    """trace's channel: the rotating-wave closed form, or the Wei-Norman
-    integration on a prefix of `times`, all of it unless the integration
-    blows up or the coefficients leave float range, with a warning then."""
-    if spec.channel == "rwa":
-        return oracle.rwa_channel(times, spec.params)
-
-    cfn = dfn = None
-    if spec.channel == "truncated":
-        cfn = oracle.truncated_coefficients
-        dfn = oracle.truncated_decay_exponent
-
-    try:
-        series = lie_channel.integrate(spec.params, times, settings,
-                                       coefficient_fn=cfn, decay_exponent_fn=dfn)
-    except BlowupError as err:
-        print(f"warning: {err}; later rows recorded as NaN", file=sys.stderr)
-        return err.partial
-    if len(series) < times.size:
-        print(f"warning: channel coefficients exceed float range at "
-              f"t={times[len(series)]:.6g}; later rows recorded as NaN",
-              file=sys.stderr)
-    return series
 
 
 def _initial_states(family: str, b2s: np.ndarray, phase: float = 0.0) -> np.ndarray:
@@ -221,11 +197,9 @@ def _spec_from_args(args) -> SweepSpec:
         params = dataclasses.replace(params, **overrides)
 
     channel = "rwa" if args.preset == "RWA" else "full"
-    # the rotating-wave amplitude reads neither omega0 nor a tolerance
-    for flag, value in (("--omega0", args.omega0),
-                        ("--rel-tol", getattr(args, "rel_tol", None))):
-        if channel == "rwa" and value is not None:
-            raise DomainError(f"{flag} does not apply to preset RWA")
+    # the rotating-wave amplitude does not read omega0
+    if channel == "rwa" and args.omega0 is not None:
+        raise DomainError("--omega0 does not apply to preset RWA")
     if args.truncated_rwa:
         if channel == "rwa":
             raise DomainError("--truncated-rwa does not combine with preset RWA")
@@ -371,17 +345,11 @@ def run_checks(presets, settings: IntegratorSettings):
             yield f"aborted_{type(err).__name__}", math.inf, 0.0
 
 
-def _settings(args, cap_step: bool = True) -> IntegratorSettings:
-    """The integrator settings of --rel-tol, the default tolerance when the
-    flag is absent."""
-    rel_tol = IntegratorSettings.rel_tol if args.rel_tol is None else args.rel_tol
-    return IntegratorSettings(rel_tol=rel_tol, cap_step=cap_step)
-
-
 def cmd_verify(args) -> int:
     names = VERIFY_PRESETS if args.preset is None else (args.preset,)
-    records = list(run_checks([PRESETS[k] for k in names],
-                              _settings(args, cap_step=not args.uncap_step)))
+    settings = IntegratorSettings(rel_tol=args.rel_tol,
+                                  cap_step=not args.uncap_step)
+    records = list(run_checks([PRESETS[k] for k in names], settings))
     for name, dev, bound in records:
         print(f"{name}\t{dev:.6g}\t{bound:g}\t{'PASS' if dev < bound else 'FAIL'}")
     return 0 if all(dev < bound for _, dev, bound in records) else 1
@@ -442,12 +410,10 @@ def cmd_report(args) -> int:
 def cmd_trace(args) -> int:
     spec = _spec_from_args(args)
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    cf = _wei_norman_series(spec, gts / spec.params.gamma, _settings(args))
-    cols = np.full((gts.size, 14), np.nan)
-    cols[:, 0] = gts
-    cols[:len(cf), 1:] = np.column_stack(
-        (cf.l, cf.m, cf.n, cf.p, cf.x.real, cf.x.imag, cf.y.real, cf.y.imag,
-         cf.q.real, cf.q.imag, cf.r.real, cf.r.imag, cf.gamma_k))
+    cf = _channel_series(spec, gts / spec.params.gamma)
+    cols = np.column_stack(
+        (gts, cf.l, cf.m, cf.n, cf.p, cf.x.real, cf.x.imag, cf.y.real,
+         cf.y.imag, cf.q.real, cf.q.imag, cf.r.real, cf.r.imag, cf.gamma_k))
     with _output(args.out) as stream:
         stream.write("gamma_t,l,m,n,p,x_re,x_im,y_re,y_im,"
                      "q_re,q_im,r_re,r_im,gamma_k\n")
@@ -471,12 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seedless", action="store_true",
                         help="accepted for interface compatibility; output "
                              "is always deterministic")
-
-    # only the adaptive Wei-Norman and direct integrations take a tolerance
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--rel-tol", type=float, default=None,
-                           help="integrator relative tolerance (absolute "
-                                "tracks it; default 1e-9)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--preset", choices=sorted(PRESETS), default="B",
@@ -512,8 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrence surface as CSV")
     ps.set_defaults(func=cmd_sweep)
 
-    pv = sub.add_parser("verify", parents=[common, tolerance],
+    pv = sub.add_parser("verify", parents=[common],
                         help="run the oracle cross-check suite")
+    # only the adaptive Wei-Norman and direct integrations take a tolerance
+    pv.add_argument("--rel-tol", type=float, default=IntegratorSettings.rel_tol,
+                    help="integrator relative tolerance (absolute tracks it; "
+                         "default %(default)g)")
     # RWA has no generator of its own to check: rwa_residual covers it
     pv.add_argument("--preset", choices=VERIFY_PRESETS, default=None,
                     help="check one preset (default A, B and C)")
@@ -525,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sudden-death and revival summary per beta^2")
     pr.set_defaults(func=cmd_report)
 
-    pt = sub.add_parser("trace", parents=[common, tolerance, grid],
+    pt = sub.add_parser("trace", parents=[common, grid],
                         help="dump channel coefficients along one trajectory")
     pt.set_defaults(func=cmd_trace)
     return parser

@@ -28,9 +28,9 @@ A second route, propagate, integrates the same master equation without
 the disentangling: per qubit it is two real 2x2 linear systems, the
 populations (rho11, rho00) and the coherence (Re rho10, Im rho10), which a
 fourth-order Magnus scheme steps on a fixed grid.  Its coefficients are
-bounded, so it has no e^{+Gamma_k} overflow and no blowup; the command
-line's sweep and report use it, trace and the Wei-Norman checks use
-integrate.
+bounded, so it has no e^{+Gamma_k} overflow and no blowup; every command
+that prints a channel or a state uses it, and only verify's Wei-Norman
+checks use integrate.
 
 integrate and the direct oracle share one adaptive loop, solve, which
 steps SciPy's Dormand-Prince RK45 pair.  SciPy is imported there, on the

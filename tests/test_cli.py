@@ -127,21 +127,36 @@ BLOWUP_ARGS = ("--preset", "C", "--lambda", "100", "--tmax", "20",
                "--t-steps", "5")
 
 
-def test_trace_blowup_writes_nan_rows(capsys):
+def _trace_rows(capsys, *argv) -> np.ndarray:
+    """The rows of a trace that exits 0 with nothing on stderr, each finite
+    and with gamma_k = 0: the channel's own coefficients."""
+    code, out, err = run_cli(capsys, "trace", *argv)
+    assert code == 0 and err == ""
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in out.splitlines()[1:]])
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, -1] == 0.0)
+    return rows
+
+
+def test_trace_runs_past_the_wei_norman_overflow(capsys):
     # at lam = 100 gamma the raw Wei-Norman coefficients leave float range
-    # between gamma t = 10 and 15; rows from there on are NaN
-    code, out, err = run_cli(capsys, "trace", *BLOWUP_ARGS)
-    assert code == 0
-    assert "warning:" in err and "NaN" in err
-    lines = out.splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "5", "10", "15", "20"]
-    assert not any("NaN" in line for line in lines[1:4])
-    assert all(line.split(",")[1:] == ["NaN"] * 13 for line in lines[4:])
+    # between gamma t = 10 and 15; the sector propagators stay bounded, and
+    # every row matches the direct route
+    rows = _trace_rows(capsys, *BLOWUP_ARGS)
+    gts = rows[:, 0]
+    assert gts.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
+    ref = oracle.direct_channel(BathParams(omega0=3.0, gamma=1.0, lam=100.0), gts)
+    expected = np.column_stack((ref.l, ref.m, ref.n, ref.p, ref.x.real,
+                                ref.x.imag, ref.y.real, ref.y.imag))
+    assert np.max(np.abs(rows[:, 1:9] - expected)) < 1e-6
+    # preset A's raw coefficients overflow near gamma t = 140
+    assert _trace_rows(capsys, "--preset", "A", "--tmax", "200",
+                       "--t-steps", "5").shape == (5, 14)
 
 
 def test_sweep_runs_past_the_wei_norman_overflow(capsys):
-    # the same arguments that cut trace to NaN: the sector propagators
-    # stay bounded, and every row matches the direct route
+    # the arguments of the trace above: the sector propagators stay
+    # bounded, and every row matches the direct route
     code, out, err = run_cli(capsys, "sweep", *BLOWUP_ARGS, "--beta2", "0.5")
     assert code == 0
     assert err == ""
@@ -190,14 +205,22 @@ def test_sweep_rejects_non_finite_parameters(capsys, override):
     assert "error:" in err and "finite" in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "report"])
-def test_rel_tol_only_on_adaptive_commands(capsys, command):
-    # sweep and report take fixed Magnus steps and have no tolerance to set
+@pytest.fixture(scope="module")
+def verify_at_rel_tol_1e_6():
+    """Exit code of verify --preset C --rel-tol 1e-6."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["verify", "--preset", "C", "--rel-tol", "1e-6"])
+
+
+@pytest.mark.parametrize("command", ["sweep", "report", "trace"])
+def test_rel_tol_only_on_adaptive_commands(capsys, command,
+                                           verify_at_rel_tol_1e_6):
+    # sweep, report and trace take fixed Magnus steps or the rotating-wave
+    # closed form and have no tolerance to set; verify integrates adaptively
     assert "unrecognized arguments: --rel-tol" in exit_2(
         capsys, command, "--preset", "C", "--rel-tol", "1e-6")
-    code, _, _ = run_cli(capsys, "trace", "--preset", "C", "--rel-tol", "1e-6",
-                         "--t-steps", "3", "--tmax", "1")
-    assert code == 0
+    assert verify_at_rel_tol_1e_6 == 0
 
 
 def test_write_csv_matches_per_cell_formatting():
@@ -326,7 +349,6 @@ def test_verify_fails_when_the_oracle_refuses_every_state(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--preset", "C", "--rel-tol", "0"),
-    ("trace", "--preset", "C", "--rel-tol", "-1"),
     ("verify", "--rel-tol", "nan"),
 ])
 def test_unusable_tolerance_exits_2(capsys, argv):
@@ -362,9 +384,8 @@ PAIR_FLAGS = ("--state", "--beta2", "--phase", "--beta2-steps")
     *(f"trace {flag} 1" for flag in PAIR_FLAGS),
     "trace --tmax 0", "trace --tmax -1", "trace --t-steps 0",
     "report --t-steps 1", "report --t-steps 2",   # a report needs 3 samples
-    # the rotating-wave amplitude reads neither omega0 nor a tolerance
+    # the rotating-wave amplitude does not read omega0
     "sweep --omega0 5", "report --omega0 5", "trace --omega0 5",
-    "trace --rel-tol 1e-6",
 ])
 def test_trace_and_report_reject_unusable_flags(tmp_path, capsys, argv):
     # refused before any computing or writing
@@ -386,17 +407,19 @@ def test_verify_rejects_the_rwa_preset(capsys):
 # the package sources, for checks that need a fresh interpreter
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# sweep and report run on NumPy alone; verify imports SciPy on first use
+# sweep, report and trace run on NumPy alone; verify imports SciPy on
+# first use
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from beyondrwa import cli
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = {"import": loaded()}
 for argv in (["sweep", "--preset", "A"],
-             ["report", "--preset", "RWA", "--beta2", "0.5"]):
+             ["report", "--preset", "RWA", "--beta2", "0.5"],
+             ["trace", "--preset", "A"], ["trace", "--preset", "RWA"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    seen[argv[0]] = loaded()
+    seen[" ".join(argv)] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--preset", "C"]) == 0
 seen["verify"] = loaded()
@@ -410,8 +433,8 @@ def test_sweep_and_report_never_load_scipy():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == seen["sweep"] == seen["report"] == []
-    assert "scipy.integrate" in seen["verify"]
+    assert "scipy.integrate" in seen.pop("verify")
+    assert len(seen) == 5 and all(mods == [] for mods in seen.values())
 
 
 # records OpenBLAS's thread timeout at the moment NumPy is first imported
