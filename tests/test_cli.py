@@ -349,6 +349,7 @@ def test_verify_fails_when_the_oracle_refuses_every_state(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--preset", "C", "--rel-tol", "0"),
+    ("verify", "--preset", "C", "--rel-tol", "-1"),
     ("verify", "--rel-tol", "nan"),
 ])
 def test_unusable_tolerance_exits_2(capsys, argv):
