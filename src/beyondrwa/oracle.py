@@ -109,7 +109,9 @@ def direct_channel(
 
     Same grid rules, step cap and adaptive loop (lie_channel.solve) as the
     channel integration, so both routes resolve the 2 omega0 oscillation
-    equally well.  Raises ToleranceError when the stepper gives up."""
+    equally well.  It keeps solve's default RK45: DOP853, which the channel
+    integration steps, takes more evaluations here (31 169 against 23 522
+    on preset A).  Raises ToleranceError when the stepper gives up."""
     settings = settings or IntegratorSettings()
     cfn = coefficient_fn or kernels.coefficients
     sol = solve(lambda t, yv: _direct_rhs(t, yv, p, cfn), np.eye(4).ravel(),

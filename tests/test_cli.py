@@ -205,6 +205,15 @@ def test_sweep_rejects_non_finite_parameters(capsys, override):
     assert "error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma", "1e-300"), ("--tmax", "1e12")])
+def test_sweep_refuses_a_grid_of_too_many_magnus_steps(capsys, flag, value):
+    # the step count, 4e303 or 4e14, is checked before any cast or
+    # allocation: it once wrapped past int64 or asked for 2e11 pieces
+    err = exit_2(capsys, "sweep", "--preset", "C", flag, value, "--t-steps", "3",
+                 "--beta2", "0.5")
+    assert "error:" in err and "Magnus steps" in err and "1e+08" in err
+
+
 @pytest.fixture(scope="module")
 def verify_at_rel_tol_1e_6():
     """Exit code of verify --preset C --rel-tol 1e-6."""

@@ -159,23 +159,27 @@ def test_blowup_reports_failure_time_and_prefix():
     assert len(exc.value.partial) == 0
 
 
-def _solve_ivp_reference(fun, y0, ts, max_step, limit=None):
-    """solve_ivp's RK45 on the same problem, with max|y| >= limit as a
-    terminal event when a limit is given; the loop solve replaced."""
+def _solve_ivp_reference(fun, y0, ts, max_step, method, limit=None):
+    """solve_ivp with the named stepper on the same problem, with
+    max|y| >= limit as a terminal event when a limit is given; the loop
+    solve replaced."""
     events = None
     if limit is not None:
         events = lambda t, y: float(np.max(np.abs(y))) - limit
         events.terminal, events.direction = True, 1.0
     settings = IntegratorSettings()
-    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method="RK45", t_eval=ts,
+    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method=method, t_eval=ts,
                      rtol=settings.rel_tol, atol=settings.rel_tol,
                      max_step=max_step, events=events)
 
 
-@pytest.mark.parametrize("route", ["wei_norman_A", "direct_B_plus",
-                                   "direct_B_propagator"])
-def test_solve_matches_solve_ivp(route):
-    # the shared loop steps scipy's RK45 and samples its dense output as
+@pytest.mark.parametrize("route, method", [("wei_norman_A", "DOP853"),
+                                           ("direct_B_plus", "RK45"),
+                                           ("direct_B_propagator", "RK45")],
+                         ids=["wei_norman_A", "direct_B_plus", "direct_B_propagator"])
+def test_solve_matches_solve_ivp(route, method):
+    # the shared loop steps the stepper each route uses (DOP853 for
+    # integrate, RK45 for direct_channel) and samples its dense output as
     # solve_ivp(t_eval=...) does: same samples to the bit, same work
     if route == "wei_norman_A":
         p, y0 = P_A, np.zeros(9)
@@ -188,8 +192,8 @@ def test_solve_matches_solve_ivp(route):
         fun = lambda t, y: oracle._direct_rhs(t, y, p, kernels.coefficients)
     ts = GAMMA_T_GRID / p.gamma
     cap = step_cap(p, IntegratorSettings())
-    ref = _solve_ivp_reference(fun, y0, ts, cap)
-    got = solve(fun, y0, ts, IntegratorSettings(), cap)
+    ref = _solve_ivp_reference(fun, y0, ts, cap, method)
+    got = solve(fun, y0, ts, IntegratorSettings(), cap, method=method)
     assert ref.status == 0 and got.t_fail is None
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
@@ -200,10 +204,12 @@ def test_blowup_matches_solve_ivp_terminal_event():
     times = np.linspace(0.0, 2.0, 11)
     fun = lambda t, y: lie_channel._rhs(t, y, P_C, _tan_riccati)
     cap = step_cap(P_C, IntegratorSettings())
-    ref = _solve_ivp_reference(fun, np.zeros(9), times, cap, BLOWUP_THRESHOLD)
+    # integrate steps DOP853
+    ref = _solve_ivp_reference(fun, np.zeros(9), times, cap, "DOP853",
+                               BLOWUP_THRESHOLD)
     assert ref.status == 1
     got = solve(fun, np.zeros(9), times, IntegratorSettings(), cap,
-                limit=BLOWUP_THRESHOLD)
+                limit=BLOWUP_THRESHOLD, method="DOP853")
     assert got.t_fail == ref.t_events[0][0]
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
@@ -216,6 +222,24 @@ def test_blowup_matches_solve_ivp_terminal_event():
     for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r"):
         assert (getattr(exc.value.partial, name).tobytes()
                 == getattr(want, name).tobytes()), name
+
+
+def test_each_route_steps_its_own_stepper():
+    # RHS evaluations on preset A's verify grid: integrate takes 31 193 on
+    # DOP853 (75 140 on RK45), direct_channel 23 522 on RK45 (31 169 on
+    # DOP853); upper bounds, so that a scipy release may shift them a little
+    calls = [0]
+
+    def counting(t, p):
+        calls[0] += 1
+        return kernels.coefficients(t, p)
+
+    ts = GAMMA_T_GRID / P_A.gamma
+    integrate(P_A, ts, coefficient_fn=counting)
+    assert calls[0] < 40_000
+    calls[0] = 0
+    oracle.direct_channel(P_A, ts, coefficient_fn=counting)
+    assert calls[0] < 30_000
 
 
 def test_overflow_prechecks():
@@ -262,6 +286,17 @@ def _max_gap(a, b) -> float:
     """Largest |delta rho| between two channels over the Hermitian probes."""
     return max(float(np.max(np.abs(apply_channel(a, rho) - apply_channel(b, rho))))
                for rho in HERMITIAN_PROBES.values())
+
+
+@pytest.mark.parametrize("name, bound", [("A", 5e-9), ("B", 1e-10), ("C", 1e-10)])
+def test_integrate_matches_a_tight_direct_reference(channel_bank, name, bound):
+    # integrate at its default rel_tol 1e-9 against direct_channel at 1e-12:
+    # 1.8e-9, 1.8e-11 and 2.5e-12 on DOP853, where RK45 read 1.8e-8, 1.8e-9
+    # and 8.2e-11
+    entry = channel_bank[name]
+    ref = oracle.direct_channel(entry.params, entry.times,
+                                IntegratorSettings(rel_tol=1e-12))
+    assert _max_gap(entry.series, ref) < bound
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
@@ -332,6 +367,19 @@ def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
         assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
     # the first interval runs from t = 0 to the first sample time
     assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
+
+
+@pytest.mark.parametrize("p, ts", [
+    # gamma t = 10 at gamma = 1e-300: 4e303 steps, past int64
+    (BathParams(omega0=3.0, gamma=1e-300, lam=10.0), [0.0, 1e301]),
+    (P_C, [0.0, 1e12]),
+    # each interval short enough, the sum too long
+    (P_C, np.linspace(0.0, 3e5, 201)),
+    (P_C, [0.0, math.inf]),
+])
+def test_propagate_refuses_too_many_steps(p, ts):
+    with pytest.raises(DomainError, match="Magnus steps"):
+        propagate(p, ts)
 
 
 def test_propagate_grid_rules():
