@@ -195,6 +195,11 @@ def _spec_from_args(args) -> SweepSpec:
                  if getattr(args, name) is not None}
     if overrides:
         params = dataclasses.replace(params, **overrides)
+    # the grid runs in physical time, gamma_t / gamma
+    if not math.isfinite(args.tmax / params.gamma):
+        raise DomainError(f"--tmax {args.tmax:g} over --gamma {params.gamma:g} "
+                          f"overflows the physical time: raise --gamma or "
+                          f"shorten --tmax")
 
     channel = "rwa" if args.preset == "RWA" else "full"
     # the rotating-wave amplitude does not read omega0

@@ -67,10 +67,8 @@ class BathParams:
 class CoefficientSet(NamedTuple):
     """The six generator coefficients at one instant or over an array of times.
 
-    A named tuple, which is cheap to build on the adaptive integrators' one
-    call per right-hand side.  Each field is a scalar or an array of the
-    shape of the times it was evaluated at; a field that does not depend on
-    time may stay a scalar.
+    Each field is a scalar or an array of the shape of the times it was
+    evaluated at; a field that does not depend on time may stay a scalar.
 
     eps0, eps_plus, eps_minus drive the coherence sector; nu0, nu_plus,
     nu_minus drive the population sector and are real.  eps_minus is always
@@ -155,10 +153,6 @@ def coefficients(t, p: BathParams) -> CoefficientSet:
     """
     a = alpha(t, p)
     ft = f(t, p)
-    if isinstance(t, float):
-        # the adaptive integrators call this once per RK stage, and Python
-        # scalar arithmetic is cheaper than numpy's
-        a, ft = complex(a), float(ft)
     return CoefficientSet(
         eps0=-1j * (2.0 * p.omega0 - p.lam * p.gamma * a.imag),
         eps_plus=p.lam * (p.gamma * a + ft) / 2.0,

@@ -33,7 +33,11 @@ that prints a channel or a state uses it, and only verify's Wei-Norman
 checks use integrate.
 
 integrate and the direct oracle share one adaptive loop, solve, which
-steps the SciPy stepper its caller names.  integrate names DOP853, the
+runs the Runge-Kutta pair its caller names with SciPy's tableaux and step
+control.  The coefficients depend on t alone, and every stage time of a
+step is known before its first stage, so each route hands solve a batch
+function, called once per step attempt on all its stage times, and a
+stage function that reads one record of it.  integrate names DOP853, the
 eighth-order Dormand-Prince pair: on preset A it needs 40% of the
 right-hand-side evaluations of RK45.  The direct oracle keeps RK45, which
 is faster than DOP853 on its propagator.  SciPy is imported in solve, on
@@ -132,8 +136,9 @@ class ChannelSeries:
                                 for f in fields(self)})
 
 
-# called with a float by integrate and with an array of times by propagate
-CoefficientFn = Callable[[float, BathParams], CoefficientSet]
+# called with a 1-d array of times: per step attempt by solve, per block of
+# steps by propagate
+CoefficientFn = Callable[[np.ndarray, BathParams], CoefficientSet]
 # called once per integration, with the array of times reached
 DecayFn = Callable[[np.ndarray, BathParams], np.ndarray]
 
@@ -166,25 +171,34 @@ def magnus_step(p: BathParams) -> float:
     return min(step_cap(p, IntegratorSettings()) / 4.0, 1.0 / (40.0 * p.lam))
 
 
-def _rhs(t: float, yv: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
+def _coefficient_rows(times: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
+    """The coefficients at each of `times` from one call of cfn, as one
+    tuple of Python scalars (eps0, eps+, eps-, nu0, nu+, nu-) per time:
+    the records _rhs reads.  A field cfn returns as a scalar is repeated."""
+    cols = [v.tolist() if np.ndim(v) else np.full(times.shape, v).tolist()
+            for v in cfn(times, p)]
+    return list(zip(*cols))
+
+
+def _rhs(c: tuple, yv: np.ndarray) -> list:
     """Time derivative of the Wei-Norman variables, the one right-hand side
-    of the channel integration.
+    of the channel integration, from one record c of _coefficient_rows.
 
     yv is the real 9-vector [Re j+, Im j+, Re j0, Im j0, Re j-, Im j-,
     k+, k0, k-].
     """
-    c = cfn(t, p)
+    eps0, eps_plus, eps_minus, nu0, nu_plus, nu_minus = c
     # Python scalars: cheaper than numpy's at one call per RK stage
     jp_re, jp_im, j0_re, j0_im, _, _, kp, k0, _ = yv.tolist()
     jp = complex(jp_re, jp_im)
-    djp = c.eps_plus - c.eps_minus * jp * jp + c.eps0 * jp
-    dj0 = c.eps0 - 2.0 * c.eps_minus * jp
+    djp = eps_plus - eps_minus * jp * jp + eps0 * jp
+    dj0 = eps0 - 2.0 * eps_minus * jp
     # Re j0 and k0 track -2 Gamma_k and stay negative on-solution; the cap
     # only protects wild trial steps of the error estimator from overflow
-    djm = c.eps_minus * cmath.exp(complex(min(j0_re, _EXP_ARG_LIMIT), j0_im))
-    dkm = c.nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT))
-    dkp = c.nu_plus - c.nu_minus * kp * kp + c.nu0 * kp
-    dk0 = c.nu0 - 2.0 * c.nu_minus * kp
+    djm = eps_minus * cmath.exp(complex(min(j0_re, _EXP_ARG_LIMIT), j0_im))
+    dkm = nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT))
+    dkp = nu_plus - nu_minus * kp * kp + nu0 * kp
+    dk0 = nu0 - 2.0 * nu_minus * kp
     return [djp.real, djp.imag, dj0.real, dj0.imag, djm.real, djm.imag,
             dkp, dk0, dkm]
 
@@ -200,55 +214,185 @@ class Solution(NamedTuple):
     t_fail: Optional[float]
 
 
-def solve(fun: Callable, y0, ts: np.ndarray, settings: IntegratorSettings,
-          max_step: float, limit: float = math.inf,
-          method: str = "RK45") -> Solution:
-    """Integrate y' = fun(t, y) from y(0) = y0 with the scipy.integrate
-    stepper named by method, "RK45" or "DOP853" (rtol = atol =
-    settings.rel_tol, steps at most max_step) up to ts[-1], and sample each
-    time of the checked grid ts from the dense output of the step that
-    covers it (y0 itself on the grid [0]), as solve_ivp(method=method,
-    t_eval=ts) does.
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_interpolant(t_old: float, t_new: float, y_old: np.ndarray, q: np.ndarray):
+    """SciPy's RkDenseOutput over one step: y_old + h q (x, x^2, ...)
+    with x = (t - t_old)/h, at a time or a 1-d array of times."""
+    h = t_new - t_old
+
+    def dense(t):
+        t = np.asarray(t)
+        x = (t - t_old) / h
+        reps = (q.shape[1], 1) if t.ndim else q.shape[1]
+        powers = np.cumprod(np.tile(x, reps), axis=0)
+        return h * np.dot(q, powers) + (y_old[:, None] if t.ndim else y_old)
+
+    return dense
+
+
+def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.ndarray):
+    """SciPy's Dop853DenseOutput over one step: the rows of f nested in
+    alternating factors x and 1 - x, at a time or a 1-d array of times."""
+    h = t_new - t_old
+
+    def dense(t):
+        t = np.asarray(t)
+        x = (t - t_old) / h
+        if t.ndim:
+            x = x[:, None]
+        y = np.zeros((x.size, y_old.size)) if t.ndim else np.zeros_like(y_old)
+        for i, row in enumerate(f[::-1]):
+            y += row
+            y *= x if i % 2 == 0 else 1 - x
+        return (y + y_old).T
+
+    return dense
+
+
+def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
+          settings: IntegratorSettings, max_step: float,
+          limit: float = math.inf, method: str = "RK45") -> Solution:
+    """Integrate y' = stage(batch(t)[0], y) from y(0) = y0 up to ts[-1]
+    with the Runge-Kutta pair of scipy.integrate's class `method`, "RK45"
+    or "DOP853", and sample each time of the checked grid ts from the dense
+    output of the step that covers it (y0 itself on the grid [0]).
+
+    batch(times) takes a 1-d array of times and returns one record per
+    time; stage(record, y) is the derivative there.  All stage times of a
+    step are known before its first stage, so batch runs once per step
+    attempt (on t + C[1:] h and t + h) and once per DOP853 dense output
+    (on t_old + C_EXTRA h), not once per stage.  Everything else is
+    SciPy's stepper, operation for operation (select_initial_step, the
+    nextafter minimum step, safety 0.9, factors 0.2 and 10 with no growth
+    after a rejection, both error norms, both dense outputs), with
+    rtol = atol = settings.rel_tol and steps at most max_step: the samples
+    and nfev are those of solve_ivp(method=method, t_eval=ts) to the bit.
 
     The samples never steer the steps.  Once max|y| at the end of a step
     reaches `limit`, brentq finds the crossing inside that step (xtol =
     rtol = 4 eps) and the samples stop there; Solution.t_fail holds it.
-    Raises ToleranceError when the stepper gives up.
+    Raises ToleranceError when the step falls below the minimum.
     """
     # SciPy costs about half a second to import; only the adaptive
-    # integrations need it
+    # integrations need its tableaux
     import scipy.integrate
 
-    stepper = getattr(scipy.integrate, method)
-    solver = stepper(fun, 0.0, y0, float(ts[-1]), max_step=max_step,
-                     rtol=settings.rel_tol, atol=settings.rel_tol)
+    rk = getattr(scipy.integrate, method)
+    ns, tol, t_bound = rk.n_stages, settings.rel_tol, float(ts[-1])
+    exponent = -1 / (rk.error_estimator_order + 1)
+    # stage times of an attempt as fractions of its step; the last is the
+    # first stage of the next step
+    c_step = np.append(rk.C[1:], 1.0)
+    weights = [rk.A[s, :s] for s in range(ns)]
+    # DOP853's dense output takes three more stages
+    eighth = method == "DOP853"
+    extra = ([rk.A_EXTRA[j, :ns + 1 + j] for j in range(rk.C_EXTRA.size)]
+             if eighth else [])
+
+    y = np.array(y0, dtype=float)
+    k = np.empty((ns + 1 + len(extra), y.size))
+    kt = [k[:s].T for s in range(k.shape[0] + 1)]
+    f = np.asarray(stage(batch(np.zeros(1))[0], y), dtype=float)
+    nfev = 1
+    if t_bound == 0.0:
+        return Solution(ts.copy(), y[:, None], nfev, None)
+
+    # select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    f1 = np.asarray(stage(batch(np.array([h0]))[0], y + h0 * f), dtype=float)
+    nfev += 1
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (rk.error_estimator_order + 1))
+    h_abs = min(100 * h0, h1, t_bound, max_step)
+
+    def error_norm(h, scale):
+        if not eighth:
+            return _rms(np.dot(kt[ns + 1], rk.E) * h / scale)
+        e5 = np.linalg.norm(np.dot(kt[ns + 1], rk.E5) / scale) ** 2
+        e3 = np.linalg.norm(np.dot(kt[ns + 1], rk.E3) / scale) ** 2
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return h * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale))
+
+    def interpolant():
+        nonlocal nfev
+        if not eighth:
+            return _rk_interpolant(t_old, t, y_old, kt[ns + 1].dot(rk.P))
+        recs = batch(t_old + rk.C_EXTRA * h)
+        for j, a in enumerate(extra):
+            k[ns + 1 + j] = stage(recs[j], y_old + np.dot(kt[ns + 1 + j], a) * h)
+        nfev += len(extra)
+        delta = y - y_old
+        fs = np.empty((3 + len(rk.D), y.size))
+        fs[0] = delta
+        fs[1] = h * k[0] - delta
+        fs[2] = 2 * delta - h * (f + k[0])
+        fs[3:] = h * np.dot(rk.D, k)
+        return _dop853_interpolant(t_old, t, y_old, fs)
+
     times = ts.tolist()
-    t_out, y_out = [ts[:0]], [np.empty((len(y0), 0))]
+    t_out, y_out = [ts[:0]], [np.empty((y.size, 0))]
     i = 0
+    t = 0.0
     t_fail = None
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise ToleranceError(f"integration failed: {message}")
-        t, dense = solver.t, None
-        if limit < math.inf and np.abs(solver.y).max() >= limit:
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ToleranceError("integration failed: Required step size "
+                                     "is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            recs = batch(t + c_step * h)
+            k[0] = f
+            for s in range(1, ns):
+                k[s] = stage(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)
+            y_new = y + h * np.dot(kt[ns], rk.B)
+            f_new = np.asarray(stage(recs[-1], y_new), dtype=float)
+            k[ns] = f_new
+            nfev += ns
+            err = error_norm(h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** exponent)
+                h_abs = h * (min(1, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err ** exponent)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+
+        dense = None
+        t_end = t
+        if limit < math.inf and np.abs(y).max() >= limit:
             from scipy.optimize import brentq
 
-            dense = solver.dense_output()
-            t = t_fail = brentq(lambda s: np.max(np.abs(dense(s))) - limit,
-                                solver.t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            dense = interpolant()
+            t_end = t_fail = brentq(lambda s: np.max(np.abs(dense(s))) - limit,
+                                    t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
         j = i
-        while j < len(times) and times[j] <= t:
+        while j < len(times) and times[j] <= t_end:
             j += 1
         if j > i:
             if dense is None:
-                dense = solver.dense_output()
+                dense = interpolant()
             t_out.append(ts[i:j])
             y_out.append(dense(ts[i:j]))
             i = j
-        if t_fail is not None:
+        if t_fail is not None or t >= t_bound:
             break
-    return Solution(np.concatenate(t_out), np.hstack(y_out), solver.nfev, t_fail)
+    return Solution(np.concatenate(t_out), np.hstack(y_out), nfev, t_fail)
 
 
 def integrate(
@@ -260,7 +404,8 @@ def integrate(
 ) -> ChannelSeries:
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
-    The Riccati system is stepped by solve with DOP853.  The decay
+    The Riccati system is stepped by solve with DOP853, and coefficient_fn
+    is called with the array of stage times of each step.  The decay
     exponent is evaluated through its closed form rather than
     integrated, in one call on the times reached, so swapping in an
     alternative coefficient_fn requires the matching decay_exponent_fn.
@@ -269,12 +414,13 @@ def integrate(
 
     Raises GridError on a bad grid, BlowupError when any Wei-Norman variable
     crosses BLOWUP_THRESHOLD (the channel at earlier sample times rides
-    along on the exception), and ToleranceError when the stepper gives up.
+    along on the exception), and ToleranceError when the step falls below
+    solve's minimum.
     """
     settings = settings or IntegratorSettings()
     cfn = coefficient_fn or kernels.coefficients
     dfn = decay_exponent_fn or kernels.decay_exponent
-    sol = solve(lambda t, yv: _rhs(t, yv, p, cfn), np.zeros(9),
+    sol = solve(lambda ts: _coefficient_rows(ts, p, cfn), _rhs, np.zeros(9),
                 check_grid(times), settings, step_cap(p, settings),
                 limit=BLOWUP_THRESHOLD, method="DOP853")
     series = channel_at(sol.t, sol.y, dfn(sol.t, p))

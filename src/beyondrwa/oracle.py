@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError
 from .kernels import BathParams, CoefficientSet
-from .lie_channel import (ChannelSeries, IntegratorSettings, apply_channel,
-                          check_grid, sector_channel, solve, step_cap)
+from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
+                          apply_channel, check_grid, sector_channel, solve,
+                          step_cap)
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
@@ -50,7 +51,7 @@ def _components(d: np.ndarray) -> list:
 
 
 # the superoperators of the master equation, each without its coefficient,
-# in the order of the weights _direct_rhs forms
+# in the order of the weights _direct_matrices forms
 _TERMS = (
     lambda rho: -rho,                                   # Gdot
     lambda rho: (_SZ @ rho - rho @ _SZ) / 4.0,          # eps0
@@ -82,24 +83,32 @@ def _superoperator_basis() -> np.ndarray:
 _BASIS = _superoperator_basis()
 
 
-def _direct_rhs(t, yv, p, cfn):
-    """The master equation on [rho11, Re rho10, Im rho10, rho00]: the
-    coefficients weight the superoperator basis into one real 4x4 matrix,
-    which acts on a 4-vector or on the raveled 4x4 propagator."""
-    c = cfn(t, p)
-    gdot = (c.nu_plus + c.nu_minus) / 2.0
+def _direct_matrices(times: np.ndarray, p: BathParams,
+                     cfn: CoefficientFn) -> np.ndarray:
+    """The master equation on [rho11, Re rho10, Im rho10, rho00] at each of
+    `times`, from one call of cfn: the coefficients weight the
+    superoperator basis into one real 4x4 matrix per time, shape (T, 4, 4)."""
+    c = cfn(times, p)
+    w = np.empty((times.size, len(_TERMS)), dtype=complex)
+    for j, v in enumerate(((c.nu_plus + c.nu_minus) / 2.0, c.eps0, c.eps_plus,
+                           c.eps_minus, c.nu0, c.nu_plus, c.nu_minus)):
+        w[:, j] = v
     # a complex array viewed as floats interleaves real and imaginary parts,
     # matching the row order of _BASIS
-    w = np.array([gdot, c.eps0, c.eps_plus, c.eps_minus, c.nu0, c.nu_plus,
-                  c.nu_minus], dtype=complex).view(float)
-    return ((w @ _BASIS).reshape(4, 4) @ yv.reshape(4, -1)).ravel()
+    return (w.view(float) @ _BASIS).reshape(-1, 4, 4)
+
+
+def _direct_rhs(m: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """One matrix m of _direct_matrices on a 4-vector or on the raveled
+    4x4 propagator."""
+    return (m @ yv.reshape(4, -1)).ravel()
 
 
 def direct_channel(
     p: BathParams,
     t_grid: Sequence[float],
     settings: Optional[IntegratorSettings] = None,
-    coefficient_fn: Optional[Callable[[float, BathParams], CoefficientSet]] = None,
+    coefficient_fn: Optional[CoefficientFn] = None,
 ) -> ChannelSeries:
     """The channel at t_grid from one integration of the real 4x4
     propagator u of the master equation on [rho11, Re rho10, Im rho10,
@@ -109,13 +118,16 @@ def direct_channel(
 
     Same grid rules, step cap and adaptive loop (lie_channel.solve) as the
     channel integration, so both routes resolve the 2 omega0 oscillation
-    equally well.  It keeps solve's default RK45: DOP853, which the channel
-    integration steps, takes more evaluations here (31 169 against 23 522
-    on preset A).  Raises ToleranceError when the stepper gives up."""
+    equally well.  solve builds every stage matrix of a step in one call of
+    _direct_matrices, and each stage is one product _direct_rhs.  It keeps
+    solve's default RK45 pair: DOP853, which the channel integration steps,
+    takes more evaluations here (31 169 against 23 522 on preset A).
+    Raises ToleranceError when the step falls below solve's minimum."""
     settings = settings or IntegratorSettings()
     cfn = coefficient_fn or kernels.coefficients
-    sol = solve(lambda t, yv: _direct_rhs(t, yv, p, cfn), np.eye(4).ravel(),
-                check_grid(t_grid), settings, step_cap(p, settings))
+    sol = solve(lambda ts: _direct_matrices(ts, p, cfn), _direct_rhs,
+                np.eye(4).ravel(), check_grid(t_grid), settings,
+                step_cap(p, settings))
     u = sol.y.T.reshape(-1, 4, 4)
     return sector_channel(sol.t, u[:, ::3, ::3], u[:, 1:3, 1:3])
 

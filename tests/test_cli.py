@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,19 @@ def test_sweep_refuses_a_grid_of_too_many_magnus_steps(capsys, flag, value):
     err = exit_2(capsys, "sweep", "--preset", "C", flag, value, "--t-steps", "3",
                  "--beta2", "0.5")
     assert "error:" in err and "Magnus steps" in err and "1e+08" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "report", "trace"])
+def test_refuses_a_grid_whose_physical_times_overflow(capsys, command):
+    # gamma_t / gamma overflowed to inf with two numpy warnings, and the
+    # grid check then blamed the spacing of the times
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = exit_2(capsys, command, "--preset", "C", "--gamma", "1e-320",
+                     "--t-steps", "5")
+    assert "error:" in err and "--gamma" in err and "--tmax" in err
+    assert "strictly increasing" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture(scope="module")

@@ -50,8 +50,13 @@ def test_identity_at_origin():
     assert np.array_equal(apply_channel(cf, rho)[0], rho)
 
 
+def _record(p, t, cfn=kernels.coefficients):
+    """The coefficient record that integrate's stage function reads at t."""
+    return lie_channel._coefficient_rows(np.array([t]), p, cfn)[0]
+
+
 def test_rhs_at_origin():
-    d = lie_channel._rhs(0.0, np.zeros(9), P_B, kernels.coefficients)
+    d = lie_channel._rhs(_record(P_B, 0.0), np.zeros(9))
     # only j0 moves at t=0: j0' = eps0 = -2i omega0
     assert d == [0.0, 0.0, 0.0, -2.0 * P_B.omega0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
@@ -62,7 +67,7 @@ def test_rhs_matches_finite_difference():
     t, h = 0.7, 1e-4
     cf = integrate(P_B, [t - h, t, t + h], IntegratorSettings(rel_tol=1e-12))
     yv = _wei_norman(cf)
-    d = lie_channel._rhs(t, yv[:, 1], P_B, kernels.coefficients)
+    d = lie_channel._rhs(_record(P_B, t), yv[:, 1])
     fd = (yv[:, 2] - yv[:, 0]) / (2.0 * h)
     # j0 by the log of a ratio near 1, clear of the 2 pi branch cut
     dj0 = -2.0 * np.log(cf.q[2] / cf.q[0]) / (2.0 * h)
@@ -173,27 +178,40 @@ def _solve_ivp_reference(fun, y0, ts, max_step, method, limit=None):
                      max_step=max_step, events=events)
 
 
-@pytest.mark.parametrize("route, method", [("wei_norman_A", "DOP853"),
-                                           ("direct_B_plus", "RK45"),
-                                           ("direct_B_propagator", "RK45")],
-                         ids=["wei_norman_A", "direct_B_plus", "direct_B_propagator"])
-def test_solve_matches_solve_ivp(route, method):
-    # the shared loop steps the stepper each route uses (DOP853 for
-    # integrate, RK45 for direct_channel) and samples its dense output as
-    # solve_ivp(t_eval=...) does: same samples to the bit, same work
+def _one_stage(batch, stage):
+    """The right-hand side at one time from a route's batch and stage
+    functions, as solve_ivp calls it."""
+    return lambda t, y: stage(batch(np.array([t]))[0], y)
+
+
+@pytest.mark.parametrize("route, method, capped", [
+    ("wei_norman_A", "DOP853", True),
+    ("direct_B_plus", "RK45", True),
+    ("direct_B_propagator", "RK45", True),
+    ("wei_norman_A", "DOP853", False),
+    ("direct_B_propagator", "RK45", False),
+], ids=["wei_norman_A", "direct_B_plus", "direct_B_propagator",
+        "wei_norman_A_uncapped", "direct_B_propagator_uncapped"])
+def test_solve_matches_solve_ivp(route, method, capped):
+    # the shared loop runs the pair each route uses (DOP853 for integrate,
+    # RK45 for direct_channel) with one batch call per step attempt, and
+    # samples its dense output as solve_ivp(t_eval=...) does: same samples
+    # to the bit, same work; uncapped is verify --uncap-step
     if route == "wei_norman_A":
         p, y0 = P_A, np.zeros(9)
-        fun = lambda t, y: lie_channel._rhs(t, y, p, kernels.coefficients)
+        batch = lambda ts: lie_channel._coefficient_rows(ts, p, kernels.coefficients)
+        stage = lie_channel._rhs
     else:
         # a probe state, or the identity as direct_channel starts its 4x4
         # propagator, raveled to 16 reals
         p = P_B
         y0 = [0.5, 0.5, 0.0, 0.5] if route == "direct_B_plus" else np.eye(4).ravel()
-        fun = lambda t, y: oracle._direct_rhs(t, y, p, kernels.coefficients)
+        batch = lambda ts: oracle._direct_matrices(ts, p, kernels.coefficients)
+        stage = oracle._direct_rhs
     ts = GAMMA_T_GRID / p.gamma
-    cap = step_cap(p, IntegratorSettings())
-    ref = _solve_ivp_reference(fun, y0, ts, cap, method)
-    got = solve(fun, y0, ts, IntegratorSettings(), cap, method=method)
+    cap = step_cap(p, IntegratorSettings(cap_step=capped))
+    ref = _solve_ivp_reference(_one_stage(batch, stage), y0, ts, cap, method)
+    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
     assert ref.status == 0 and got.t_fail is None
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
@@ -202,14 +220,14 @@ def test_solve_matches_solve_ivp(route, method):
 
 def test_blowup_matches_solve_ivp_terminal_event():
     times = np.linspace(0.0, 2.0, 11)
-    fun = lambda t, y: lie_channel._rhs(t, y, P_C, _tan_riccati)
+    batch = lambda ts: lie_channel._coefficient_rows(ts, P_C, _tan_riccati)
     cap = step_cap(P_C, IntegratorSettings())
     # integrate steps DOP853
-    ref = _solve_ivp_reference(fun, np.zeros(9), times, cap, "DOP853",
-                               BLOWUP_THRESHOLD)
+    ref = _solve_ivp_reference(_one_stage(batch, lie_channel._rhs), np.zeros(9),
+                               times, cap, "DOP853", BLOWUP_THRESHOLD)
     assert ref.status == 1
-    got = solve(fun, np.zeros(9), times, IntegratorSettings(), cap,
-                limit=BLOWUP_THRESHOLD, method="DOP853")
+    got = solve(batch, lie_channel._rhs, np.zeros(9), times, IntegratorSettings(),
+                cap, limit=BLOWUP_THRESHOLD, method="DOP853")
     assert got.t_fail == ref.t_events[0][0]
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
@@ -225,21 +243,24 @@ def test_blowup_matches_solve_ivp_terminal_event():
 
 
 def test_each_route_steps_its_own_stepper():
-    # RHS evaluations on preset A's verify grid: integrate takes 31 193 on
-    # DOP853 (75 140 on RK45), direct_channel 23 522 on RK45 (31 169 on
-    # DOP853); upper bounds, so that a scipy release may shift them a little
-    calls = [0]
+    # stage times evaluated on preset A's verify grid: integrate takes
+    # 31 193 on DOP853 (75 140 on RK45), direct_channel 23 522 on RK45
+    # (31 169 on DOP853), in 2 752 and 3 922 batched coefficient calls,
+    # one per step attempt and dense output; upper bounds, so that a scipy
+    # release may shift them a little
+    calls, times = [0], [0]
 
     def counting(t, p):
         calls[0] += 1
+        times[0] += np.size(t)
         return kernels.coefficients(t, p)
 
     ts = GAMMA_T_GRID / P_A.gamma
     integrate(P_A, ts, coefficient_fn=counting)
-    assert calls[0] < 40_000
-    calls[0] = 0
+    assert times[0] < 40_000 and calls[0] < 3_000
+    calls[0] = times[0] = 0
     oracle.direct_channel(P_A, ts, coefficient_fn=counting)
-    assert calls[0] < 30_000
+    assert times[0] < 30_000 and calls[0] < 4_500
 
 
 def test_overflow_prechecks():

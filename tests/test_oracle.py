@@ -46,7 +46,7 @@ def test_direct_matches_channel_on_coherent_state():
 
 def _operator_rhs(t, yv, p, cfn):
     """The direct right-hand side term by term on the 2x2 density matrix,
-    the form _direct_rhs replaced by its superoperator basis."""
+    the form _direct_matrices replaced by its superoperator basis."""
     c = cfn(t, p)
     rho = np.array([[yv[0], yv[1] + 1j * yv[2]],
                     [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
@@ -69,7 +69,8 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
     rng = np.random.default_rng(11)
     for t, yv in zip(rng.uniform(0.0, 10.0, 50), rng.normal(size=(50, 4))):
         ref = _operator_rhs(t, yv, p, cfn)
-        got = oracle._direct_rhs(t, yv, p, cfn)
+        (m,) = oracle._direct_matrices(np.array([t]), p, cfn)
+        got = oracle._direct_rhs(m, yv)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     # direct_channel reads only the population and coherence blocks of the
     # propagator: no term may couple the two
