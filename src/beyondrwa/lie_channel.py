@@ -36,12 +36,15 @@ integrate and the direct oracle share one adaptive loop, solve, which
 runs the Runge-Kutta pair its caller names with SciPy's tableaux and step
 control.  The coefficients depend on t alone, and every stage time of a
 step is known before its first stage, so each route hands solve a batch
-function, called once per step attempt on all its stage times, and a
-stage function that reads one record of it.  integrate names DOP853, the
-eighth-order Dormand-Prince pair: on preset A it needs 40% of the
-right-hand-side evaluations of RK45.  The direct oracle keeps RK45, which
-is faster than DOP853 on its propagator.  SciPy is imported in solve, on
-the first adaptive integration, so the Magnus route runs on NumPy alone.
+function, called on all the stage times of a step attempt at once, and a
+stage function that reads one record of it.  A step at the cap ends at
+t + max_step, so the stage times of a run of such steps are known ahead
+too, and one batch call serves up to CAP_BLOCK_STEPS of them.  integrate
+names DOP853, the eighth-order Dormand-Prince pair: on preset A it needs
+40% of the right-hand-side evaluations of RK45.  The direct oracle keeps
+RK45, which is faster than DOP853 on its propagator.  SciPy is imported in
+solve, on the first adaptive integration, so the Magnus route runs on
+NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -73,6 +76,10 @@ BLOWUP_THRESHOLD = 1e8
 # propagate evaluates the generator on at most this many Magnus steps at
 # once, which bounds its working memory
 MAGNUS_BLOCK_STEPS = 2048
+
+# solve evaluates the generator on the stage times of at most this many
+# cap-length step attempts at once
+CAP_BLOCK_STEPS = 64
 
 # propagate refuses a grid that needs more Magnus steps than this in all:
 # at about 1 us per step that is a couple of minutes
@@ -136,8 +143,8 @@ class ChannelSeries:
                                 for f in fields(self)})
 
 
-# called with a 1-d array of times: per step attempt by solve, per block of
-# steps by propagate
+# called with a 1-d array of times: per step attempt or run of cap-length
+# attempts by solve, per block of steps by propagate
 CoefficientFn = Callable[[np.ndarray, BathParams], CoefficientSet]
 # called once per integration, with the array of times reached
 DecayFn = Callable[[np.ndarray, BathParams], np.ndarray]
@@ -169,6 +176,17 @@ def magnus_step(p: BathParams) -> float:
     """Step of propagate: a quarter of step_cap, and at most 1/(40 lam) so
     that strong coupling is resolved as well as the 2 omega0 phase."""
     return min(step_cap(p, IntegratorSettings()) / 4.0, 1.0 / (40.0 * p.lam))
+
+
+def _magnus_remedy(p: BathParams) -> str:
+    """The flags that cut the step count of propagate, tmax/(gamma h) in
+    units of 1/gamma: --tmax, and the flag whose term sets h =
+    magnus_step(p) unless gamma h is fixed (the MEMORY_STEP term)."""
+    if 1.0 / (40.0 * p.lam) < step_cap(p, IntegratorSettings()) / 4.0:
+        return "shorten --tmax, lower --lambda or raise --gamma"
+    if math.pi / (8.0 * p.omega0) < MEMORY_STEP / p.gamma:
+        return "shorten --tmax, lower --omega0 or raise --gamma"
+    return "shorten --tmax"
 
 
 def _coefficient_rows(times: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
@@ -214,8 +232,14 @@ class Solution(NamedTuple):
     t_fail: Optional[float]
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d float array, which is exactly sqrt(x . x),
+    without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 def _rk_interpolant(t_old: float, t_new: float, y_old: np.ndarray, q: np.ndarray):
@@ -261,10 +285,16 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     output of the step that covers it (y0 itself on the grid [0]).
 
     batch(times) takes a 1-d array of times and returns one record per
-    time; stage(record, y) is the derivative there.  All stage times of a
-    step are known before its first stage, so batch runs once per step
-    attempt (on t + C[1:] h and t + h) and once per DOP853 dense output
-    (on t_old + C_EXTRA h), not once per stage.  Everything else is
+    time; it must act on each time alone, as kernels.coefficients does.
+    stage(record, y) is the derivative there.  All stage times of a step
+    are known before its first stage, so batch runs on all of them at once
+    (t + C[1:] h and t + h), and once per DOP853 dense output (on
+    t_old + C_EXTRA h), not once per stage.  An attempt at the cap,
+    h = max_step, ends at min(t + max_step, t_bound), so the attempts of a
+    run of them start at times known ahead: one batch call covers up to
+    CAP_BLOCK_STEPS of them, with the same float operations as the loop,
+    and an attempt that does not start where the run predicts (after a
+    rejection or a shorter step) drops the rest.  Everything else is
     SciPy's stepper, operation for operation (select_initial_step, the
     nextafter minimum step, safety 0.9, factors 0.2 and 10 with no growth
     after a rejection, both error norms, both dense outputs), with
@@ -316,11 +346,11 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     def error_norm(h, scale):
         if not eighth:
             return _rms(np.dot(kt[ns + 1], rk.E) * h / scale)
-        e5 = np.linalg.norm(np.dot(kt[ns + 1], rk.E5) / scale) ** 2
-        e3 = np.linalg.norm(np.dot(kt[ns + 1], rk.E3) / scale) ** 2
+        e5 = _norm(np.dot(kt[ns + 1], rk.E5) / scale) ** 2
+        e3 = _norm(np.dot(kt[ns + 1], rk.E3) / scale) ** 2
         if e5 == 0 and e3 == 0:
             return 0.0
-        return h * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale))
+        return h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
 
     def interpolant():
         nonlocal nfev
@@ -338,13 +368,29 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
         fs[3:] = h * np.dot(rk.D, k)
         return _dop853_interpolant(t_old, t, y_old, fs)
 
+    # the predicted starts of a run of attempts at the cap, the records of
+    # all of them, and how many of them the loop has taken
+    starts, block, at = [], None, 0
+
+    def cap_records(t):
+        nonlocal starts, block, at
+        if at >= len(starts) - 1 or starts[at] != t:
+            starts = [t]
+            while len(starts) <= CAP_BLOCK_STEPS and starts[-1] < t_bound:
+                starts.append(min(starts[-1] + max_step, t_bound))
+            s = np.array(starts)
+            block = batch((s[:-1, None] + c_step * (s[1:] - s[:-1])[:, None]).ravel())
+            at = 0
+        at += 1
+        return block[(at - 1) * ns:at * ns]
+
     times = ts.tolist()
     t_out, y_out = [ts[:0]], [np.empty((y.size, 0))]
     i = 0
     t = 0.0
     t_fail = None
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -356,7 +402,7 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
                                      "is less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            recs = batch(t + c_step * h)
+            recs = cap_records(t) if h_abs == max_step else batch(t + c_step * h)
             k[0] = f
             for s in range(1, ns):
                 k[s] = stage(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)
@@ -405,7 +451,8 @@ def integrate(
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
     The Riccati system is stepped by solve with DOP853, and coefficient_fn
-    is called with the array of stage times of each step.  The decay
+    is called with the stage times of a step attempt, or of a run of
+    attempts at the step cap, as one array.  The decay
     exponent is evaluated through its closed form rather than
     integrated, in one call on the times reached, so swapping in an
     alternative coefficient_fn requires the matching decay_exponent_fn.
@@ -479,15 +526,17 @@ def _expm2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnus_pieces(ts: np.ndarray, h: float):
+def _magnus_pieces(ts: np.ndarray, p: BathParams):
     """Split each interval before a sample time into equal Magnus steps of
-    at most h, in pieces of at most MAGNUS_BLOCK_STEPS steps.
+    at most h = magnus_step(p), in pieces of at most MAGNUS_BLOCK_STEPS
+    steps.
 
     The first interval runs from 0 to ts[0] and may be empty.  Returns, per
     piece: start time, step, step count, and whether it ends an interval.
     Raises DomainError, before any allocation, when the step count is not
     finite or exceeds MAGNUS_MAX_STEPS.
     """
+    h = magnus_step(p)
     prev = np.concatenate(([0.0], ts[:-1]))
     spans = ts - prev
     with np.errstate(over="ignore"):
@@ -496,8 +545,8 @@ def _magnus_pieces(ts: np.ndarray, h: float):
     if not total <= MAGNUS_MAX_STEPS:
         raise DomainError(f"the grid to t = {ts[-1]:.6g} needs {total:.3g} Magnus "
                           f"steps of at most {h:.3g}, more than the "
-                          f"{MAGNUS_MAX_STEPS:.0e} propagate takes: shorten "
-                          f"--tmax or raise --gamma")
+                          f"{MAGNUS_MAX_STEPS:.0e} propagate takes: "
+                          f"{_magnus_remedy(p)}")
     steps = steps.astype(np.int64)
     dt = spans / steps
     parts = -(-steps // MAGNUS_BLOCK_STEPS)
@@ -555,7 +604,7 @@ def propagate(
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)
-    start, dt, count, ends = _magnus_pieces(ts, magnus_step(p))
+    start, dt, count, ends = _magnus_pieces(ts, p)
 
     props = []
     current = np.broadcast_to(np.eye(2), (2, 2, 2))

@@ -118,8 +118,9 @@ def direct_channel(
 
     Same grid rules, step cap and adaptive loop (lie_channel.solve) as the
     channel integration, so both routes resolve the 2 omega0 oscillation
-    equally well.  solve builds every stage matrix of a step in one call of
-    _direct_matrices, and each stage is one product _direct_rhs.  It keeps
+    equally well.  solve builds every stage matrix of a step, or of a run
+    of steps at the cap, in one call of _direct_matrices, and each stage is
+    one product _direct_rhs.  It keeps
     solve's default RK45 pair: DOP853, which the channel integration steps,
     takes more evaluations here (31 169 against 23 522 on preset A).
     Raises ToleranceError when the step falls below solve's minimum."""
@@ -272,12 +273,21 @@ def alpha_quadrature(t: float, p: BathParams) -> complex:
     return complex(re, -im)
 
 
+def _scalar_alpha(p: BathParams):
+    """The closed form of kernels.alpha, (1 - e^{-cs})/c with
+    c = gamma + 2i omega0, on one Python float s: QUADPACK calls its
+    integrand once per node, where NumPy's per-call cost would dominate."""
+    c = complex(p.gamma, 2.0 * p.omega0)
+    return lambda s: (1.0 - cmath.exp(-c * s)) / c
+
+
 def alpha_tilde_quadrature(t: float, p: BathParams, s_lower: float = 0.0) -> complex:
     """int_{s_lower}^{t} alpha(s) ds by adaptive quadrature of the closed-form
     alpha (itself pinned by alpha_quadrature)."""
-    re = _quad(lambda s: kernels.alpha(s, p).real, s_lower, t,
+    alpha = _scalar_alpha(p)
+    re = _quad(lambda s: alpha(s).real, s_lower, t,
                limit=20000, epsabs=1e-12, epsrel=1e-12)
-    im = _quad(lambda s: kernels.alpha(s, p).imag, s_lower, t,
+    im = _quad(lambda s: alpha(s).imag, s_lower, t,
                limit=20000, epsabs=1e-12, epsrel=1e-12)
     return complex(re, im)
 
@@ -285,7 +295,8 @@ def alpha_tilde_quadrature(t: float, p: BathParams, s_lower: float = 0.0) -> com
 def decay_exponent_quadrature(t: float, p: BathParams) -> float:
     """Defining integral of Gamma_k, with the alpha^R and f parts integrated
     separately so neither term's roundoff hides the other's."""
-    i1 = _quad(lambda s: kernels.alpha(s, p).real, 0.0, t,
+    alpha = _scalar_alpha(p)
+    i1 = _quad(lambda s: alpha(s).real, 0.0, t,
                limit=20000, epsabs=1e-12, epsrel=1e-12)
     i2 = _quad(lambda s: kernels.f(s, p), 0.0, t,
                limit=2000, epsabs=1e-12, epsrel=1e-12)

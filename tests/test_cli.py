@@ -206,13 +206,19 @@ def test_sweep_rejects_non_finite_parameters(capsys, override):
     assert "error:" in err and "finite" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--gamma", "1e-300"), ("--tmax", "1e12")])
+@pytest.mark.parametrize("flag, value", [("--gamma", "1e-300"), ("--tmax", "1e12"),
+                                         ("--omega0", "1e12"), ("--lambda", "1e12")])
 def test_sweep_refuses_a_grid_of_too_many_magnus_steps(capsys, flag, value):
     # the step count, 4e303 or 4e14, is checked before any cast or
     # allocation: it once wrapped past int64 or asked for 2e11 pieces
     err = exit_2(capsys, "sweep", "--preset", "C", flag, value, "--t-steps", "3",
                  "--beta2", "0.5")
     assert "error:" in err and "Magnus steps" in err and "1e+08" in err
+    # the remedy names the flag whose term sets the Magnus step: at omega0
+    # or lam 1e12 it is pi/(32 omega0) or 1/(40 lam)
+    assert flag in err
+    others = {"--omega0": "--lambda", "--lambda": "--omega0"}
+    assert others.get(flag, "none") not in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "report", "trace"])

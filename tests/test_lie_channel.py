@@ -194,9 +194,10 @@ def _one_stage(batch, stage):
         "wei_norman_A_uncapped", "direct_B_propagator_uncapped"])
 def test_solve_matches_solve_ivp(route, method, capped):
     # the shared loop runs the pair each route uses (DOP853 for integrate,
-    # RK45 for direct_channel) with one batch call per step attempt, and
-    # samples its dense output as solve_ivp(t_eval=...) does: same samples
-    # to the bit, same work; uncapped is verify --uncap-step
+    # RK45 for direct_channel) with one batch call per step attempt or run
+    # of attempts at the cap, and samples its dense output as
+    # solve_ivp(t_eval=...) does: same samples to the bit, same work;
+    # uncapped is verify --uncap-step
     if route == "wei_norman_A":
         p, y0 = P_A, np.zeros(9)
         batch = lambda ts: lie_channel._coefficient_rows(ts, p, kernels.coefficients)
@@ -216,6 +217,45 @@ def test_solve_matches_solve_ivp(route, method, capped):
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
     assert got.nfev == ref.nfev
+
+
+def _jumping(t, p):
+    # the generator triples at gamma t = 3.05, inside a stretch of steps at
+    # the cap: the attempt across the jump is rejected, and its shorter
+    # retries leave the predicted run of cap-length attempts
+    scale = np.where(t < 3.05 / p.gamma, 1.0, 3.0)
+    return kernels.CoefficientSet(*(v * scale for v in kernels.coefficients(t, p)))
+
+
+@pytest.mark.parametrize("block", [lie_channel.CAP_BLOCK_STEPS, 3])
+@pytest.mark.parametrize("route, method", [("wei_norman", "DOP853"), ("direct", "RK45")])
+def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, method,
+                                                           block):
+    # a rejected or shorter attempt drops the records predicted for the
+    # rest of the run; the steps and samples stay those of solve_ivp, and
+    # the dropped records are the only evaluations beyond nfev
+    monkeypatch.setattr(lie_channel, "CAP_BLOCK_STEPS", block)
+    p, evaluated = P_B, [0]
+    if route == "wei_norman":
+        y0, stage = np.zeros(9), lie_channel._rhs
+        rows = lambda ts: lie_channel._coefficient_rows(ts, p, _jumping)
+    else:
+        y0, stage = np.eye(4).ravel(), oracle._direct_rhs
+        rows = lambda ts: oracle._direct_matrices(ts, p, _jumping)
+
+    def batch(ts):
+        evaluated[0] += ts.size
+        return rows(ts)
+
+    ts = GAMMA_T_GRID / p.gamma
+    cap = step_cap(p, IntegratorSettings())
+    ref = _solve_ivp_reference(_one_stage(rows, stage), y0, ts, cap, method)
+    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
+    assert ref.status == 0 and got.t_fail is None
+    assert got.t.tobytes() == ref.t.tobytes()
+    assert got.y.tobytes() == ref.y.tobytes()
+    assert got.nfev == ref.nfev
+    assert evaluated[0] > got.nfev
 
 
 def test_blowup_matches_solve_ivp_terminal_event():
@@ -245,8 +285,9 @@ def test_blowup_matches_solve_ivp_terminal_event():
 def test_each_route_steps_its_own_stepper():
     # stage times evaluated on preset A's verify grid: integrate takes
     # 31 193 on DOP853 (75 140 on RK45), direct_channel 23 522 on RK45
-    # (31 169 on DOP853), in 2 752 and 3 922 batched coefficient calls,
-    # one per step attempt and dense output; upper bounds, so that a scipy
+    # (31 169 on DOP853), in 245 and 2 072 batched coefficient calls: one
+    # per run of up to CAP_BLOCK_STEPS attempts at the step cap, per other
+    # attempt and per DOP853 dense output; upper bounds, so that a scipy
     # release may shift them a little
     calls, times = [0], [0]
 
@@ -257,10 +298,10 @@ def test_each_route_steps_its_own_stepper():
 
     ts = GAMMA_T_GRID / P_A.gamma
     integrate(P_A, ts, coefficient_fn=counting)
-    assert times[0] < 40_000 and calls[0] < 3_000
+    assert times[0] < 40_000 and calls[0] < 400
     calls[0] = times[0] = 0
     oracle.direct_channel(P_A, ts, coefficient_fn=counting)
-    assert times[0] < 30_000 and calls[0] < 4_500
+    assert times[0] < 30_000 and calls[0] < 2_500
 
 
 def test_overflow_prechecks():
