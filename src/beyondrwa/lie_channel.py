@@ -33,18 +33,20 @@ that prints a channel or a state uses it, and only verify's Wei-Norman
 checks use integrate.
 
 integrate and the direct oracle share one adaptive loop, solve, which
-runs the Runge-Kutta pair its caller names with SciPy's tableaux and step
-control.  The coefficients depend on t alone, and every stage time of a
-step is known before its first stage, so each route hands solve a batch
-function, called on all the stage times of a step attempt at once, and a
-stage function that reads one record of it.  A step at the cap ends at
+runs the Runge-Kutta pair its caller names with SciPy's step control, on
+the tableaux of SciPy's RK45 and DOP853 that _tableaux holds.  The
+coefficients depend on t alone, and every stage time of a step is known
+before its first stage, so each route hands solve a batch function,
+called on all the stage times of a step attempt at once, and a stage
+function that reads one record of it.  A step at the cap ends at
 t + max_step, so the stage times of a run of such steps are known ahead
-too, and one batch call serves up to CAP_BLOCK_STEPS of them.  integrate
-names DOP853, the eighth-order Dormand-Prince pair: on preset A it needs
-40% of the right-hand-side evaluations of RK45.  The direct oracle keeps
-RK45, which is faster than DOP853 on its propagator.  SciPy is imported in
-solve, on the first adaptive integration, so the Magnus route runs on
-NumPy alone.
+too, and so is which of them pass a sample time and need a dense output:
+one batch call serves up to CAP_BLOCK_STEPS of them.  integrate names
+DOP853, the eighth-order Dormand-Prince pair: on preset A it needs 40% of
+the right-hand-side evaluations of RK45.  The direct oracle keeps RK45,
+which is faster than DOP853 on its propagator.  Every route here runs on
+NumPy alone; only a step past BLOWUP_THRESHOLD, which no command reaches,
+imports SciPy's brentq.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -87,7 +89,7 @@ MAGNUS_MAX_STEPS = 1e8
 
 _EPS = np.finfo(float).eps
 
-# smallest rel_tol the integrations accept: scipy's own floor for rtol,
+# smallest rel_tol the integrations accept: SciPy's own floor for rtol,
 # below which it would raise rtol and keep atol
 MIN_REL_TOL = 100.0 * _EPS
 
@@ -281,8 +283,9 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
           limit: float = math.inf, method: str = "RK45") -> Solution:
     """Integrate y' = stage(batch(t)[0], y) from y(0) = y0 up to ts[-1]
     with the Runge-Kutta pair of scipy.integrate's class `method`, "RK45"
-    or "DOP853", and sample each time of the checked grid ts from the dense
-    output of the step that covers it (y0 itself on the grid [0]).
+    or "DOP853", whose tableau _tableaux holds, and sample each time of the
+    checked grid ts from the dense output of the step that covers it (y0
+    itself on the grid [0]).
 
     batch(times) takes a 1-d array of times and returns one record per
     time; it must act on each time alone, as kernels.coefficients does.
@@ -291,10 +294,12 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     (t + C[1:] h and t + h), and once per DOP853 dense output (on
     t_old + C_EXTRA h), not once per stage.  An attempt at the cap,
     h = max_step, ends at min(t + max_step, t_bound), so the attempts of a
-    run of them start at times known ahead: one batch call covers up to
-    CAP_BLOCK_STEPS of them, with the same float operations as the loop,
-    and an attempt that does not start where the run predicts (after a
-    rejection or a shorter step) drops the rest.  Everything else is
+    run of them start at times known ahead, and so does each one's dense
+    output if it passes a sample time not yet taken: one batch call covers
+    the stages of up to CAP_BLOCK_STEPS of them and those dense outputs,
+    with the same float operations as the loop, and an attempt that does
+    not start where the run predicts (after a rejection or a shorter step)
+    drops the rest.  Everything else is
     SciPy's stepper, operation for operation (select_initial_step, the
     nextafter minimum step, safety 0.9, factors 0.2 and 10 with no growth
     after a rejection, both error norms, both dense outputs), with
@@ -306,11 +311,10 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     rtol = 4 eps) and the samples stop there; Solution.t_fail holds it.
     Raises ToleranceError when the step falls below the minimum.
     """
-    # SciPy costs about half a second to import; only the adaptive
-    # integrations need its tableaux
-    import scipy.integrate
+    # only the adaptive integrations need the tableaux
+    from . import _tableaux
 
-    rk = getattr(scipy.integrate, method)
+    rk = getattr(_tableaux, method)
     ns, tol, t_bound = rk.n_stages, settings.rel_tol, float(ts[-1])
     exponent = -1 / (rk.error_estimator_order + 1)
     # stage times of an attempt as fractions of its step; the last is the
@@ -356,7 +360,8 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
         nonlocal nfev
         if not eighth:
             return _rk_interpolant(t_old, t, y_old, kt[ns + 1].dot(rk.P))
-        recs = batch(t_old + rk.C_EXTRA * h)
+        recs = (dense_recs if dense_recs is not None
+                else batch(t_old + rk.C_EXTRA * h))
         for j, a in enumerate(extra):
             k[ns + 1 + j] = stage(recs[j], y_old + np.dot(kt[ns + 1 + j], a) * h)
         nfev += len(extra)
@@ -369,20 +374,39 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
         return _dop853_interpolant(t_old, t, y_old, fs)
 
     # the predicted starts of a run of attempts at the cap, the records of
-    # all of them, and how many of them the loop has taken
-    starts, block, at = [], None, 0
+    # all of them, where each attempt's records begin, and how many of the
+    # attempts the loop has taken; dense_recs holds the dense-output records
+    # of the last attempt when its run took them, else None
+    starts, block, offsets, at = [], None, [], 0
+    dense_recs = None
 
-    def cap_records(t):
-        nonlocal starts, block, at
+    def cap_records(t, sampled):
+        nonlocal starts, block, offsets, at, dense_recs
         if at >= len(starts) - 1 or starts[at] != t:
             starts = [t]
             while len(starts) <= CAP_BLOCK_STEPS and starts[-1] < t_bound:
                 starts.append(min(starts[-1] + max_step, t_bound))
             s = np.array(starts)
-            block = batch((s[:-1, None] + c_step * (s[1:] - s[:-1])[:, None]).ravel())
+            span = (s[1:] - s[:-1])[:, None]
+            stage_t = s[:-1, None] + c_step * span
+            keep = np.ones(stage_t.shape, dtype=bool)
+            if eighth:
+                # an attempt that passes a sample time not yet taken (the
+                # first is ts[sampled]) takes its dense output, on the extra
+                # stage times, if it is accepted
+                taken = np.searchsorted(ts, s, side="right")
+                taken[0] = sampled
+                stage_t = np.hstack((stage_t, s[:-1, None] + rk.C_EXTRA * span))
+                passes = np.broadcast_to((taken[1:] > taken[:-1])[:, None],
+                                         (span.size, len(extra)))
+                keep = np.hstack((keep, passes))
+            offsets = [0] + np.cumsum(keep.sum(axis=1)).tolist()
+            block = batch(stage_t[keep])
             at = 0
+        lo, hi = offsets[at], offsets[at + 1]
         at += 1
-        return block[(at - 1) * ns:at * ns]
+        dense_recs = block[lo + ns:hi] if hi > lo + ns else None
+        return block[lo:lo + ns]
 
     times = ts.tolist()
     t_out, y_out = [ts[:0]], [np.empty((y.size, 0))]
@@ -402,7 +426,10 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
                                      "is less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            recs = cap_records(t) if h_abs == max_step else batch(t + c_step * h)
+            if h_abs == max_step:
+                recs = cap_records(t, i)
+            else:
+                recs, dense_recs = batch(t + c_step * h), None
             k[0] = f
             for s in range(1, ns):
                 k[s] = stage(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)

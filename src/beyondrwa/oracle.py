@@ -141,7 +141,10 @@ def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
 
 def _quad(fn, a: float, b: float, **options) -> float:
     """The value of scipy.integrate.quad; SciPy is imported on first use, so
-    importing this module costs NumPy only."""
+    importing this module, or integrating the direct channel, costs NumPy
+    only.  Of the commands, only verify's QUADPACK checks (cli's
+    QUADRATURE_CHECKS) reach it, in a second interpreter when verify starts
+    one."""
     from scipy.integrate import quad
 
     return quad(fn, a, b, **options)[0]

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -437,11 +438,14 @@ def test_verify_rejects_the_rwa_preset(capsys):
 # the package sources, for checks that need a fresh interpreter
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# sweep, report and trace run on NumPy alone; verify imports SciPy on
-# first use
+# sweep, report and trace run on NumPy alone, and so does verify's own
+# process, given a second CPU for the interpreter that runs its QUADPACK
+# checks; the probe prints the modules loaded after each command, and
+# the exit code, stdout and stderr of the verify its arguments name
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from beyondrwa import cli
+cli._cpu_count = lambda: 2
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = {"import": loaded()}
 for argv in (["sweep", "--preset", "A"],
@@ -450,21 +454,103 @@ for argv in (["sweep", "--preset", "A"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     seen[" ".join(argv)] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "--preset", "C"]) == 0
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
 seen["verify"] = loaded()
-print(json.dumps(seen))
+print(json.dumps([seen, [code, out.getvalue(), err.getvalue()]]))
 """
+VERIFY_ARGV = ["verify", "--preset", "C"]
 
 
-def test_sweep_and_report_never_load_scipy():
+@pytest.fixture(scope="module")
+def fresh_probe():
+    """What IMPORT_PROBE printed: the modules seen, and verify's run."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *VERIFY_ARGV],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert "scipy.integrate" in seen.pop("verify")
-    assert len(seen) == 5 and all(mods == [] for mods in seen.values())
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_sweep_and_report_never_load_scipy(fresh_probe):
+    seen = fresh_probe[0]
+    assert len(seen) == 6 and all(mods == [] for mods in seen.values())
+
+
+def test_verify_prints_the_same_with_its_quadratures_apart(fresh_probe, capsys,
+                                                          monkeypatch):
+    # the probe ran the QUADPACK checks in a second interpreter; here they
+    # run in this one
+    apart = fresh_probe[1]
+    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: False)
+    assert list(run_cli(capsys, *VERIFY_ARGV)) == apart
+    assert apart[0] == 0 and apart[1].count("\n") == 12 and "note:" in apart[2]
+
+
+def _children(monkeypatch) -> list:
+    """Record every process subprocess.Popen starts from now on."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def _reaped(child) -> bool:
+    """Whether child has exited and been waited for: no process, no zombie."""
+    try:
+        os.waitpid(child.pid, os.WNOHANG)
+    except ChildProcessError:
+        return child.returncode is not None
+    return False
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("interpreter", "FileNotFoundError"),
+    ("import sys; sys.exit(3)", "ChildProcessError"),
+    ("print('no records')", "ChildProcessError"),
+    ("import beyondrwa_is_elsewhere", "ChildProcessError"),
+], ids=["cannot_start", "exits_nonzero", "prints_no_records", "raises"])
+def test_verify_quadrature_child_faults_are_a_fail_line(capsys, monkeypatch,
+                                                         tmp_path, fault, error):
+    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: True)
+    monkeypatch.setattr("beyondrwa.cli.CHANNEL_CHECKS",
+                        (lambda *_: iter([("stub", 0.0, 1.0)]),))
+    if fault == "interpreter":
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no" / "python"))
+    else:
+        monkeypatch.setattr("beyondrwa.cli.QUADRATURE_CHILD", fault)
+    started = _children(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--preset", "C")
+    assert code == 1
+    assert out == f"stub\t0\t1\tPASS\naborted_{error}\tinf\t0\tFAIL\n"
+    assert f"warning: check group raised {error}" in err
+    assert "Traceback" not in err
+    assert len(started) == (0 if fault == "interpreter" else 1)
+    assert all(map(_reaped, started))
+
+
+def test_verify_kills_its_quadrature_child_on_interrupt(monkeypatch):
+    # Ctrl-C during the channel checks, while the child still runs
+    def interrupted(*_):
+        raise KeyboardInterrupt
+        yield
+
+    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: True)
+    monkeypatch.setattr("beyondrwa.cli.CHANNEL_CHECKS", (interrupted,))
+    monkeypatch.setattr("beyondrwa.cli.QUADRATURE_CHILD",
+                        "import time; time.sleep(60)")
+    started = _children(monkeypatch)
+    with pytest.raises(KeyboardInterrupt), \
+            contextlib.redirect_stdout(io.StringIO()):
+        main(["verify", "--preset", "C"])
+    [child] = started
+    assert _reaped(child) and child.returncode == -signal.SIGKILL
 
 
 # records OpenBLAS's thread timeout at the moment NumPy is first imported
