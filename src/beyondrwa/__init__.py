@@ -4,9 +4,8 @@ rotating-wave approximation.
 Typical use: compute the single-qubit channel once per parameter set, then
 reuse its time-major coefficient arrays across initial states.  propagate
 takes fixed Magnus steps on the two linear sectors, and every command but
-verify uses it; integrate is the paper's Wei-Norman route, adaptive, whose
-e^{+Gamma_k} factors overflow at long times (gamma t ~ 140 on the
-presets), and verify checks it against the direct route.
+verify uses it; integrate is the paper's Wei-Norman route, adaptive, and
+verify checks it against the direct route.
 
     from beyondrwa import (BathParams, propagate, BellFamilyState,
                            initial_state, evolve_pair, concurrence_xstate)
@@ -31,9 +30,9 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 from .entanglement import (ConcurrenceResult, ESDReport, RevivalEpisode,
                            concurrence_general, concurrence_sectors,
                            concurrence_xstate, detect_esd)
-from .errors import (BeyondRwaError, BlowupError, DomainError, GridError,
-                     IoError, NegativeDiagonalError, NumericalError,
-                     ShapeError, ToleranceError)
+from .errors import (BeyondRwaError, DomainError, GridError, IoError,
+                     NegativeDiagonalError, NumericalError, ShapeError,
+                     ToleranceError)
 from .kernels import (BathParams, CoefficientSet, alpha, alpha1, alpha2,
                       alpha_tilde, coefficients, decay_exponent,
                       spectral_density)
@@ -55,7 +54,7 @@ __all__ = [
     "concurrence_general",
     "RevivalEpisode", "ESDReport", "detect_esd",
     "BeyondRwaError", "DomainError", "ShapeError", "GridError",
-    "BlowupError", "ToleranceError", "NumericalError",
+    "ToleranceError", "NumericalError",
     "NegativeDiagonalError", "IoError",
     "__version__",
 ]

@@ -21,21 +21,9 @@ class GridError(BeyondRwaError):
     """Time or parameter grid is unusable (too short, not ascending, ...)."""
 
 
-class BlowupError(BeyondRwaError):
-    """A disentangling coefficient crossed the blowup threshold.
-
-    Carries the failure time and the channel series sampled before it so a
-    sweep can keep the valid prefix of its grid.
-    """
-
-    def __init__(self, t_fail, partial=None):
-        super().__init__(f"disentangling coefficient blowup at t={t_fail:.6g}")
-        self.t_fail = t_fail
-        self.partial = partial
-
-
 class ToleranceError(BeyondRwaError):
-    """The adaptive integrator could not meet its tolerances."""
+    """The adaptive integrator could not meet its tolerances: its step fell
+    below the minimum, as it does at a pole of the solution."""
 
 
 class NumericalError(BeyondRwaError):

@@ -11,26 +11,26 @@ exponentiates through a Wei-Norman product ansatz whose scalar parameters
     X-' = mu- exp(X0)
 
 with all parameters zero at t=0.  The physical map on a qubit density
-matrix is then an overall factor e^{-Gamma_k(t)} times a linear action with
-coefficients
+matrix is the linear action with coefficients
 
-    population:  l = e^{k0/2} + e^{-k0/2} k+ k-,   m = e^{-k0/2} k+,
-                 n = e^{-k0/2},                     p = e^{-k0/2} k-
-    coherence:   x = e^{j0/2} + e^{-j0/2} j+ j-,   y = e^{-j0/2} j+,
-                 q = e^{-j0/2},                     r = e^{-j0/2} j-
+    population:  l = E(k0/2) + E(-k0/2) k+ k-,   m = E(-k0/2) k+,
+                 n = E(-k0/2),                   p = E(-k0/2) k-
+    coherence:   x = E(j0/2) + E(-j0/2) j+ j-,   y = E(-j0/2) j+,
+                 q = E(-j0/2),                   r = E(-j0/2) j-
 
-acting as rho11 -> l rho11 + m rho00, rho10 -> x rho10 + y rho01 and their
-partners.  Hermiticity of the map demands x = conj(q) and y = conj(r) up to
-integration error; the raw coefficients grow like e^{+Gamma_k}, so any such
-comparison must be relative.
+where E(z) = e^{z - Gamma_k(t)} carries the decay exponent, acting as
+rho11 -> l rho11 + m rho00, rho10 -> x rho10 + y rho01 and their partners.
+Re j0 and k0 track -2 Gamma_k, so e^{-k0/2} alone grows like e^{+Gamma_k};
+inside one exponent with -Gamma_k it stays as bounded as the map.
+Hermiticity of the map demands x = conj(q) and y = conj(r) up to
+integration error.
 
 A second route, propagate, integrates the same master equation without
 the disentangling: per qubit it is two real 2x2 linear systems, the
 populations (rho11, rho00) and the coherence (Re rho10, Im rho10), which a
-fourth-order Magnus scheme steps on a fixed grid.  Its coefficients are
-bounded, so it has no e^{+Gamma_k} overflow and no blowup; every command
-that prints a channel or a state uses it, and only verify's Wei-Norman
-checks use integrate.
+fourth-order Magnus scheme steps on a fixed grid.  It takes any
+generator and no tolerance; every command that prints a channel or a state
+uses it, and only verify's Wei-Norman checks use integrate.
 
 integrate and the direct oracle share one adaptive loop, solve, which
 runs the Runge-Kutta pair its caller names with SciPy's step control, on
@@ -45,8 +45,7 @@ one batch call serves up to CAP_BLOCK_STEPS of them.  integrate names
 DOP853, the eighth-order Dormand-Prince pair: on preset A it needs 40% of
 the right-hand-side evaluations of RK45.  The direct oracle keeps RK45,
 which is faster than DOP853 on its propagator.  Every route here runs on
-NumPy alone; only a step past BLOWUP_THRESHOLD, which no command reaches,
-imports SciPy's brentq.
+NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -63,17 +62,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import BlowupError, DomainError, GridError, ToleranceError
+from .errors import DomainError, GridError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 
-# math.exp overflows just above 709; stay clear of it when forming e^{X0/2}
+# math.exp overflows just above 709; _rhs caps its exponents below it
 _EXP_ARG_LIMIT = 708.0
 
 # step cap in units of the reservoir memory time 1/gamma
 MEMORY_STEP = 0.01
-
-# integration stops once any Wei-Norman variable exceeds this magnitude
-BLOWUP_THRESHOLD = 1e8
 
 # propagate evaluates the generator on at most this many Magnus steps at
 # once, which bounds its working memory
@@ -118,12 +114,11 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class ChannelSeries:
-    """Map coefficients and decay exponent over time, one array per field.
+    """The coefficients of the physical map over time, one array per field
+    (see the module docstring for their action).
 
-    The physical action carries an extra factor e^{-gamma_k} on every
-    element; l..r here are the bare Wei-Norman combinations, which can be
-    exponentially large on their own.  l, m, n, p and gamma_k are real,
-    x, y, q and r complex.  Indexing slices every field along time.
+    l, m, n and p are real, x, y, q and r complex.  Indexing slices every
+    field along time.
     """
 
     t: np.ndarray
@@ -135,7 +130,6 @@ class ChannelSeries:
     y: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    gamma_k: np.ndarray
 
     def __len__(self) -> int:
         return self.t.size
@@ -148,8 +142,6 @@ class ChannelSeries:
 # called with a 1-d array of times: per step attempt or run of cap-length
 # attempts by solve, per block of steps by propagate
 CoefficientFn = Callable[[np.ndarray, BathParams], CoefficientSet]
-# called once per integration, with the array of times reached
-DecayFn = Callable[[np.ndarray, BathParams], np.ndarray]
 
 
 def check_grid(times: Sequence[float]) -> np.ndarray:
@@ -224,14 +216,12 @@ def _rhs(c: tuple, yv: np.ndarray) -> list:
 
 
 class Solution(NamedTuple):
-    """What solve sampled: the times reached, the state at each (one column
-    per time), the right-hand-side evaluations, and the time at which
-    max|y| reached the limit, or None."""
+    """What solve sampled: the sample times, the state at each (one column
+    per time) and the right-hand-side evaluations."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    t_fail: Optional[float]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -280,7 +270,7 @@ def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.nda
 
 def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
           settings: IntegratorSettings, max_step: float,
-          limit: float = math.inf, method: str = "RK45") -> Solution:
+          method: str = "RK45") -> Solution:
     """Integrate y' = stage(batch(t)[0], y) from y(0) = y0 up to ts[-1]
     with the Runge-Kutta pair of scipy.integrate's class `method`, "RK45"
     or "DOP853", whose tableau _tableaux holds, and sample each time of the
@@ -306,10 +296,8 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     rtol = atol = settings.rel_tol and steps at most max_step: the samples
     and nfev are those of solve_ivp(method=method, t_eval=ts) to the bit.
 
-    The samples never steer the steps.  Once max|y| at the end of a step
-    reaches `limit`, brentq finds the crossing inside that step (xtol =
-    rtol = 4 eps) and the samples stop there; Solution.t_fail holds it.
-    Raises ToleranceError when the step falls below the minimum.
+    The samples never steer the steps.  Raises ToleranceError when the step
+    falls below the minimum, as it does at a pole of the solution.
     """
     # only the adaptive integrations need the tableaux
     from . import _tableaux
@@ -332,7 +320,7 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     f = np.asarray(stage(batch(np.zeros(1))[0], y), dtype=float)
     nfev = 1
     if t_bound == 0.0:
-        return Solution(ts.copy(), y[:, None], nfev, None)
+        return Solution(ts.copy(), y[:, None], nfev)
 
     # select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
     scale = tol + np.abs(y) * tol
@@ -412,7 +400,6 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     t_out, y_out = [ts[:0]], [np.empty((y.size, 0))]
     i = 0
     t = 0.0
-    t_fail = None
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs > max_step:
@@ -446,61 +433,37 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
 
-        dense = None
-        t_end = t
-        if limit < math.inf and np.abs(y).max() >= limit:
-            from scipy.optimize import brentq
-
-            dense = interpolant()
-            t_end = t_fail = brentq(lambda s: np.max(np.abs(dense(s))) - limit,
-                                    t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
         j = i
-        while j < len(times) and times[j] <= t_end:
+        while j < len(times) and times[j] <= t:
             j += 1
         if j > i:
-            if dense is None:
-                dense = interpolant()
             t_out.append(ts[i:j])
-            y_out.append(dense(ts[i:j]))
+            y_out.append(interpolant()(ts[i:j]))
             i = j
-        if t_fail is not None or t >= t_bound:
+        if t >= t_bound:
             break
-    return Solution(np.concatenate(t_out), np.hstack(y_out), nfev, t_fail)
+    return Solution(np.concatenate(t_out), np.hstack(y_out), nfev)
 
 
-def integrate(
-    p: BathParams,
-    times: Sequence[float],
-    settings: Optional[IntegratorSettings] = None,
-    coefficient_fn: Optional[CoefficientFn] = None,
-    decay_exponent_fn: Optional[DecayFn] = None,
-) -> ChannelSeries:
+def integrate(p: BathParams, times: Sequence[float],
+              settings: Optional[IntegratorSettings] = None) -> ChannelSeries:
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
-    The Riccati system is stepped by solve with DOP853, and coefficient_fn
-    is called with the stage times of a step attempt, or of a run of
-    attempts at the step cap, as one array.  The decay
-    exponent is evaluated through its closed form rather than
-    integrated, in one call on the times reached, so swapping in an
-    alternative coefficient_fn requires the matching decay_exponent_fn.
-    The result covers the prefix of `times` whose coefficients fit in float
-    range (see channel_at); it is shorter than `times` past that point.
+    The Riccati system of kernels.coefficients is stepped by solve with
+    DOP853, which calls it with the stage times of a step attempt, or of a
+    run of attempts at the step cap, as one array.  The decay exponent is
+    not integrated: channel_at takes kernels.decay_exponent, the closed form
+    that matches this generator and no other, in one call on the sample
+    times.  Other generators go through propagate.
 
-    Raises GridError on a bad grid, BlowupError when any Wei-Norman variable
-    crosses BLOWUP_THRESHOLD (the channel at earlier sample times rides
-    along on the exception), and ToleranceError when the step falls below
-    solve's minimum.
+    Raises GridError on a bad grid and ToleranceError when the step falls
+    below solve's minimum.
     """
     settings = settings or IntegratorSettings()
-    cfn = coefficient_fn or kernels.coefficients
-    dfn = decay_exponent_fn or kernels.decay_exponent
-    sol = solve(lambda ts: _coefficient_rows(ts, p, cfn), _rhs, np.zeros(9),
-                check_grid(times), settings, step_cap(p, settings),
-                limit=BLOWUP_THRESHOLD, method="DOP853")
-    series = channel_at(sol.t, sol.y, dfn(sol.t, p))
-    if sol.t_fail is not None:
-        raise BlowupError(sol.t_fail, partial=series)
-    return series
+    sol = solve(lambda ts: _coefficient_rows(ts, p, kernels.coefficients), _rhs,
+                np.zeros(9), check_grid(times), settings, step_cap(p, settings),
+                method="DOP853")
+    return channel_at(sol.t, sol.y, kernels.decay_exponent(sol.t, p))
 
 
 def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:
@@ -626,8 +589,8 @@ def propagate(
     intervals.  coefficient_fn is called with arrays of times, once per
     block of at most MAGNUS_BLOCK_STEPS steps.
 
-    The result is sector_channel of the two propagators, with gamma_k = 0
-    like the rotating-wave channel.  Raises GridError on a bad grid.
+    The result is sector_channel of the two propagators.  Raises GridError
+    on a bad grid.
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)
@@ -663,37 +626,34 @@ def sector_channel(ts: np.ndarray, pop: np.ndarray, coh: np.ndarray) -> ChannelS
     """The channel from the real (T, 2, 2) propagators pop on (rho11, rho00)
     and C = coh on (Re rho10, Im rho10): l, m, p, n are the entries of pop,
     x = (C00 + C11)/2 + i (C10 - C01)/2, y = (C00 - C11)/2 + i (C10 + C01)/2,
-    q = conj(x), r = conj(y) and gamma_k = 0."""
+    q = conj(x) and r = conj(y)."""
     x = (coh[:, 0, 0] + coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] - coh[:, 0, 1])
     y = (coh[:, 0, 0] - coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] + coh[:, 0, 1])
     return ChannelSeries(
         t=ts, l=pop[:, 0, 0], m=pop[:, 0, 1], n=pop[:, 1, 1], p=pop[:, 1, 0],
-        x=x, y=y, q=x.conj(), r=y.conj(), gamma_k=np.zeros(ts.size),
-    )
+        x=x, y=y, q=x.conj(), r=y.conj())
 
 
-def channel_at(t: np.ndarray, yv: np.ndarray, gamma_k: np.ndarray) -> ChannelSeries:
-    """Map coefficients from the Wei-Norman variables yv (9 rows, one column
-    per time, laid out as in _rhs).
+def channel_at(t: np.ndarray, yv: np.ndarray, decay: np.ndarray) -> ChannelSeries:
+    """The physical map from the Wei-Norman variables yv (9 rows, one
+    column per time, laid out as in _rhs) and the decay exponent Gamma_k
+    at each time, `decay`, which enters every exponent (see the module
+    docstring).
 
-    Stops before the first time at which e^{k0/2} or e^{Re j0 / 2} would
-    leave float range (numpy would silently return inf there); the series
-    then covers only the earlier times.
+    x and q, and y and r, are formed apart: their Hermiticity gaps
+    x - conj(q) and y - conj(r) measure the integration error.
     """
-    bad = (np.abs(yv[7]) / 2.0 > _EXP_ARG_LIMIT) | (np.abs(yv[2]) / 2.0 > _EXP_ARG_LIMIT)
-    keep = int(np.argmax(bad)) if bad.any() else bad.size
-    t, yv, gamma_k = t[:keep], yv[:, :keep], gamma_k[:keep]
     jp = yv[0] + 1j * yv[1]
     j0_re, j0_im = yv[2], yv[3]
     jm = yv[4] + 1j * yv[5]
     kp, k0, km = yv[6], yv[7], yv[8]
 
-    ek_half = np.exp(k0 / 2.0)
-    ek_mhalf = np.exp(-k0 / 2.0)
+    ek_half = np.exp(k0 / 2.0 - decay)
+    ek_mhalf = np.exp(-k0 / 2.0 - decay)
     # complex exponentials via magnitude and phase of j0/2
     ph = np.cos(j0_im / 2.0) + 1j * np.sin(j0_im / 2.0)
-    ej_half = np.exp(j0_re / 2.0) * ph
-    ej_mhalf = np.exp(-j0_re / 2.0) / ph
+    ej_half = np.exp(j0_re / 2.0 - decay) * ph
+    ej_mhalf = np.exp(-j0_re / 2.0 - decay) / ph
 
     return ChannelSeries(
         t=np.asarray(t, dtype=float),
@@ -705,7 +665,6 @@ def channel_at(t: np.ndarray, yv: np.ndarray, gamma_k: np.ndarray) -> ChannelSer
         y=ej_mhalf * jp,
         q=ej_mhalf,
         r=ej_mhalf * jm,
-        gamma_k=np.asarray(gamma_k, dtype=float),
     )
 
 
@@ -716,21 +675,18 @@ def apply_channel(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     population, rho0[0, 1] the coherence <1|rho|0>.  Returns shape (T, 2, 2).
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    scale = np.exp(-series.gamma_k)
     out = np.empty((len(series), 2, 2), dtype=complex)
-    out[:, 0, 0] = scale * (series.l * rho0[0, 0] + series.m * rho0[1, 1])
-    out[:, 0, 1] = scale * (series.x * rho0[0, 1] + series.y * rho0[1, 0])
-    out[:, 1, 0] = scale * (series.q * rho0[1, 0] + series.r * rho0[0, 1])
-    out[:, 1, 1] = scale * (series.n * rho0[1, 1] + series.p * rho0[0, 0])
+    out[:, 0, 0] = series.l * rho0[0, 0] + series.m * rho0[1, 1]
+    out[:, 0, 1] = series.x * rho0[0, 1] + series.y * rho0[1, 0]
+    out[:, 1, 0] = series.q * rho0[1, 0] + series.r * rho0[0, 1]
+    out[:, 1, 1] = series.n * rho0[1, 1] + series.p * rho0[0, 0]
     return out
 
 
 def transfer_matrix(series: ChannelSeries) -> np.ndarray:
     """(T, 4, 4) matrices acting on vec(rho) = (rho11, rho10, rho01, rho00).
 
-    Includes the e^{-gamma_k} factor, so row sums of the population block
-    are trace preserving.  vec() here is the plain row-major flattening of
-    the 2x2 matrix.
+    vec() here is the plain row-major flattening of the 2x2 matrix.
     """
     tm = np.zeros((len(series), 4, 4), dtype=complex)
     tm[:, 0, 0] = series.l
@@ -741,4 +697,4 @@ def transfer_matrix(series: ChannelSeries) -> np.ndarray:
     tm[:, 2, 2] = series.q
     tm[:, 3, 0] = series.p
     tm[:, 3, 3] = series.n
-    return np.exp(-series.gamma_k)[:, None, None] * tm
+    return tm

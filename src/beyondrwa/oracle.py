@@ -197,8 +197,7 @@ def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
     """Package q(t) as a channel series for the shared two-qubit pipeline;
     GridError on a grid that check_grid refuses.
 
-    Trace preserving exactly: l + p = 1 and m + n = 1 by construction, with
-    gamma_k = 0 since no global decay factor is split off.
+    Trace preserving exactly: l + p = 1 and m + n = 1 by construction.
     """
     ts = check_grid(times)
     qa = rwa_amplitude(ts, p)
@@ -206,8 +205,7 @@ def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
     zeros, czeros = np.zeros(ts.size), np.zeros(ts.size, dtype=complex)
     return ChannelSeries(
         t=ts, l=pop, m=zeros, n=np.ones(ts.size), p=1.0 - pop,
-        x=qa, y=czeros, q=qa.conj(), r=czeros, gamma_k=zeros,
-    )
+        x=qa, y=czeros, q=qa.conj(), r=czeros)
 
 
 def rwa_residual(p: BathParams, t_grid: Sequence[float]) -> float:
@@ -325,8 +323,3 @@ def truncated_coefficients(t, p: BathParams) -> CoefficientSet:
         nu_plus=0.0,
         nu_minus=p.lam * ft,
     )
-
-
-def truncated_decay_exponent(t, p: BathParams):
-    """Decay exponent matching truncated_coefficients: (lam/2) F(t)."""
-    return p.lam * kernels.big_f(t, p) / 2.0

@@ -17,9 +17,9 @@ time axis); evolve_pair also takes a stack of initial states.  A product of
 identical local channels maps X states to X states, and on them it acts on
 two 2x2 blocks apart: the populations D = [[rho11, rho22], [rho33, rho44]]
 evolve as P D P^T and the antidiagonal A = [[rho14, rho23], [rho32, rho41]]
-as C A C^T, with the single-qubit P = e^{-gamma_k} [[l, m], [p, n]] and
-C = e^{-gamma_k} [[x, y], [r, q]] (1-based element labels).  evolve_xstate
-takes that route; evolve_pair is the general one.
+as C A C^T, with the single-qubit P = [[l, m], [p, n]] and
+C = [[x, y], [r, q]] (1-based element labels).  evolve_xstate takes that
+route; evolve_pair is the general one.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def evolve_pair(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
 
     rho0 is one 4x4 state or a stack (S, 4, 4); the result has shape
     (T, 4, 4) or (T, S, 4, 4).  Authoritative route: (T x T) on the
-    vectorized state, T the single-qubit transfer matrix (decay factor
-    included, so the result carries e^{-2*gamma_k}).
+    vectorized state, T the single-qubit transfer matrix.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[-2:] != (4, 4) or rho0.ndim > 3:
@@ -137,9 +136,8 @@ def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
         raise ShapeError(f"expected a stack of 4x4 joint states, got {rho0s.shape}")
     if not is_x_state(rho0s):
         raise ShapeError("sector evolution requires exact X-state inputs")
-    scale = np.exp(-series.gamma_k)
-    pop = scale * np.array([[series.l, series.m], [series.p, series.n]])
-    coh = scale * np.array([[series.x, series.y], [series.r, series.q]])
+    pop = np.array([[series.l, series.m], [series.p, series.n]])
+    coh = np.array([[series.x, series.y], [series.r, series.q]])
     d0, a0 = x_blocks(rho0s)
     diag = _sector_square(pop, d0.reshape(-1, 4))
     anti = _sector_square(coh, a0.reshape(-1, 4))
@@ -160,7 +158,7 @@ def explicit_elements(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     Cross-check surface only; evolve_pair is authoritative.  The tabulation
     is kept verbatim, including the rho22 cross weight l*m where the tensor
     square yields l*n, so the two routes differ on that single element by
-    exactly (l*n - l*m) * e^{-2 gamma_k} * rho22(0).  Tests pin that gap.
+    exactly (l*n - l*m) * rho22(0).  Tests pin that gap.
 
     Raises ShapeError when rho0 is not an X-state.
     """
@@ -184,4 +182,4 @@ def explicit_elements(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     out[:, 1, 2] = x * r * o14 + x * q * o23 + y * r * o32 + y * q * o41
     out[:, 2, 1] = r * x * o14 + r * y * o23 + q * x * o32 + q * y * o41
     out[:, 3, 0] = r * r * o14 + r * q * o23 + q * r * o32 + q * q * o41
-    return np.exp(-2.0 * series.gamma_k)[:, None, None] * out
+    return out

@@ -55,13 +55,12 @@ def direct_bank():
 
 
 def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,
-                       q=1.0, r=0.0, gamma_k=0.0) -> ChannelSeries:
+                       q=1.0, r=0.0) -> ChannelSeries:
     """A channel series at one time; the defaults give the identity map."""
     real = lambda v: np.array([v], dtype=float)
     cplx = lambda v: np.array([v], dtype=complex)
     return ChannelSeries(t=real(t), l=real(l), m=real(m), n=real(n), p=real(p),
-                         x=cplx(x), y=cplx(y), q=cplx(q), r=cplx(r),
-                         gamma_k=real(gamma_k))
+                         x=cplx(x), y=cplx(y), q=cplx(q), r=cplx(r))
 
 
 def concurrence_curve(series, family: str, beta2: float, phase: float = 0.0):

@@ -110,8 +110,7 @@ def test_criterion_06_two_qubit_assembly_dual_path(channel_bank):
         rho0 = initial_state(BellFamilyState(family, math.sqrt(b2), phase))
         diff = evolve_pair(cf, rho0) - explicit_elements(cf, rho0)
         assert np.abs(diff[:, mask]).max() < 1e-12
-        expected_gap = ((cf.l * cf.n - cf.l * cf.m)
-                        * np.exp(-2.0 * cf.gamma_k) * rho0[1, 1])
+        expected_gap = (cf.l * cf.n - cf.l * cf.m) * rho0[1, 1]
         assert np.abs(diff[:, 1, 1] - expected_gap).max() < 1e-13
 
 

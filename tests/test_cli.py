@@ -141,9 +141,9 @@ def _trace_rows(capsys, *argv) -> np.ndarray:
 
 
 def test_trace_runs_past_the_wei_norman_overflow(capsys):
-    # at lam = 100 gamma the raw Wei-Norman coefficients leave float range
-    # between gamma t = 10 and 15; the sector propagators stay bounded, and
-    # every row matches the direct route
+    # at lam = 100 gamma, e^{+Gamma_k} alone leaves float range between
+    # gamma t = 10 and 15; the sector propagators stay bounded, and every
+    # row matches the direct route
     rows = _trace_rows(capsys, *BLOWUP_ARGS)
     gts = rows[:, 0]
     assert gts.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
@@ -151,7 +151,7 @@ def test_trace_runs_past_the_wei_norman_overflow(capsys):
     expected = np.column_stack((ref.l, ref.m, ref.n, ref.p, ref.x.real,
                                 ref.x.imag, ref.y.real, ref.y.imag))
     assert np.max(np.abs(rows[:, 1:9] - expected)) < 1e-6
-    # preset A's raw coefficients overflow near gamma t = 140
+    # and on preset A past gamma t = 140, where e^{+Gamma_k} overflows
     assert _trace_rows(capsys, "--preset", "A", "--tmax", "200",
                        "--t-steps", "5").shape == (5, 14)
 
@@ -444,7 +444,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the exit code, stdout and stderr of the verify its arguments name
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-from beyondrwa import cli
+from beyondrwa import cli, kernels, lie_channel
+from beyondrwa.errors import ToleranceError
 cli._cpu_count = lambda: 2
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = {"import": loaded()}
@@ -454,6 +455,15 @@ for argv in (["sweep", "--preset", "A"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     seen[" ".join(argv)] = loaded()
+# the Wei-Norman route run into the pole of j+ = tan t, to its ToleranceError
+p, settings = cli.PRESETS["C"].params, cli.IntegratorSettings()
+tan = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)
+try:
+    lie_channel.solve(lambda ts: lie_channel._coefficient_rows(ts, p, tan),
+                      lie_channel._rhs, [0.0] * 9, lie_channel.check_grid([0.0, 2.0]),
+                      settings, lie_channel.step_cap(p, settings), method="DOP853")
+except ToleranceError:
+    seen["pole"] = loaded()
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
@@ -474,8 +484,9 @@ def fresh_probe():
 
 
 def test_sweep_and_report_never_load_scipy(fresh_probe):
+    # nor does the Wei-Norman route, up to the ToleranceError of a pole
     seen = fresh_probe[0]
-    assert len(seen) == 6 and all(mods == [] for mods in seen.values())
+    assert len(seen) == 7 and all(mods == [] for mods in seen.values())
 
 
 def test_verify_prints_the_same_with_its_quadratures_apart(fresh_probe, capsys,

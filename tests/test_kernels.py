@@ -205,7 +205,7 @@ def test_coefficients_on_arrays_match_scalar_calls(name):
     # as do the other closed forms; integrate evaluates the decay exponent
     # on all its sample times at once
     for fn in (kernels.alpha1, kernels.big_f, kernels.alpha_tilde,
-               kernels.decay_exponent, oracle.truncated_decay_exponent):
+               kernels.decay_exponent):
         one = np.array([fn(float(t), p) for t in ts])
         np.testing.assert_allclose(fn(ts, p), one, rtol=4 * np.finfo(float).eps,
                                    atol=0.0, err_msg=fn.__name__)

@@ -156,27 +156,11 @@ def test_rwa_channel_structure():
     assert np.all(cf.m == 0.0) and np.all(cf.n == 1.0)
     assert np.all(cf.x == np.conj(cf.q))
     assert np.all(cf.y == 0.0) and np.all(cf.r == 0.0)
-    assert np.all(cf.gamma_k == 0.0)
     assert cf.l[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
 # truncated generator
-
-def test_truncated_generator_self_consistency():
-    ts = np.linspace(0.0, 6.0, 31)
-    series = lie_channel.integrate(
-        P_B, ts,
-        coefficient_fn=oracle.truncated_coefficients,
-        decay_exponent_fn=oracle.truncated_decay_exponent,
-    )
-    direct = oracle.integrate_master_direct(
-        P_B, PLUS, ts, coefficient_fn=oracle.truncated_coefficients)
-    assert np.max(np.abs(apply_channel(series, PLUS) - direct)) < 1e-6
-    # decay exponent follows (lam/2) F(t)
-    assert series.gamma_k[-1] == pytest.approx(
-        oracle.truncated_decay_exponent(ts[-1], P_B), rel=1e-12)
-
 
 def test_counter_rotating_deviation_shrinks_with_frequency():
     # full generator against the truncated one (same order in the coupling,

@@ -87,7 +87,6 @@ coeff_strategy = st.builds(
     y=st.complex_numbers(max_magnitude=2.0),
     q=st.complex_numbers(max_magnitude=2.0),
     r=st.complex_numbers(max_magnitude=2.0),
-    gamma_k=st.floats(0.0, 3.0),
 )
 
 
@@ -107,7 +106,7 @@ def test_dual_path_agreement_and_rho22_gap(channel_bank):
     mask[1, 1] = False
     diff = evolve_pair(cf, rho0) - explicit_elements(cf, rho0)
     assert np.max(np.abs(diff[:, mask])) < 1e-12
-    want = (cf.l * cf.n - cf.l * cf.m) * np.exp(-2.0 * cf.gamma_k) * rho0[1, 1]
+    want = (cf.l * cf.n - cf.l * cf.m) * rho0[1, 1]
     assert np.max(np.abs(diff[:, 1, 1] - want)) < 1e-13
 
 
@@ -176,11 +175,9 @@ def test_x_blocks_read_the_diagonal_and_the_antidiagonal():
 
 @pytest.mark.parametrize("route", ["wei_norman", "magnus"])
 def test_sector_route_matches_evolve_pair(channel_bank, route):
-    # Wei-Norman carries the decay factor in gamma_k, Magnus has gamma_k = 0
     entry = channel_bank["C"]
     series = (entry.series if route == "wei_norman"
               else lie_channel.propagate(entry.params, entry.times))[::4]
-    assert (np.max(np.abs(series.gamma_k)) > 1.0) == (route == "wei_norman")
     rho0s = np.array([initial_state(BellFamilyState(family, math.sqrt(b2), phase))
                       for family in ("phi", "psi") for b2 in (0.1, 0.5, 0.8)
                       for phase in (0.0, 0.7, 2.5)])
