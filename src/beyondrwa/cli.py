@@ -56,22 +56,16 @@ DEATH_THRESHOLD = 1e-6
 SURFACE_BLOCK_CELLS = 1024
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    params: BathParams
-
-
 PRESETS = {
     # far-detuned regime: omega0 = 10 lam = 100 gamma
-    "A": Preset("A", BathParams(omega0=100.0, gamma=1.0, lam=10.0)),
+    "A": BathParams(omega0=100.0, gamma=1.0, lam=10.0),
     # matched regime: omega0 = lam = 10 gamma
-    "B": Preset("B", BathParams(omega0=10.0, gamma=1.0, lam=10.0)),
+    "B": BathParams(omega0=10.0, gamma=1.0, lam=10.0),
     # low-frequency regime: omega0 = 3 gamma < lam
-    "C": Preset("C", BathParams(omega0=3.0, gamma=1.0, lam=10.0)),
+    "C": BathParams(omega0=3.0, gamma=1.0, lam=10.0),
     # rotating-wave reference channel, lam = 10 gamma; the rotating-wave
     # amplitude never reads omega0, kept for the shared BathParams plumbing
-    "RWA": Preset("RWA", BathParams(omega0=10.0, gamma=1.0, lam=10.0)),
+    "RWA": BathParams(omega0=10.0, gamma=1.0, lam=10.0),
 }
 
 
@@ -194,8 +188,7 @@ def _check_grid_flags(args) -> None:
 
 def _spec_from_args(args) -> SweepSpec:
     _check_grid_flags(args)
-    preset = PRESETS[args.preset]
-    params = preset.params
+    params = PRESETS[args.preset]
     overrides = {name: getattr(args, name) for name in ("omega0", "lam", "gamma")
                  if getattr(args, name) is not None}
     if overrides:
@@ -232,8 +225,9 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: a registry of oracle checks.  Each check is called as
-# check(presets, wei_norman, direct), with run_checks's channel getters, and
-# yields (name, deviation, bound) records; one passes when deviation < bound.
+# check(names, wei_norman, direct), with the preset names and run_checks's
+# channel getters, which take a preset name, and yields (name, deviation,
+# bound) records; one passes when deviation < bound.
 
 # the presets whose full generator verify checks
 VERIFY_PRESETS = ("A", "B", "C")
@@ -245,26 +239,26 @@ def _verify_grid(p: BathParams) -> np.ndarray:
     return np.linspace(0.0, 10.0 / p.gamma, 201)
 
 
-def check_direct(presets, wei_norman, direct):
+def check_direct(names, wei_norman, direct):
     probes = (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),   # excited
               np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))   # plus
-    for pr in presets:
-        ref, p = direct(pr), pr.params
-        for name, series in (("direct_vs_channel", wei_norman(pr)),
+    for preset in names:
+        ref, p = direct(preset), PRESETS[preset]
+        for name, series in (("direct_vs_channel", wei_norman(preset)),
                              ("magnus_vs_direct", lie_channel.propagate(p, ref.t))):
             dev = max(float(np.max(np.abs(apply_channel(series, rho0)
                                           - apply_channel(ref, rho0))))
                       for rho0 in probes)
-            yield f"{name}[{pr.name}]", dev, 1e-6
+            yield f"{name}[{preset}]", dev, 1e-6
 
     # the trace of the maximally mixed state's image
-    c = direct(PRESETS["C"])
+    c = direct("C")
     traces = np.abs(((c.l + c.p) + (c.m + c.n)) / 2.0 - 1.0)
     yield "direct_trace[C]", float(traces.max()), 1e-8
 
 
-def check_two_qubit(presets, wei_norman, direct):
-    series = wei_norman(PRESETS["C"])[::10]
+def check_two_qubit(names, wei_norman, direct):
+    series = wei_norman("C")[::10]
     rho0 = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
     diff = evolve_pair(series, rho0) - explicit_elements(series, rho0)
     mask = np.ones((4, 4), dtype=bool)
@@ -275,12 +269,12 @@ def check_two_qubit(presets, wei_norman, direct):
            float(np.max(np.abs(diff[:, 1, 1] - expected_gap))), 1e-12)
 
 
-def check_concurrence(presets, wei_norman, direct):
+def check_concurrence(names, wei_norman, direct):
     b2s = np.linspace(BETA2_FLOOR, 1.0 - BETA2_FLOOR, 20)
     dev = 0.0
     gated = total = 0
-    for pr in presets:
-        series = wei_norman(pr)[::10]
+    for preset in names:
+        series = wei_norman(preset)[::10]
         for family in ("phi", "psi"):
             rho = evolve_pair(series, _initial_states(family, b2s))
             general = concurrence_general(rho)
@@ -304,8 +298,8 @@ KERNEL_BOUNDS = (("alpha1", 1e-10), ("alpha2", 1e-10), ("alpha", 1e-10),
                  ("alpha_tilde", 1e-8), ("decay_exponent", 1e-8))
 
 
-def check_kernels(presets, *_):
-    points = [(gt / pr.params.gamma, pr.params) for pr in presets
+def check_kernels(names, *_):
+    points = [(gt / p.gamma, p) for p in (PRESETS[name] for name in names)
               for gt in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
     for name, bound in KERNEL_BOUNDS:
         closed = getattr(kernels, name)
@@ -315,7 +309,7 @@ def check_kernels(presets, *_):
 
 
 def check_rwa(*_):
-    p = PRESETS["RWA"].params
+    p = PRESETS["RWA"]
     yield "rwa_residual", oracle.rwa_residual(p, _verify_grid(p)[::10]), 1e-6
 
 
@@ -333,30 +327,32 @@ def _aborted(err: Exception) -> tuple:
     return f"aborted_{type(err).__name__}", math.inf, 0.0
 
 
-def run_checks(presets, settings: IntegratorSettings, checks=CHECKS):
-    """The records of every one of `checks`, over one Wei-Norman integration
-    and one direct channel per preset on its verify grid, each built when a
-    check first asks for it.  A build that raises is not attempted again:
-    each later request raises the same error.  A check that raises keeps
-    the records it yielded and adds aborted_<Error>, deviation inf, bound 0."""
+def run_checks(names, settings: IntegratorSettings, checks=CHECKS):
+    """The records of every one of `checks` on the presets `names`, over one
+    Wei-Norman integration and one direct channel per preset on its verify
+    grid, each built when a check first asks for it.  A build that raises
+    is not attempted again: each later request raises the same error.  A
+    check that raises keeps the records it yielded and adds
+    aborted_<Error>, deviation inf, bound 0."""
     done: dict = {}
 
-    def channel(build, pr: Preset) -> ChannelSeries:
-        key = (build, pr.name)
+    def channel(build, name: str) -> ChannelSeries:
+        key = (build, name)
         if key not in done:
+            p = PRESETS[name]
             try:
-                done[key] = build(pr.params, _verify_grid(pr.params), settings)
+                done[key] = build(p, _verify_grid(p), settings)
             except Exception as err:
                 done[key] = err
         if isinstance(done[key], Exception):
             raise done[key]
         return done[key]
 
-    wei_norman = lambda pr: channel(lie_channel.integrate, pr)
-    direct = lambda pr: channel(oracle.direct_channel, pr)
+    wei_norman = lambda name: channel(lie_channel.integrate, name)
+    direct = lambda name: channel(oracle.direct_channel, name)
     for check in checks:
         try:
-            yield from check(presets, wei_norman, direct)
+            yield from check(names, wei_norman, direct)
         except Exception as err:   # a failed oracle is a FAIL line, not a crash
             yield _aborted(err)
 
@@ -368,8 +364,8 @@ QUADRATURE_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from beyondrwa import cli
-presets = [cli.PRESETS[name] for name in json.loads(sys.argv[2])]
-print(json.dumps(list(cli.run_checks(presets, cli.IntegratorSettings(),
+print(json.dumps(list(cli.run_checks(json.loads(sys.argv[2]),
+                                     cli.IntegratorSettings(),
                                      cli.QUADRATURE_CHECKS))))
 """
 
@@ -406,7 +402,7 @@ def _child_records(code: int, out: str, err: str) -> list:
     raise ChildProcessError(": ".join([f"the quadrature checks {problem}", *last]))
 
 
-def _checks_beside_child(presets, settings) -> list:
+def _checks_beside_child(names, settings) -> list:
     """The records of CHECKS, with QUADRATURE_CHECKS run by a second
     interpreter (QUADRATURE_CHILD) while this one runs CHANNEL_CHECKS.  Its
     stderr follows this process's own.  A child that cannot start, exits
@@ -420,14 +416,14 @@ def _checks_beside_child(presets, settings) -> list:
     try:
         child = subprocess.Popen(
             [sys.executable, "-c", QUADRATURE_CHILD, package,
-             json.dumps([pr.name for pr in presets])],
+             json.dumps(names)],
             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
     except OSError as err:
-        return list(run_checks(presets, settings, CHANNEL_CHECKS)) + [_aborted(err)]
+        return list(run_checks(names, settings, CHANNEL_CHECKS)) + [_aborted(err)]
     with child:
         try:
-            records = list(run_checks(presets, settings, CHANNEL_CHECKS))
+            records = list(run_checks(names, settings, CHANNEL_CHECKS))
             out, err = child.communicate()
         finally:
             child.kill()   # a no-op once communicate has reaped it
@@ -442,13 +438,11 @@ def _checks_beside_child(presets, settings) -> list:
 
 def cmd_verify(args) -> int:
     names = VERIFY_PRESETS if args.preset is None else (args.preset,)
-    settings = IntegratorSettings(rel_tol=args.rel_tol,
-                                  cap_step=not args.uncap_step)
-    presets = [PRESETS[k] for k in names]
+    settings = IntegratorSettings(rel_tol=args.rel_tol)
     if _quadrature_apart():
-        records = _checks_beside_child(presets, settings)
+        records = _checks_beside_child(names, settings)
     else:
-        records = list(run_checks(presets, settings))
+        records = list(run_checks(names, settings))
     for name, dev, bound in records:
         print(f"{name}\t{dev:.6g}\t{bound:g}\t{'PASS' if dev < bound else 'FAIL'}")
     return 0 if all(dev < bound for _, dev, bound in records) else 1
@@ -576,15 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the oracle cross-check suite")
-    # only the adaptive Wei-Norman and direct integrations take a tolerance
+    # only the adaptive Wei-Norman and direct integrations take a tolerance;
+    # their step cap, lie_channel.step_cap, is fixed by the preset
     pv.add_argument("--rel-tol", type=float, default=IntegratorSettings.rel_tol,
                     help="integrator relative tolerance (absolute tracks it; "
                          "default %(default)g)")
     # RWA has no generator of its own to check: rwa_residual covers it
     pv.add_argument("--preset", choices=VERIFY_PRESETS, default=None,
                     help="check one preset (default A, B and C)")
-    pv.add_argument("--uncap-step", action="store_true",
-                    help="debug: remove the oscillation-resolving step cap")
     pv.set_defaults(func=cmd_verify)
 
     pr = sub.add_parser("report", parents=[common, grid, states],

@@ -38,10 +38,12 @@ the tableaux of SciPy's RK45 and DOP853 that _tableaux holds.  The
 coefficients depend on t alone, and every stage time of a step is known
 before its first stage, so each route hands solve a batch function,
 called on all the stage times of a step attempt at once, and a stage
-function that reads one record of it.  A step at the cap ends at
-t + max_step, so the stage times of a run of such steps are known ahead
-too, and so is which of them pass a sample time and need a dense output:
-one batch call serves up to CAP_BLOCK_STEPS of them.  integrate names
+function that reads one record of it.  Both routes hold the step below
+step_cap(p), which resolves the 2 omega0 phase of the counter-rotating
+terms; it is fixed by the parameters, not a setting.  A step at the cap
+ends at t + max_step, so the stage times of a run of such steps are known
+ahead too, and so is which of them pass a sample time and need a dense
+output: one batch call serves up to CAP_BLOCK_STEPS of them.  integrate names
 DOP853, the eighth-order Dormand-Prince pair: on preset A it needs 40% of
 the right-hand-side evaluations of RK45.  The direct oracle keeps RK45,
 which is faster than DOP853 on its propagator.  Every route here runs on
@@ -95,16 +97,14 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerance and step policy for the channel and direct integrations.
+    """Tolerance of the channel and direct integrations.
 
     rel_tol is both the relative and the absolute tolerance; it must be
-    finite and at least MIN_REL_TOL, or DomainError.  With cap_step the
-    step is held below step_cap(); without it the error estimator alone
-    controls the step.
+    finite and at least MIN_REL_TOL, or DomainError.  The step is always
+    held below step_cap(p).
     """
 
     rel_tol: float = 1e-9
-    cap_step: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= MIN_REL_TOL):
@@ -157,26 +157,24 @@ def check_grid(times: Sequence[float]) -> np.ndarray:
     return ts
 
 
-def step_cap(p: BathParams, settings: IntegratorSettings) -> float:
-    """Largest integrator step: MEMORY_STEP/gamma, and an eighth of the
-    counter-rotating half-period pi/(8 omega0) so the 2 omega0 phase is
-    resolved; unbounded without cap_step."""
-    if not settings.cap_step:
-        return math.inf
+def step_cap(p: BathParams) -> float:
+    """Largest step of the adaptive integrations: MEMORY_STEP/gamma, and an
+    eighth of the counter-rotating half-period pi/(8 omega0) so the
+    2 omega0 phase is resolved."""
     return min(MEMORY_STEP / p.gamma, math.pi / (8.0 * p.omega0))
 
 
 def magnus_step(p: BathParams) -> float:
     """Step of propagate: a quarter of step_cap, and at most 1/(40 lam) so
     that strong coupling is resolved as well as the 2 omega0 phase."""
-    return min(step_cap(p, IntegratorSettings()) / 4.0, 1.0 / (40.0 * p.lam))
+    return min(step_cap(p) / 4.0, 1.0 / (40.0 * p.lam))
 
 
 def _magnus_remedy(p: BathParams) -> str:
     """The flags that cut the step count of propagate, tmax/(gamma h) in
     units of 1/gamma: --tmax, and the flag whose term sets h =
     magnus_step(p) unless gamma h is fixed (the MEMORY_STEP term)."""
-    if 1.0 / (40.0 * p.lam) < step_cap(p, IntegratorSettings()) / 4.0:
+    if 1.0 / (40.0 * p.lam) < step_cap(p) / 4.0:
         return "shorten --tmax, lower --lambda or raise --gamma"
     if math.pi / (8.0 * p.omega0) < MEMORY_STEP / p.gamma:
         return "shorten --tmax, lower --omega0 or raise --gamma"
@@ -236,30 +234,26 @@ def _rms(x: np.ndarray) -> float:
 
 def _rk_interpolant(t_old: float, t_new: float, y_old: np.ndarray, q: np.ndarray):
     """SciPy's RkDenseOutput over one step: y_old + h q (x, x^2, ...)
-    with x = (t - t_old)/h, at a time or a 1-d array of times."""
+    with x = (t - t_old)/h, at a 1-d array of times t, one column per time."""
     h = t_new - t_old
 
     def dense(t):
-        t = np.asarray(t)
         x = (t - t_old) / h
-        reps = (q.shape[1], 1) if t.ndim else q.shape[1]
-        powers = np.cumprod(np.tile(x, reps), axis=0)
-        return h * np.dot(q, powers) + (y_old[:, None] if t.ndim else y_old)
+        powers = np.cumprod(np.tile(x, (q.shape[1], 1)), axis=0)
+        return h * np.dot(q, powers) + y_old[:, None]
 
     return dense
 
 
 def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.ndarray):
     """SciPy's Dop853DenseOutput over one step: the rows of f nested in
-    alternating factors x and 1 - x, at a time or a 1-d array of times."""
+    alternating factors x and 1 - x, at a 1-d array of times t, one column
+    per time."""
     h = t_new - t_old
 
     def dense(t):
-        t = np.asarray(t)
-        x = (t - t_old) / h
-        if t.ndim:
-            x = x[:, None]
-        y = np.zeros((x.size, y_old.size)) if t.ndim else np.zeros_like(y_old)
+        x = ((t - t_old) / h)[:, None]
+        y = np.zeros((x.size, y_old.size))
         for i, row in enumerate(f[::-1]):
             y += row
             y *= x if i % 2 == 0 else 1 - x
@@ -459,10 +453,9 @@ def integrate(p: BathParams, times: Sequence[float],
     Raises GridError on a bad grid and ToleranceError when the step falls
     below solve's minimum.
     """
-    settings = settings or IntegratorSettings()
     sol = solve(lambda ts: _coefficient_rows(ts, p, kernels.coefficients), _rhs,
-                np.zeros(9), check_grid(times), settings, step_cap(p, settings),
-                method="DOP853")
+                np.zeros(9), check_grid(times), settings or IntegratorSettings(),
+                step_cap(p), method="DOP853")
     return channel_at(sol.t, sol.y, kernels.decay_exponent(sol.t, p))
 
 

@@ -124,11 +124,10 @@ def direct_channel(
     solve's default RK45 pair: DOP853, which the channel integration steps,
     takes more evaluations here (31 169 against 23 522 on preset A).
     Raises ToleranceError when the step falls below solve's minimum."""
-    settings = settings or IntegratorSettings()
     cfn = coefficient_fn or kernels.coefficients
     sol = solve(lambda ts: _direct_matrices(ts, p, cfn), _direct_rhs,
-                np.eye(4).ravel(), check_grid(t_grid), settings,
-                step_cap(p, settings))
+                np.eye(4).ravel(), check_grid(t_grid),
+                settings or IntegratorSettings(), step_cap(p))
     u = sol.y.T.reshape(-1, 4, 4)
     return sector_channel(sol.t, u[:, ::3, ::3], u[:, 1:3, 1:3])
 

@@ -39,7 +39,7 @@ class BankEntry(NamedTuple):
 def channel_bank():
     bank = {}
     for name in ("A", "B", "C"):
-        p = PRESETS[name].params
+        p = PRESETS[name]
         times = GAMMA_T_GRID / p.gamma
         bank[name] = BankEntry(p, times, lie_channel.integrate(p, times))
     return bank
@@ -49,8 +49,8 @@ def channel_bank():
 def direct_bank():
     """oracle.direct_channel of presets A, B and C on the channel bank's
     grid: {preset: ChannelSeries}."""
-    return {name: oracle.direct_channel(PRESETS[name].params,
-                                        GAMMA_T_GRID / PRESETS[name].params.gamma)
+    return {name: oracle.direct_channel(PRESETS[name],
+                                        GAMMA_T_GRID / PRESETS[name].gamma)
             for name in ("A", "B", "C")}
 
 
@@ -73,7 +73,7 @@ def rwa_dense_curves():
     """Concurrence of the rotating-wave channel on the dense grid, for the
     two configurations the shape checks care about.  compute_surface
     evolves the 40001 times in bounded blocks."""
-    p = PRESETS["RWA"].params
+    p = PRESETS["RWA"]
 
     def curve(family, beta2):
         spec = SweepSpec(params=p, channel="rwa", family=family,

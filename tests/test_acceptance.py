@@ -93,7 +93,7 @@ def test_criterion_04_initial_concurrence_anchor():
 
 def test_criterion_05_kernel_quadrature():
     for name in ("A", "B", "C"):
-        p = PRESETS[name].params
+        p = PRESETS[name]
         for t in np.linspace(0.0, 20.0, 21):
             assert abs(kernels.alpha_tilde(t, p)
                        - oracle.alpha_tilde_quadrature(t, p)) < 1e-8
@@ -169,7 +169,7 @@ def _rwa_psi_revival_window():
     root find on the closed form, so this only reports where the window
     edge lies when beta^2 falls outside it.
     """
-    p = PRESETS["RWA"].params
+    p = PRESETS["RWA"]
     times = DENSE_GAMMA_T / p.gamma
     after = times[times > oracle.rwa_first_zero(p)]
     q2_max = oracle.rwa_channel(after, p).l.max()    # l = |q|^2

@@ -1,5 +1,6 @@
 """Command-line contract: CSV format, determinism, verify report shape."""
 
+import argparse
 import contextlib
 import functools
 import importlib
@@ -21,7 +22,7 @@ import pytest
 from beyondrwa import BathParams, lie_channel, oracle
 from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec, _fmt,
                            _initial_states, _plateau, beta2_grid,
-                           compute_surface, main, write_csv)
+                           build_parser, compute_surface, main, write_csv)
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings
@@ -60,11 +61,11 @@ def exit_2(capsys, *argv) -> str:
 
 def test_presets_catalog():
     assert set(PRESETS) == {"A", "B", "C", "RWA"}
-    assert PRESETS["A"].params.omega0 == 100.0
-    assert PRESETS["B"].params.omega0 == 10.0
-    assert PRESETS["C"].params.omega0 == 3.0
-    for pr in PRESETS.values():
-        assert pr.params.lam == 10.0 and pr.params.gamma == 1.0
+    assert PRESETS["A"].omega0 == 100.0
+    assert PRESETS["B"].omega0 == 10.0
+    assert PRESETS["C"].omega0 == 3.0
+    for p in PRESETS.values():
+        assert p.lam == 10.0 and p.gamma == 1.0
 
 
 def test_beta2_grid_clipping():
@@ -288,7 +289,8 @@ def _count_solvers(monkeypatch, failing=""):
     """Wrap integrate and direct_channel to log the preset of each call,
     and integrate to raise ToleranceError on the presets in `failing`;
     returns the logs."""
-    names = {pr.params: name for name, pr in PRESETS.items() if name != "RWA"}
+    # B and RWA hold equal BathParams; verify never integrates RWA
+    names = {p: name for name, p in PRESETS.items() if name != "RWA"}
     calls = {"integrate": [], "direct_channel": []}
 
     def counted(fname, fn, p, *args, **kwargs):
@@ -456,12 +458,13 @@ for argv in (["sweep", "--preset", "A"],
         assert cli.main(argv) == 0
     seen[" ".join(argv)] = loaded()
 # the Wei-Norman route run into the pole of j+ = tan t, to its ToleranceError
-p, settings = cli.PRESETS["C"].params, cli.IntegratorSettings()
+p = cli.PRESETS["C"]
 tan = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)
 try:
     lie_channel.solve(lambda ts: lie_channel._coefficient_rows(ts, p, tan),
                       lie_channel._rhs, [0.0] * 9, lie_channel.check_grid([0.0, 2.0]),
-                      settings, lie_channel.step_cap(p, settings), method="DOP853")
+                      cli.IntegratorSettings(), lie_channel.step_cap(p),
+                      method="DOP853")
 except ToleranceError:
     seen["pole"] = loaded()
 out, err = io.StringIO(), io.StringIO()
@@ -593,9 +596,33 @@ def test_blas_threads_sleep_unless_the_caller_chose(preset, want):
 
 
 def test_verify_rejects_parameter_overrides(capsys):
-    # verify checks the stock presets only; an override must not be ignored
+    # verify checks the stock presets only; an override must not be ignored,
+    # and the step cap is fixed by the preset
     assert "unrecognized arguments" in exit_2(capsys, "verify", "--omega0", "5",
                                               "--lambda", "0.1")
+    assert "unrecognized arguments" in exit_2(capsys, "verify", "--uncap-step")
+
+
+# the -- options of each command; a new knob has to be added here
+_TRACE_FLAGS = {"--seedless", "--preset", "--omega0", "--lambda", "--gamma",
+                "--out", "--tmax", "--t-steps", "--truncated-rwa"}
+_STATE_FLAGS = {"--state", "--beta2", "--phase", "--beta2-steps"}
+COMMAND_FLAGS = {
+    "sweep": _TRACE_FLAGS | _STATE_FLAGS,
+    "report": _TRACE_FLAGS | _STATE_FLAGS,
+    "trace": _TRACE_FLAGS,
+    "verify": {"--seedless", "--rel-tol", "--preset"},
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_FLAGS)
+    for name, sub in commands.choices.items():
+        flags = {o for a in sub._actions for o in a.option_strings
+                 if o.startswith("--") and o != "--help"}
+        assert flags == COMMAND_FLAGS[name], name
 
 
 def test_verify_degraded_tolerance_stays_well_formed(capsys):
@@ -605,10 +632,11 @@ def test_verify_degraded_tolerance_stays_well_formed(capsys):
     assert code in (0, 1)
 
 
-def test_verify_uncapped_step_fails_loose_tolerance(capsys):
-    # without the oscillation cap the error estimator alone cannot hold the
-    # two routes together at loose tolerance: negative control for the cap
-    code, out, _ = run_cli(capsys, "verify", "--preset", "A", "--uncap-step",
+def test_verify_fails_a_loose_tolerance(capsys):
+    # negative control for the 1e-6 bounds: at rel_tol 1e-4 the direct
+    # reference of preset A is itself loose, so both A lines fail (about
+    # 4e-5), with or without the step cap
+    code, out, _ = run_cli(capsys, "verify", "--preset", "A",
                            "--rel-tol", "1e-4")
     lines = out.splitlines()
     assert all(VERIFY_LINE.match(line) for line in lines)
@@ -636,7 +664,7 @@ def test_report_structure(capsys):
 def test_surface_matches_the_general_pair_route():
     # compute_surface evolves only the X sectors; evolve_pair squares the
     # whole transfer matrix
-    p = PRESETS["C"].params
+    p = PRESETS["C"]
     spec = SweepSpec(params=p, family="psi", eta_phase=0.9,
                      beta2_values=beta2_grid(41))
     surface = compute_surface(spec)

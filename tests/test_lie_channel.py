@@ -156,10 +156,9 @@ def test_riccati_pole_raises_tolerance_error():
     # the Wei-Norman route steps DOP853; at the pole of tan t the step
     # falls to solve's minimum, and the integration ends there
     batch = lambda ts: lie_channel._coefficient_rows(ts, P_C, _tan_riccati)
-    settings = IntegratorSettings()
     with pytest.raises(ToleranceError, match="step size"):
         solve(batch, lie_channel._rhs, np.zeros(9), np.linspace(0.0, 2.0, 11),
-              settings, step_cap(P_C, settings), method="DOP853")
+              IntegratorSettings(), step_cap(P_C), method="DOP853")
 
 
 def _solve_ivp_reference(fun, y0, ts, max_step, method):
@@ -189,8 +188,8 @@ def test_solve_matches_solve_ivp(route, method, capped):
     # the shared loop runs the pair each route uses (DOP853 for integrate,
     # RK45 for direct_channel) with one batch call per step attempt or run
     # of attempts at the cap, and samples its dense output as
-    # solve_ivp(t_eval=...) does: same samples to the bit, same work;
-    # uncapped is verify --uncap-step
+    # solve_ivp(t_eval=...) does: same samples to the bit, same work, with
+    # the routes' step cap or with none
     if route == "wei_norman_A":
         p, y0 = P_A, np.zeros(9)
         batch = lambda ts: lie_channel._coefficient_rows(ts, p, kernels.coefficients)
@@ -203,7 +202,7 @@ def test_solve_matches_solve_ivp(route, method, capped):
         batch = lambda ts: oracle._direct_matrices(ts, p, kernels.coefficients)
         stage = oracle._direct_rhs
     ts = GAMMA_T_GRID / p.gamma
-    cap = step_cap(p, IntegratorSettings(cap_step=capped))
+    cap = step_cap(p) if capped else math.inf
     ref = _solve_ivp_reference(_one_stage(batch, stage), y0, ts, cap, method)
     got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
     assert ref.status == 0
@@ -254,7 +253,7 @@ def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, m
         return rows(ts)
 
     ts = GAMMA_T_GRID / p.gamma
-    cap = step_cap(p, IntegratorSettings())
+    cap = step_cap(p)
     ref = _solve_ivp_reference(_one_stage(rows, stage), y0, ts, cap, method)
     got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
     assert ref.status == 0
@@ -387,7 +386,7 @@ def test_propagate_runs_to_the_stationary_state():
 
 def test_magnus_step_rule():
     for p in (P_A, P_B, P_C):
-        assert magnus_step(p) == step_cap(p, IntegratorSettings()) / 4.0
+        assert magnus_step(p) == step_cap(p) / 4.0
     strong = BathParams(omega0=10.0, gamma=1.0, lam=1000.0)
     assert magnus_step(strong) == 1.0 / 40000.0
 
