@@ -13,13 +13,12 @@ Four subcommands:
 sweep, report and trace take the channel from _channel_series: the
 rotating-wave closed form, or lie_channel.propagate (fixed Magnus steps, no
 tolerance to set), and run on NumPy alone.  Only verify integrates the
-Wei-Norman equations adaptively through lie_channel.solve, which runs on
-NumPy too, and takes --rel-tol.  run_checks integrates each preset once per
-route; the tests call the same checks.  Only verify's QUADPACK checks
-(QUADRATURE_CHECKS) import SciPy.  They build no channel, so with a second
-CPU, and scipy.integrate not yet imported, verify runs them in a second
-interpreter while it runs the channel checks (CHANNEL_CHECKS), and prints
-the records of both in the order of CHECKS.
+Wei-Norman equations adaptively through lie_channel.solve, and the direct
+master equation through oracle.direct_channel, both on NumPy, and takes
+--rel-tol.  run_checks integrates each preset once per route; the tests
+call the same checks.  Only verify's QUADPACK checks (check_kernels and
+check_rwa) load SciPy: its QUADPACK extension alone, through
+oracle._quad, not scipy.integrate.
 
 Everything is deterministic: no randomness exists anywhere in the pipeline,
 identical flags produce byte-identical output.  Times on the command line
@@ -32,7 +31,6 @@ import argparse
 import contextlib
 import dataclasses
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
@@ -313,11 +311,9 @@ def check_rwa(*_):
     yield "rwa_residual", oracle.rwa_residual(p, _verify_grid(p)[::10]), 1e-6
 
 
-# the checks over the integrated channels, and the QUADPACK checks, which
-# build no channel; CHECKS holds both, in print order
-CHANNEL_CHECKS = (check_direct, check_two_qubit, check_concurrence)
-QUADRATURE_CHECKS = (check_kernels, check_rwa)
-CHECKS = CHANNEL_CHECKS + QUADRATURE_CHECKS
+# in print order
+CHECKS = (check_direct, check_two_qubit, check_concurrence, check_kernels,
+          check_rwa)
 
 
 def _aborted(err: Exception) -> tuple:
@@ -327,8 +323,8 @@ def _aborted(err: Exception) -> tuple:
     return f"aborted_{type(err).__name__}", math.inf, 0.0
 
 
-def run_checks(names, settings: IntegratorSettings, checks=CHECKS):
-    """The records of every one of `checks` on the presets `names`, over one
+def run_checks(names, settings: IntegratorSettings):
+    """The records of every check of CHECKS on the presets `names`, over one
     Wei-Norman integration and one direct channel per preset on its verify
     grid, each built when a check first asks for it.  A build that raises
     is not attempted again: each later request raises the same error.  A
@@ -350,99 +346,16 @@ def run_checks(names, settings: IntegratorSettings, checks=CHECKS):
 
     wei_norman = lambda name: channel(lie_channel.integrate, name)
     direct = lambda name: channel(oracle.direct_channel, name)
-    for check in checks:
+    for check in CHECKS:
         try:
             yield from check(names, wei_norman, direct)
         except Exception as err:   # a failed oracle is a FAIL line, not a crash
             yield _aborted(err)
 
 
-# the second interpreter of verify: argv[1] is the directory that holds
-# this package, argv[2] the preset names as JSON; it prints the records of
-# QUADRATURE_CHECKS as one JSON line
-QUADRATURE_CHILD = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-from beyondrwa import cli
-print(json.dumps(list(cli.run_checks(json.loads(sys.argv[2]),
-                                     cli.IntegratorSettings(),
-                                     cli.QUADRATURE_CHECKS))))
-"""
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # not every platform has affinity
-        return os.cpu_count() or 1
-
-
-def _quadrature_apart() -> bool:
-    """Whether verify runs QUADRATURE_CHECKS in a second interpreter: only
-    while this one has not imported scipy.integrate, which they need and
-    the channel checks do not, and has a second CPU to run them on."""
-    return "scipy.integrate" not in sys.modules and _cpu_count() > 1
-
-
-def _child_records(code: int, out: str, err: str) -> list:
-    """The records the second interpreter printed; ChildProcessError, with
-    the last line of its stderr, unless it exited 0 with a list of them."""
-    import json
-
-    if code == 0:
-        try:
-            return [(str(name), float(dev), float(bound))
-                    for name, dev, bound in json.loads(out.splitlines()[-1])]
-        except (IndexError, TypeError, ValueError):
-            problem = "printed no records"
-    else:
-        problem = f"exited with status {code}"
-    last = err.strip().splitlines()[-1:]
-    raise ChildProcessError(": ".join([f"the quadrature checks {problem}", *last]))
-
-
-def _checks_beside_child(names, settings) -> list:
-    """The records of CHECKS, with QUADRATURE_CHECKS run by a second
-    interpreter (QUADRATURE_CHILD) while this one runs CHANNEL_CHECKS.  Its
-    stderr follows this process's own.  A child that cannot start, exits
-    nonzero or prints no records adds one aborted record in place of its
-    own; it is killed and reaped on every way out, KeyboardInterrupt too."""
-    # imported here: no other command starts a process
-    import json
-    import subprocess
-
-    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    try:
-        child = subprocess.Popen(
-            [sys.executable, "-c", QUADRATURE_CHILD, package,
-             json.dumps(names)],
-            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True)
-    except OSError as err:
-        return list(run_checks(names, settings, CHANNEL_CHECKS)) + [_aborted(err)]
-    with child:
-        try:
-            records = list(run_checks(names, settings, CHANNEL_CHECKS))
-            out, err = child.communicate()
-        finally:
-            child.kill()   # a no-op once communicate has reaped it
-            child.wait()
-    try:
-        quadrature = _child_records(child.returncode, out, err)
-    except ChildProcessError as exc:
-        return records + [_aborted(exc)]
-    sys.stderr.write(err)
-    return records + quadrature
-
-
 def cmd_verify(args) -> int:
     names = VERIFY_PRESETS if args.preset is None else (args.preset,)
-    settings = IntegratorSettings(rel_tol=args.rel_tol)
-    if _quadrature_apart():
-        records = _checks_beside_child(names, settings)
-    else:
-        records = list(run_checks(names, settings))
+    records = list(run_checks(names, IntegratorSettings(rel_tol=args.rel_tol)))
     for name, dev, bound in records:
         print(f"{name}\t{dev:.6g}\t{bound:g}\t{'PASS' if dev < bound else 'FAIL'}")
     return 0 if all(dev < bound for _, dev, bound in records) else 1
@@ -471,6 +384,14 @@ def cmd_report(args) -> int:
         raise DomainError(f"--t-steps must be at least 3 for a report, "
                           f"got {args.t_steps}")
     spec = _spec_from_args(args)
+    # np.gradient divides by products of neighbouring spacings: their
+    # squares must neither underflow nor overflow
+    dx = spec.t_max / (spec.t_steps - 1)
+    if not (sys.float_info.min <= dx * dx / 4.0 and 4.0 * dx * dx < math.inf):
+        raise DomainError(f"--tmax {spec.t_max:g} over --t-steps {spec.t_steps} "
+                          f"spaces the samples {dx:.3g} apart, whose square "
+                          f"leaves the float range the plateau slopes need: "
+                          f"change --tmax or --t-steps")
     surface = compute_surface(spec)
     with _output(args.out) as stream:
         stream.write(f"# preset={args.preset} channel={spec.channel} "

@@ -22,8 +22,10 @@ class GridError(BeyondRwaError):
 
 
 class ToleranceError(BeyondRwaError):
-    """The adaptive integrator could not meet its tolerances: its step fell
-    below the minimum, as it does at a pole of the solution."""
+    """An adaptive integration could not meet its tolerance: solve's step
+    fell below the minimum, as it does at a pole of the solution, or
+    direct_channel's refinement ran out of steps or met a step that is not
+    finite."""
 
 
 class NumericalError(BeyondRwaError):

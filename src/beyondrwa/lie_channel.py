@@ -32,22 +32,15 @@ fourth-order Magnus scheme steps on a fixed grid.  It takes any
 generator and no tolerance; every command that prints a channel or a state
 uses it, and only verify's Wei-Norman checks use integrate.
 
-integrate and the direct oracle share one adaptive loop, solve, which
-runs the Runge-Kutta pair its caller names with SciPy's step control, on
-the tableaux of SciPy's RK45 and DOP853 that _tableaux holds.  The
-coefficients depend on t alone, and every stage time of a step is known
-before its first stage, so each route hands solve a batch function,
-called on all the stage times of a step attempt at once, and a stage
-function that reads one record of it.  Both routes hold the step below
-step_cap(p), which resolves the 2 omega0 phase of the counter-rotating
-terms; it is fixed by the parameters, not a setting.  A step at the cap
-ends at t + max_step, so the stage times of a run of such steps are known
-ahead too, and so is which of them pass a sample time and need a dense
-output: one batch call serves up to CAP_BLOCK_STEPS of them.  integrate names
-DOP853, the eighth-order Dormand-Prince pair: on preset A it needs 40% of
-the right-hand-side evaluations of RK45.  The direct oracle keeps RK45,
-which is faster than DOP853 on its propagator.  Every route here runs on
-NumPy alone.
+integrate steps the Riccati system by solve, SciPy's adaptive DOP853
+stepper on the tableau that _tableaux holds.  The coefficients depend on
+t alone, so solve takes them for all the stage times of a step attempt,
+or of a run of up to CAP_BLOCK_STEPS attempts at the cap, in one call.
+The step stays below step_cap(p), which resolves the 2 omega0 phase of
+the counter-rotating terms; it is fixed by the parameters, not a
+setting.  The direct oracle (oracle.direct_channel) steps DOP853 at the
+same cap, and propagate's helpers cut its grid and multiply its steps.
+Every route here runs on NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -139,8 +132,8 @@ class ChannelSeries:
                                 for f in fields(self)})
 
 
-# called with a 1-d array of times: per step attempt or run of cap-length
-# attempts by solve, per block of steps by propagate
+# called with an array of times, once per block of steps by propagate and
+# oracle.direct_channel
 CoefficientFn = Callable[[np.ndarray, BathParams], CoefficientSet]
 
 
@@ -170,11 +163,12 @@ def magnus_step(p: BathParams) -> float:
     return min(step_cap(p) / 4.0, 1.0 / (40.0 * p.lam))
 
 
-def _magnus_remedy(p: BathParams) -> str:
-    """The flags that cut the step count of propagate, tmax/(gamma h) in
-    units of 1/gamma: --tmax, and the flag whose term sets h =
-    magnus_step(p) unless gamma h is fixed (the MEMORY_STEP term)."""
-    if 1.0 / (40.0 * p.lam) < step_cap(p) / 4.0:
+def _step_remedy(p: BathParams, h: float) -> str:
+    """The flags that cut a step count tmax/(gamma h) in units of 1/gamma,
+    for h = magnus_step(p) or step_cap(p): --tmax, and the flag whose term
+    sets h unless gamma h is fixed (the MEMORY_STEP term)."""
+    # only the 1/(40 lam) term of magnus_step falls below a quarter of the cap
+    if h < step_cap(p) / 4.0:
         return "shorten --tmax, lower --lambda or raise --gamma"
     if math.pi / (8.0 * p.omega0) < MEMORY_STEP / p.gamma:
         return "shorten --tmax, lower --omega0 or raise --gamma"
@@ -232,19 +226,6 @@ def _rms(x: np.ndarray) -> float:
     return _norm(x) / x.size ** 0.5
 
 
-def _rk_interpolant(t_old: float, t_new: float, y_old: np.ndarray, q: np.ndarray):
-    """SciPy's RkDenseOutput over one step: y_old + h q (x, x^2, ...)
-    with x = (t - t_old)/h, at a 1-d array of times t, one column per time."""
-    h = t_new - t_old
-
-    def dense(t):
-        x = (t - t_old) / h
-        powers = np.cumprod(np.tile(x, (q.shape[1], 1)), axis=0)
-        return h * np.dot(q, powers) + y_old[:, None]
-
-    return dense
-
-
 def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.ndarray):
     """SciPy's Dop853DenseOutput over one step: the rows of f nested in
     alternating factors x and 1 - x, at a 1-d array of times t, one column
@@ -263,19 +244,17 @@ def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.nda
 
 
 def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
-          settings: IntegratorSettings, max_step: float,
-          method: str = "RK45") -> Solution:
+          settings: IntegratorSettings, max_step: float) -> Solution:
     """Integrate y' = stage(batch(t)[0], y) from y(0) = y0 up to ts[-1]
-    with the Runge-Kutta pair of scipy.integrate's class `method`, "RK45"
-    or "DOP853", whose tableau _tableaux holds, and sample each time of the
-    checked grid ts from the dense output of the step that covers it (y0
-    itself on the grid [0]).
+    with scipy.integrate's DOP853, and sample each time of the checked grid
+    ts from the dense output of the step that covers it (y0 itself on the
+    grid [0]).
 
     batch(times) takes a 1-d array of times and returns one record per
     time; it must act on each time alone, as kernels.coefficients does.
     stage(record, y) is the derivative there.  All stage times of a step
     are known before its first stage, so batch runs on all of them at once
-    (t + C[1:] h and t + h), and once per DOP853 dense output (on
+    (t + C[1:] h and t + h), and once per dense output (on
     t_old + C_EXTRA h), not once per stage.  An attempt at the cap,
     h = max_step, ends at min(t + max_step, t_bound), so the attempts of a
     run of them start at times known ahead, and so does each one's dense
@@ -283,30 +262,28 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     the stages of up to CAP_BLOCK_STEPS of them and those dense outputs,
     with the same float operations as the loop, and an attempt that does
     not start where the run predicts (after a rejection or a shorter step)
-    drops the rest.  Everything else is
-    SciPy's stepper, operation for operation (select_initial_step, the
-    nextafter minimum step, safety 0.9, factors 0.2 and 10 with no growth
-    after a rejection, both error norms, both dense outputs), with
+    drops the rest.  Everything else is SciPy's stepper, operation for
+    operation (select_initial_step, the nextafter minimum step, safety 0.9,
+    factors 0.2 and 10 with no growth after a rejection, the error norm,
+    the dense output), with
     rtol = atol = settings.rel_tol and steps at most max_step: the samples
-    and nfev are those of solve_ivp(method=method, t_eval=ts) to the bit.
+    and nfev are those of solve_ivp(method="DOP853", t_eval=ts) to the bit.
 
     The samples never steer the steps.  Raises ToleranceError when the step
     falls below the minimum, as it does at a pole of the solution.
     """
-    # only the adaptive integrations need the tableaux
+    # only the integrations need the tableau
     from . import _tableaux
 
-    rk = getattr(_tableaux, method)
+    rk = _tableaux.DOP853
     ns, tol, t_bound = rk.n_stages, settings.rel_tol, float(ts[-1])
     exponent = -1 / (rk.error_estimator_order + 1)
     # stage times of an attempt as fractions of its step; the last is the
     # first stage of the next step
     c_step = np.append(rk.C[1:], 1.0)
     weights = [rk.A[s, :s] for s in range(ns)]
-    # DOP853's dense output takes three more stages
-    eighth = method == "DOP853"
-    extra = ([rk.A_EXTRA[j, :ns + 1 + j] for j in range(rk.C_EXTRA.size)]
-             if eighth else [])
+    # the dense output takes three more stages
+    extra = [rk.A_EXTRA[j, :ns + 1 + j] for j in range(rk.C_EXTRA.size)]
 
     y = np.array(y0, dtype=float)
     k = np.empty((ns + 1 + len(extra), y.size))
@@ -330,8 +307,6 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
     h_abs = min(100 * h0, h1, t_bound, max_step)
 
     def error_norm(h, scale):
-        if not eighth:
-            return _rms(np.dot(kt[ns + 1], rk.E) * h / scale)
         e5 = _norm(np.dot(kt[ns + 1], rk.E5) / scale) ** 2
         e3 = _norm(np.dot(kt[ns + 1], rk.E3) / scale) ** 2
         if e5 == 0 and e3 == 0:
@@ -340,8 +315,6 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
 
     def interpolant():
         nonlocal nfev
-        if not eighth:
-            return _rk_interpolant(t_old, t, y_old, kt[ns + 1].dot(rk.P))
         recs = (dense_recs if dense_recs is not None
                 else batch(t_old + rk.C_EXTRA * h))
         for j, a in enumerate(extra):
@@ -371,17 +344,15 @@ def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
             s = np.array(starts)
             span = (s[1:] - s[:-1])[:, None]
             stage_t = s[:-1, None] + c_step * span
-            keep = np.ones(stage_t.shape, dtype=bool)
-            if eighth:
-                # an attempt that passes a sample time not yet taken (the
-                # first is ts[sampled]) takes its dense output, on the extra
-                # stage times, if it is accepted
-                taken = np.searchsorted(ts, s, side="right")
-                taken[0] = sampled
-                stage_t = np.hstack((stage_t, s[:-1, None] + rk.C_EXTRA * span))
-                passes = np.broadcast_to((taken[1:] > taken[:-1])[:, None],
-                                         (span.size, len(extra)))
-                keep = np.hstack((keep, passes))
+            # an attempt that passes a sample time not yet taken (the first
+            # is ts[sampled]) takes its dense output, on the extra stage
+            # times, if it is accepted
+            taken = np.searchsorted(ts, s, side="right")
+            taken[0] = sampled
+            stage_t = np.hstack((stage_t, s[:-1, None] + rk.C_EXTRA * span))
+            passes = (taken[1:] > taken[:-1])[:, None]
+            keep = np.hstack((np.ones((span.size, ns), dtype=bool),
+                              np.broadcast_to(passes, (span.size, len(extra)))))
             offsets = [0] + np.cumsum(keep.sum(axis=1)).tolist()
             block = batch(stage_t[keep])
             at = 0
@@ -455,7 +426,7 @@ def integrate(p: BathParams, times: Sequence[float],
     """
     sol = solve(lambda ts: _coefficient_rows(ts, p, kernels.coefficients), _rhs,
                 np.zeros(9), check_grid(times), settings or IntegratorSettings(),
-                step_cap(p), method="DOP853")
+                step_cap(p))
     return channel_at(sol.t, sol.y, kernels.decay_exponent(sol.t, p))
 
 
@@ -509,61 +480,84 @@ def _expm2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnus_pieces(ts: np.ndarray, p: BathParams):
-    """Split each interval before a sample time into equal Magnus steps of
-    at most h = magnus_step(p), in pieces of at most MAGNUS_BLOCK_STEPS
-    steps.
+def _step_counts(prev: np.ndarray, ts: np.ndarray, p: BathParams, h: float,
+                 limit: float, route: tuple) -> np.ndarray:
+    """The number of equal steps of at most h that each interval
+    (prev[i], ts[i]] takes, at least one, as int64.
 
-    The first interval runs from 0 to ts[0] and may be empty.  Returns, per
-    piece: start time, step, step count, and whether it ends an interval.
-    Raises DomainError, before any allocation, when the step count is not
-    finite or exceeds MAGNUS_MAX_STEPS.
+    Raises DomainError, before any allocation, when the total is not finite
+    or exceeds limit; route, e.g. ("Magnus", "propagate"), names the steps
+    and their taker in its message, which names the flags to change.
     """
-    h = magnus_step(p)
-    prev = np.concatenate(([0.0], ts[:-1]))
     spans = ts - prev
     with np.errstate(over="ignore"):
         steps = np.maximum(1.0, np.ceil(spans / h))
     total = float(np.sum(steps))
-    if not total <= MAGNUS_MAX_STEPS:
-        raise DomainError(f"the grid to t = {ts[-1]:.6g} needs {total:.3g} Magnus "
+    if not total <= limit:
+        kind, taker = route
+        raise DomainError(f"the grid to t = {ts[-1]:.6g} needs {total:.3g} {kind} "
                           f"steps of at most {h:.3g}, more than the "
-                          f"{MAGNUS_MAX_STEPS:.0e} propagate takes: "
-                          f"{_magnus_remedy(p)}")
-    steps = steps.astype(np.int64)
-    dt = spans / steps
-    parts = -(-steps // MAGNUS_BLOCK_STEPS)
+                          f"{limit:.0e} {taker} takes: {_step_remedy(p, h)}")
+    return steps.astype(np.int64)
+
+
+def _pieces(prev: np.ndarray, ts: np.ndarray, steps: np.ndarray, block: int):
+    """Split each interval (prev[i], ts[i]] into steps[i] equal steps, in
+    pieces of at most `block` steps.  Returns, per piece: start time, step,
+    step count and the interval it belongs to, in the order of the
+    intervals."""
+    dt = (ts - prev) / steps
+    parts = -(-steps // block)
     owner = np.repeat(np.arange(ts.size), parts)
     k = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
     base, extra = steps[owner] // parts[owner], steps[owner] % parts[owner]
     count = base + (k < extra)
     first = k * base + np.minimum(k, extra)
     start = prev[owner] + first * dt[owner]
-    return start, dt[owner], count, k == parts[owner] - 1
+    return start, dt[owner], count, owner
 
 
-def _blocks(count: np.ndarray):
-    """Consecutive runs of pieces whose count x widest piece fits in
-    MAGNUS_BLOCK_STEPS: (first, stop, width) per run."""
+def _blocks(start: np.ndarray, dt: np.ndarray, count: np.ndarray, block: int):
+    """Consecutive runs of pieces whose count x widest piece fits in `block`
+    steps, with the start and length of each of their steps, steps of
+    length 0 padding the shorter pieces: (first, stop, t0, h) per run, t0
+    and h of shape (stop - first, widest count)."""
+    def run(first, stop, width):
+        j = np.arange(width)
+        n = count[first:stop, None]
+        h = np.where(j < n, dt[first:stop, None], 0.0)
+        t0 = start[first:stop, None] + np.minimum(j, n) * dt[first:stop, None]
+        return first, stop, t0, h
+
     first, width = 0, 0
     for i, c in enumerate(count.tolist()):
         w = max(width, c)
-        if (i - first + 1) * w > MAGNUS_BLOCK_STEPS:
-            yield first, i, width
+        if (i - first + 1) * w > block:
+            yield run(first, i, width)
             first, w = i, c
         width = w
-    yield first, count.size, width
+    yield run(first, count.size, width)
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
     """Product along axis -3 with later factors on the left, by pairwise
-    halving: (..., n, 2, 2) -> (..., 2, 2)."""
+    halving: (..., k, n, n) -> (..., n, n)."""
     while e.shape[-3] > 1:
         if e.shape[-3] % 2:
-            eye = np.broadcast_to(np.eye(2), e.shape[:-3] + (1, 2, 2))
+            eye = np.broadcast_to(np.eye(e.shape[-1]), e.shape[:-3] + (1,) + e.shape[-2:])
             e = np.concatenate((e, eye), axis=-3)
         e = e[..., 1::2, :, :] @ e[..., 0::2, :, :]
     return e[..., 0, :, :]
+
+
+def _prefix_products(e: np.ndarray) -> np.ndarray:
+    """The running products along axis -3, later factors on the left, by
+    doubling, in place: entry k becomes e_k ... e_1 e_0."""
+    d = 1
+    while d < e.shape[-3]:
+        e[..., d:, :, :] = e[..., d:, :, :] @ e[..., :-d, :, :]
+        d *= 2
+    return e
 
 
 def propagate(
@@ -587,28 +581,23 @@ def propagate(
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)
-    start, dt, count, ends = _magnus_pieces(ts, p)
+    prev = np.concatenate(([0.0], ts[:-1]))
+    steps = _step_counts(prev, ts, p, magnus_step(p), MAGNUS_MAX_STEPS,
+                         ("Magnus", "propagate"))
+    start, dt, count, owner = _pieces(prev, ts, steps, MAGNUS_BLOCK_STEPS)
+    # the last piece of each interval
+    ends = np.append(owner[1:] != owner[:-1], True)
 
     props = []
     current = np.broadcast_to(np.eye(2), (2, 2, 2))
-    for first, stop, width in _blocks(count):
-        j = np.arange(width)
-        n = count[first:stop, None]
-        h = np.where(j < n, dt[first:stop, None], 0.0)
-        t0 = start[first:stop, None] + np.minimum(j, n) * dt[first:stop, None]
+    for first, stop, t0, h in _blocks(start, dt, count, MAGNUS_BLOCK_STEPS):
         nodes = np.stack([t0 + g * h for g in _GAUSS_NODES])
         a = _generators(cfn(nodes, p), nodes.shape)
         a1, a2 = a[:, 0], a[:, 1]
         w = h[..., None, None]
         omega = (w / 2.0 * (a1 + a2)
                  + math.sqrt(3.0) / 12.0 * w * w * (a2 @ a1 - a1 @ a2))
-        piece = _ordered_product(_expm2(omega))
-        # prefix products over the pieces of the block by doubling
-        d = 1
-        while d < stop - first:
-            piece[:, d:] = piece[:, d:] @ piece[:, :-d]
-            d *= 2
-        piece = piece @ current[:, None]
+        piece = _prefix_products(_ordered_product(_expm2(omega))) @ current[:, None]
         current = piece[:, -1]
         props.append(piece[:, ends[first:stop]])
 

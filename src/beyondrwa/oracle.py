@@ -4,11 +4,14 @@ Three families of cross-checks live here:
 
 * direct_channel: the time-local master equation integrated as a plain
   matrix ODE, superoperator by superoperator, with no Wei-Norman
-  structure: one integration of its 4x4 propagator gives the channel for
-  every input state.  Agreement with lie_channel is the central
-  correctness check of the repository.
+  structure: its 4x4 propagator gives the channel for every input state.
+  The equation is linear, so its DOP853 steps are matrices, built for
+  blocks of steps at once, with the error control of lie_channel.solve
+  deciding where an interval needs shorter steps.  Agreement with
+  lie_channel is the central correctness check of the repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
-  quadrature for the correlation kernels, running integrals for the rest).
+  quadrature for the correlation kernels, running integrals for the rest),
+  through SciPy's QUADPACK extension loaded without scipy.integrate.
 * the exact rotating-wave single-excitation amplitude q(t) and the channel
   built from it, used by the comparison sweeps, plus the residual of its
   defining integro-differential equation  q'(t) = -int_0^t alpha1(t-s) q(s) ds.
@@ -21,17 +24,28 @@ validated model.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
-                          apply_channel, check_grid, sector_channel, solve,
-                          step_cap)
+                          _blocks, _ordered_product, _pieces, _prefix_products,
+                          _step_counts, apply_channel, check_grid,
+                          sector_channel, step_cap)
+
+# direct_channel evaluates the generator on the stage times of at most this
+# many DOP853 steps at once, which bounds its working memory
+DIRECT_BLOCK_STEPS = 256
+
+# direct_channel takes no more DOP853 steps than this in all, at the step
+# cap or refined: at about 5 us per step that is about a minute
+DIRECT_MAX_STEPS = 1e7
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
 _SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
@@ -98,10 +112,60 @@ def _direct_matrices(times: np.ndarray, p: BathParams,
     return (w.view(float) @ _BASIS).reshape(-1, 4, 4)
 
 
-def _direct_rhs(m: np.ndarray, yv: np.ndarray) -> np.ndarray:
-    """One matrix m of _direct_matrices on a 4-vector or on the raveled
-    4x4 propagator."""
-    return (m @ yv.reshape(4, -1)).ravel()
+def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
+                  t0: np.ndarray, h: np.ndarray):
+    """The matrices S of DOP853 steps of length h from the times t0,
+    U(t0 + h) = S U(t0), shape (T, 4, 4), and the error norm of solve at
+    rel_tol tol of each as a step of the identity, shape (T,).
+
+    U' = M(t) U is linear, so each stage is a matrix, batched over the
+    steps: K_s = M_s (I + h sum_j a_sj K_j) and S = I + h sum_i b_i K_i,
+    with every M_s from one call of cfn.  A step of length 0 is I, error 0.
+    """
+    from . import _tableaux
+
+    rk = _tableaux.DOP853
+    m = _direct_matrices((t0[:, None] + rk.C * h[:, None]).ravel(), p, cfn)
+    m = m.reshape(t0.size, rk.n_stages, 4, 4)
+    eye, w = np.eye(4), h[:, None, None]
+    k = np.empty((rk.n_stages + 1, t0.size, 4, 4))
+    k[0] = m[:, 0]
+    for s in range(1, rk.n_stages):
+        k[s] = m[:, s] @ (eye + w * np.tensordot(rk.A[s, :s], k[:s], axes=1))
+    step = eye + w * np.tensordot(rk.B, k[:-1], axes=1)
+    # the error estimate's extra stage, at the last stage time t0 + h
+    k[-1] = m[:, -1] @ step
+    scale = tol + np.maximum(eye, np.abs(step)) * tol
+    e5, e3 = (np.sum((np.tensordot(e, k, axes=1) / scale) ** 2, axis=(1, 2))
+              for e in (rk.E5, rk.E3))
+    denom = np.sqrt((e5 + 0.01 * e3) * 16)
+    return step, h * e5 / np.where(denom > 0.0, denom, 1.0)
+
+
+def _interval_propagators(p: BathParams, cfn: CoefficientFn, tol: float,
+                          prev: np.ndarray, ts: np.ndarray, steps: np.ndarray):
+    """The propagator over each interval (prev[i], ts[i]] from steps[i]
+    equal DOP853 steps, shape (T, 4, 4), and whether each step of it met
+    tol, shape (T,).  One call of cfn per block of at most
+    DIRECT_BLOCK_STEPS steps.  ToleranceError if a step is not finite,
+    which no refinement mends."""
+    start, dt, count, owner = _pieces(prev, ts, steps, DIRECT_BLOCK_STEPS)
+    products = np.empty((count.size, 4, 4))
+    met = np.empty(count.size, dtype=bool)
+    for first, stop, t0, h in _blocks(start, dt, count, DIRECT_BLOCK_STEPS):
+        step, err = _dop853_steps(p, cfn, tol, t0.ravel(), h.ravel())
+        if not np.all(np.isfinite(err)):
+            raise ToleranceError(f"integration failed: a direct step from t = "
+                                 f"{t0.flat[np.argmin(np.isfinite(err))]:.6g} "
+                                 f"is not finite")
+        products[first:stop] = _ordered_product(step.reshape(t0.shape + (4, 4)))
+        met[first:stop] = np.all(err.reshape(t0.shape) < 1.0, axis=1)
+    # the pieces of each interval in order, padded with identities
+    part = np.arange(owner.size) - np.searchsorted(owner, owner)
+    stacked = np.zeros((ts.size, part.max() + 1, 4, 4)) + np.eye(4)
+    stacked[owner, part] = products
+    return (_ordered_product(stacked),
+            np.bincount(owner, weights=~met, minlength=ts.size) == 0)
 
 
 def direct_channel(
@@ -110,26 +174,42 @@ def direct_channel(
     settings: Optional[IntegratorSettings] = None,
     coefficient_fn: Optional[CoefficientFn] = None,
 ) -> ChannelSeries:
-    """The channel at t_grid from one integration of the real 4x4
-    propagator u of the master equation on [rho11, Re rho10, Im rho10,
-    rho00], from the identity: sector_channel of its population block
-    u[:, ::3, ::3] and coherence block u[:, 1:3, 1:3] (no term of _BASIS
-    couples a population to a coherence, so the rest of u stays zero).
+    """The channel at t_grid from the real 4x4 propagator U of the master
+    equation on [rho11, Re rho10, Im rho10, rho00], U(0) = I: sector_channel
+    of its population block U[:, ::3, ::3] and coherence block
+    U[:, 1:3, 1:3] (no term of _BASIS couples a population to a coherence,
+    so the rest of U stays zero).
 
-    Same grid rules, step cap and adaptive loop (lie_channel.solve) as the
-    channel integration, so both routes resolve the 2 omega0 oscillation
-    equally well.  solve builds every stage matrix of a step, or of a run
-    of steps at the cap, in one call of _direct_matrices, and each stage is
-    one product _direct_rhs.  It keeps
-    solve's default RK45 pair: DOP853, which the channel integration steps,
-    takes more evaluations here (31 169 against 23 522 on preset A).
-    Raises ToleranceError when the step falls below solve's minimum."""
+    Each interval between sample times takes equal DOP853 steps of at most
+    step_cap(p), the cap of the channel integration, so both routes resolve
+    the 2 omega0 oscillation equally well.  An interval with a step whose
+    error norm (solve's, at settings.rel_tol) reaches 1 doubles its step
+    count and is built again.  The steps of each interval are multiplied
+    into its propagator, and the intervals into U at each sample time.
+
+    Raises GridError on a bad grid, DomainError when the grid needs more
+    than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when the
+    doubling would pass that count or a step is not finite.
+    """
     cfn = coefficient_fn or kernels.coefficients
-    sol = solve(lambda ts: _direct_matrices(ts, p, cfn), _direct_rhs,
-                np.eye(4).ravel(), check_grid(t_grid),
-                settings or IntegratorSettings(), step_cap(p))
-    u = sol.y.T.reshape(-1, 4, 4)
-    return sector_channel(sol.t, u[:, ::3, ::3], u[:, 1:3, 1:3])
+    tol = (settings or IntegratorSettings()).rel_tol
+    ts = check_grid(t_grid)
+    prev = np.concatenate(([0.0], ts[:-1]))
+    steps = _step_counts(prev, ts, p, step_cap(p), DIRECT_MAX_STEPS,
+                         ("DOP853", "direct_channel"))
+    u = np.empty((ts.size, 4, 4))
+    todo = np.arange(ts.size)
+    while todo.size:
+        u[todo], met = _interval_propagators(p, cfn, tol, prev[todo], ts[todo],
+                                             steps[todo])
+        todo = todo[~met]
+        steps[todo] *= 2
+        if steps.sum() > DIRECT_MAX_STEPS:
+            raise ToleranceError(f"integration failed: rel_tol {tol:g} needs "
+                                 f"more than the {DIRECT_MAX_STEPS:.0e} steps "
+                                 f"direct_channel takes")
+    u = _prefix_products(u)
+    return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
 
 def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
@@ -138,15 +218,75 @@ def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
     return apply_channel(direct_channel(p, t_grid, settings, coefficient_fn), rho0)
 
 
-def _quad(fn, a: float, b: float, **options) -> float:
-    """The value of scipy.integrate.quad; SciPy is imported on first use, so
-    importing this module, or integrating the direct channel, costs NumPy
-    only.  Of the commands, only verify's QUADPACK checks (cli's
-    QUADRATURE_CHECKS) reach it, in a second interpreter when verify starts
-    one."""
-    from scipy.integrate import quad
+@functools.cache
+def _quadpack():
+    """SciPy's QUADPACK extension scipy.integrate._quadpack, loaded on its
+    own: the import of scipy.integrate loads scipy.special, scipy.optimize
+    and scipy.sparse besides, which quad does not use.  None when it cannot
+    be loaded, or when its four routines that _quad calls, called as
+    scipy.integrate.quad calls them, miss a known integral."""
+    import importlib.machinery
+    import importlib.util
+    import os
 
-    return quad(fn, a, b, **options)[0]
+    eps, decay = 1.49e-8, lambda x: math.exp(-x)
+    try:
+        import scipy
+
+        folder = os.path.join(os.path.dirname(scipy.__file__), "integrate")
+        path = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.exists(path := os.path.join(folder, "_quadpack" + suffix)))
+        spec = importlib.util.spec_from_file_location("scipy.integrate._quadpack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        probes = ((module._qagse(lambda x: x, 0.0, 2.0, (), 0, eps, eps, 50), 2.0),
+                  (module._qagie(decay, 0.0, 1, (), 0, eps, eps, 50), 1.0),
+                  (module._qawoe(decay, 0.0, 50.0, 1.0, 1, (), 0, eps, eps, 50,
+                                 50, 1), 0.5),
+                  (module._qawfe(decay, 0.0, 1.0, 2, (), 0, eps, 50, 50, 50), 0.5))
+        if all(out[-1] == 0 and abs(out[0] - want) < 1e-8 for out, want in probes):
+            return module
+    except (ImportError, StopIteration, AttributeError, TypeError, ValueError):
+        pass
+    return None
+
+
+def _quad(fn, a: float, b: float, *, limit: int = 50, epsabs: float = 1.49e-8,
+          epsrel: float = 1.49e-8, weight: Optional[str] = None,
+          wvar: Optional[float] = None) -> float:
+    """The value of scipy.integrate.quad(fn, a, b, ...) for a <= b, a
+    finite or (a, b) the whole line, and no weight or weight "cos" or "sin"
+    (with quad's maxp1 = limlst = 50): the QUADPACK routine quad dispatches
+    to, called through _quadpack; scipy.integrate.quad itself when that is
+    None.
+
+    QUADPACK's code ier > 0 warns, as quad does: the value may be loose.
+    """
+    if not (a <= b and (a > -math.inf or (b == math.inf and weight is None))):
+        raise ValueError(f"_quad takes no interval [{a:g}, {b:g}] with weight {weight}")
+    qp = _quadpack()
+    if qp is None:
+        from scipy.integrate import quad
+
+        return quad(fn, a, b, limit=limit, epsabs=epsabs, epsrel=epsrel,
+                    weight=weight, wvar=wvar)[0]
+    if a == b:
+        return 0.0
+    if weight is not None:
+        integr = {"cos": 1, "sin": 2}[weight]
+        out = (qp._qawoe(fn, a, b, wvar, integr, (), 0, epsabs, epsrel, limit, 50, 1)
+               if b < math.inf else
+               qp._qawfe(fn, a, wvar, integr, (), 0, epsabs, 50, limit, 50))
+    elif b < math.inf:
+        out = qp._qagse(fn, a, b, (), 0, epsabs, epsrel, limit)
+    else:
+        # quad's bound and infbounds: 1 for [a, inf), 2 for the whole line
+        bound, inf = (a, 1) if a > -math.inf else (0.0, 2)
+        out = qp._qagie(fn, bound, inf, (), 0, epsabs, epsrel, limit)
+    if out[-1] > 0:
+        warnings.warn(f"QUADPACK returned ier = {out[-1]} on [{a:g}, {b:g}]: "
+                      f"the integral may be loose", RuntimeWarning, stacklevel=2)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import warnings
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beyondrwa import BathParams, lie_channel, oracle
+from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec, _fmt,
                            _initial_states, _plateau, beta2_grid,
                            build_parser, compute_surface, main, write_csv)
@@ -440,15 +439,15 @@ def test_verify_rejects_the_rwa_preset(capsys):
 # the package sources, for checks that need a fresh interpreter
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# sweep, report and trace run on NumPy alone, and so does verify's own
-# process, given a second CPU for the interpreter that runs its QUADPACK
-# checks; the probe prints the modules loaded after each command, and
-# the exit code, stdout and stderr of the verify its arguments name
+# sweep, report and trace run on NumPy alone; verify loads SciPy's QUADPACK
+# extension and nothing of scipy.integrate, scipy.special, scipy.optimize,
+# scipy.sparse or scipy.linalg.  The probe prints the SciPy modules loaded
+# after each command, and the exit code, stdout and stderr of the verify its
+# arguments name
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from beyondrwa import cli, kernels, lie_channel
 from beyondrwa.errors import ToleranceError
-cli._cpu_count = lambda: 2
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = {"import": loaded()}
 for argv in (["sweep", "--preset", "A"],
@@ -463,8 +462,7 @@ tan = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0
 try:
     lie_channel.solve(lambda ts: lie_channel._coefficient_rows(ts, p, tan),
                       lie_channel._rhs, [0.0] * 9, lie_channel.check_grid([0.0, 2.0]),
-                      cli.IntegratorSettings(), lie_channel.step_cap(p),
-                      method="DOP853")
+                      cli.IntegratorSettings(), lie_channel.step_cap(p))
 except ToleranceError:
     seen["pole"] = loaded()
 out, err = io.StringIO(), io.StringIO()
@@ -488,83 +486,23 @@ def fresh_probe():
 
 def test_sweep_and_report_never_load_scipy(fresh_probe):
     # nor does the Wei-Norman route, up to the ToleranceError of a pole
-    seen = fresh_probe[0]
-    assert len(seen) == 7 and all(mods == [] for mods in seen.values())
+    seen = dict(fresh_probe[0])
+    del seen["verify"]
+    assert len(seen) == 6 and all(mods == [] for mods in seen.values())
 
 
-def test_verify_prints_the_same_with_its_quadratures_apart(fresh_probe, capsys,
-                                                          monkeypatch):
-    # the probe ran the QUADPACK checks in a second interpreter; here they
-    # run in this one
-    apart = fresh_probe[1]
-    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: False)
-    assert list(run_cli(capsys, *VERIFY_ARGV)) == apart
-    assert apart[0] == 0 and apart[1].count("\n") == 12 and "note:" in apart[2]
-
-
-def _children(monkeypatch) -> list:
-    """Record every process subprocess.Popen starts from now on."""
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return started
-
-
-def _reaped(child) -> bool:
-    """Whether child has exited and been waited for: no process, no zombie."""
-    try:
-        os.waitpid(child.pid, os.WNOHANG)
-    except ChildProcessError:
-        return child.returncode is not None
-    return False
-
-
-@pytest.mark.parametrize("fault, error", [
-    ("interpreter", "FileNotFoundError"),
-    ("import sys; sys.exit(3)", "ChildProcessError"),
-    ("print('no records')", "ChildProcessError"),
-    ("import beyondrwa_is_elsewhere", "ChildProcessError"),
-], ids=["cannot_start", "exits_nonzero", "prints_no_records", "raises"])
-def test_verify_quadrature_child_faults_are_a_fail_line(capsys, monkeypatch,
-                                                         tmp_path, fault, error):
-    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: True)
-    monkeypatch.setattr("beyondrwa.cli.CHANNEL_CHECKS",
-                        (lambda *_: iter([("stub", 0.0, 1.0)]),))
-    if fault == "interpreter":
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no" / "python"))
-    else:
-        monkeypatch.setattr("beyondrwa.cli.QUADRATURE_CHILD", fault)
-    started = _children(monkeypatch)
-    code, out, err = run_cli(capsys, "verify", "--preset", "C")
-    assert code == 1
-    assert out == f"stub\t0\t1\tPASS\naborted_{error}\tinf\t0\tFAIL\n"
-    assert f"warning: check group raised {error}" in err
-    assert "Traceback" not in err
-    assert len(started) == (0 if fault == "interpreter" else 1)
-    assert all(map(_reaped, started))
-
-
-def test_verify_kills_its_quadrature_child_on_interrupt(monkeypatch):
-    # Ctrl-C during the channel checks, while the child still runs
-    def interrupted(*_):
-        raise KeyboardInterrupt
-        yield
-
-    monkeypatch.setattr("beyondrwa.cli._quadrature_apart", lambda: True)
-    monkeypatch.setattr("beyondrwa.cli.CHANNEL_CHECKS", (interrupted,))
-    monkeypatch.setattr("beyondrwa.cli.QUADRATURE_CHILD",
-                        "import time; time.sleep(60)")
-    started = _children(monkeypatch)
-    with pytest.raises(KeyboardInterrupt), \
-            contextlib.redirect_stdout(io.StringIO()):
-        main(["verify", "--preset", "C"])
-    [child] = started
-    assert _reaped(child) and child.returncode == -signal.SIGKILL
+def test_verify_loads_quadpack_alone(fresh_probe, capsys):
+    # the QUADPACK extension, without scipy.integrate's package and the
+    # subpackages its import pulls in
+    seen, run = fresh_probe
+    mods = seen["verify"]
+    assert "scipy.integrate._quadpack" in mods and "scipy.integrate" not in mods
+    heavy = ("scipy.special", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    assert not [m for m in mods if m.startswith(heavy)]
+    # and prints what it prints in this process, where scipy.integrate is
+    # loaded
+    assert list(run_cli(capsys, *VERIFY_ARGV)) == run
+    assert run[0] == 0 and run[1].count("\n") == 12 and "note:" in run[2]
 
 
 # records OpenBLAS's thread timeout at the moment NumPy is first imported
@@ -632,17 +570,26 @@ def test_verify_degraded_tolerance_stays_well_formed(capsys):
     assert code in (0, 1)
 
 
-def test_verify_fails_a_loose_tolerance(capsys):
-    # negative control for the 1e-6 bounds: at rel_tol 1e-4 the direct
-    # reference of preset A is itself loose, so both A lines fail (about
-    # 4e-5), with or without the step cap
-    code, out, _ = run_cli(capsys, "verify", "--preset", "A",
-                           "--rel-tol", "1e-4")
-    lines = out.splitlines()
-    assert all(VERIFY_LINE.match(line) for line in lines)
-    assert any(line.startswith("direct_vs_channel[A]") and line.endswith("FAIL")
-               for line in lines)
+def test_verify_fails_an_injected_fault(capsys, monkeypatch):
+    # negative control for the 1e-6 bounds: the direct route's generator
+    # turns the coherence 1e-5 too fast (eps0 x (1 + 1e-5)), which moves it
+    # by 7.5e-6 by gamma t = 10 on preset C; both lines that compare a
+    # channel with that route fail, and its trace, which eps0 does not
+    # touch, passes
+    def faulty(t, p):
+        c = kernels.coefficients(t, p)
+        return c._replace(eps0=c.eps0 * (1.0 + 1e-5))
+
+    direct = oracle.direct_channel
+    monkeypatch.setattr(oracle, "direct_channel",
+                        lambda p, ts, settings: direct(p, ts, settings, faulty))
+    code, out, _ = run_cli(capsys, "verify", "--preset", "C")
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
     assert code == 1
+    for name in ("direct_vs_channel[C]", "magnus_vs_direct[C]"):
+        dev, bound, mark = rows[name]
+        assert mark == "FAIL" and 3e-6 < float(dev) < 3e-5
+    assert rows["direct_trace[C]"][2] == "PASS"
 
 
 def test_report_structure(capsys):
@@ -659,6 +606,18 @@ def test_report_structure(capsys):
     assert fields[0] == "0.5"
     assert fields[1] == "none" or float(fields[1]) >= 0.0
     assert int(fields[2]) >= 0
+
+
+@pytest.mark.parametrize("tmax, steps", [("1e-300", "5"), ("1e200", "7")])
+def test_report_refuses_a_grid_its_slopes_cannot_take(capsys, tmax, steps):
+    # np.gradient divides by products of neighbouring spacings: 2.5e-301
+    # squared underflows to 0 and 1.7e199 squared overflows, which printed
+    # RuntimeWarnings and a plateau row that meant nothing, with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = exit_2(capsys, "report", "--preset", "RWA", "--beta2", "0.5",
+                     "--tmax", tmax, "--t-steps", steps)
+    assert "error: --tmax" in err and "--t-steps" in err
 
 
 def test_surface_matches_the_general_pair_route():

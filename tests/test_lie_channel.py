@@ -158,16 +158,21 @@ def test_riccati_pole_raises_tolerance_error():
     batch = lambda ts: lie_channel._coefficient_rows(ts, P_C, _tan_riccati)
     with pytest.raises(ToleranceError, match="step size"):
         solve(batch, lie_channel._rhs, np.zeros(9), np.linspace(0.0, 2.0, 11),
-              IntegratorSettings(), step_cap(P_C), method="DOP853")
+              IntegratorSettings(), step_cap(P_C))
 
 
-def _solve_ivp_reference(fun, y0, ts, max_step, method):
-    """solve_ivp with the named stepper on the same problem; the loop solve
-    replaced."""
+def _solve_ivp_reference(fun, y0, ts, max_step):
+    """solve_ivp with DOP853 on the same problem; the loop solve replaced."""
     settings = IntegratorSettings()
-    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method=method, t_eval=ts,
+    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method="DOP853", t_eval=ts,
                      rtol=settings.rel_tol, atol=settings.rel_tol,
                      max_step=max_step)
+
+
+def _matrix_stage(m, y):
+    """A matrix of oracle._direct_matrices on a 4-vector or on a raveled
+    4x4 propagator: a linear system for solve to step."""
+    return (m @ y.reshape(4, -1)).ravel()
 
 
 def _one_stage(batch, stage):
@@ -176,20 +181,20 @@ def _one_stage(batch, stage):
     return lambda t, y: stage(batch(np.array([t]))[0], y)
 
 
-@pytest.mark.parametrize("route, method, capped", [
-    ("wei_norman_A", "DOP853", True),
-    ("direct_B_plus", "RK45", True),
-    ("direct_B_propagator", "RK45", True),
-    ("wei_norman_A", "DOP853", False),
-    ("direct_B_propagator", "RK45", False),
+@pytest.mark.parametrize("route, capped", [
+    ("wei_norman_A", True),
+    ("direct_B_plus", True),
+    ("direct_B_propagator", True),
+    ("wei_norman_A", False),
+    ("direct_B_propagator", False),
 ], ids=["wei_norman_A", "direct_B_plus", "direct_B_propagator",
         "wei_norman_A_uncapped", "direct_B_propagator_uncapped"])
-def test_solve_matches_solve_ivp(route, method, capped):
-    # the shared loop runs the pair each route uses (DOP853 for integrate,
-    # RK45 for direct_channel) with one batch call per step attempt or run
-    # of attempts at the cap, and samples its dense output as
+def test_solve_matches_solve_ivp(route, capped):
+    # the loop steps DOP853 with one batch call per step attempt or run of
+    # attempts at the cap, and samples its dense output as
     # solve_ivp(t_eval=...) does: same samples to the bit, same work, with
-    # the routes' step cap or with none
+    # the step cap or with none, on integrate's Riccati system and on the
+    # direct route's linear one
     if route == "wei_norman_A":
         p, y0 = P_A, np.zeros(9)
         batch = lambda ts: lie_channel._coefficient_rows(ts, p, kernels.coefficients)
@@ -200,21 +205,22 @@ def test_solve_matches_solve_ivp(route, method, capped):
         p = P_B
         y0 = [0.5, 0.5, 0.0, 0.5] if route == "direct_B_plus" else np.eye(4).ravel()
         batch = lambda ts: oracle._direct_matrices(ts, p, kernels.coefficients)
-        stage = oracle._direct_rhs
+        stage = _matrix_stage
     ts = GAMMA_T_GRID / p.gamma
     cap = step_cap(p) if capped else math.inf
-    ref = _solve_ivp_reference(_one_stage(batch, stage), y0, ts, cap, method)
-    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
+    ref = _solve_ivp_reference(_one_stage(batch, stage), y0, ts, cap)
+    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap)
     assert ref.status == 0
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
     assert got.nfev == ref.nfev
 
 
-@pytest.mark.parametrize("method, count", [("RK45", 7), ("DOP853", 10)])
+@pytest.mark.parametrize("method, count", [("DOP853", 10)])
 def test_vendored_tableaux_are_scipys(method, count):
-    # solve reads its pairs from _tableaux instead of importing SciPy;
-    # every attribute it reads must be SciPy's own, to the bit
+    # solve and direct_channel read their pair from _tableaux instead of
+    # importing SciPy; every attribute they read must be SciPy's own, to
+    # the bit
     ours, scipys = getattr(_tableaux, method), getattr(scipy.integrate, method)
     names = [name for name in vars(ours) if not name.startswith("_")]
     assert len(names) == count
@@ -233,9 +239,9 @@ def _jumping(t, p):
 
 
 @pytest.mark.parametrize("block", [lie_channel.CAP_BLOCK_STEPS, 3])
-@pytest.mark.parametrize("route, method", [("wei_norman", "DOP853"), ("direct", "RK45")])
-def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, method,
-                                                           block):
+@pytest.mark.parametrize("route", ["wei_norman", "direct"],
+                         ids=["wei_norman-DOP853", "direct-DOP853"])
+def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, block):
     # a rejected or shorter attempt drops the records predicted for the
     # rest of the run; the steps and samples stay those of solve_ivp, and
     # the dropped records are the only evaluations beyond nfev
@@ -245,7 +251,7 @@ def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, m
         y0, stage = np.zeros(9), lie_channel._rhs
         rows = lambda ts: lie_channel._coefficient_rows(ts, p, _jumping)
     else:
-        y0, stage = np.eye(4).ravel(), oracle._direct_rhs
+        y0, stage = np.eye(4).ravel(), _matrix_stage
         rows = lambda ts: oracle._direct_matrices(ts, p, _jumping)
 
     def batch(ts):
@@ -254,8 +260,8 @@ def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, m
 
     ts = GAMMA_T_GRID / p.gamma
     cap = step_cap(p)
-    ref = _solve_ivp_reference(_one_stage(rows, stage), y0, ts, cap, method)
-    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap, method=method)
+    ref = _solve_ivp_reference(_one_stage(rows, stage), y0, ts, cap)
+    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap)
     assert ref.status == 0
     assert got.t.tobytes() == ref.t.tobytes()
     assert got.y.tobytes() == ref.y.tobytes()
@@ -264,13 +270,15 @@ def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, m
 
 
 def test_each_route_steps_its_own_stepper(monkeypatch):
-    # stage times evaluated on preset A's verify grid: integrate takes
-    # 31 193 on DOP853 (75 140 on RK45), direct_channel 23 522 on RK45
-    # (31 169 on DOP853), in 45 and 2 072 batched coefficient calls: one
+    # stage times evaluated on preset A's verify grid.  integrate takes
+    # 31 193 on DOP853 (75 140 on RK45) in 45 batched coefficient calls: one
     # per run of up to CAP_BLOCK_STEPS attempts at the step cap, with the
-    # DOP853 dense outputs of the run's steps that pass a sample time, and
-    # one per other attempt and per other dense output; upper bounds, so
-    # that a change of stepper may shift them a little
+    # dense outputs of the run's steps that pass a sample time, and one per
+    # other attempt and per other dense output; upper bounds, so that a
+    # change of stepper may shift them a little.  direct_channel takes 12
+    # stage times for each of its 2 601 steps at the cap and for the 12
+    # empty steps that pad the empty first interval to its block's width
+    # of 13, 31 356 in all, in one call per block of at most 256 steps: 11
     calls, times = [0], [0]
     coefficients = kernels.coefficients
 
@@ -285,7 +293,7 @@ def test_each_route_steps_its_own_stepper(monkeypatch):
     assert times[0] < 40_000 and calls[0] < 60
     calls[0] = times[0] = 0
     oracle.direct_channel(P_A, ts)
-    assert times[0] < 30_000 and calls[0] < 2_500
+    assert (times[0], calls[0]) == (12 * (2_601 + 12), 11)
 
 
 def test_grid_validation():
@@ -317,8 +325,9 @@ def _max_gap(a, b) -> float:
 @pytest.mark.parametrize("name, bound", [("A", 5e-9), ("B", 1e-10), ("C", 1e-10)])
 def test_integrate_matches_a_tight_direct_reference(channel_bank, name, bound):
     # integrate at its default rel_tol 1e-9 against direct_channel at 1e-12:
-    # 1.8e-9, 1.8e-11 and 2.5e-12 on DOP853, where RK45 read 1.8e-8, 1.8e-9
-    # and 8.2e-11
+    # 1.8e-9, 1.3e-13 and 3.3e-14 (1.8e-9, 1.8e-11 and 2.5e-12 while the
+    # direct route stepped RK45; 1.8e-8, 1.8e-9 and 8.2e-11 while integrate
+    # did too)
     entry = channel_bank[name]
     ref = oracle.direct_channel(entry.params, entry.times,
                                 IntegratorSettings(rel_tol=1e-12))

@@ -1,12 +1,17 @@
-"""Direct master-equation integration and the rotating-wave reference."""
+"""Direct master-equation integration, QUADPACK, and the rotating-wave
+reference."""
+
+import math
+import types
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.optimize import brentq
 
-from beyondrwa import BathParams, kernels, lie_channel, oracle
-from beyondrwa.errors import DomainError, GridError
-from beyondrwa.lie_channel import apply_channel
+from beyondrwa import BathParams, cli, kernels, lie_channel, oracle
+from beyondrwa.errors import DomainError, GridError, ToleranceError
+from beyondrwa.lie_channel import IntegratorSettings, apply_channel
 
 P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
 P_B = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
@@ -70,12 +75,117 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
     for t, yv in zip(rng.uniform(0.0, 10.0, 50), rng.normal(size=(50, 4))):
         ref = _operator_rhs(t, yv, p, cfn)
         (m,) = oracle._direct_matrices(np.array([t]), p, cfn)
-        got = oracle._direct_rhs(m, yv)
+        got = m @ yv
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     # direct_channel reads only the population and coherence blocks of the
     # propagator: no term may couple the two
     basis = oracle._BASIS.reshape(-1, 4, 4)
     assert not basis[:, [0, 0, 3, 3, 1, 1, 2, 2], [1, 2, 1, 2, 0, 3, 0, 3]].any()
+
+
+def _passes(monkeypatch) -> list:
+    """Record the total step count of every pass of direct_channel over the
+    intervals it still has to build."""
+    passes = []
+    build = oracle._interval_propagators
+
+    def counted(p, cfn, tol, prev, ts, steps):
+        passes.append(int(steps.sum()))
+        return build(p, cfn, tol, prev, ts, steps)
+
+    monkeypatch.setattr(oracle, "_interval_propagators", counted)
+    return passes
+
+
+@pytest.mark.parametrize("p, want", [(P_A, [2_601, 5_200]), (P_B, [1_081]),
+                                     (P_C, [1_081])], ids=["A", "B", "C"])
+def test_direct_channel_refines_only_where_the_error_asks(monkeypatch, p, want):
+    # the largest DOP853 error norm of a step at the cap is 0.038 on A,
+    # 3.8e-6 on B and 1.4e-6 on C at rel_tol 1e-9, a thousand times more at
+    # 1e-12: there every interval of A but the empty first one doubles its
+    # 13 steps, and B and C stay at the cap
+    passes = _passes(monkeypatch)
+    ts = np.linspace(0.0, 10.0 / p.gamma, 201)
+    oracle.direct_channel(p, ts)
+    assert passes == want[:1]
+    passes.clear()
+    oracle.direct_channel(p, ts, IntegratorSettings(rel_tol=1e-12))
+    assert passes == want
+
+
+def test_direct_channel_refuses_when_refinement_is_exhausted(monkeypatch):
+    # at rel_tol 1e-13 preset A must double its steps, and a cap of 3000
+    # steps leaves no room for that
+    monkeypatch.setattr(oracle, "DIRECT_MAX_STEPS", 3_000)
+    ts = np.linspace(0.0, 10.0, 201)
+    with pytest.raises(ToleranceError, match="3e\\+03 steps direct_channel takes"):
+        oracle.direct_channel(P_A, ts, IntegratorSettings(rel_tol=1e-13))
+    # a generator that is not finite cannot be refined away
+    nan = lambda t, p: kernels.CoefficientSet(
+        *(v * np.where(t < 0.5, 1.0, np.nan) for v in kernels.coefficients(t, p)))
+    with pytest.raises(ToleranceError, match="not finite"):
+        oracle.direct_channel(P_C, ts, coefficient_fn=nan)
+
+
+@pytest.mark.parametrize("p, ts, remedy", [
+    (P_A, [0.0, 1e5], "shorten --tmax, lower --omega0 or raise --gamma"),
+    (P_C, [0.0, 1e6], "shorten --tmax"),
+    (P_C, [0.0, math.inf], "shorten --tmax"),
+])
+def test_direct_channel_refuses_too_many_steps(p, ts, remedy):
+    # checked before any allocation, as propagate does, naming the flags
+    # that cut the count: omega0 sets A's cap, the memory time C's
+    with pytest.raises(DomainError, match="DOP853 steps") as caught:
+        oracle.direct_channel(p, ts)
+    assert str(caught.value).endswith(remedy)
+
+
+def test_every_verify_quadrature_is_scipys(monkeypatch):
+    # oracle._quad calls QUADPACK's extension without scipy.integrate; every
+    # integral verify takes must equal scipy.integrate.quad's to the bit
+    assert oracle._quadpack() is not None
+    quad = oracle._quad
+    seen = []
+
+    def compared(fn, a, b, **options):
+        got = quad(fn, a, b, **options)
+        want = scipy.integrate.quad(fn, a, b, **options)[0]
+        seen.append((options.get("weight"), math.isinf(b)))
+        assert got.hex() == want.hex(), (a, b, options)
+        return got
+
+    monkeypatch.setattr(oracle, "_quad", compared)
+    records = [*cli.check_kernels(cli.VERIFY_PRESETS), *cli.check_rwa()]
+    assert len(records) == 6
+    # every routine _quad dispatches to: plain finite (qagse) and infinite
+    # (qagie), cosine- and sine-weighted finite (qawoe) and infinite (qawfe)
+    assert len(seen) == 206
+    assert set(seen) == {(None, False), (None, True), ("cos", False),
+                         ("sin", False), ("cos", True)}
+
+
+def test_quad_falls_back_to_scipy_and_keeps_its_warning(monkeypatch):
+    f = lambda x: math.exp(-x * x) * math.cos(3.0 * x)
+    intervals = [(0.0, 2.0), (0.0, math.inf), (-math.inf, math.inf), (1.0, 1.0)]
+    direct = [oracle._quad(f, a, b) for a, b in intervals]
+    # where the extension cannot be loaded or fails its probe, quad itself
+    monkeypatch.setattr(oracle, "_quadpack", lambda: None)
+    assert direct == [oracle._quad(f, a, b) for a, b in intervals]
+    # a reversed interval, which quad would negate, is refused on both paths
+    with pytest.raises(ValueError, match="no interval"):
+        oracle._quad(f, 1.0, 0.0)
+    # QUADPACK's ier > 0 warns, as quad's IntegrationWarning does
+    loose = types.SimpleNamespace(_qagse=lambda *args: (0.25, 1e-3, 2))
+    monkeypatch.setattr(oracle, "_quadpack", lambda: loose)
+    with pytest.warns(RuntimeWarning, match="ier = 2"):
+        assert oracle._quad(f, 0.0, 2.0) == 0.25
+
+
+def test_quadpack_loader_declines_a_missing_extension(monkeypatch):
+    import importlib.machinery
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    assert oracle._quadpack.__wrapped__() is None
 
 
 # ---------------------------------------------------------------------------
