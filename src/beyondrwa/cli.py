@@ -43,8 +43,9 @@ from .entanglement import (concurrence_general, concurrence_sectors,
 from .errors import BeyondRwaError, DomainError, IoError
 from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
-from .two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
-                        explicit_elements, initial_state)
+from .two_qubit import (BellFamilyState, evolve_pair, evolve_sectors,
+                        explicit_elements, initial_state, initial_states,
+                        sector_blocks)
 
 BETA2_FLOOR = 1e-4
 REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
@@ -108,8 +109,8 @@ def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
 
 def _initial_states(family: str, b2s: np.ndarray, phase: float = 0.0) -> np.ndarray:
     """Stack (S, 4, 4) of the family's states, one per beta^2."""
-    return np.array([initial_state(BellFamilyState(family, math.sqrt(b2), phase))
-                     for b2 in b2s], dtype=complex).reshape(-1, 4, 4)
+    return initial_states(family, np.sqrt(np.asarray(b2s, dtype=float)),
+                          phase).reshape(-1, 4, 4)
 
 
 def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
@@ -117,19 +118,21 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
 
     The channel depends on time only, so it is evolved against every beta^2
     at once, SURFACE_BLOCK_CELLS cells at a time.  Both families are X
-    states, so only their diagonal and antidiagonal are evolved
-    (two_qubit.evolve_xstate).
+    states, so only their diagonal and antidiagonal are evolved: read from
+    the stack once (two_qubit.sector_blocks), then through each block of
+    times (two_qubit.evolve_sectors).
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     series = _channel_series(spec, gts / spec.params.gamma)
     b2s = np.asarray(spec.beta2_values, dtype=float)
-    rho0s = _initial_states(spec.family, b2s, spec.eta_phase)
+    blocks = sector_blocks(_initial_states(spec.family, b2s, spec.eta_phase))
 
     values = np.empty((gts.size, b2s.size))
     rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
     for i in range(0, gts.size, rows):
         block = series[i:i + rows]
-        values[i:i + len(block)] = concurrence_sectors(*evolve_xstate(block, rho0s)).value
+        values[i:i + len(block)] = concurrence_sectors(
+            *evolve_sectors(block, *blocks)).value
     return ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
 
 
@@ -139,16 +142,28 @@ def _fmt(v: float) -> str:
 
 def write_csv(surface: ConcurrenceSurface, stream: TextIO) -> None:
     """Rows in t-outer, beta^2-inner order, 17 significant digits; each
-    gamma_t and beta^2 is formatted once and each row by one % operation."""
+    gamma_t and beta^2 is formatted once and each row by one % operation,
+    or, when every cell is +0.0, by a join of ready-made tails."""
     stream.write("gamma_t,beta2,concurrence\n")
     # joined by gamma_t, the leading "" puts it before every cell's tail
     tails = [""] + [f",{_fmt(b2)},%.17g\n" for b2 in surface.beta2.tolist()]
-    for gt, row in zip(surface.gamma_t.tolist(), surface.values):
+    zero_tails = [tail.replace("%.17g", "0") for tail in tails]   # "%.17g" % 0.0
+    values = np.asarray(surface.values, dtype=float)
+    # the row masks in one pass each, not a NumPy call per row: a dead row
+    # has every bit of every cell clear (-0.0 and NaN do not), and
+    # np.maximum propagates NaN, so a row's maximum is NaN when it holds one
+    dead = (~values.view(np.uint64).any(axis=1)).tolist()
+    nan_rows = np.isnan(values.max(axis=1, initial=-np.inf)).tolist()
+    for gt, row, is_dead, has_nan in zip(surface.gamma_t.tolist(), values,
+                                         dead, nan_rows):
+        if is_dead:
+            stream.write(_fmt(gt).join(zero_tails))
+            continue
         # one row of Python floats at a time: a whole-surface tolist() would
         # hold ~32 bytes per cell
         text = _fmt(gt).join(tails) % tuple(row.tolist())
         # %g writes NaN as "nan", which no gamma_t or beta^2 string contains
-        stream.write(text.replace("nan", "NaN") if np.isnan(row).any() else text)
+        stream.write(text.replace("nan", "NaN") if has_nan else text)
 
 
 @contextlib.contextmanager
@@ -495,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     # their step cap, lie_channel.step_cap, is fixed by the preset
     pv.add_argument("--rel-tol", type=float, default=IntegratorSettings.rel_tol,
                     help="integrator relative tolerance (absolute tracks it; "
-                         "default %(default)g)")
+                         "default %(default)g); on presets A, B and C both "
+                         "routes step at the step cap, so the printed values "
+                         "move only below about 1e-10")
     # RWA has no generator of its own to check: rwa_residual covers it
     pv.add_argument("--preset", choices=VERIFY_PRESETS, default=None,
                     help="check one preset (default A, B and C)")

@@ -8,9 +8,10 @@ one-parameter families of pure states,
     Phi: beta |01> + eta |10>      (one shared excitation)
     Psi: beta |00> + eta |11>      (zero or two excitations)
 
-with beta real in (0,1) and eta = sqrt(1-beta^2) e^{i phase}.  Both families
-produce X-shaped density matrices, and the X sparsity pattern is preserved
-exactly by the evolution.
+with beta real in (0,1) and eta = sqrt(1-beta^2) e^{i phase}; initial_states
+builds a whole stack of them at once.  Both families produce X-shaped
+density matrices, and the X sparsity pattern is preserved exactly by the
+evolution.
 
 Evolution takes a ChannelSeries and returns one matrix per time (a leading
 time axis); evolve_pair also takes a stack of initial states.  A product of
@@ -19,7 +20,9 @@ two 2x2 blocks apart: the populations D = [[rho11, rho22], [rho33, rho44]]
 evolve as P D P^T and the antidiagonal A = [[rho14, rho23], [rho32, rho41]]
 as C A C^T, with the single-qubit P = [[l, m], [p, n]] and
 C = [[x, y], [r, q]] (1-based element labels).  evolve_xstate takes that
-route; evolve_pair is the general one.
+route; evolve_pair is the general one.  A caller that evolves one stack
+through many blocks of times reads its blocks once (sector_blocks) and
+evolves them per block of times (evolve_sectors).
 """
 
 from __future__ import annotations
@@ -37,6 +40,21 @@ from .lie_channel import ChannelSeries, transfer_matrix
 _NON_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
+# the amplitude slots (beta, eta) of each family in the joint basis
+_SLOTS = {"phi": (2, 1),   # beta |01> + eta |10>
+          "psi": (3, 0)}   # beta |00> + eta |11>
+
+
+def _check_family(family: str, beta: np.ndarray) -> None:
+    """DomainError unless family is "phi" or "psi" and every beta lies in
+    the open interval (0, 1)."""
+    if family not in _SLOTS:
+        raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
+    bad = ~((0.0 < beta) & (beta < 1.0))
+    if bad.any():
+        raise DomainError(f"beta must lie in (0,1), got {float(beta[bad].flat[0])}")
+
+
 @dataclass(frozen=True)
 class BellFamilyState:
     """One member of the Phi or Psi family.
@@ -51,27 +69,41 @@ class BellFamilyState:
     eta_phase: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("phi", "psi"):
-            raise DomainError(f"family must be 'phi' or 'psi', got {self.family!r}")
-        if not (0.0 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (0,1), got {self.beta}")
+        _check_family(self.family, np.asarray(self.beta, dtype=float))
 
-    @property
-    def eta(self) -> complex:
-        mag = math.sqrt(1.0 - self.beta * self.beta)
-        return mag * complex(math.cos(self.eta_phase), math.sin(self.eta_phase))
+
+def initial_states(family: str, beta, eta_phase: float = 0.0) -> np.ndarray:
+    """Pure-state density matrices |xi><xi| in the joint basis, one per
+    real amplitude of beta (a float or an array), shape beta.shape + (4, 4).
+
+    Raises DomainError for a family other than "phi" or "psi", or a beta
+    outside (0, 1).
+    """
+    beta = np.asarray(beta, dtype=float)
+    _check_family(family, beta)
+    mag = np.sqrt(1.0 - beta * beta)
+    cos, sin = math.cos(eta_phase), math.sin(eta_phase)
+    v = np.zeros(beta.shape + (4,), dtype=complex)
+    b, e = _SLOTS[family]
+    v.real[..., b] = beta
+    # eta = (mag + 0j)(cos + i sin) part by part, as Python's complex
+    # product forms it: NumPy's may fuse a multiply-add, and an imaginary
+    # part that underflows would then keep the sign of -0.0
+    v.real[..., e] = mag * cos - 0.0 * sin
+    v.imag[..., e] = mag * sin + 0.0 * cos
+    vc = v.conj()
+    rho = np.empty(beta.shape + (4, 4), dtype=complex)
+    # one product per element: one broadcast product over the whole stack
+    # goes through NumPy's iterator buffers, 256 kB for 501 states
+    for i in range(4):
+        for j in range(4):
+            np.multiply(v[..., i], vc[..., j], out=rho[..., i, j])
+    return rho
 
 
 def initial_state(s: BellFamilyState) -> np.ndarray:
-    """Pure-state density matrix |xi><xi| in the joint basis."""
-    v = np.zeros(4, dtype=complex)
-    if s.family == "phi":
-        v[2] = s.beta   # |01>
-        v[1] = s.eta    # |10>
-    else:
-        v[3] = s.beta   # |00>
-        v[0] = s.eta    # |11>
-    return np.outer(v, v.conj())
+    """Pure-state density matrix |xi><xi| of one member, shape (4, 4)."""
+    return initial_states(s.family, s.beta, s.eta_phase)
 
 
 def _pair_shuffle(a: np.ndarray, lead: tuple) -> np.ndarray:
@@ -122,6 +154,34 @@ def _sector_square(k: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return out.reshape((2, 2) + out.shape[1:])
 
 
+def sector_blocks(rho0s: np.ndarray):
+    """The X blocks of a stack rho0s of shape (S, 4, 4), raveled for
+    evolve_sectors: the real populations D0 (S, 4) and the antidiagonal
+    A0 (S, 4) (see x_blocks).
+
+    Raises ShapeError unless rho0s is a stack of exact X states.
+    """
+    rho0s = np.asarray(rho0s, dtype=complex)
+    if rho0s.ndim != 3 or rho0s.shape[1:] != (4, 4):
+        raise ShapeError(f"expected a stack of 4x4 joint states, got {rho0s.shape}")
+    if not is_x_state(rho0s):
+        raise ShapeError("sector evolution requires exact X-state inputs")
+    d0, a0 = x_blocks(rho0s)
+    return d0.reshape(-1, 4), a0.reshape(-1, 4)
+
+
+def evolve_sectors(series: ChannelSeries, d0: np.ndarray, a0: np.ndarray):
+    """D = P D0 P^T and A = C A0 C^T, as two (T, S, 2, 2) arrays, for the
+    blocks (d0, a0) of sector_blocks."""
+    pop = np.array([[series.l, series.m], [series.p, series.n]])
+    coh = np.array([[series.x, series.y], [series.r, series.q]])
+    diag = _sector_square(pop, d0)
+    anti = _sector_square(coh, a0)
+    # views with time and state leading; each element's (T, S) plane stays
+    # contiguous for the concurrence that reads it
+    return diag.transpose(2, 3, 0, 1), anti.transpose(2, 3, 0, 1)
+
+
 def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
     """The populations and the antidiagonal of X states through identical
     local channels, as two (T, S, 2, 2) arrays (D, A) for a stack rho0s of
@@ -131,19 +191,7 @@ def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
 
     Raises ShapeError unless rho0s is a stack of exact X states.
     """
-    rho0s = np.asarray(rho0s, dtype=complex)
-    if rho0s.ndim != 3 or rho0s.shape[1:] != (4, 4):
-        raise ShapeError(f"expected a stack of 4x4 joint states, got {rho0s.shape}")
-    if not is_x_state(rho0s):
-        raise ShapeError("sector evolution requires exact X-state inputs")
-    pop = np.array([[series.l, series.m], [series.p, series.n]])
-    coh = np.array([[series.x, series.y], [series.r, series.q]])
-    d0, a0 = x_blocks(rho0s)
-    diag = _sector_square(pop, d0.reshape(-1, 4))
-    anti = _sector_square(coh, a0.reshape(-1, 4))
-    # views with time and state leading; each element's (T, S) plane stays
-    # contiguous for the concurrence that reads it
-    return diag.transpose(2, 3, 0, 1), anti.transpose(2, 3, 0, 1)
+    return evolve_sectors(series, *sector_blocks(rho0s))
 
 
 def is_x_state(rho: np.ndarray) -> bool:

@@ -17,15 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beyondrwa import BathParams, kernels, lie_channel, oracle
-from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec, _fmt,
-                           _initial_states, _plateau, beta2_grid,
-                           build_parser, compute_surface, main, write_csv)
-from beyondrwa.entanglement import concurrence_xstate
+from beyondrwa import cli
+from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec,
+                           _channel_series, _fmt, _initial_states, _plateau,
+                           beta2_grid, build_parser, compute_surface, main,
+                           write_csv)
+from beyondrwa.entanglement import concurrence_sectors, concurrence_xstate
 from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings
-from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
+from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
+                                 initial_state)
 
 VERIFY_LINE = re.compile(r"^[\w\[\]]+\t\S+\t\S+\t(PASS|FAIL)$")
 
@@ -253,35 +257,88 @@ def test_rel_tol_only_on_adaptive_commands(capsys, command,
     assert verify_at_rel_tol_1e_6 == 0
 
 
+def _per_cell_csv(surface) -> str:
+    """write_csv's bytes, one _fmt per cell."""
+    lines = ["gamma_t,beta2,concurrence\n"]
+    for gt, row in zip(surface.gamma_t, surface.values):
+        for b2, v in zip(surface.beta2, row):
+            lines.append(f"{_fmt(gt)},{_fmt(b2)},{_fmt(v)}\n")
+    return "".join(lines)
+
+
+def _csv(surface) -> str:
+    out = io.StringIO()
+    write_csv(surface, out)
+    return out.getvalue()
+
+
 def test_write_csv_matches_per_cell_formatting():
-    gts = np.linspace(0.0, 10.0, 7)
+    gts = np.linspace(0.0, 10.0, 11)
     b2s = np.array([1e-4, 0.1, 1.0 / 3.0, 0.9999])
     values = np.random.default_rng(3).random((gts.size, b2s.size))
-    values[2] = 0.0
     values[4, 1] = np.nan
     values[:, 3] = np.nan
     values[5, 0] = -0.0
     values[6] = np.nan
     values[1] = [np.inf, -np.inf, 5e-324, 0.1 + 0.2]
     values[3, :3] = [1.0 / 3.0, 2.0 ** -1074 * 3, -np.nextafter(1.0, 2.0)]
+    values[2] = 0.0                    # all +0.0: the zero template
+    values[7] = 0.0                    # all +0.0 after the all-NaN row 6
+    values[8] = -0.0                   # all -0.0 keeps its sign
+    values[9] = [0.0, -0.0, 0.0, 0.0]  # +0.0 and -0.0 mixed
+    values[10] = [0.0, 0.0, 0.0, np.nan]
     surface = ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
-    out = io.StringIO()
-    write_csv(surface, out)
-    expected = ["gamma_t,beta2,concurrence\n"]
-    for i, gt in enumerate(gts):
-        for j, b2 in enumerate(b2s):
-            expected.append(f"{_fmt(gt)},{_fmt(b2)},{_fmt(values[i, j])}\n")
-    assert out.getvalue() == "".join(expected)
-    text = out.getvalue()
+    text = _csv(surface)
+    assert text == _per_cell_csv(surface)
     assert "NaN" in text and "nan" not in text and ",0\n" in text
     assert ",inf\n" in text and ",-inf\n" in text
     assert ",4.9406564584124654e-324\n" in text
     assert ",0.30000000000000004\n" in text and ",-1.0000000000000002\n" in text
+    assert text.count(",-0\n") == 6 and "\n7,0.0001,0\n" in text
+    assert text.endswith(",0\n10,0.99990000000000001,NaN\n")
     # no beta^2 column: the header alone, as with the per-cell join
-    out = io.StringIO()
-    write_csv(ConcurrenceSurface(gamma_t=gts, beta2=b2s[:0],
-                                 values=values[:, :0]), out)
-    assert out.getvalue() == "gamma_t,beta2,concurrence\n"
+    assert _csv(ConcurrenceSurface(gamma_t=gts, beta2=b2s[:0],
+                                   values=values[:, :0])) == \
+        "gamma_t,beta2,concurrence\n"
+
+
+def test_write_csv_matches_per_cell_formatting_along_a_dense_time_axis():
+    # the shape of a one-beta^2 sweep on 40001 times: runs of dead rows
+    # between live ones, -0.0 and NaN cells among them
+    gts = np.linspace(0.0, 10.0, 40001)
+    values = np.random.default_rng(5).random((gts.size, 1))
+    values[1000:30000] = 0.0
+    values[::997] = -0.0
+    values[::1009] = np.nan
+    surface = ConcurrenceSurface(gamma_t=gts, beta2=np.array([0.5]),
+                                 values=values)
+    text = _csv(surface)
+    assert text == _per_cell_csv(surface)
+    assert text.count(",0.5,0\n") > 28000 and ",0.5,-0\n" in text
+
+
+# cells write_csv treats apart: signed zeros, NaN, infinities, subnormals
+_EDGE_CELLS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072009e-308, -1e-310)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 6), cols=st.integers(0, 5))
+def test_write_csv_property_matches_per_cell_formatting(data, rows, cols):
+    cell = st.one_of(st.sampled_from(_EDGE_CELLS), st.floats())
+    values = np.array(data.draw(st.lists(st.lists(cell, min_size=cols,
+                                                  max_size=cols),
+                                         min_size=rows, max_size=rows)),
+                      dtype=float).reshape(rows, cols)
+    # whole rows forced to +0.0: the zero template's rows
+    if rows:
+        for i in data.draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            values[i] = 0.0
+    axis = lambda n: np.array(data.draw(st.lists(st.floats(), min_size=n,
+                                                 max_size=n)), dtype=float)
+    surface = ConcurrenceSurface(gamma_t=axis(rows), beta2=axis(cols),
+                                 values=values)
+    assert _csv(surface) == _per_cell_csv(surface)
 
 
 def _count_solvers(monkeypatch, failing=""):
@@ -630,6 +687,22 @@ def test_surface_matches_the_general_pair_route():
     series = lie_channel.propagate(p, surface.gamma_t / p.gamma)
     rho = evolve_pair(series, _initial_states("psi", surface.beta2, 0.9))
     assert np.max(np.abs(surface.values - concurrence_xstate(rho).value)) <= 1e-15
+
+
+def test_surface_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # the X blocks are read once; each time block only multiplies them
+    spec = SweepSpec(params=PRESETS["C"], family="psi", eta_phase=0.7,
+                     beta2_values=beta2_grid(41), t_steps=61)
+    surfaces = []
+    for cells in (7, 1024, 10 ** 6):
+        monkeypatch.setattr(cli, "SURFACE_BLOCK_CELLS", cells)
+        surfaces.append(compute_surface(spec).values)
+    gts = np.linspace(0.0, spec.t_max, spec.t_steps)
+    series = _channel_series(spec, gts / spec.params.gamma)
+    rho0s = _initial_states("psi", np.array(spec.beta2_values), 0.7)
+    whole = concurrence_sectors(*evolve_xstate(series, rho0s)).value
+    for values in surfaces:
+        assert values.tobytes() == whole.tobytes()
 
 
 def test_report_keeps_the_gross_negativity_guard(capsys):

@@ -8,13 +8,13 @@ from conftest import single_time_series
 from hypothesis import given, strategies as st
 
 from beyondrwa import lie_channel
-from beyondrwa.cli import PRESETS
+from beyondrwa.cli import PRESETS, _initial_states, beta2_grid
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import DomainError, ShapeError
 from beyondrwa.lie_channel import transfer_matrix
 from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
-                                 explicit_elements, initial_state, is_x_state,
-                                 x_blocks)
+                                 explicit_elements, initial_state,
+                                 initial_states, is_x_state, x_blocks)
 
 IDENT = single_time_series()
 
@@ -52,6 +52,42 @@ def test_initial_state_against_outer_product():
     assert rho[1, 1] == pytest.approx(0.75)
     assert rho[2, 1] == pytest.approx(-0.25 * math.sqrt(3.0) * 1j)
     assert rho[1, 2] == np.conj(rho[2, 1])
+
+
+def _outer_state(family, b2, phase):
+    """|xi><xi| from its amplitudes, eta in Python's complex arithmetic."""
+    beta = math.sqrt(b2)
+    eta = math.sqrt(1.0 - beta * beta) * complex(math.cos(phase), math.sin(phase))
+    v = np.zeros(4, dtype=complex)
+    if family == "phi":
+        v[2], v[1] = beta, eta
+    else:
+        v[3], v[0] = beta, eta
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("family", ["phi", "psi"])
+@pytest.mark.parametrize("phase", [0.0, 0.7, math.pi, -1.3, -5e-324])
+@pytest.mark.parametrize("b2s", [beta2_grid(501), beta2_grid(1, 0.0),
+                                 beta2_grid(1, 1.0), beta2_grid(1, 0.3)],
+                         ids=["grid", "low_end", "high_end", "single"])
+def test_stacked_initial_states_are_the_per_state_bits(family, phase, b2s):
+    stack = _initial_states(family, np.array(b2s), phase)
+    per_state = np.array([initial_state(BellFamilyState(family, math.sqrt(b2),
+                                                        phase)) for b2 in b2s])
+    outer = np.array([_outer_state(family, b2, phase) for b2 in b2s])
+    assert stack.shape == per_state.shape == (len(b2s), 4, 4)
+    assert stack.tobytes() == per_state.tobytes() == outer.tobytes()
+
+
+def test_stacked_initial_states_keep_the_domain_checks():
+    with pytest.raises(DomainError, match="family"):
+        initial_states("chi", np.array([0.5]))
+    for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
+        with pytest.raises(DomainError, match="beta must lie in"):
+            initial_states("phi", np.array([0.5, bad, 0.6]))
+    with pytest.raises(DomainError, match="beta must lie in"):
+        _initial_states("psi", np.array([0.25, 0.0]))
 
 
 @given(st.sampled_from(["phi", "psi"]), st.floats(0.01, 0.99),
