@@ -13,10 +13,11 @@ Four subcommands:
 sweep, report and trace take the channel from _channel_series: the
 rotating-wave closed form, or lie_channel.propagate (fixed Magnus steps, no
 tolerance to set), and run on NumPy alone.  Only verify integrates the
-Wei-Norman equations adaptively through lie_channel.solve, and the direct
-master equation through oracle.direct_channel, both on NumPy, and takes
---rel-tol.  run_checks integrates each preset once per route; the tests
-call the same checks.  Only verify's QUADPACK checks (check_kernels and
+Wei-Norman equations (lie_channel.integrate) and the direct master
+equation (oracle.direct_channel), both in equal DOP853 steps at the step
+cap, refined where the error asks, on NumPy, and takes --rel-tol.
+run_checks integrates each preset once per route; the tests call the
+same checks.  Only verify's QUADPACK checks (check_kernels and
 check_rwa) load SciPy: its QUADPACK extension alone, through
 oracle._quad, not scipy.integrate.
 
@@ -100,7 +101,13 @@ def beta2_grid(steps: int, fixed: Optional[float] = None) -> tuple:
 
 def _channel_series(spec: SweepSpec, times: np.ndarray) -> ChannelSeries:
     """The channel at every one of `times`: the rotating-wave closed form,
-    or the Magnus propagator of the full or truncated generator."""
+    or the Magnus propagator of the full or truncated generator.
+    DomainError, naming the flags, when two of the times coincide."""
+    if not np.all(np.diff(times) > 0.0):
+        raise DomainError(f"--tmax {spec.t_max:g} over --gamma "
+                          f"{spec.params.gamma:g} and --t-steps {spec.t_steps} "
+                          f"leave samples that coincide: raise --tmax or "
+                          f"lower --t-steps")
     if spec.channel == "rwa":
         return oracle.rwa_channel(times, spec.params)
     cfn = oracle.truncated_coefficients if spec.channel == "truncated" else None
@@ -204,6 +211,10 @@ def _spec_from_args(args) -> SweepSpec:
     params = PRESETS[args.preset]
     overrides = {name: getattr(args, name) for name in ("omega0", "lam", "gamma")
                  if getattr(args, name) is not None}
+    for name, value in overrides.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            flag = "--lambda" if name == "lam" else f"--{name}"
+            raise DomainError(f"{flag} must be positive and finite, got {value:g}")
     if overrides:
         params = dataclasses.replace(params, **overrides)
     # the grid runs in physical time, gamma_t / gamma
@@ -440,15 +451,13 @@ def cmd_trace(args) -> int:
     spec = _spec_from_args(args)
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     cf = _channel_series(spec, gts / spec.params.gamma)
-    # the coefficients carry any decay factor; the last column stays 0 to
-    # keep the CSV layout
+    # the coefficients carry any decay factor, so no column holds it apart
     cols = np.column_stack(
         (gts, cf.l, cf.m, cf.n, cf.p, cf.x.real, cf.x.imag, cf.y.real,
-         cf.y.imag, cf.q.real, cf.q.imag, cf.r.real, cf.r.imag,
-         np.zeros_like(gts)))
+         cf.y.imag, cf.q.real, cf.q.imag, cf.r.real, cf.r.imag))
     with _output(args.out) as stream:
         stream.write("gamma_t,l,m,n,p,x_re,x_im,y_re,y_im,"
-                     "q_re,q_im,r_re,r_im,gamma_k\n")
+                     "q_re,q_im,r_re,r_im\n")
         for row in cols:
             stream.write(",".join(_fmt(c) for c in row) + "\n")
     return 0
@@ -531,7 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # flags whose arithmetic leaves the float range are refused, not
+        # printed as NumPy warnings beside NaN cells
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except FloatingPointError as err:
+        print(f"error: the flags take the arithmetic out of the float range "
+              f"({err}): change --omega0, --lambda, --gamma or --tmax",
+              file=sys.stderr)
+        return 2
     except BeyondRwaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -22,10 +22,10 @@ class GridError(BeyondRwaError):
 
 
 class ToleranceError(BeyondRwaError):
-    """An adaptive integration could not meet its tolerance: solve's step
-    fell below the minimum, as it does at a pole of the solution, or
-    direct_channel's refinement ran out of steps or met a step that is not
-    finite."""
+    """A DOP853 integration could not meet its tolerance: an interval of
+    integrate or direct_channel still missed it after MAX_DOUBLINGS
+    doublings of its steps, as at a pole of the solution, or a direct step
+    was not finite."""
 
 
 class NumericalError(BeyondRwaError):

@@ -32,14 +32,15 @@ fourth-order Magnus scheme steps on a fixed grid.  It takes any
 generator and no tolerance; every command that prints a channel or a state
 uses it, and only verify's Wei-Norman checks use integrate.
 
-integrate steps the Riccati system by solve, SciPy's adaptive DOP853
-stepper on the tableau that _tableaux holds.  The coefficients depend on
-t alone, so solve takes them for all the stage times of a step attempt,
-or of a run of up to CAP_BLOCK_STEPS attempts at the cap, in one call.
-The step stays below step_cap(p), which resolves the 2 omega0 phase of
-the counter-rotating terms; it is fixed by the parameters, not a
-setting.  The direct oracle (oracle.direct_channel) steps DOP853 at the
-same cap, and propagate's helpers cut its grid and multiply its steps.
+integrate steps the Riccati system with DOP853, on the tableau that
+_tableaux holds, in equal steps of at most step_cap(p) between sample
+times, which resolve the 2 omega0 phase of the counter-rotating terms;
+the cap is fixed by the parameters, not a setting.  The coefficients
+depend on t alone, so one call takes them for the stage times of a block
+of up to RICCATI_BLOCK_STEPS steps.  An interval whose steps miss the
+tolerance is stepped again with twice as many (doubled).  The direct
+oracle (oracle.direct_channel) takes the same plan, error norm and
+refinement, and propagate's helpers cut its grid and multiply its steps.
 Every route here runs on NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
@@ -50,9 +51,10 @@ tensor square of this map (see two_qubit).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -70,9 +72,18 @@ MEMORY_STEP = 0.01
 # once, which bounds its working memory
 MAGNUS_BLOCK_STEPS = 2048
 
-# solve evaluates the generator on the stage times of at most this many
-# cap-length step attempts at once
-CAP_BLOCK_STEPS = 64
+# integrate evaluates the generator on the stage times of at most this many
+# DOP853 steps at once: one table of records for a whole verify grid would
+# raise verify's peak memory by about a quarter
+RICCATI_BLOCK_STEPS = 64
+
+# integrate refuses a grid that needs more DOP853 steps than this at the
+# step cap: at about 0.1 ms per step that is a couple of minutes
+RICCATI_MAX_STEPS = 1e6
+
+# an interval whose equal DOP853 steps miss the tolerance is stepped again
+# with twice as many, at most this many times (doubled)
+MAX_DOUBLINGS = 6
 
 # propagate refuses a grid that needs more Magnus steps than this in all:
 # at about 1 us per step that is a couple of minutes
@@ -151,7 +162,7 @@ def check_grid(times: Sequence[float]) -> np.ndarray:
 
 
 def step_cap(p: BathParams) -> float:
-    """Largest step of the adaptive integrations: MEMORY_STEP/gamma, and an
+    """Largest step of the DOP853 integrations: MEMORY_STEP/gamma, and an
     eighth of the counter-rotating half-period pi/(8 omega0) so the
     2 omega0 phase is resolved."""
     return min(MEMORY_STEP / p.gamma, math.pi / (8.0 * p.omega0))
@@ -198,7 +209,7 @@ def _rhs(c: tuple, yv: np.ndarray) -> list:
     djp = eps_plus - eps_minus * jp * jp + eps0 * jp
     dj0 = eps0 - 2.0 * eps_minus * jp
     # Re j0 and k0 track -2 Gamma_k and stay negative on-solution; the cap
-    # only protects wild trial steps of the error estimator from overflow
+    # only protects the stages of a step into a pole from overflow
     djm = eps_minus * cmath.exp(complex(min(j0_re, _EXP_ARG_LIMIT), j0_im))
     dkm = nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT))
     dkp = nu_plus - nu_minus * kp * kp + nu0 * kp
@@ -207,227 +218,130 @@ def _rhs(c: tuple, yv: np.ndarray) -> list:
             dkp, dk0, dkm]
 
 
-class Solution(NamedTuple):
-    """What solve sampled: the sample times, the state at each (one column
-    per time) and the right-hand-side evaluations."""
-
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-
-
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a 1-d float array, which is exactly sqrt(x . x),
-    without its dispatch."""
-    return math.sqrt(x.dot(x))
-
-
-def _rms(x: np.ndarray) -> float:
-    return _norm(x) / x.size ** 0.5
+def error_norm(h, err5, err3, y, y_new, tol: float):
+    """DOP853's error norm of steps of length h from y to y_new (Hairer,
+    Norsett & Wanner, Solving ODEs I, Sec. II.10, as SciPy forms it), each
+    of shape (..., n) over n components: err5 and err3 are the tableau's
+    fifth- and third-order estimates E5 and E3 applied to the stages, and
+    every component is scaled by tol (1 + max(|y|, |y_new|)).  Below 1
+    where a step meets rel_tol tol; 0 where both estimates vanish."""
+    scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+    e5, e3 = err5 / scale, err3 / scale
+    e5, e3 = (e5 * e5).sum(axis=-1), (e3 * e3).sum(axis=-1)
+    denom = ((e5 + 0.01 * e3) * scale.shape[-1]) ** 0.5
+    # denom is 0 only where e5 is: divide by 1 there
+    return h * e5 / (denom + (denom == 0.0))
 
 
-def _dop853_interpolant(t_old: float, t_new: float, y_old: np.ndarray, f: np.ndarray):
-    """SciPy's Dop853DenseOutput over one step: the rows of f nested in
-    alternating factors x and 1 - x, at a 1-d array of times t, one column
-    per time."""
-    h = t_new - t_old
-
-    def dense(t):
-        x = ((t - t_old) / h)[:, None]
-        y = np.zeros((x.size, y_old.size))
-        for i, row in enumerate(f[::-1]):
-            y += row
-            y *= x if i % 2 == 0 else 1 - x
-        return (y + y_old).T
-
-    return dense
+def doubled(steps, doublings: int, tol: float, start: float):
+    """Twice the step counts `steps` of intervals, the first from t = start,
+    that missed rel_tol tol after `doublings` doublings: the refinement of
+    both DOP853 routes.  ToleranceError, naming --rel-tol, once they have
+    been doubled MAX_DOUBLINGS times, as they are near a pole of the
+    solution."""
+    if doublings >= MAX_DOUBLINGS:
+        raise ToleranceError(f"integration failed: the steps from t = {start:.6g} "
+                             f"miss rel_tol {tol:g} (--rel-tol) after "
+                             f"{MAX_DOUBLINGS} doublings")
+    return steps * 2
 
 
-def solve(batch: Callable, stage: Callable, y0, ts: np.ndarray,
-          settings: IntegratorSettings, max_step: float) -> Solution:
-    """Integrate y' = stage(batch(t)[0], y) from y(0) = y0 up to ts[-1]
-    with scipy.integrate's DOP853, and sample each time of the checked grid
-    ts from the dense output of the step that covers it (y0 itself on the
-    grid [0]).
+def _riccati_pieces(p: BathParams, prev: np.ndarray, ts: np.ndarray,
+                    steps: np.ndarray):
+    """The plan of integrate: each interval (prev[i], ts[i]] in steps[i]
+    equal steps.  Yields, per piece of an interval in order, the interval,
+    the step and the records (_coefficient_rows) of the stage times
+    t0 + C[1:] h of each of its steps, 11 per step, from one call of
+    kernels.coefficients per block of at most RICCATI_BLOCK_STEPS steps.
+    The last stage time is the step's end, where the error estimate's
+    extra stage is taken too."""
+    from . import _tableaux
 
-    batch(times) takes a 1-d array of times and returns one record per
-    time; it must act on each time alone, as kernels.coefficients does.
-    stage(record, y) is the derivative there.  All stage times of a step
-    are known before its first stage, so batch runs on all of them at once
-    (t + C[1:] h and t + h), and once per dense output (on
-    t_old + C_EXTRA h), not once per stage.  An attempt at the cap,
-    h = max_step, ends at min(t + max_step, t_bound), so the attempts of a
-    run of them start at times known ahead, and so does each one's dense
-    output if it passes a sample time not yet taken: one batch call covers
-    the stages of up to CAP_BLOCK_STEPS of them and those dense outputs,
-    with the same float operations as the loop, and an attempt that does
-    not start where the run predicts (after a rejection or a shorter step)
-    drops the rest.  Everything else is SciPy's stepper, operation for
-    operation (select_initial_step, the nextafter minimum step, safety 0.9,
-    factors 0.2 and 10 with no growth after a rejection, the error norm,
-    the dense output), with
-    rtol = atol = settings.rel_tol and steps at most max_step: the samples
-    and nfev are those of solve_ivp(method="DOP853", t_eval=ts) to the bit.
+    nodes = _tableaux.DOP853.C[1:]
+    start, dt, count, owner = _pieces(prev, ts, steps, RICCATI_BLOCK_STEPS)
+    for first, stop, t0, h in _blocks(start, dt, count, RICCATI_BLOCK_STEPS):
+        taken = np.arange(t0.shape[1]) < count[first:stop, None]
+        stage_times = t0[taken][:, None] + nodes * h[taken][:, None]
+        rows = _coefficient_rows(stage_times.ravel(), p, kernels.coefficients)
+        at = 0
+        for i in range(first, stop):
+            size = nodes.size * int(count[i])
+            yield int(owner[i]), float(dt[i]), rows[at:at + size]
+            at += size
 
-    The samples never steer the steps.  Raises ToleranceError when the step
-    falls below the minimum, as it does at a pole of the solution.
-    """
-    # only the integrations need the tableau
+
+def _riccati_steps(pieces, y: np.ndarray, f: list, tol: float):
+    """DOP853 steps of the Riccati system from the state y, where the
+    derivative is f, over the pieces of one interval (_riccati_pieces):
+    the state and derivative at its end, or None at the first step whose
+    error norm reaches 1 or is not finite."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    ns, tol, t_bound = rk.n_stages, settings.rel_tol, float(ts[-1])
-    exponent = -1 / (rk.error_estimator_order + 1)
-    # stage times of an attempt as fractions of its step; the last is the
-    # first stage of the next step
-    c_step = np.append(rk.C[1:], 1.0)
+    ns = rk.n_stages
     weights = [rk.A[s, :s] for s in range(ns)]
-    # the dense output takes three more stages
-    extra = [rk.A_EXTRA[j, :ns + 1 + j] for j in range(rk.C_EXTRA.size)]
-
-    y = np.array(y0, dtype=float)
-    k = np.empty((ns + 1 + len(extra), y.size))
-    kt = [k[:s].T for s in range(k.shape[0] + 1)]
-    f = np.asarray(stage(batch(np.zeros(1))[0], y), dtype=float)
-    nfev = 1
-    if t_bound == 0.0:
-        return Solution(ts.copy(), y[:, None], nfev)
-
-    # select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    f1 = np.asarray(stage(batch(np.array([h0]))[0], y + h0 * f), dtype=float)
-    nfev += 1
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (rk.error_estimator_order + 1))
-    h_abs = min(100 * h0, h1, t_bound, max_step)
-
-    def error_norm(h, scale):
-        e5 = _norm(np.dot(kt[ns + 1], rk.E5) / scale) ** 2
-        e3 = _norm(np.dot(kt[ns + 1], rk.E3) / scale) ** 2
-        if e5 == 0 and e3 == 0:
-            return 0.0
-        return h * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
-
-    def interpolant():
-        nonlocal nfev
-        recs = (dense_recs if dense_recs is not None
-                else batch(t_old + rk.C_EXTRA * h))
-        for j, a in enumerate(extra):
-            k[ns + 1 + j] = stage(recs[j], y_old + np.dot(kt[ns + 1 + j], a) * h)
-        nfev += len(extra)
-        delta = y - y_old
-        fs = np.empty((3 + len(rk.D), y.size))
-        fs[0] = delta
-        fs[1] = h * k[0] - delta
-        fs[2] = 2 * delta - h * (f + k[0])
-        fs[3:] = h * np.dot(rk.D, k)
-        return _dop853_interpolant(t_old, t, y_old, fs)
-
-    # the predicted starts of a run of attempts at the cap, the records of
-    # all of them, where each attempt's records begin, and how many of the
-    # attempts the loop has taken; dense_recs holds the dense-output records
-    # of the last attempt when its run took them, else None
-    starts, block, offsets, at = [], None, [], 0
-    dense_recs = None
-
-    def cap_records(t, sampled):
-        nonlocal starts, block, offsets, at, dense_recs
-        if at >= len(starts) - 1 or starts[at] != t:
-            starts = [t]
-            while len(starts) <= CAP_BLOCK_STEPS and starts[-1] < t_bound:
-                starts.append(min(starts[-1] + max_step, t_bound))
-            s = np.array(starts)
-            span = (s[1:] - s[:-1])[:, None]
-            stage_t = s[:-1, None] + c_step * span
-            # an attempt that passes a sample time not yet taken (the first
-            # is ts[sampled]) takes its dense output, on the extra stage
-            # times, if it is accepted
-            taken = np.searchsorted(ts, s, side="right")
-            taken[0] = sampled
-            stage_t = np.hstack((stage_t, s[:-1, None] + rk.C_EXTRA * span))
-            passes = (taken[1:] > taken[:-1])[:, None]
-            keep = np.hstack((np.ones((span.size, ns), dtype=bool),
-                              np.broadcast_to(passes, (span.size, len(extra)))))
-            offsets = [0] + np.cumsum(keep.sum(axis=1)).tolist()
-            block = batch(stage_t[keep])
-            at = 0
-        lo, hi = offsets[at], offsets[at + 1]
-        at += 1
-        dense_recs = block[lo + ns:hi] if hi > lo + ns else None
-        return block[lo:lo + ns]
-
-    times = ts.tolist()
-    t_out, y_out = [ts[:0]], [np.empty((y.size, 0))]
-    i = 0
-    t = 0.0
-    while True:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise ToleranceError("integration failed: Required step size "
-                                     "is less than spacing between numbers.")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            if h_abs == max_step:
-                recs = cap_records(t, i)
-            else:
-                recs, dense_recs = batch(t + c_step * h), None
+    k = np.empty((ns + 1, y.size))
+    kt = [k[:s].T for s in range(ns + 2)]
+    for _, h, rows in pieces:
+        for at in range(0, len(rows), ns - 1):
+            recs = rows[at:at + ns - 1]
             k[0] = f
             for s in range(1, ns):
-                k[s] = stage(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)
+                k[s] = _rhs(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)
             y_new = y + h * np.dot(kt[ns], rk.B)
-            f_new = np.asarray(stage(recs[-1], y_new), dtype=float)
+            f_new = _rhs(recs[-1], y_new)
             k[ns] = f_new
-            nfev += ns
-            err = error_norm(h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol)
-            if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err ** exponent)
-                h_abs = h * (min(1, factor) if rejected else factor)
-                break
-            h_abs = h * max(0.2, 0.9 * err ** exponent)
-            rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-
-        j = i
-        while j < len(times) and times[j] <= t:
-            j += 1
-        if j > i:
-            t_out.append(ts[i:j])
-            y_out.append(interpolant()(ts[i:j]))
-            i = j
-        if t >= t_bound:
-            break
-    return Solution(np.concatenate(t_out), np.hstack(y_out), nfev)
+            err = error_norm(h, np.dot(kt[ns + 1], rk.E5),
+                             np.dot(kt[ns + 1], rk.E3), y, y_new, tol)
+            if not err < 1.0:
+                return None
+            y, f = y_new, f_new
+    return y, f
 
 
 def integrate(p: BathParams, times: Sequence[float],
               settings: Optional[IntegratorSettings] = None) -> ChannelSeries:
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
-    The Riccati system of kernels.coefficients is stepped by solve with
-    DOP853, which calls it with the stage times of a step attempt, or of a
-    run of attempts at the step cap, as one array.  The decay exponent is
-    not integrated: channel_at takes kernels.decay_exponent, the closed form
-    that matches this generator and no other, in one call on the sample
-    times.  Other generators go through propagate.
+    The Riccati system of kernels.coefficients is stepped with DOP853 on
+    the plan of the direct oracle (oracle.direct_channel): each interval
+    between sample times takes equal steps of at most step_cap(p), and
+    ends on its sample time, so no dense output is needed.  An interval
+    with a step whose error norm (error_norm, at settings.rel_tol) reaches
+    1 is stepped again from its start with twice the steps (doubled).  The
+    decay exponent is not integrated: channel_at takes
+    kernels.decay_exponent, the closed form that matches this generator and
+    no other, in one call on the sample times.  Other generators go
+    through propagate.
 
-    Raises GridError on a bad grid and ToleranceError when the step falls
-    below solve's minimum.
+    Raises GridError on a bad grid, DomainError when the grid needs more
+    than RICCATI_MAX_STEPS steps at the cap, and ToleranceError when an
+    interval misses the tolerance after MAX_DOUBLINGS doublings.
     """
-    sol = solve(lambda ts: _coefficient_rows(ts, p, kernels.coefficients), _rhs,
-                np.zeros(9), check_grid(times), settings or IntegratorSettings(),
-                step_cap(p))
-    return channel_at(sol.t, sol.y, kernels.decay_exponent(sol.t, p))
+    tol = (settings or IntegratorSettings()).rel_tol
+    ts = check_grid(times)
+    prev = np.concatenate(([0.0], ts[:-1]))
+    steps = _step_counts(prev, ts, p, step_cap(p), RICCATI_MAX_STEPS,
+                         ("DOP853", "integrate"))
+    y = np.zeros(9)
+    f = _rhs(_coefficient_rows(np.zeros(1), p, kernels.coefficients)[0], y)
+    out = np.empty((9, ts.size))
+    plan = itertools.groupby(_riccati_pieces(p, prev, ts, steps),
+                             key=lambda piece: piece[0])
+    # a step into a pole overflows; its error norm is not finite, and the
+    # interval is refined
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, pieces in plan:
+            n, doublings = steps[i:i + 1], 0
+            end = _riccati_steps(pieces, y, f, tol)
+            while end is None:
+                n = doubled(n, doublings, tol, prev[i])
+                doublings += 1
+                end = _riccati_steps(
+                    _riccati_pieces(p, prev[i:i + 1], ts[i:i + 1], n), y, f, tol)
+            y, f = end
+            out[:, i] = y
+    return channel_at(ts, out, kernels.decay_exponent(ts, p))
 
 
 def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:

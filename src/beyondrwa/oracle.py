@@ -6,8 +6,9 @@ Three families of cross-checks live here:
   matrix ODE, superoperator by superoperator, with no Wei-Norman
   structure: its 4x4 propagator gives the channel for every input state.
   The equation is linear, so its DOP853 steps are matrices, built for
-  blocks of steps at once, with the error control of lie_channel.solve
-  deciding where an interval needs shorter steps.  Agreement with
+  blocks of steps at once, on the step plan and with the refinement of
+  lie_channel.integrate: equal steps at the cap, doubled in an interval
+  where the error asks.  Agreement with
   lie_channel is the central correctness check of the repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
   quadrature for the correlation kernels, running integrals for the rest),
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import warnings
 from typing import Optional, Sequence
@@ -36,15 +38,15 @@ from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
                           _blocks, _ordered_product, _pieces, _prefix_products,
-                          _step_counts, apply_channel, check_grid,
-                          sector_channel, step_cap)
+                          _step_counts, apply_channel, check_grid, doubled,
+                          error_norm, sector_channel, step_cap)
 
 # direct_channel evaluates the generator on the stage times of at most this
 # many DOP853 steps at once, which bounds its working memory
 DIRECT_BLOCK_STEPS = 256
 
-# direct_channel takes no more DOP853 steps than this in all, at the step
-# cap or refined: at about 5 us per step that is about a minute
+# direct_channel refuses a grid that needs more DOP853 steps than this at
+# the step cap: at about 5 us per step that is about a minute
 DIRECT_MAX_STEPS = 1e7
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
@@ -115,8 +117,8 @@ def _direct_matrices(times: np.ndarray, p: BathParams,
 def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
                   t0: np.ndarray, h: np.ndarray):
     """The matrices S of DOP853 steps of length h from the times t0,
-    U(t0 + h) = S U(t0), shape (T, 4, 4), and the error norm of solve at
-    rel_tol tol of each as a step of the identity, shape (T,).
+    U(t0 + h) = S U(t0), shape (T, 4, 4), and the error norm (error_norm,
+    at rel_tol tol) of each as a step of the identity, shape (T,).
 
     U' = M(t) U is linear, so each stage is a matrix, batched over the
     steps: K_s = M_s (I + h sum_j a_sj K_j) and S = I + h sum_i b_i K_i,
@@ -135,11 +137,8 @@ def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
     step = eye + w * np.tensordot(rk.B, k[:-1], axes=1)
     # the error estimate's extra stage, at the last stage time t0 + h
     k[-1] = m[:, -1] @ step
-    scale = tol + np.maximum(eye, np.abs(step)) * tol
-    e5, e3 = (np.sum((np.tensordot(e, k, axes=1) / scale) ** 2, axis=(1, 2))
-              for e in (rk.E5, rk.E3))
-    denom = np.sqrt((e5 + 0.01 * e3) * 16)
-    return step, h * e5 / np.where(denom > 0.0, denom, 1.0)
+    err5, err3 = (np.tensordot(e, k, axes=1).reshape(-1, 16) for e in (rk.E5, rk.E3))
+    return step, error_norm(h, err5, err3, eye.ravel(), step.reshape(-1, 16), tol)
 
 
 def _interval_propagators(p: BathParams, cfn: CoefficientFn, tol: float,
@@ -181,15 +180,17 @@ def direct_channel(
     so the rest of U stays zero).
 
     Each interval between sample times takes equal DOP853 steps of at most
-    step_cap(p), the cap of the channel integration, so both routes resolve
-    the 2 omega0 oscillation equally well.  An interval with a step whose
-    error norm (solve's, at settings.rel_tol) reaches 1 doubles its step
-    count and is built again.  The steps of each interval are multiplied
-    into its propagator, and the intervals into U at each sample time.
+    step_cap(p), the plan of the channel integration (lie_channel.integrate),
+    so both routes resolve the 2 omega0 oscillation equally well.  An
+    interval with a step whose error norm (error_norm, at settings.rel_tol)
+    reaches 1 doubles its step count (doubled) and is built again.  The
+    steps of each interval are multiplied into its propagator, and the
+    intervals into U at each sample time.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
-    than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when the
-    doubling would pass that count or a step is not finite.
+    than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when an
+    interval misses the tolerance after MAX_DOUBLINGS doublings or a step
+    is not finite.
     """
     cfn = coefficient_fn or kernels.coefficients
     tol = (settings or IntegratorSettings()).rel_tol
@@ -199,15 +200,13 @@ def direct_channel(
                          ("DOP853", "direct_channel"))
     u = np.empty((ts.size, 4, 4))
     todo = np.arange(ts.size)
-    while todo.size:
+    for doublings in itertools.count():
         u[todo], met = _interval_propagators(p, cfn, tol, prev[todo], ts[todo],
                                              steps[todo])
         todo = todo[~met]
-        steps[todo] *= 2
-        if steps.sum() > DIRECT_MAX_STEPS:
-            raise ToleranceError(f"integration failed: rel_tol {tol:g} needs "
-                                 f"more than the {DIRECT_MAX_STEPS:.0e} steps "
-                                 f"direct_channel takes")
+        if not todo.size:
+            break
+        steps[todo] = doubled(steps[todo], doublings, tol, prev[todo[0]])
     u = _prefix_products(u)
     return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
@@ -307,6 +306,14 @@ def rwa_amplitude(t, p: BathParams):
     if abs(d) < 1e-12:
         # critically damped limit: sin(dt/2)/d -> t/2
         return env * (1.0 + g * t / 2.0) + 0j
+    if d.real == 0.0:
+        # d = i kappa with 0 < kappa < gamma: cosh and sinh of kappa t/2
+        # overflow past kappa t ~ 1400 while env underflows, so the product
+        # is e^{(kappa - gamma) t/2} = e^{-lam gamma t/(kappa + gamma)}
+        # times bounded factors
+        kappa = d.imag
+        return np.exp(-p.lam * g / (kappa + g) * t) * (
+            1.0 + np.exp(-kappa * t) - g / kappa * np.expm1(-kappa * t)) / 2.0 + 0j
     return env * (np.cos(d * t / 2.0) + (g / d) * np.sin(d * t / 2.0))
 
 

@@ -45,14 +45,16 @@ _SLOTS = {"phi": (2, 1),   # beta |01> + eta |10>
           "psi": (3, 0)}   # beta |00> + eta |11>
 
 
-def _check_family(family: str, beta: np.ndarray) -> None:
-    """DomainError unless family is "phi" or "psi" and every beta lies in
-    the open interval (0, 1)."""
+def _check_state(family: str, beta: np.ndarray, eta_phase: float) -> None:
+    """DomainError unless family is "phi" or "psi", every beta lies in the
+    open interval (0, 1) and eta_phase is finite."""
     if family not in _SLOTS:
         raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
     bad = ~((0.0 < beta) & (beta < 1.0))
     if bad.any():
         raise DomainError(f"beta must lie in (0,1), got {float(beta[bad].flat[0])}")
+    if not math.isfinite(eta_phase):
+        raise DomainError(f"eta_phase must be finite, got {eta_phase:g}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +71,18 @@ class BellFamilyState:
     eta_phase: float = 0.0
 
     def __post_init__(self):
-        _check_family(self.family, np.asarray(self.beta, dtype=float))
+        _check_state(self.family, np.asarray(self.beta, dtype=float), self.eta_phase)
 
 
 def initial_states(family: str, beta, eta_phase: float = 0.0) -> np.ndarray:
     """Pure-state density matrices |xi><xi| in the joint basis, one per
     real amplitude of beta (a float or an array), shape beta.shape + (4, 4).
 
-    Raises DomainError for a family other than "phi" or "psi", or a beta
-    outside (0, 1).
+    Raises DomainError for a family other than "phi" or "psi", a beta
+    outside (0, 1) or a phase that is not finite.
     """
     beta = np.asarray(beta, dtype=float)
-    _check_family(family, beta)
+    _check_state(family, beta, eta_phase)
     mag = np.sqrt(1.0 - beta * beta)
     cos, sin = math.cos(eta_phase), math.sin(eta_phase)
     v = np.zeros(beta.shape + (4,), dtype=complex)

@@ -1,11 +1,11 @@
 """Single-qubit channel: Riccati flow, coefficient assembly, map action."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.integrate import solve_ivp
 
 from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series
 
@@ -13,7 +13,7 @@ from beyondrwa import BathParams, _tableaux, kernels, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError, ToleranceError
 from beyondrwa.lie_channel import (MIN_REL_TOL, IntegratorSettings,
                                    apply_channel, channel_at, integrate,
-                                   magnus_step, propagate, solve, step_cap,
+                                   magnus_step, propagate, step_cap,
                                    transfer_matrix)
 
 P_A = BathParams(omega0=100.0, gamma=1.0, lam=10.0)
@@ -152,73 +152,31 @@ def _tan_riccati(t, p):
     return kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)
 
 
-def test_riccati_pole_raises_tolerance_error():
-    # the Wei-Norman route steps DOP853; at the pole of tan t the step
-    # falls to solve's minimum, and the integration ends there
-    batch = lambda ts: lie_channel._coefficient_rows(ts, P_C, _tan_riccati)
-    with pytest.raises(ToleranceError, match="step size"):
-        solve(batch, lie_channel._rhs, np.zeros(9), np.linspace(0.0, 2.0, 11),
-              IntegratorSettings(), step_cap(P_C))
+def test_riccati_pole_raises_tolerance_error(monkeypatch):
+    # the Wei-Norman route steps DOP853; an interval that steps into the pole
+    # of tan t misses the tolerance however often its steps double, and the
+    # integration ends there
+    monkeypatch.setattr(kernels, "coefficients", _tan_riccati)
+    with pytest.raises(ToleranceError, match=r"t = 1\.4 miss .*--rel-tol"):
+        integrate(P_C, np.linspace(0.0, 2.0, 11))
 
 
-def _solve_ivp_reference(fun, y0, ts, max_step):
-    """solve_ivp with DOP853 on the same problem; the loop solve replaced."""
-    settings = IntegratorSettings()
-    return solve_ivp(fun, (0.0, float(ts[-1])), y0, method="DOP853", t_eval=ts,
-                     rtol=settings.rel_tol, atol=settings.rel_tol,
-                     max_step=max_step)
+@pytest.mark.parametrize("points", [11, 201])
+def test_riccati_pole_ends_within_a_second(monkeypatch, points):
+    # MAX_DOUBLINGS bounds the work in front of a pole: about 0.15 s on 11
+    # points, where the interval (1.4, 1.6] is stepped with 20 to 1 280
+    # steps, each pass stopping at its first step into the pole.  (The
+    # single interval (0, 2] steps from 0 each time: about 1.4 s.)
+    monkeypatch.setattr(kernels, "coefficients", _tan_riccati)
+    start = time.process_time()
+    with pytest.raises(ToleranceError, match="--rel-tol"):
+        integrate(P_C, np.linspace(0.0, 2.0, points))
+    assert time.process_time() - start < 1.5
 
 
-def _matrix_stage(m, y):
-    """A matrix of oracle._direct_matrices on a 4-vector or on a raveled
-    4x4 propagator: a linear system for solve to step."""
-    return (m @ y.reshape(4, -1)).ravel()
-
-
-def _one_stage(batch, stage):
-    """The right-hand side at one time from a route's batch and stage
-    functions, as solve_ivp calls it."""
-    return lambda t, y: stage(batch(np.array([t]))[0], y)
-
-
-@pytest.mark.parametrize("route, capped", [
-    ("wei_norman_A", True),
-    ("direct_B_plus", True),
-    ("direct_B_propagator", True),
-    ("wei_norman_A", False),
-    ("direct_B_propagator", False),
-], ids=["wei_norman_A", "direct_B_plus", "direct_B_propagator",
-        "wei_norman_A_uncapped", "direct_B_propagator_uncapped"])
-def test_solve_matches_solve_ivp(route, capped):
-    # the loop steps DOP853 with one batch call per step attempt or run of
-    # attempts at the cap, and samples its dense output as
-    # solve_ivp(t_eval=...) does: same samples to the bit, same work, with
-    # the step cap or with none, on integrate's Riccati system and on the
-    # direct route's linear one
-    if route == "wei_norman_A":
-        p, y0 = P_A, np.zeros(9)
-        batch = lambda ts: lie_channel._coefficient_rows(ts, p, kernels.coefficients)
-        stage = lie_channel._rhs
-    else:
-        # a probe state, or the identity as direct_channel starts its 4x4
-        # propagator, raveled to 16 reals
-        p = P_B
-        y0 = [0.5, 0.5, 0.0, 0.5] if route == "direct_B_plus" else np.eye(4).ravel()
-        batch = lambda ts: oracle._direct_matrices(ts, p, kernels.coefficients)
-        stage = _matrix_stage
-    ts = GAMMA_T_GRID / p.gamma
-    cap = step_cap(p) if capped else math.inf
-    ref = _solve_ivp_reference(_one_stage(batch, stage), y0, ts, cap)
-    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap)
-    assert ref.status == 0
-    assert got.t.tobytes() == ref.t.tobytes()
-    assert got.y.tobytes() == ref.y.tobytes()
-    assert got.nfev == ref.nfev
-
-
-@pytest.mark.parametrize("method, count", [("DOP853", 10)])
+@pytest.mark.parametrize("method, count", [("DOP853", 6)])
 def test_vendored_tableaux_are_scipys(method, count):
-    # solve and direct_channel read their pair from _tableaux instead of
+    # integrate and direct_channel read their pair from _tableaux instead of
     # importing SciPy; every attribute they read must be SciPy's own, to
     # the bit
     ours, scipys = getattr(_tableaux, method), getattr(scipy.integrate, method)
@@ -230,70 +188,69 @@ def test_vendored_tableaux_are_scipys(method, count):
         assert got.tobytes() == want.tobytes(), name
 
 
-def _jumping(t, p):
-    # the generator triples at gamma t = 3.05, inside a stretch of steps at
-    # the cap: the attempt across the jump is rejected, and its shorter
-    # retries leave the predicted run of cap-length attempts
-    scale = np.where(t < 3.05 / p.gamma, 1.0, 3.0)
-    return kernels.CoefficientSet(*(v * scale for v in kernels.coefficients(t, p)))
-
-
-@pytest.mark.parametrize("block", [lie_channel.CAP_BLOCK_STEPS, 3])
-@pytest.mark.parametrize("route", ["wei_norman", "direct"],
-                         ids=["wei_norman-DOP853", "direct-DOP853"])
-def test_solve_leaves_a_predicted_run_of_cap_steps_exactly(monkeypatch, route, block):
-    # a rejected or shorter attempt drops the records predicted for the
-    # rest of the run; the steps and samples stay those of solve_ivp, and
-    # the dropped records are the only evaluations beyond nfev
-    monkeypatch.setattr(lie_channel, "CAP_BLOCK_STEPS", block)
-    p, evaluated = P_B, [0]
-    if route == "wei_norman":
-        y0, stage = np.zeros(9), lie_channel._rhs
-        rows = lambda ts: lie_channel._coefficient_rows(ts, p, _jumping)
-    else:
-        y0, stage = np.eye(4).ravel(), _matrix_stage
-        rows = lambda ts: oracle._direct_matrices(ts, p, _jumping)
-
-    def batch(ts):
-        evaluated[0] += ts.size
-        return rows(ts)
-
-    ts = GAMMA_T_GRID / p.gamma
-    cap = step_cap(p)
-    ref = _solve_ivp_reference(_one_stage(rows, stage), y0, ts, cap)
-    got = solve(batch, stage, y0, ts, IntegratorSettings(), cap)
-    assert ref.status == 0
-    assert got.t.tobytes() == ref.t.tobytes()
-    assert got.y.tobytes() == ref.y.tobytes()
-    assert got.nfev == ref.nfev
-    assert evaluated[0] > got.nfev
-
-
 def test_each_route_steps_its_own_stepper(monkeypatch):
-    # stage times evaluated on preset A's verify grid.  integrate takes
-    # 31 193 on DOP853 (75 140 on RK45) in 45 batched coefficient calls: one
-    # per run of up to CAP_BLOCK_STEPS attempts at the step cap, with the
-    # dense outputs of the run's steps that pass a sample time, and one per
-    # other attempt and per other dense output; upper bounds, so that a
-    # change of stepper may shift them a little.  direct_channel takes 12
-    # stage times for each of its 2 601 steps at the cap and for the 12
-    # empty steps that pad the empty first interval to its block's width
-    # of 13, 31 356 in all, in one call per block of at most 256 steps: 11
-    calls, times = [0], [0]
+    # both routes take one plan on preset A's verify grid: 2 601 equal
+    # DOP853 steps at the cap, 13 in each interval and 1 of length 0 in the
+    # empty first.  direct_channel evaluates the 12 stage times t0 + C h of
+    # each, and of the 12 empty steps that pad the first interval to its
+    # block's width of 13, 12 * (2 601 + 12) in all, in one call per block
+    # of at most 256 steps: 11.  integrate reads the stage times t0 + C[1:] h
+    # of the same steps, to the bit (its first stage is the last one of the
+    # step before), and t = 0 once: 11 * 2 601 + 1 in one call per block of
+    # at most 64 steps and one for t = 0: 52
+    seen = []
     coefficients = kernels.coefficients
 
     def counting(t, p):
-        calls[0] += 1
-        times[0] += np.size(t)
+        seen.append(np.array(t, dtype=float).ravel())
         return coefficients(t, p)
 
     monkeypatch.setattr(kernels, "coefficients", counting)
     ts = GAMMA_T_GRID / P_A.gamma
     integrate(P_A, ts)
-    assert times[0] < 40_000 and calls[0] < 60
-    calls[0] = times[0] = 0
+    riccati = np.concatenate(seen)
+    calls = len(seen)
+    seen.clear()
     oracle.direct_channel(P_A, ts)
-    assert (times[0], calls[0]) == (12 * (2_601 + 12), 11)
+    direct = np.concatenate(seen)
+    assert (riccati.size, calls) == (11 * 2_601 + 1, 52)
+    assert (direct.size, len(seen)) == (12 * (2_601 + 12), 11)
+    # the direct route's stage times without the first interval's steps
+    # (all at t = 0), and its first node, C[0] = 0
+    direct = direct.reshape(-1, 12)[13:, 1:]
+    assert riccati[0] == 0.0 and np.all(riccati[1:12] == 0.0)
+    assert riccati[12:].tobytes() == direct.tobytes()
+
+
+def _refinements(monkeypatch) -> list:
+    """Record the total step count of every plan integrate steps: the whole
+    grid's, then one per interval stepped again."""
+    plans = []
+    plan = lie_channel._riccati_pieces
+
+    def counted(p, prev, ts, steps):
+        plans.append(int(steps.sum()))
+        return plan(p, prev, ts, steps)
+
+    monkeypatch.setattr(lie_channel, "_riccati_pieces", counted)
+    return plans
+
+
+@pytest.mark.parametrize("p, rel_tol, want", [
+    (P_A, 1e-9, [2_601]),
+    (P_A, 1e-10, [2_601] + [26] * 194),
+    (P_A, 1e-11, [2_601] + [26] * 200),
+    (P_B, 1e-12, [1_081]),
+    (P_C, 1e-12, [1_081]),
+], ids=["A-1e-9", "A-1e-10", "A-1e-11", "B-1e-12", "C-1e-12"])
+def test_integrate_refines_only_where_the_error_asks(monkeypatch, p, rel_tol, want):
+    # as the direct route does: at rel_tol 1e-10, 194 of A's 200 intervals
+    # of 13 steps double them, at 1e-11 all 200 (not the empty first), and
+    # B and C stay at the cap down to 1e-12
+    plans = _refinements(monkeypatch)
+    integrate(p, np.linspace(0.0, 10.0 / p.gamma, 201),
+              IntegratorSettings(rel_tol=rel_tol))
+    assert plans == want
 
 
 def test_grid_validation():
@@ -325,9 +282,9 @@ def _max_gap(a, b) -> float:
 @pytest.mark.parametrize("name, bound", [("A", 5e-9), ("B", 1e-10), ("C", 1e-10)])
 def test_integrate_matches_a_tight_direct_reference(channel_bank, name, bound):
     # integrate at its default rel_tol 1e-9 against direct_channel at 1e-12:
-    # 1.8e-9, 1.3e-13 and 3.3e-14 (1.8e-9, 1.8e-11 and 2.5e-12 while the
-    # direct route stepped RK45; 1.8e-8, 1.8e-9 and 8.2e-11 while integrate
-    # did too)
+    # 1.5e-9, 7.3e-14 and 7.5e-14 on the direct route's plan (1.8e-9,
+    # 1.3e-13 and 3.3e-14 under SciPy's adaptive step control; 1.8e-8,
+    # 1.8e-9 and 8.2e-11 while integrate stepped RK45)
     entry = channel_bank[name]
     ref = oracle.direct_channel(entry.params, entry.times,
                                 IntegratorSettings(rel_tol=1e-12))

@@ -114,12 +114,13 @@ def test_direct_channel_refines_only_where_the_error_asks(monkeypatch, p, want):
 
 
 def test_direct_channel_refuses_when_refinement_is_exhausted(monkeypatch):
-    # at rel_tol 1e-13 preset A must double its steps, and a cap of 3000
-    # steps leaves no room for that
-    monkeypatch.setattr(oracle, "DIRECT_MAX_STEPS", 3_000)
+    # at rel_tol 1e-12 preset A must double its steps, and the rule both
+    # routes share, with no doubling allowed, leaves no room for that
+    monkeypatch.setattr(lie_channel, "MAX_DOUBLINGS", 0)
     ts = np.linspace(0.0, 10.0, 201)
-    with pytest.raises(ToleranceError, match="3e\\+03 steps direct_channel takes"):
-        oracle.direct_channel(P_A, ts, IntegratorSettings(rel_tol=1e-13))
+    with pytest.raises(ToleranceError,
+                       match=r"from t = 0 miss .*--rel-tol.* after 0 doublings"):
+        oracle.direct_channel(P_A, ts, IntegratorSettings(rel_tol=1e-12))
     # a generator that is not finite cannot be refined away
     nan = lambda t, p: kernels.CoefficientSet(
         *(v * np.where(t < 0.5, 1.0, np.nan) for v in kernels.coefficients(t, p)))
@@ -235,6 +236,11 @@ def test_rwa_hyperbolic_regime():
     assert min(mags) > 0.0   # never crosses zero below threshold coupling
     with pytest.raises(DomainError):
         oracle.rwa_first_zero(weak)
+    # cosh and sinh of kappa t/2 alone overflow past kappa t ~ 1400; the
+    # amplitude decays on, without a NumPy warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        late = oracle.rwa_amplitude(np.array([1e3, 2e3, 1e300]), weak)
+    assert np.all(np.diff(late.real) < 0.0) and late[-1] == 0.0
 
 
 def test_rwa_critical_damping_branch():
@@ -271,6 +277,21 @@ def test_rwa_channel_structure():
 
 # ---------------------------------------------------------------------------
 # truncated generator
+
+def test_truncated_generator_misses_the_rotating_wave_revival(capsys):
+    # on preset B's parameters (phi, beta^2 = 0.5, 2001 points to gamma t =
+    # 10) the second-order generator without its counter-rotating terms
+    # dies at gamma t = 2.28 and stays dead, while the exact rotating-wave
+    # channel of the same bath dies at 2.265 and revives to 0.056
+    rows = {}
+    for channel in (["--preset", "B", "--truncated-rwa"], ["--preset", "RWA"]):
+        argv = ["report", *channel, "--beta2", "0.5", "--t-steps", "2001"]
+        assert cli.main(argv) == 0
+        rows[channel[-1]] = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert rows["--truncated-rwa"][1:4] == ["2.28", "0", "0"]
+    assert rows["RWA"][1:3] == ["2.265", "2"]
+    assert float(rows["RWA"][3]) == pytest.approx(0.056, abs=5e-4)
+
 
 def test_counter_rotating_deviation_shrinks_with_frequency():
     # full generator against the truncated one (same order in the coupling,

@@ -90,6 +90,15 @@ def test_stacked_initial_states_keep_the_domain_checks():
         _initial_states("psi", np.array([0.25, 0.0]))
 
 
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_initial_states_refuse_a_phase_that_is_not_finite(phase):
+    # inf once raised ValueError from math.cos, and nan returned NaN states
+    with pytest.raises(DomainError, match="eta_phase must be finite"):
+        initial_states("phi", np.array([0.5, 0.6]), phase)
+    with pytest.raises(DomainError, match="eta_phase must be finite"):
+        BellFamilyState("psi", 0.5, phase)
+
+
 @given(st.sampled_from(["phi", "psi"]), st.floats(0.01, 0.99),
        st.floats(0.0, 2.0 * math.pi))
 def test_initial_state_is_pure_and_unit_trace(family, beta2, phase):
