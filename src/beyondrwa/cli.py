@@ -46,7 +46,7 @@ from .kernels import BathParams
 from .lie_channel import ChannelSeries, IntegratorSettings, apply_channel
 from .two_qubit import (BellFamilyState, evolve_pair, evolve_sectors,
                         explicit_elements, initial_state, initial_states,
-                        sector_blocks)
+                        sector_blocks, sector_maps)
 
 BETA2_FLOOR = 1e-4
 REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
@@ -127,7 +127,8 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     at once, SURFACE_BLOCK_CELLS cells at a time.  Both families are X
     states, so only their diagonal and antidiagonal are evolved: read from
     the stack once (two_qubit.sector_blocks), then through each block of
-    times (two_qubit.evolve_sectors).
+    times (two_qubit.evolve_sectors) of the sector maps, built for up to
+    SURFACE_BLOCK_CELLS times at once (two_qubit.sector_maps).
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     series = _channel_series(spec, gts / spec.params.gamma)
@@ -136,10 +137,15 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
 
     values = np.empty((gts.size, b2s.size))
     rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
-    for i in range(0, gts.size, rows):
-        block = series[i:i + rows]
-        values[i:i + len(block)] = concurrence_sectors(
-            *evolve_sectors(block, *blocks)).value
+    # the sector maps of whole blocks and at most SURFACE_BLOCK_CELLS times
+    # at once: a map of every time of a long report would cost 96 bytes a time
+    span = rows * max(1, SURFACE_BLOCK_CELLS // rows)
+    for start in range(0, gts.size, span):
+        pop, coh = sector_maps(series[start:start + span])
+        for i in range(0, pop.shape[-1], rows):
+            block = slice(i, i + rows)
+            values[start + i:start + i + rows] = concurrence_sectors(
+                *evolve_sectors(pop[..., block], coh[..., block], *blocks)).value
     return ConcurrenceSurface(gamma_t=gts, beta2=b2s, values=values)
 
 

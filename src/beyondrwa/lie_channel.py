@@ -32,16 +32,21 @@ fourth-order Magnus scheme steps on a fixed grid.  It takes any
 generator and no tolerance; every command that prints a channel or a state
 uses it, and only verify's Wei-Norman checks use integrate.
 
-integrate steps the Riccati system with DOP853, on the tableau that
+integrate steps the Wei-Norman system with DOP853, on the tableau that
 _tableaux holds, in equal steps of at most step_cap(p) between sample
 times, which resolve the 2 omega0 phase of the counter-rotating terms;
 the cap is fixed by the parameters, not a setting.  The coefficients
 depend on t alone, so one call takes them for the stage times of a block
-of up to RICCATI_BLOCK_STEPS steps.  An interval whose steps miss the
-tolerance is stepped again with twice as many (doubled).  The direct
-oracle (oracle.direct_channel) takes the same plan, error norm and
-refinement, and propagate's helpers cut its grid and multiply its steps.
-Every route here runs on NumPy alone.
+of up to RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are nonlinear: they
+are stepped through every stage of the block's steps in Python scalars.
+The four driven components follow for the whole block in NumPy, since
+X0' needs only the stage values of X+ and X-' only those of X0, and so do
+the block's error norms.  From the first step that misses the tolerance,
+its interval is stepped again with twice as many steps (doubled), and the
+next interval on its own.  The direct oracle (oracle.direct_channel)
+takes the same plan, error norm and refinement, and propagate's helpers
+cut its grid and multiply its steps.  Every route here runs on NumPy
+alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -50,9 +55,9 @@ tensor square of this map (see two_qubit).
 
 from __future__ import annotations
 
-import cmath
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -61,9 +66,6 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, GridError, ToleranceError
 from .kernels import BathParams, CoefficientSet
-
-# math.exp overflows just above 709; _rhs caps its exponents below it
-_EXP_ARG_LIMIT = 708.0
 
 # step cap in units of the reservoir memory time 1/gamma
 MEMORY_STEP = 0.01
@@ -78,7 +80,8 @@ MAGNUS_BLOCK_STEPS = 2048
 RICCATI_BLOCK_STEPS = 64
 
 # integrate refuses a grid that needs more DOP853 steps than this at the
-# step cap: at about 0.1 ms per step that is a couple of minutes
+# step cap: at about 35 us per step (scalar j+ and k+ stages, driven
+# components per block) that is about half a minute
 RICCATI_MAX_STEPS = 1e6
 
 # an interval whose equal DOP853 steps miss the tolerance is stepped again
@@ -90,6 +93,10 @@ MAX_DOUBLINGS = 6
 MAGNUS_MAX_STEPS = 1e8
 
 _EPS = np.finfo(float).eps
+
+# the coefficient record of each of a DOP853 step's stages 1..11 and of
+# its end: stage 11 is taken at the end (C[11] = 1)
+_STAGE_RECORD = np.append(np.arange(11), 10)
 
 # smallest rel_tol the integrations accept: SciPy's own floor for rtol,
 # below which it would raise rtol and keep atol
@@ -186,36 +193,62 @@ def _step_remedy(p: BathParams, h: float) -> str:
     return "shorten --tmax"
 
 
-def _coefficient_rows(times: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
-    """The coefficients at each of `times` from one call of cfn, as one
-    tuple of Python scalars (eps0, eps+, eps-, nu0, nu+, nu-) per time:
-    the records _rhs reads.  A field cfn returns as a scalar is repeated."""
-    cols = [v.tolist() if np.ndim(v) else np.full(times.shape, v).tolist()
-            for v in cfn(times, p)]
-    return list(zip(*cols))
+def _coefficient_columns(times: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
+    """The six coefficients (eps0, eps+, eps-, nu0, nu+, nu-) at `times`
+    from one call of cfn, each of times' shape (a scalar is repeated)."""
+    return [np.broadcast_to(v, times.shape) for v in cfn(times, p)]
 
 
-def _rhs(c: tuple, yv: np.ndarray) -> list:
-    """Time derivative of the Wei-Norman variables, the one right-hand side
-    of the channel integration, from one record c of _coefficient_rows.
+def _records(cols: list) -> list:
+    """_coefficient_columns as one tuple of Python scalars per time."""
+    return list(zip(*(c.tolist() for c in cols)))
 
-    yv is the real 9-vector [Re j+, Im j+, Re j0, Im j0, Re j-, Im j-,
-    k+, k0, k-].
-    """
+
+def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
+    """X+' = mu+ - mu- X+^2 + mu0 X+ of j+ (mu = eps) and k+ (mu = nu) at
+    one record c of _records, in Python scalars: cheaper than NumPy at one
+    call per stage.  Products, not **, which raises OverflowError near a
+    pole."""
     eps0, eps_plus, eps_minus, nu0, nu_plus, nu_minus = c
-    # Python scalars: cheaper than numpy's at one call per RK stage
-    jp_re, jp_im, j0_re, j0_im, _, _, kp, k0, _ = yv.tolist()
-    jp = complex(jp_re, jp_im)
-    djp = eps_plus - eps_minus * jp * jp + eps0 * jp
+    return (eps_plus - eps_minus * jp * jp + eps0 * jp,
+            nu_plus - nu_minus * kp * kp + nu0 * kp)
+
+
+def _driven_rhs(c, jp, kp, zeros: Callable) -> tuple:
+    """(j0', j-', k0', k-') on arrays, from the coefficients c of
+    _coefficient_columns: X0' = mu0 - 2 mu- X+ at the values jp and kp,
+    then X-' = mu- e^{X0} at (j0, k0) = zeros(j0', k0'), the values the
+    caller forms from those derivatives."""
+    eps0, _, eps_minus, nu0, _, nu_minus = c
     dj0 = eps0 - 2.0 * eps_minus * jp
-    # Re j0 and k0 track -2 Gamma_k and stay negative on-solution; the cap
-    # only protects the stages of a step into a pole from overflow
-    djm = eps_minus * cmath.exp(complex(min(j0_re, _EXP_ARG_LIMIT), j0_im))
-    dkm = nu_minus * math.exp(min(k0, _EXP_ARG_LIMIT))
-    dkp = nu_plus - nu_minus * kp * kp + nu0 * kp
     dk0 = nu0 - 2.0 * nu_minus * kp
-    return [djp.real, djp.imag, dj0.real, dj0.imag, djm.real, djm.imag,
-            dkp, dk0, dkm]
+    j0, k0 = zeros(dj0, dk0)
+    return dj0, eps_minus * np.exp(j0), dk0, nu_minus * np.exp(k0)
+
+
+def _rhs(c: tuple, yv) -> list:
+    """Time derivative of the Wei-Norman reals yv = [Re j+, Im j+, Re j0,
+    Im j0, Re j-, Im j-, k+, k0, k-] at one record c of _records:
+    _riccati_rhs and _driven_rhs at one point (integrate's at t = 0)."""
+    jp, j0, _, kp, k0, _ = _components(yv)
+    djp, dkp = _riccati_rhs(c, jp, kp)
+    dj0, djm, dk0, dkm = _driven_rhs(c, jp, kp, lambda *_: (j0, k0))
+    return [float(v) for v in (djp.real, djp.imag, dj0.real, dj0.imag,
+                               djm.real, djm.imag, dkp, dk0, dkm)]
+
+
+def _components(yv) -> tuple:
+    """The Wei-Norman reals yv, laid out as in _rhs, as the six components
+    (j+, j0, j-, k+, k0, k-) in Python scalars."""
+    v = np.asarray(yv, dtype=float).tolist()
+    return complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]), v[6], v[7], v[8]
+
+
+def _reals(jp, j0, jm, kp, k0, km) -> np.ndarray:
+    """Arrays of the six components, (m, ...) each, as the Wei-Norman
+    reals laid out as in _rhs along axis 1."""
+    return np.stack((jp.real, jp.imag, j0.real, j0.imag, jm.real, jm.imag,
+                     kp, k0, km), axis=1)
 
 
 def error_norm(h, err5, err3, y, y_new, tol: float):
@@ -246,56 +279,158 @@ def doubled(steps, doublings: int, tol: float, start: float):
     return steps * 2
 
 
+@functools.cache
+def _dop853_scalars() -> tuple:
+    """DOP853's rows A[s, :s], s = 1..11, and weights B as Python floats."""
+    from . import _tableaux
+
+    rk = _tableaux.DOP853
+    return (tuple(tuple(rk.A[s, :s].tolist()) for s in range(1, rk.n_stages)),
+            tuple(rk.B.tolist()))
+
+
 def _riccati_pieces(p: BathParams, prev: np.ndarray, ts: np.ndarray,
                     steps: np.ndarray):
     """The plan of integrate: each interval (prev[i], ts[i]] in steps[i]
-    equal steps.  Yields, per piece of an interval in order, the interval,
-    the step and the records (_coefficient_rows) of the stage times
-    t0 + C[1:] h of each of its steps, 11 per step, from one call of
-    kernels.coefficients per block of at most RICCATI_BLOCK_STEPS steps.
-    The last stage time is the step's end, where the error estimate's
-    extra stage is taken too."""
+    equal steps.  Yields per block of at most RICCATI_BLOCK_STEPS steps,
+    in order, the interval and length of each step, whether it ends its
+    interval, and its stage times t0 + C[1:] h, shape (m, 11); the last is
+    the step's end."""
     from . import _tableaux
 
     nodes = _tableaux.DOP853.C[1:]
     start, dt, count, owner = _pieces(prev, ts, steps, RICCATI_BLOCK_STEPS)
+    last = np.append(owner[1:] != owner[:-1], True)
     for first, stop, t0, h in _blocks(start, dt, count, RICCATI_BLOCK_STEPS):
-        taken = np.arange(t0.shape[1]) < count[first:stop, None]
-        stage_times = t0[taken][:, None] + nodes * h[taken][:, None]
-        rows = _coefficient_rows(stage_times.ravel(), p, kernels.coefficients)
-        at = 0
-        for i in range(first, stop):
-            size = nodes.size * int(count[i])
-            yield int(owner[i]), float(dt[i]), rows[at:at + size]
-            at += size
+        j, n = np.arange(t0.shape[1]), count[first:stop, None]
+        taken = j < n
+        ends = (j == n - 1) & last[first:stop, None]
+        yield (np.broadcast_to(owner[first:stop, None], taken.shape)[taken],
+               h[taken], ends[taken], t0[taken][:, None] + nodes * h[taken][:, None])
 
 
-def _riccati_steps(pieces, y: np.ndarray, f: list, tol: float):
-    """DOP853 steps of the Riccati system from the state y, where the
-    derivative is f, over the pieces of one interval (_riccati_pieces):
-    the state and derivative at its end, or None at the first step whose
-    error norm reaches 1 or is not finite."""
+def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
+    """A driven component over DOP853 steps of lengths h from y0, where
+    its derivative is f0, from its derivatives d (m, 12) at stages 1..11
+    and the end of each step: the derivatives at all 13 stages and the
+    values at stages 1..11 and the end.  The ends add up from y0 in the
+    order a step-by-step loop adds them."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    ns = rk.n_stages
-    weights = [rk.A[s, :s] for s in range(ns)]
-    k = np.empty((ns + 1, y.size))
-    kt = [k[:s].T for s in range(ns + 2)]
-    for _, h, rows in pieces:
-        for at in range(0, len(rows), ns - 1):
-            recs = rows[at:at + ns - 1]
-            k[0] = f
-            for s in range(1, ns):
-                k[s] = _rhs(recs[s - 1], y + np.dot(kt[s], weights[s]) * h)
-            y_new = y + h * np.dot(kt[ns], rk.B)
-            f_new = _rhs(recs[-1], y_new)
-            k[ns] = f_new
-            err = error_norm(h, np.dot(kt[ns + 1], rk.E5),
-                             np.dot(kt[ns + 1], rk.E3), y, y_new, tol)
-            if not err < 1.0:
-                return None
-            y, f = y_new, f_new
+    k = np.concatenate((np.append(f0, d[:-1, -1])[:, None], d), axis=1)
+    ends = np.add.accumulate(np.append(y0, h * (k[:, :-1] @ rk.B)))
+    stages = ends[:-1, None] + (k[:, :-1] @ rk.A[1:].T) * h[:, None]
+    return k, np.concatenate((stages, ends[1:, None]), axis=1)
+
+
+def _riccati_block(h: np.ndarray, cols: list, rows: list, y: np.ndarray,
+                   f: np.ndarray, tol: float) -> tuple:
+    """DOP853 steps of lengths h (m,) from the Wei-Norman state y, where
+    the derivative is f: the state and derivative at each step's end,
+    (m, 9) in the layout of _rhs, and each step's error norm at tol.
+
+    rows holds the records of the 11 stage times of each step, and cols
+    the coefficients there, (m, 12) with the last repeated for the end.
+    j+ and k+ go through every stage in Python scalars (_riccati_rhs),
+    then the driven components through all steps at once (_driven_rhs)."""
+    from . import _tableaux
+
+    rk = _tableaux.DOP853
+    a_rows, b = _dop853_scalars()
+    jp, j0, jm, kp, k0, km = _components(y)
+    djp, f_j0, f_jm, dkp, f_k0, f_km = _components(f)
+    width = len(a_rows)
+    values_j, values_k, derivs_j, derivs_k = [], [], [], []
+    at = 0
+    for hn in h.tolist():
+        recs = rows[at:at + width]
+        at += width
+        kj, kk = [djp], [dkp]
+        for a, rec in zip(a_rows, recs):
+            js = jp + sum(map(operator.mul, a, kj)) * hn
+            ks = kp + sum(map(operator.mul, a, kk)) * hn
+            values_j.append(js)
+            values_k.append(ks)
+            djp, dkp = _riccati_rhs(rec, js, ks)
+            kj.append(djp)
+            kk.append(dkp)
+        jp = jp + hn * sum(map(operator.mul, b, kj))
+        kp = kp + hn * sum(map(operator.mul, b, kk))
+        values_j.append(jp)
+        values_k.append(kp)
+        djp, dkp = _riccati_rhs(recs[-1], jp, kp)
+        kj.append(djp)
+        kk.append(dkp)
+        derivs_j += kj
+        derivs_k += kk
+
+    m = h.size
+    jps = np.array(values_j).reshape(m, -1)
+    kps = np.array(values_k).reshape(m, -1)
+    # the derivatives and values of j0 and k0, formed inside _driven_rhs
+    zero = []
+
+    def zeros(dj0, dk0):
+        zero.extend((_driven_steps(dj0, j0, f_j0, h), _driven_steps(dk0, k0, f_k0, h)))
+        return zero[0][1], zero[1][1]
+
+    _, djm, _, dkm = _driven_rhs(cols, jps, kps, zeros)
+    (k_j0, j0s), (k_k0, k0s) = zero
+    k_jm, jms = _driven_steps(djm, jm, f_jm, h)
+    k_km, kms = _driven_steps(dkm, km, f_km, h)
+    k = _reals(np.array(derivs_j).reshape(m, -1), k_j0, k_jm,
+               np.array(derivs_k).reshape(m, -1), k_k0, k_km)
+    ends = _reals(*(v[:, -1] for v in (jps, j0s, jms, kps, k0s, kms)))
+    err = error_norm(h, k @ rk.E5, k @ rk.E3, np.vstack((y, ends[:-1])), ends, tol)
+    return ends, k[:, :, -1], err
+
+
+def _step_plan(p: BathParams, prev: np.ndarray, ts: np.ndarray, steps: np.ndarray,
+               y: np.ndarray, f: np.ndarray, tol: float, out: np.ndarray,
+               doublings: int = 0) -> tuple:
+    """Step the intervals (prev[i], ts[i]] in steps[i] equal DOP853 steps
+    from the state y, where the derivative is f, a block at a time
+    (_riccati_block), writing the state at ts[i] into out[:, i]; returns
+    the state and derivative at the end.
+
+    At the first step whose error norm reaches 1, or is not finite, the
+    intervals before its own are kept and its interval is stepped again
+    from its start with twice the steps (doubled).  The next interval is
+    then stepped alone, so that a run of missed intervals does not step
+    the rest of each block again."""
+    y0, f0 = y, f
+    # the last interval stepped again, and whether to step the next alone
+    done, alone = -1, False
+    for owner, h, last, times in _riccati_pieces(p, prev, ts, steps):
+        at = int(np.searchsorted(owner, done, side="right"))
+        if at == owner.size:
+            continue
+        flat = _coefficient_columns(times.ravel(), p, kernels.coefficients)
+        rows = _records(flat)
+        cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
+        width = times.shape[1]
+        while at < owner.size:
+            stop = (int(np.searchsorted(owner, owner[at], side="right")) if alone
+                    else owner.size)
+            ends, derivs, err = _riccati_block(h[at:stop], [c[at:stop] for c in cols],
+                                               rows[width * at:width * stop], y, f, tol)
+            missed = np.flatnonzero(~(err < 1.0))
+            kept = (stop - at if not missed.size else
+                    int(np.searchsorted(owner[at:stop], owner[at + missed[0]])))
+            closed = np.flatnonzero(last[at:at + kept])
+            if closed.size:
+                out[:, owner[at + closed]] = ends[closed].T
+                y0, f0 = ends[closed[-1]], derivs[closed[-1]]
+            if not missed.size:
+                y, f, at, alone = ends[-1], derivs[-1], stop, False
+                continue
+            i = int(owner[at + missed[0]])
+            y0, f0 = _step_plan(p, prev[i:i + 1], ts[i:i + 1],
+                                doubled(steps[i:i + 1], doublings, tol, prev[i]),
+                                y0, f0, tol, out[:, i:i + 1], doublings + 1)
+            y, f, done, alone = y0, f0, i, True
+            at = int(np.searchsorted(owner, i, side="right"))
     return y, f
 
 
@@ -303,16 +438,19 @@ def integrate(p: BathParams, times: Sequence[float],
               settings: Optional[IntegratorSettings] = None) -> ChannelSeries:
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
-    The Riccati system of kernels.coefficients is stepped with DOP853 on
-    the plan of the direct oracle (oracle.direct_channel): each interval
+    The Wei-Norman system of kernels.coefficients is stepped with DOP853
+    on the plan of the direct oracle (oracle.direct_channel): each interval
     between sample times takes equal steps of at most step_cap(p), and
-    ends on its sample time, so no dense output is needed.  An interval
-    with a step whose error norm (error_norm, at settings.rel_tol) reaches
-    1 is stepped again from its start with twice the steps (doubled).  The
-    decay exponent is not integrated: channel_at takes
-    kernels.decay_exponent, the closed form that matches this generator and
-    no other, in one call on the sample times.  Other generators go
-    through propagate.
+    ends on its sample time, so no dense output is needed.  Per block of
+    at most RICCATI_BLOCK_STEPS steps, one call of kernels.coefficients
+    takes all stage times, j+ and k+ are stepped through them in Python
+    scalars, and the driven components and error norms follow in NumPy.
+    An interval with a step whose error norm (error_norm, at
+    settings.rel_tol) reaches 1 is stepped again from its start with twice
+    the steps (doubled).  The decay exponent is not integrated: channel_at
+    takes kernels.decay_exponent, the closed form that matches this
+    generator and no other, in one call on the sample times.  Other
+    generators go through propagate.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
     than RICCATI_MAX_STEPS steps at the cap, and ToleranceError when an
@@ -324,23 +462,13 @@ def integrate(p: BathParams, times: Sequence[float],
     steps = _step_counts(prev, ts, p, step_cap(p), RICCATI_MAX_STEPS,
                          ("DOP853", "integrate"))
     y = np.zeros(9)
-    f = _rhs(_coefficient_rows(np.zeros(1), p, kernels.coefficients)[0], y)
+    start = _records(_coefficient_columns(np.zeros(1), p, kernels.coefficients))
+    f = np.array(_rhs(start[0], y))
     out = np.empty((9, ts.size))
-    plan = itertools.groupby(_riccati_pieces(p, prev, ts, steps),
-                             key=lambda piece: piece[0])
     # a step into a pole overflows; its error norm is not finite, and the
     # interval is refined
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, pieces in plan:
-            n, doublings = steps[i:i + 1], 0
-            end = _riccati_steps(pieces, y, f, tol)
-            while end is None:
-                n = doubled(n, doublings, tol, prev[i])
-                doublings += 1
-                end = _riccati_steps(
-                    _riccati_pieces(p, prev[i:i + 1], ts[i:i + 1], n), y, f, tol)
-            y, f = end
-            out[:, i] = y
+        _step_plan(p, prev, ts, steps, y, f, tol, out)
     return channel_at(ts, out, kernels.decay_exponent(ts, p))
 
 

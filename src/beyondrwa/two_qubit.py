@@ -21,8 +21,9 @@ evolve as P D P^T and the antidiagonal A = [[rho14, rho23], [rho32, rho41]]
 as C A C^T, with the single-qubit P = [[l, m], [p, n]] and
 C = [[x, y], [r, q]] (1-based element labels).  evolve_xstate takes that
 route; evolve_pair is the general one.  A caller that evolves one stack
-through many blocks of times reads its blocks once (sector_blocks) and
-evolves them per block of times (evolve_sectors).
+through many blocks of times builds P and C (sector_maps) and reads the
+stack's blocks (sector_blocks) once, and evolves them per block of times
+(evolve_sectors).
 """
 
 from __future__ import annotations
@@ -172,11 +173,18 @@ def sector_blocks(rho0s: np.ndarray):
     return d0.reshape(-1, 4), a0.reshape(-1, 4)
 
 
-def evolve_sectors(series: ChannelSeries, d0: np.ndarray, a0: np.ndarray):
+def sector_maps(series: ChannelSeries):
+    """The single-qubit maps of the two X sectors, P = [[l, m], [p, n]]
+    and C = [[x, y], [r, q]], each of shape (2, 2, T) with time last: for
+    evolve_sectors, whole or sliced along time."""
+    return (np.array([[series.l, series.m], [series.p, series.n]]),
+            np.array([[series.x, series.y], [series.r, series.q]]))
+
+
+def evolve_sectors(pop: np.ndarray, coh: np.ndarray, d0: np.ndarray, a0: np.ndarray):
     """D = P D0 P^T and A = C A0 C^T, as two (T, S, 2, 2) arrays, for the
-    blocks (d0, a0) of sector_blocks."""
-    pop = np.array([[series.l, series.m], [series.p, series.n]])
-    coh = np.array([[series.x, series.y], [series.r, series.q]])
+    maps (pop, coh) = (P, C) of sector_maps and the blocks (d0, a0) of
+    sector_blocks."""
     diag = _sector_square(pop, d0)
     anti = _sector_square(coh, a0)
     # views with time and state leading; each element's (T, S) plane stays
@@ -193,7 +201,7 @@ def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
 
     Raises ShapeError unless rho0s is a stack of exact X states.
     """
-    return evolve_sectors(series, *sector_blocks(rho0s))
+    return evolve_sectors(*sector_maps(series), *sector_blocks(rho0s))
 
 
 def is_x_state(rho: np.ndarray) -> bool:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,8 +55,8 @@ def test_identity_at_origin():
 
 
 def _record(p, t, cfn=kernels.coefficients):
-    """The coefficient record that integrate's stage function reads at t."""
-    return lie_channel._coefficient_rows(np.array([t]), p, cfn)[0]
+    """The coefficient record that integrate's stage functions read at t."""
+    return lie_channel._records(lie_channel._coefficient_columns(np.array([t]), p, cfn))[0]
 
 
 def test_rhs_at_origin():
@@ -155,18 +156,24 @@ def _tan_riccati(t, p):
 def test_riccati_pole_raises_tolerance_error(monkeypatch):
     # the Wei-Norman route steps DOP853; an interval that steps into the pole
     # of tan t misses the tolerance however often its steps double, and the
-    # integration ends there
+    # integration ends there.  The generator returns scalar fields, and the
+    # scalar core runs into the pole without OverflowError, as the
+    # nine-component reference loop does
     monkeypatch.setattr(kernels, "coefficients", _tan_riccati)
-    with pytest.raises(ToleranceError, match=r"t = 1\.4 miss .*--rel-tol"):
-        integrate(P_C, np.linspace(0.0, 2.0, 11))
+    ts = np.linspace(0.0, 2.0, 11)
+    with pytest.raises(ToleranceError, match=r"t = 1\.4 miss .*--rel-tol") as got:
+        integrate(P_C, ts)
+    with pytest.raises(ToleranceError) as want:
+        _reference_integrate(P_C, ts)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("points", [11, 201])
 def test_riccati_pole_ends_within_a_second(monkeypatch, points):
-    # MAX_DOUBLINGS bounds the work in front of a pole: about 0.15 s on 11
+    # MAX_DOUBLINGS bounds the work in front of a pole: about 0.1 s on 11
     # points, where the interval (1.4, 1.6] is stepped with 20 to 1 280
-    # steps, each pass stopping at its first step into the pole.  (The
-    # single interval (0, 2] steps from 0 each time: about 1.4 s.)
+    # steps, each pass stopping at the block of its first step into the
+    # pole.  (The single interval (0, 2] steps from 0 each time: about 1 s.)
     monkeypatch.setattr(kernels, "coefficients", _tan_riccati)
     start = time.process_time()
     with pytest.raises(ToleranceError, match="--rel-tol"):
@@ -251,6 +258,88 @@ def test_integrate_refines_only_where_the_error_asks(monkeypatch, p, rel_tol, wa
     integrate(p, np.linspace(0.0, 10.0 / p.gamma, 201),
               IntegratorSettings(rel_tol=rel_tol))
     assert plans == want
+
+
+def _reference_integrate(p, times, rel_tol=1e-9):
+    """The reference for integrate: all nine Wei-Norman reals stepped one
+    DOP853 step and one stage at a time through _rhs, on the same plan,
+    stage times, error norm and refinement, with one coefficient call per
+    piece of an interval."""
+    rk = _tableaux.DOP853
+    ns = rk.n_stages
+    weights = [rk.A[s, :s] for s in range(ns)]
+    ts = lie_channel.check_grid(times)
+    prev = np.concatenate(([0.0], ts[:-1]))
+    steps = lie_channel._step_counts(prev, ts, p, step_cap(p),
+                                     lie_channel.RICCATI_MAX_STEPS, ("DOP853", "integrate"))
+
+    def rows(times):
+        cols = lie_channel._coefficient_columns(times.ravel(), p, kernels.coefficients)
+        return lie_channel._records(cols)
+
+    def interval(i, n, y, f):
+        k = np.empty((ns + 1, 9))
+        kt = [k[:s].T for s in range(ns + 2)]
+        start, dt, count, _ = lie_channel._pieces(prev[i:i + 1], ts[i:i + 1], n,
+                                                   lie_channel.RICCATI_BLOCK_STEPS)
+        for t0, h, c in zip(start.tolist(), dt.tolist(), count.tolist()):
+            recs = rows((t0 + np.arange(c) * h)[:, None] + rk.C[1:] * h)
+            for at in range(0, len(recs), ns - 1):
+                rec = recs[at:at + ns - 1]
+                k[0] = f
+                for s in range(1, ns):
+                    k[s] = lie_channel._rhs(rec[s - 1], y + np.dot(kt[s], weights[s]) * h)
+                y_new = y + h * np.dot(kt[ns], rk.B)
+                f_new = lie_channel._rhs(rec[-1], y_new)
+                k[ns] = f_new
+                err = lie_channel.error_norm(h, np.dot(kt[ns + 1], rk.E5),
+                                             np.dot(kt[ns + 1], rk.E3), y, y_new, rel_tol)
+                if not err < 1.0:
+                    return None
+                y, f = y_new, np.array(f_new)
+        return y, f
+
+    y = np.zeros(9)
+    f = np.array(lie_channel._rhs(rows(np.zeros(1))[0], y))
+    out = np.empty((9, ts.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(ts.size):
+            n, doublings = steps[i:i + 1], 0
+            while (end := interval(i, n, y, f)) is None:
+                n = lie_channel.doubled(n, doublings, rel_tol, prev[i])
+                doublings += 1
+            y, f = end
+            out[:, i] = y
+    return channel_at(ts, out, kernels.decay_exponent(ts, p))
+
+
+@pytest.mark.parametrize("name, rel_tol", [("A", 1e-9), ("B", 1e-9), ("C", 1e-9),
+                                           ("A", 1e-10)],
+                         ids=["A-1e-9", "B-1e-9", "C-1e-9", "A-1e-10"])
+def test_integrate_matches_the_reference_stepper(channel_bank, name, rel_tol):
+    # integrate steps j+ and k+ in Python scalars and the driven components
+    # per block in NumPy: the same DOP853 method as the nine-component
+    # loop, up to rounding, on the default plan and (A at 1e-10) where 194
+    # intervals double
+    entry = channel_bank[name]
+    got = (entry.series if rel_tol == 1e-9 else
+           integrate(entry.params, entry.times, IntegratorSettings(rel_tol=rel_tol)))
+    want = _reference_integrate(entry.params, entry.times, rel_tol)
+    for field in ("l", "m", "n", "p", "x", "y", "q", "r"):
+        assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-13, field
+
+
+def test_integrate_keeps_its_memory_to_a_block(channel_bank):
+    # one block of at most RICCATI_BLOCK_STEPS steps at a time: a table of
+    # the whole grid's stage records would take several MB
+    entry = channel_bank["A"]
+    tracemalloc.start()
+    try:
+        integrate(entry.params, entry.times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_grid_validation():
