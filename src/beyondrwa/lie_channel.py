@@ -35,18 +35,19 @@ uses it, and only verify's Wei-Norman checks use integrate.
 integrate steps the Wei-Norman system with DOP853, on the tableau that
 _tableaux holds, in equal steps of at most step_cap(p) between sample
 times, which resolve the 2 omega0 phase of the counter-rotating terms;
-the cap is fixed by the parameters, not a setting.  The coefficients
-depend on t alone, so one call takes them for the stage times of a block
-of up to RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are nonlinear: they
-are stepped through every stage of the block's steps in Python scalars.
-The four driven components follow for the whole block in NumPy, since
-X0' needs only the stage values of X+ and X-' only those of X0, and so do
-the block's error norms.  From the first step that misses the tolerance,
-its interval is stepped again with twice as many steps (doubled), and the
-next interval on its own.  The direct oracle (oracle.direct_channel)
-takes the same plan, error norm and refinement, and propagate's helpers
-cut its grid and multiply its steps.  Every route here runs on NumPy
-alone.
+the cap is fixed by the parameters, not a setting.  One driver,
+_step_plan, takes these steps a block at a time across interval ends and
+refines them, for integrate and the direct oracle (oracle.direct_channel)
+alike: from the first step that misses the tolerance (error_norm), its
+interval is stepped again with twice as many steps (doubled), and the
+next interval on its own.  Each route gives it only a block stepper.
+The coefficients depend on t alone, so integrate's (_riccati_block) takes
+them in one call for the stage times of a block of up to
+RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are nonlinear: they are
+stepped through every stage of the block's steps in Python scalars.  The
+four driven components follow for the whole block in NumPy, since X0'
+needs only the stage values of X+ and X-' only those of X0, and so do the
+block's error norms.  Every route here runs on NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -214,25 +215,29 @@ def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
             nu_plus - nu_minus * kp * kp + nu0 * kp)
 
 
-def _driven_rhs(c, jp, kp, zeros: Callable) -> tuple:
-    """(j0', j-', k0', k-') on arrays, from the coefficients c of
-    _coefficient_columns: X0' = mu0 - 2 mu- X+ at the values jp and kp,
-    then X-' = mu- e^{X0} at (j0, k0) = zeros(j0', k0'), the values the
-    caller forms from those derivatives."""
+def _zero_rhs(c, jp, kp) -> tuple:
+    """(j0', k0'), X0' = mu0 - 2 mu- X+, at the values jp and kp, on the
+    coefficients c of _coefficient_columns or _records."""
     eps0, _, eps_minus, nu0, _, nu_minus = c
-    dj0 = eps0 - 2.0 * eps_minus * jp
-    dk0 = nu0 - 2.0 * nu_minus * kp
-    j0, k0 = zeros(dj0, dk0)
-    return dj0, eps_minus * np.exp(j0), dk0, nu_minus * np.exp(k0)
+    return eps0 - 2.0 * eps_minus * jp, nu0 - 2.0 * nu_minus * kp
+
+
+def _minus_rhs(c, j0, k0) -> tuple:
+    """(j-', k-'), X-' = mu- e^{X0}, at the values j0 and k0, on the
+    coefficients c of _coefficient_columns or _records."""
+    _, _, eps_minus, _, _, nu_minus = c
+    return eps_minus * np.exp(j0), nu_minus * np.exp(k0)
 
 
 def _rhs(c: tuple, yv) -> list:
     """Time derivative of the Wei-Norman reals yv = [Re j+, Im j+, Re j0,
     Im j0, Re j-, Im j-, k+, k0, k-] at one record c of _records:
-    _riccati_rhs and _driven_rhs at one point (integrate's at t = 0)."""
+    _riccati_rhs, _zero_rhs and _minus_rhs at one point (integrate's at
+    t = 0)."""
     jp, j0, _, kp, k0, _ = _components(yv)
     djp, dkp = _riccati_rhs(c, jp, kp)
-    dj0, djm, dk0, dkm = _driven_rhs(c, jp, kp, lambda *_: (j0, k0))
+    dj0, dk0 = _zero_rhs(c, jp, kp)
+    djm, dkm = _minus_rhs(c, j0, k0)
     return [float(v) for v in (djp.real, djp.imag, dj0.real, dj0.imag,
                                djm.real, djm.imag, dkp, dk0, dkm)]
 
@@ -289,26 +294,6 @@ def _dop853_scalars() -> tuple:
             tuple(rk.B.tolist()))
 
 
-def _riccati_pieces(p: BathParams, prev: np.ndarray, ts: np.ndarray,
-                    steps: np.ndarray):
-    """The plan of integrate: each interval (prev[i], ts[i]] in steps[i]
-    equal steps.  Yields per block of at most RICCATI_BLOCK_STEPS steps,
-    in order, the interval and length of each step, whether it ends its
-    interval, and its stage times t0 + C[1:] h, shape (m, 11); the last is
-    the step's end."""
-    from . import _tableaux
-
-    nodes = _tableaux.DOP853.C[1:]
-    start, dt, count, owner = _pieces(prev, ts, steps, RICCATI_BLOCK_STEPS)
-    last = np.append(owner[1:] != owner[:-1], True)
-    for first, stop, t0, h in _blocks(start, dt, count, RICCATI_BLOCK_STEPS):
-        j, n = np.arange(t0.shape[1]), count[first:stop, None]
-        taken = j < n
-        ends = (j == n - 1) & last[first:stop, None]
-        yield (np.broadcast_to(owner[first:stop, None], taken.shape)[taken],
-               h[taken], ends[taken], t0[taken][:, None] + nodes * h[taken][:, None])
-
-
 def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
     """A driven component over DOP853 steps of lengths h from y0, where
     its derivative is f0, from its derivatives d (m, 12) at stages 1..11
@@ -324,19 +309,25 @@ def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
     return k, np.concatenate((stages, ends[1:, None]), axis=1)
 
 
-def _riccati_block(h: np.ndarray, cols: list, rows: list, y: np.ndarray,
-                   f: np.ndarray, tol: float) -> tuple:
-    """DOP853 steps of lengths h (m,) from the Wei-Norman state y, where
-    the derivative is f: the state and derivative at each step's end,
-    (m, 9) in the layout of _rhs, and each step's error norm at tol.
+def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
+                   state: tuple) -> tuple:
+    """DOP853 steps of lengths h (m,) from the times t0 and the Wei-Norman
+    state (y, f), y the reals laid out as in _rhs and f their derivative:
+    ((ends, derivs), err), the state at each step's end, (m, 9) each, and
+    each step's error norm at rel_tol tol.
 
-    rows holds the records of the 11 stage times of each step, and cols
-    the coefficients there, (m, 12) with the last repeated for the end.
-    j+ and k+ go through every stage in Python scalars (_riccati_rhs),
-    then the driven components through all steps at once (_driven_rhs)."""
+    One call of kernels.coefficients takes the stage times t0 + C[1:] h of
+    every step; the last is the step's end.  j+ and k+ go through every
+    stage in Python scalars (_riccati_rhs), then the driven components
+    through all steps at once (_zero_rhs, then _minus_rhs)."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
+    y, f = state
+    times = t0[:, None] + rk.C[1:] * h[:, None]
+    flat = _coefficient_columns(times.ravel(), p, kernels.coefficients)
+    rows = _records(flat)
+    cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
     a_rows, b = _dop853_scalars()
     jp, j0, jm, kp, k0, km = _components(y)
     djp, f_j0, f_jm, dkp, f_k0, f_km = _components(f)
@@ -368,70 +359,61 @@ def _riccati_block(h: np.ndarray, cols: list, rows: list, y: np.ndarray,
     m = h.size
     jps = np.array(values_j).reshape(m, -1)
     kps = np.array(values_k).reshape(m, -1)
-    # the derivatives and values of j0 and k0, formed inside _driven_rhs
-    zero = []
-
-    def zeros(dj0, dk0):
-        zero.extend((_driven_steps(dj0, j0, f_j0, h), _driven_steps(dk0, k0, f_k0, h)))
-        return zero[0][1], zero[1][1]
-
-    _, djm, _, dkm = _driven_rhs(cols, jps, kps, zeros)
-    (k_j0, j0s), (k_k0, k0s) = zero
+    dj0, dk0 = _zero_rhs(cols, jps, kps)
+    k_j0, j0s = _driven_steps(dj0, j0, f_j0, h)
+    k_k0, k0s = _driven_steps(dk0, k0, f_k0, h)
+    djm, dkm = _minus_rhs(cols, j0s, k0s)
     k_jm, jms = _driven_steps(djm, jm, f_jm, h)
     k_km, kms = _driven_steps(dkm, km, f_km, h)
     k = _reals(np.array(derivs_j).reshape(m, -1), k_j0, k_jm,
                np.array(derivs_k).reshape(m, -1), k_k0, k_km)
     ends = _reals(*(v[:, -1] for v in (jps, j0s, jms, kps, k0s, kms)))
     err = error_norm(h, k @ rk.E5, k @ rk.E3, np.vstack((y, ends[:-1])), ends, tol)
-    return ends, k[:, :, -1], err
+    return (ends, k[:, :, -1]), err
 
 
-def _step_plan(p: BathParams, prev: np.ndarray, ts: np.ndarray, steps: np.ndarray,
-               y: np.ndarray, f: np.ndarray, tol: float, out: np.ndarray,
-               doublings: int = 0) -> tuple:
+def _step_plan(block_fn: Callable, prev: np.ndarray, ts: np.ndarray,
+               steps: np.ndarray, state: tuple, tol: float, out: np.ndarray,
+               block: int, doublings: int = 0) -> tuple:
     """Step the intervals (prev[i], ts[i]] in steps[i] equal DOP853 steps
-    from the state y, where the derivative is f, a block at a time
-    (_riccati_block), writing the state at ts[i] into out[:, i]; returns
-    the state and derivative at the end.
+    from `state`, writing the first part of the state at ts[i] into out[i];
+    returns the state at the end.  The driver of integrate and
+    oracle.direct_channel.
 
-    At the first step whose error norm reaches 1, or is not finite, the
-    intervals before its own are kept and its interval is stepped again
-    from its start with twice the steps (doubled).  The next interval is
-    then stepped alone, so that a run of missed intervals does not step
-    the rest of each block again."""
-    y0, f0 = y, f
-    # the last interval stepped again, and whether to step the next alone
-    done, alone = -1, False
-    for owner, h, last, times in _riccati_pieces(p, prev, ts, steps):
-        at = int(np.searchsorted(owner, done, side="right"))
-        if at == owner.size:
-            continue
-        flat = _coefficient_columns(times.ravel(), p, kernels.coefficients)
-        rows = _records(flat)
-        cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
-        width = times.shape[1]
-        while at < owner.size:
-            stop = (int(np.searchsorted(owner, owner[at], side="right")) if alone
-                    else owner.size)
-            ends, derivs, err = _riccati_block(h[at:stop], [c[at:stop] for c in cols],
-                                               rows[width * at:width * stop], y, f, tol)
-            missed = np.flatnonzero(~(err < 1.0))
-            kept = (stop - at if not missed.size else
-                    int(np.searchsorted(owner[at:stop], owner[at + missed[0]])))
-            closed = np.flatnonzero(last[at:at + kept])
-            if closed.size:
-                out[:, owner[at + closed]] = ends[closed].T
-                y0, f0 = ends[closed[-1]], derivs[closed[-1]]
-            if not missed.size:
-                y, f, at, alone = ends[-1], derivs[-1], stop, False
-                continue
-            i = int(owner[at + missed[0]])
-            y0, f0 = _step_plan(p, prev[i:i + 1], ts[i:i + 1],
-                                doubled(steps[i:i + 1], doublings, tol, prev[i]),
-                                y0, f0, tol, out[:, i:i + 1], doublings + 1)
-            y, f, done, alone = y0, f0, i, True
-            at = int(np.searchsorted(owner, i, side="right"))
-    return y, f
+    Step k of interval i starts at prev[i] + k dt[i].  The steps are taken
+    in order, the next `block` of them at a time across interval ends, by
+    block_fn(t0, h, state) -> (states, err): the state after each step, a
+    tuple of arrays along the steps, and each step's error norm.  At the
+    first step whose error norm reaches 1, or is not finite, the intervals
+    before its own are kept and its interval is stepped again from its
+    start with twice the steps (doubled).  The next interval is then
+    stepped alone, so that a run of missed intervals does not step the
+    rest of each block again."""
+    dt = (ts - prev) / steps
+    ends = np.cumsum(steps)
+    # kept is the state at the end of the last interval kept
+    kept, at, alone = state, 0, False
+    while at < ends[-1]:
+        last = ends[np.searchsorted(ends, at, side="right")] if alone else ends[-1]
+        g = np.arange(at, min(at + block, last))
+        owner = np.searchsorted(ends, g, side="right")
+        h = dt[owner]
+        states, err = block_fn(prev[owner] + (g - ends[owner] + steps[owner]) * h, h, state)
+        missed = np.flatnonzero(~(err < 1.0))
+        n = missed[0] if missed.size else g.size
+        closed = np.flatnonzero(g[:n] + 1 == ends[owner[:n]])
+        if closed.size:
+            out[owner[closed]] = states[0][closed]
+            kept = tuple(s[closed[-1]] for s in states)
+        if missed.size:
+            i = owner[n]
+            state = kept = _step_plan(block_fn, prev[i:i + 1], ts[i:i + 1],
+                                      doubled(steps[i:i + 1], doublings, tol, prev[i]),
+                                      kept, tol, out[i:i + 1], block, doublings + 1)
+            at, alone = int(ends[i]), True
+        else:
+            state, at, alone = tuple(s[-1] for s in states), at + g.size, False
+    return state
 
 
 def integrate(p: BathParams, times: Sequence[float],
@@ -439,12 +421,13 @@ def integrate(p: BathParams, times: Sequence[float],
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
     The Wei-Norman system of kernels.coefficients is stepped with DOP853
-    on the plan of the direct oracle (oracle.direct_channel): each interval
-    between sample times takes equal steps of at most step_cap(p), and
-    ends on its sample time, so no dense output is needed.  Per block of
-    at most RICCATI_BLOCK_STEPS steps, one call of kernels.coefficients
-    takes all stage times, j+ and k+ are stepped through them in Python
-    scalars, and the driven components and error norms follow in NumPy.
+    by the driver of the direct oracle (oracle.direct_channel), _step_plan:
+    each interval between sample times takes equal steps of at most
+    step_cap(p), and ends on its sample time, so no dense output is
+    needed.  Per block of at most RICCATI_BLOCK_STEPS steps, which may
+    cross interval ends, one call of kernels.coefficients takes all stage
+    times, j+ and k+ are stepped through them in Python scalars, and the
+    driven components and error norms follow in NumPy (_riccati_block).
     An interval with a step whose error norm (error_norm, at
     settings.rel_tol) reaches 1 is stepped again from its start with twice
     the steps (doubled).  The decay exponent is not integrated: channel_at
@@ -464,12 +447,13 @@ def integrate(p: BathParams, times: Sequence[float],
     y = np.zeros(9)
     start = _records(_coefficient_columns(np.zeros(1), p, kernels.coefficients))
     f = np.array(_rhs(start[0], y))
-    out = np.empty((9, ts.size))
+    out = np.empty((ts.size, 9))
     # a step into a pole overflows; its error norm is not finite, and the
     # interval is refined
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_plan(p, prev, ts, steps, y, f, tol, out)
-    return channel_at(ts, out, kernels.decay_exponent(ts, p))
+        _step_plan(functools.partial(_riccati_block, p, tol), prev, ts, steps,
+                   (y, f), tol, out, RICCATI_BLOCK_STEPS)
+    return channel_at(ts, out.T, kernels.decay_exponent(ts, p))
 
 
 def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:

@@ -6,9 +6,9 @@ Three families of cross-checks live here:
   matrix ODE, superoperator by superoperator, with no Wei-Norman
   structure: its 4x4 propagator gives the channel for every input state.
   The equation is linear, so its DOP853 steps are matrices, built for
-  blocks of steps at once, on the step plan and with the refinement of
-  lie_channel.integrate: equal steps at the cap, doubled in an interval
-  where the error asks.  Agreement with
+  blocks of steps at once and stepped by the driver of
+  lie_channel.integrate (lie_channel._step_plan): equal steps at the cap,
+  doubled in an interval where the error asks.  Agreement with
   lie_channel is the central correctness check of the repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
   quadrature for the correlation kernels, running integrals for the rest),
@@ -26,20 +26,18 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, lie_channel
 from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
-                          _blocks, _ordered_product, _pieces, _prefix_products,
-                          _step_counts, apply_channel, check_grid, doubled,
-                          error_norm, sector_channel, step_cap)
+                          _prefix_products, _step_counts, apply_channel,
+                          check_grid, error_norm, sector_channel, step_cap)
 
 # direct_channel evaluates the generator on the stage times of at most this
 # many DOP853 steps at once, which bounds its working memory
@@ -141,30 +139,18 @@ def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
     return step, error_norm(h, err5, err3, eye.ravel(), step.reshape(-1, 16), tol)
 
 
-def _interval_propagators(p: BathParams, cfn: CoefficientFn, tol: float,
-                          prev: np.ndarray, ts: np.ndarray, steps: np.ndarray):
-    """The propagator over each interval (prev[i], ts[i]] from steps[i]
-    equal DOP853 steps, shape (T, 4, 4), and whether each step of it met
-    tol, shape (T,).  One call of cfn per block of at most
-    DIRECT_BLOCK_STEPS steps.  ToleranceError if a step is not finite,
-    which no refinement mends."""
-    start, dt, count, owner = _pieces(prev, ts, steps, DIRECT_BLOCK_STEPS)
-    products = np.empty((count.size, 4, 4))
-    met = np.empty(count.size, dtype=bool)
-    for first, stop, t0, h in _blocks(start, dt, count, DIRECT_BLOCK_STEPS):
-        step, err = _dop853_steps(p, cfn, tol, t0.ravel(), h.ravel())
-        if not np.all(np.isfinite(err)):
-            raise ToleranceError(f"integration failed: a direct step from t = "
-                                 f"{t0.flat[np.argmin(np.isfinite(err))]:.6g} "
-                                 f"is not finite")
-        products[first:stop] = _ordered_product(step.reshape(t0.shape + (4, 4)))
-        met[first:stop] = np.all(err.reshape(t0.shape) < 1.0, axis=1)
-    # the pieces of each interval in order, padded with identities
-    part = np.arange(owner.size) - np.searchsorted(owner, owner)
-    stacked = np.zeros((ts.size, part.max() + 1, 4, 4)) + np.eye(4)
-    stacked[owner, part] = products
-    return (_ordered_product(stacked),
-            np.bincount(owner, weights=~met, minlength=ts.size) == 0)
+def _direct_block(p: BathParams, cfn: CoefficientFn, tol: float, t0: np.ndarray,
+                  h: np.ndarray, state: tuple) -> tuple:
+    """DOP853 steps of lengths h from the times t0 and the propagator
+    state = (u,): ((U,), err), U (T, 4, 4) the propagator after each step
+    and err the error norm of each.  ToleranceError if a step is not
+    finite, which no refinement mends."""
+    step, err = _dop853_steps(p, cfn, tol, t0, h)
+    if not np.all(np.isfinite(err)):
+        raise ToleranceError(f"integration failed: a direct step from t = "
+                             f"{t0[np.argmin(np.isfinite(err))]:.6g} "
+                             f"is not finite")
+    return (_prefix_products(step) @ state[0],), err
 
 
 def direct_channel(
@@ -180,12 +166,13 @@ def direct_channel(
     so the rest of U stays zero).
 
     Each interval between sample times takes equal DOP853 steps of at most
-    step_cap(p), the plan of the channel integration (lie_channel.integrate),
-    so both routes resolve the 2 omega0 oscillation equally well.  An
-    interval with a step whose error norm (error_norm, at settings.rel_tol)
-    reaches 1 doubles its step count (doubled) and is built again.  The
-    steps of each interval are multiplied into its propagator, and the
-    intervals into U at each sample time.
+    step_cap(p), stepped by the driver of the channel integration
+    (lie_channel._step_plan, as lie_channel.integrate), so both routes
+    resolve the 2 omega0 oscillation equally well.  An interval with a
+    step whose error norm (error_norm, at settings.rel_tol) reaches 1 is
+    stepped again from its start with twice the steps (doubled).  Per
+    block of at most DIRECT_BLOCK_STEPS steps (_direct_block), the step
+    matrices are prefix-multiplied onto U at the block's start.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
     than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when an
@@ -199,15 +186,8 @@ def direct_channel(
     steps = _step_counts(prev, ts, p, step_cap(p), DIRECT_MAX_STEPS,
                          ("DOP853", "direct_channel"))
     u = np.empty((ts.size, 4, 4))
-    todo = np.arange(ts.size)
-    for doublings in itertools.count():
-        u[todo], met = _interval_propagators(p, cfn, tol, prev[todo], ts[todo],
-                                             steps[todo])
-        todo = todo[~met]
-        if not todo.size:
-            break
-        steps[todo] = doubled(steps[todo], doublings, tol, prev[todo[0]])
-    u = _prefix_products(u)
+    lie_channel._step_plan(functools.partial(_direct_block, p, cfn, tol), prev, ts,
+                           steps, (np.eye(4),), tol, u, DIRECT_BLOCK_STEPS)
     return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
 

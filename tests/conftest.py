@@ -54,6 +54,21 @@ def direct_bank():
             for name in ("A", "B", "C")}
 
 
+def step_plans(monkeypatch) -> list:
+    """Record the total step count of every plan that the DOP853 driver
+    (lie_channel._step_plan) steps, for integrate and direct_channel
+    alike: the whole grid's, then one per interval stepped again."""
+    plans = []
+    plan = lie_channel._step_plan
+
+    def counted(block_fn, prev, ts, steps, *args):
+        plans.append(int(steps.sum()))
+        return plan(block_fn, prev, ts, steps, *args)
+
+    monkeypatch.setattr(lie_channel, "_step_plan", counted)
+    return plans
+
+
 def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,
                        q=1.0, r=0.0) -> ChannelSeries:
     """A channel series at one time; the defaults give the identity map."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series
+from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series, step_plans
 
 from beyondrwa import BathParams, _tableaux, kernels, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError, ToleranceError
@@ -199,12 +199,11 @@ def test_each_route_steps_its_own_stepper(monkeypatch):
     # both routes take one plan on preset A's verify grid: 2 601 equal
     # DOP853 steps at the cap, 13 in each interval and 1 of length 0 in the
     # empty first.  direct_channel evaluates the 12 stage times t0 + C h of
-    # each, and of the 12 empty steps that pad the first interval to its
-    # block's width of 13, 12 * (2 601 + 12) in all, in one call per block
-    # of at most 256 steps: 11.  integrate reads the stage times t0 + C[1:] h
-    # of the same steps, to the bit (its first stage is the last one of the
-    # step before), and t = 0 once: 11 * 2 601 + 1 in one call per block of
-    # at most 64 steps and one for t = 0: 52
+    # each, 12 * 2 601 in all, in one call per block of at most 256 steps:
+    # 11.  integrate reads the stage times t0 + C[1:] h of the same steps,
+    # to the bit (its first stage is the last one of the step before), and
+    # t = 0 once: 11 * 2 601 + 1 in one call per block of at most 64 steps
+    # and one for t = 0: 42
     seen = []
     coefficients = kernels.coefficients
 
@@ -220,42 +219,35 @@ def test_each_route_steps_its_own_stepper(monkeypatch):
     seen.clear()
     oracle.direct_channel(P_A, ts)
     direct = np.concatenate(seen)
-    assert (riccati.size, calls) == (11 * 2_601 + 1, 52)
-    assert (direct.size, len(seen)) == (12 * (2_601 + 12), 11)
-    # the direct route's stage times without the first interval's steps
-    # (all at t = 0), and its first node, C[0] = 0
-    direct = direct.reshape(-1, 12)[13:, 1:]
+    assert (riccati.size, calls) == (11 * 2_601 + 1, 42)
+    assert (direct.size, len(seen)) == (12 * 2_601, 11)
+    # the direct route's stage times without the first interval's step (at
+    # t = 0), and its first node, C[0] = 0
+    direct = direct.reshape(-1, 12)[1:, 1:]
     assert riccati[0] == 0.0 and np.all(riccati[1:12] == 0.0)
     assert riccati[12:].tobytes() == direct.tobytes()
 
 
-def _refinements(monkeypatch) -> list:
-    """Record the total step count of every plan integrate steps: the whole
-    grid's, then one per interval stepped again."""
-    plans = []
-    plan = lie_channel._riccati_pieces
-
-    def counted(p, prev, ts, steps):
-        plans.append(int(steps.sum()))
-        return plan(p, prev, ts, steps)
-
-    monkeypatch.setattr(lie_channel, "_riccati_pieces", counted)
-    return plans
+# after the empty first interval (1 step), three intervals of preset A of
+# 255 steps each, more than a block of RICCATI_BLOCK_STEPS: a step that
+# misses the tolerance in a later block sends its interval back to its start
+RESTART_GRID = np.array([0.0, 1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("p, rel_tol, want", [
-    (P_A, 1e-9, [2_601]),
-    (P_A, 1e-10, [2_601] + [26] * 194),
-    (P_A, 1e-11, [2_601] + [26] * 200),
-    (P_B, 1e-12, [1_081]),
-    (P_C, 1e-12, [1_081]),
-], ids=["A-1e-9", "A-1e-10", "A-1e-11", "B-1e-12", "C-1e-12"])
-def test_integrate_refines_only_where_the_error_asks(monkeypatch, p, rel_tol, want):
+@pytest.mark.parametrize("p, rel_tol, ts, want", [
+    (P_A, 1e-9, None, [2_601]),
+    (P_A, 1e-10, None, [2_601] + [26] * 194),
+    (P_A, 1e-11, None, [2_601] + [26] * 200),
+    (P_B, 1e-12, None, [1_081]),
+    (P_C, 1e-12, None, [1_081]),
+    (P_A, 1e-10, RESTART_GRID, [766, 510, 510, 510]),
+], ids=["A-1e-9", "A-1e-10", "A-1e-11", "B-1e-12", "C-1e-12", "A-1e-10-restart"])
+def test_integrate_refines_only_where_the_error_asks(monkeypatch, p, rel_tol, ts, want):
     # as the direct route does: at rel_tol 1e-10, 194 of A's 200 intervals
     # of 13 steps double them, at 1e-11 all 200 (not the empty first), and
     # B and C stay at the cap down to 1e-12
-    plans = _refinements(monkeypatch)
-    integrate(p, np.linspace(0.0, 10.0 / p.gamma, 201),
+    plans = step_plans(monkeypatch)
+    integrate(p, np.linspace(0.0, 10.0 / p.gamma, 201) if ts is None else ts,
               IntegratorSettings(rel_tol=rel_tol))
     assert plans == want
 
@@ -313,18 +305,21 @@ def _reference_integrate(p, times, rel_tol=1e-9):
     return channel_at(ts, out, kernels.decay_exponent(ts, p))
 
 
-@pytest.mark.parametrize("name, rel_tol", [("A", 1e-9), ("B", 1e-9), ("C", 1e-9),
-                                           ("A", 1e-10)],
-                         ids=["A-1e-9", "B-1e-9", "C-1e-9", "A-1e-10"])
-def test_integrate_matches_the_reference_stepper(channel_bank, name, rel_tol):
+@pytest.mark.parametrize("name, rel_tol, ts", [
+    ("A", 1e-9, None), ("B", 1e-9, None), ("C", 1e-9, None), ("A", 1e-10, None),
+    ("A", 1e-10, RESTART_GRID),
+], ids=["A-1e-9", "B-1e-9", "C-1e-9", "A-1e-10", "A-1e-10-restart"])
+def test_integrate_matches_the_reference_stepper(channel_bank, name, rel_tol, ts):
     # integrate steps j+ and k+ in Python scalars and the driven components
     # per block in NumPy: the same DOP853 method as the nine-component
-    # loop, up to rounding, on the default plan and (A at 1e-10) where 194
-    # intervals double
+    # loop, up to rounding, on the default plan, where (A at 1e-10) 194
+    # intervals double, and where each interval restarts from a block
+    # before the one that missed
     entry = channel_bank[name]
-    got = (entry.series if rel_tol == 1e-9 else
-           integrate(entry.params, entry.times, IntegratorSettings(rel_tol=rel_tol)))
-    want = _reference_integrate(entry.params, entry.times, rel_tol)
+    times = entry.times if ts is None else ts
+    got = (entry.series if (rel_tol, ts) == (1e-9, None) else
+           integrate(entry.params, times, IntegratorSettings(rel_tol=rel_tol)))
+    want = _reference_integrate(entry.params, times, rel_tol)
     for field in ("l", "m", "n", "p", "x", "y", "q", "r"):
         assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-13, field
 
@@ -457,6 +452,25 @@ def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
         assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
     # the first interval runs from t = 0 to the first sample time
     assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
+
+
+@pytest.mark.parametrize("p, rel_tol, ts", [
+    (P_C, 1e-9, [0.25, 0.5, 0.503, 3.0, 3.2, 7.0]),
+    (P_A, 1e-11, [0.0, 0.05, 0.1, 1.0, 1.03]),
+], ids=["C-1e-9", "A-1e-11"])
+def test_dop853_block_size_does_not_change_the_channel(monkeypatch, p, rel_tol, ts):
+    # the DOP853 driver cuts the same steps into blocks of 7 and of 37 across
+    # interval ends, and on A at 1e-11 refines intervals that start in one
+    # block and miss in a later one
+    settings = IntegratorSettings(rel_tol=rel_tol)
+    base = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
+    for block in (7, 37):
+        monkeypatch.setattr(lie_channel, "RICCATI_BLOCK_STEPS", block)
+        monkeypatch.setattr(oracle, "DIRECT_BLOCK_STEPS", block)
+        small = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
+        for got, want in zip(small, base):
+            for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
+                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
 
 
 @pytest.mark.parametrize("p, ts", [

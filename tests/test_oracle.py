@@ -9,6 +9,8 @@ import pytest
 import scipy.integrate
 from scipy.optimize import brentq
 
+from conftest import step_plans
+
 from beyondrwa import BathParams, cli, kernels, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError, ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings, apply_channel
@@ -83,34 +85,20 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
     assert not basis[:, [0, 0, 3, 3, 1, 1, 2, 2], [1, 2, 1, 2, 0, 3, 0, 3]].any()
 
 
-def _passes(monkeypatch) -> list:
-    """Record the total step count of every pass of direct_channel over the
-    intervals it still has to build."""
-    passes = []
-    build = oracle._interval_propagators
-
-    def counted(p, cfn, tol, prev, ts, steps):
-        passes.append(int(steps.sum()))
-        return build(p, cfn, tol, prev, ts, steps)
-
-    monkeypatch.setattr(oracle, "_interval_propagators", counted)
-    return passes
-
-
-@pytest.mark.parametrize("p, want", [(P_A, [2_601, 5_200]), (P_B, [1_081]),
+@pytest.mark.parametrize("p, want", [(P_A, [2_601] + [26] * 200), (P_B, [1_081]),
                                      (P_C, [1_081])], ids=["A", "B", "C"])
 def test_direct_channel_refines_only_where_the_error_asks(monkeypatch, p, want):
     # the largest DOP853 error norm of a step at the cap is 0.038 on A,
     # 3.8e-6 on B and 1.4e-6 on C at rel_tol 1e-9, a thousand times more at
     # 1e-12: there every interval of A but the empty first one doubles its
-    # 13 steps, and B and C stay at the cap
-    passes = _passes(monkeypatch)
+    # 13 steps, one interval at a time, and B and C stay at the cap
+    plans = step_plans(monkeypatch)
     ts = np.linspace(0.0, 10.0 / p.gamma, 201)
     oracle.direct_channel(p, ts)
-    assert passes == want[:1]
-    passes.clear()
+    assert plans == want[:1]
+    plans.clear()
     oracle.direct_channel(p, ts, IntegratorSettings(rel_tol=1e-12))
-    assert passes == want
+    assert plans == want
 
 
 def test_direct_channel_refuses_when_refinement_is_exhausted(monkeypatch):
