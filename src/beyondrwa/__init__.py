@@ -4,8 +4,9 @@ rotating-wave approximation.
 Typical use: compute the single-qubit channel once per parameter set, then
 reuse its time-major coefficient arrays across initial states.  propagate
 takes fixed Magnus steps on the two linear sectors, and every command but
-verify uses it; integrate is the paper's Wei-Norman route, adaptive, and
-verify checks it against the direct route.
+verify uses it; integrate is the paper's Wei-Norman route, in equal DOP853
+steps at the step cap with only an interval that misses the tolerance
+refined, and verify checks it against the direct route.
 
     from beyondrwa import (BathParams, propagate, BellFamilyState,
                            initial_state, evolve_pair, concurrence_xstate)

@@ -521,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the oracle cross-check suite")
-    # only the adaptive Wei-Norman and direct integrations take a tolerance;
-    # their step cap, lie_channel.step_cap, is fixed by the preset
+    # only the Wei-Norman and direct integrations take a tolerance: they step
+    # at the step cap, lie_channel.step_cap, fixed by the preset, and refine
+    # only an interval whose steps miss it
     pv.add_argument("--rel-tol", type=float, default=IntegratorSettings.rel_tol,
                     help="integrator relative tolerance (absolute tracks it; "
                          "default %(default)g); on presets A, B and C both "

@@ -44,10 +44,13 @@ next interval on its own.  Each route gives it only a block stepper.
 The coefficients depend on t alone, so integrate's (_riccati_block) takes
 them in one call for the stage times of a block of up to
 RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are nonlinear: they are
-stepped through every stage of the block's steps in Python scalars.  The
-four driven components follow for the whole block in NumPy, since X0'
-needs only the stage values of X+ and X-' only those of X0, and so do the
-block's error norms.  Every route here runs on NumPy alone.
+stepped through every stage of the block's steps in Python scalars, by
+straight-line code generated from the tableau on first use
+(_riccati_stages), one expression per stage with the tableau's nonzero
+entries as literals.  The four driven components follow for the whole
+block in NumPy, since X0' needs only the stage values of X+ and X-' only
+those of X0, and so do the block's error norms.  Every route here runs on
+NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -81,8 +83,8 @@ MAGNUS_BLOCK_STEPS = 2048
 RICCATI_BLOCK_STEPS = 64
 
 # integrate refuses a grid that needs more DOP853 steps than this at the
-# step cap: at about 35 us per step (scalar j+ and k+ stages, driven
-# components per block) that is about half a minute
+# step cap: at about 25 us per step on a 2-core Xeon (straight-line j+ and
+# k+ stages, driven components per block) that is under half a minute
 RICCATI_MAX_STEPS = 1e6
 
 # an interval whose equal DOP853 steps miss the tolerance is stepped again
@@ -285,13 +287,51 @@ def doubled(steps, doublings: int, tol: float, start: float):
 
 
 @functools.cache
-def _dop853_scalars() -> tuple:
-    """DOP853's rows A[s, :s], s = 1..11, and weights B as Python floats."""
+def _riccati_stages() -> Callable:
+    """DOP853 steps of j+ and k+ alone, as straight-line Python generated
+    from _tableaux.DOP853 on first use: stages(recs, hs, jp, kp, djp, dkp)
+    steps jp and kp, of derivatives djp and dkp, through steps of lengths
+    hs, each on its 11 records of recs (stages 1..11; 11 is the end), and
+    returns (values_j, values_k, derivs_j, derivs_k): per step, the values
+    at stages 1..11 and the end, and the derivatives at all 13 stages.
+
+    Each stage is one expression with the tableau's entries as literals,
+    added left to right from 0, as sum(map(operator.mul, A[s, :s], k))
+    adds them up to Python 3.11, but without the zero entries.  Such a
+    sum is never -0, so a term 0 * k changes it only when k is not
+    finite; then the step's error norm is not finite, and its interval is
+    refined."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    return (tuple(tuple(rk.A[s, :s].tolist()) for s in range(1, rk.n_stages)),
-            tuple(rk.B.tolist()))
+    n = rk.n_stages
+    names = lambda x, stop, start=1: ", ".join(f"{x}{s}" for s in range(start, stop))
+
+    def weighted(row, x: str) -> str:
+        """The derivatives dx0, dx1, ... weighted by row, as sum() adds them."""
+        return "(0" + "".join(f" + {a!r} * d{x}{i}"
+                              for i, a in enumerate(row.tolist()) if a) + ")"
+
+    lines = ["def stages(recs, hs, jp, kp, dj0, dk0):",
+             "    values_j, values_k, derivs_j, derivs_k = [], [], [], []",
+             f"    for h, ({names('r', n)}) in zip(hs, zip(*[iter(recs)] * {n - 1})):"]
+    for s in range(1, n):
+        lines += [f"        j{s} = jp + {weighted(rk.A[s, :s], 'j')} * h",
+                  f"        k{s} = kp + {weighted(rk.A[s, :s], 'k')} * h",
+                  f"        dj{s}, dk{s} = _riccati_rhs(r{s}, j{s}, k{s})"]
+    lines += [f"        jp = jp + h * {weighted(rk.B, 'j')}",
+              f"        kp = kp + h * {weighted(rk.B, 'k')}",
+              f"        dj{n}, dk{n} = _riccati_rhs(r{n - 1}, jp, kp)",
+              f"        values_j.extend(({names('j', n)}, jp))",
+              f"        values_k.extend(({names('k', n)}, kp))",
+              f"        derivs_j.extend(({names('dj', n + 1, 0)}))",
+              f"        derivs_k.extend(({names('dk', n + 1, 0)}))",
+              f"        dj0, dk0 = dj{n}, dk{n}",
+              "    return values_j, values_k, derivs_j, derivs_k"]
+    # the module's globals: the stages look up _riccati_rhs when they run
+    space: dict = {}
+    exec(compile("\n".join(lines), "<_riccati_stages>", "exec"), globals(), space)
+    return space["stages"]
 
 
 def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
@@ -318,8 +358,9 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
 
     One call of kernels.coefficients takes the stage times t0 + C[1:] h of
     every step; the last is the step's end.  j+ and k+ go through every
-    stage in Python scalars (_riccati_rhs), then the driven components
-    through all steps at once (_zero_rhs, then _minus_rhs)."""
+    stage in Python scalars, in the straight-line stages of
+    _riccati_stages, then the driven components through all steps at once
+    (_zero_rhs, then _minus_rhs)."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
@@ -328,45 +369,22 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     flat = _coefficient_columns(times.ravel(), p, kernels.coefficients)
     rows = _records(flat)
     cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
-    a_rows, b = _dop853_scalars()
     jp, j0, jm, kp, k0, km = _components(y)
     djp, f_j0, f_jm, dkp, f_k0, f_km = _components(f)
-    width = len(a_rows)
-    values_j, values_k, derivs_j, derivs_k = [], [], [], []
-    at = 0
-    for hn in h.tolist():
-        recs = rows[at:at + width]
-        at += width
-        kj, kk = [djp], [dkp]
-        for a, rec in zip(a_rows, recs):
-            js = jp + sum(map(operator.mul, a, kj)) * hn
-            ks = kp + sum(map(operator.mul, a, kk)) * hn
-            values_j.append(js)
-            values_k.append(ks)
-            djp, dkp = _riccati_rhs(rec, js, ks)
-            kj.append(djp)
-            kk.append(dkp)
-        jp = jp + hn * sum(map(operator.mul, b, kj))
-        kp = kp + hn * sum(map(operator.mul, b, kk))
-        values_j.append(jp)
-        values_k.append(kp)
-        djp, dkp = _riccati_rhs(recs[-1], jp, kp)
-        kj.append(djp)
-        kk.append(dkp)
-        derivs_j += kj
-        derivs_k += kk
+    values_j, values_k, derivs_j, derivs_k = _riccati_stages()(
+        rows, h.tolist(), jp, kp, djp, dkp)
 
     m = h.size
-    jps = np.array(values_j).reshape(m, -1)
-    kps = np.array(values_k).reshape(m, -1)
+    jps = np.array(values_j, complex).reshape(m, -1)
+    kps = np.array(values_k, float).reshape(m, -1)
     dj0, dk0 = _zero_rhs(cols, jps, kps)
     k_j0, j0s = _driven_steps(dj0, j0, f_j0, h)
     k_k0, k0s = _driven_steps(dk0, k0, f_k0, h)
     djm, dkm = _minus_rhs(cols, j0s, k0s)
     k_jm, jms = _driven_steps(djm, jm, f_jm, h)
     k_km, kms = _driven_steps(dkm, km, f_km, h)
-    k = _reals(np.array(derivs_j).reshape(m, -1), k_j0, k_jm,
-               np.array(derivs_k).reshape(m, -1), k_k0, k_km)
+    k = _reals(np.array(derivs_j, complex).reshape(m, -1), k_j0, k_jm,
+               np.array(derivs_k, float).reshape(m, -1), k_k0, k_km)
     ends = _reals(*(v[:, -1] for v in (jps, j0s, jms, kps, k0s, kms)))
     err = error_norm(h, k @ rk.E5, k @ rk.E3, np.vstack((y, ends[:-1])), ends, tol)
     return (ends, k[:, :, -1]), err
@@ -426,8 +444,9 @@ def integrate(p: BathParams, times: Sequence[float],
     step_cap(p), and ends on its sample time, so no dense output is
     needed.  Per block of at most RICCATI_BLOCK_STEPS steps, which may
     cross interval ends, one call of kernels.coefficients takes all stage
-    times, j+ and k+ are stepped through them in Python scalars, and the
-    driven components and error norms follow in NumPy (_riccati_block).
+    times, j+ and k+ are stepped through them in Python scalars
+    (_riccati_stages), and the driven components and error norms follow
+    in NumPy (_riccati_block).
     An interval with a step whose error norm (error_norm, at
     settings.rel_tol) reaches 1 is stepped again from its start with twice
     the steps (doubled).  The decay exponent is not integrated: channel_at
@@ -604,6 +623,13 @@ def propagate(
 
     The result is sector_channel of the two propagators.  Raises GridError
     on a bad grid.
+
+    There is no error control: the step is set by the parameters alone.
+    A coefficient_fn with a pole inside the grid gives a finite map that
+    is wrong, and nothing is raised; across the zero of the rotating-wave
+    amplitude, where the exact rotating-wave decay rate diverges, the map
+    was off by 0.97.  The commands pass only the bounded TCL2 and
+    truncated generators.
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)

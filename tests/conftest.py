@@ -1,6 +1,9 @@
 """Shared fixtures: channel integrations are expensive, so each preset is
 integrated once per session and every test reads from the bank."""
 
+import contextlib
+import functools
+import io
 import math
 from typing import NamedTuple
 
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 
 from beyondrwa import lie_channel, oracle
-from beyondrwa.cli import PRESETS, SweepSpec, compute_surface
+from beyondrwa.cli import PRESETS, SweepSpec, compute_surface, main
 from beyondrwa.entanglement import concurrence_xstate
+from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import ChannelSeries
 from beyondrwa.two_qubit import BellFamilyState, evolve_pair, initial_state
 
@@ -67,6 +71,38 @@ def step_plans(monkeypatch) -> list:
 
     monkeypatch.setattr(lie_channel, "_step_plan", counted)
     return plans
+
+
+def count_solvers(monkeypatch, failing=""):
+    """Wrap integrate and direct_channel to log the preset of each call,
+    and integrate to raise ToleranceError on the presets in `failing`;
+    returns the logs."""
+    # B and RWA hold equal BathParams; verify never integrates RWA
+    names = {p: name for name, p in PRESETS.items() if name != "RWA"}
+    calls = {"integrate": [], "direct_channel": []}
+
+    def counted(fname, fn, p, *args, **kwargs):
+        calls[fname].append(names[p])
+        if fname == "integrate" and names[p] in failing:
+            raise ToleranceError("integration failed: the steps miss rel_tol")
+        return fn(p, *args, **kwargs)
+
+    for module, fname in ((lie_channel, "integrate"),
+                          (oracle, "direct_channel")):
+        monkeypatch.setattr(module, fname, functools.partial(
+            counted, fname, getattr(module, fname)))
+    return calls
+
+
+@pytest.fixture(scope="session")
+def default_verify():
+    """Exit code, tab-split lines and solver calls of one default verify."""
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        calls = count_solvers(mp)
+        code = main(["verify"])
+    return code, [line.split("\t") for line in out.getvalue().splitlines()], calls
 
 
 def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import functools
 import importlib
 import importlib.util
 import io
@@ -19,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import count_solvers
+
 from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa import cli
 from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec,
@@ -26,7 +27,6 @@ from beyondrwa.cli import (PRESETS, ConcurrenceSurface, SweepSpec,
                            beta2_grid, build_parser, compute_surface, main,
                            write_csv)
 from beyondrwa.entanglement import concurrence_sectors, concurrence_xstate
-from beyondrwa.errors import ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings
 from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
                                  initial_state)
@@ -251,7 +251,8 @@ def verify_at_rel_tol_1e_6():
 def test_rel_tol_only_on_adaptive_commands(capsys, command,
                                            verify_at_rel_tol_1e_6):
     # sweep, report and trace take fixed Magnus steps or the rotating-wave
-    # closed form and have no tolerance to set; verify integrates adaptively
+    # closed form and have no tolerance to set; verify's integrations refine
+    # the intervals whose equal DOP853 steps miss it
     assert "unrecognized arguments: --rel-tol" in exit_2(
         capsys, command, "--preset", "C", "--rel-tol", "1e-6")
     assert verify_at_rel_tol_1e_6 == 0
@@ -341,38 +342,6 @@ def test_write_csv_property_matches_per_cell_formatting(data, rows, cols):
     assert _csv(surface) == _per_cell_csv(surface)
 
 
-def _count_solvers(monkeypatch, failing=""):
-    """Wrap integrate and direct_channel to log the preset of each call,
-    and integrate to raise ToleranceError on the presets in `failing`;
-    returns the logs."""
-    # B and RWA hold equal BathParams; verify never integrates RWA
-    names = {p: name for name, p in PRESETS.items() if name != "RWA"}
-    calls = {"integrate": [], "direct_channel": []}
-
-    def counted(fname, fn, p, *args, **kwargs):
-        calls[fname].append(names[p])
-        if fname == "integrate" and names[p] in failing:
-            raise ToleranceError("integration failed: the steps miss rel_tol")
-        return fn(p, *args, **kwargs)
-
-    for module, fname in ((lie_channel, "integrate"),
-                          (oracle, "direct_channel")):
-        monkeypatch.setattr(module, fname, functools.partial(
-            counted, fname, getattr(module, fname)))
-    return calls
-
-
-@pytest.fixture(scope="session")
-def default_verify():
-    """Exit code, tab-split lines and solver calls of one default verify."""
-    with pytest.MonkeyPatch.context() as mp, \
-            contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
-        calls = _count_solvers(mp)
-        code = main(["verify"])
-    return code, [line.split("\t") for line in out.getvalue().splitlines()], calls
-
-
 def test_verify_integrates_each_preset_once(default_verify):
     # one Wei-Norman integration and one direct channel per preset serve
     # every check; the output contract stays the 16 lines, in order
@@ -391,13 +360,13 @@ def test_verify_check_passes(default_verify, name, bound):
 
 def test_verify_one_preset_integrates_it_and_c(capsys, monkeypatch):
     # the two-qubit checks and direct_trace[C] always run on preset C
-    calls = _count_solvers(monkeypatch)
+    calls = count_solvers(monkeypatch)
     assert run_cli(capsys, "verify", "--preset", "A")[0] == 0
     assert calls == {"integrate": ["A", "C"], "direct_channel": ["A", "C"]}
 
 
 def test_verify_survives_a_failing_integration(capsys, monkeypatch):
-    calls = _count_solvers(monkeypatch, failing="C")
+    calls = count_solvers(monkeypatch, failing="C")
     code, out, err = run_cli(capsys, "verify", "--preset", "C")
     assert code == 1
     rows = [line.split("\t") for line in out.splitlines()]
@@ -414,7 +383,7 @@ def test_verify_keeps_the_records_before_a_failure_mid_group(capsys,
                                                              monkeypatch):
     # a check that raises keeps the records it already yielded; the checks
     # that never ask for preset B still pass
-    calls = _count_solvers(monkeypatch, failing="B")
+    calls = count_solvers(monkeypatch, failing="B")
     code, out, err = run_cli(capsys, "verify")
     rows = [line.split("\t") for line in out.splitlines()]
     aborted = ["aborted_ToleranceError", "inf", "0", "FAIL"]
@@ -513,6 +482,9 @@ for argv in (["sweep", "--preset", "A"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     seen[" ".join(argv)] = loaded()
+# how often the generated DOP853 stages were built: by none of the commands
+# above, once by the pole run, and once by verify after a cache_clear
+built = [lie_channel._riccati_stages.cache_info().misses]
 # the Wei-Norman route run into the pole of j+ = tan t, to its ToleranceError
 coefficients = kernels.coefficients
 kernels.coefficients = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j,
@@ -522,18 +494,22 @@ try:
 except ToleranceError:
     seen["pole"] = loaded()
 kernels.coefficients = coefficients
+built.append(lie_channel._riccati_stages.cache_info().misses)
+lie_channel._riccati_stages.cache_clear()
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])
 seen["verify"] = loaded()
-print(json.dumps([seen, [code, out.getvalue(), err.getvalue()]]))
+built.append(lie_channel._riccati_stages.cache_info().misses)
+print(json.dumps([seen, [code, out.getvalue(), err.getvalue()], built]))
 """
 VERIFY_ARGV = ["verify", "--preset", "C"]
 
 
 @pytest.fixture(scope="module")
 def fresh_probe():
-    """What IMPORT_PROBE printed: the modules seen, and verify's run."""
+    """What IMPORT_PROBE printed: the modules seen, verify's run, and how
+    often the DOP853 stages were built."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *VERIFY_ARGV],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -551,7 +527,7 @@ def test_sweep_and_report_never_load_scipy(fresh_probe):
 def test_verify_loads_quadpack_alone(fresh_probe, capsys):
     # the QUADPACK extension, without scipy.integrate's package and the
     # subpackages its import pulls in
-    seen, run = fresh_probe
+    seen, run, _ = fresh_probe
     mods = seen["verify"]
     assert "scipy.integrate._quadpack" in mods and "scipy.integrate" not in mods
     heavy = ("scipy.special", "scipy.optimize", "scipy.sparse", "scipy.linalg")
@@ -560,6 +536,12 @@ def test_verify_loads_quadpack_alone(fresh_probe, capsys):
     # loaded
     assert list(run_cli(capsys, *VERIFY_ARGV)) == run
     assert run[0] == 0 and run[1].count("\n") == 12 and "note:" in run[2]
+
+
+def test_only_the_wei_norman_route_builds_its_stages(fresh_probe):
+    # sweep, report and trace never pay the compile of the generated DOP853
+    # stages; the Wei-Norman route builds them once per process
+    assert fresh_probe[2] == [0, 1, 1]
 
 
 # records OpenBLAS's thread timeout at the moment NumPy is first imported

@@ -1,6 +1,8 @@
 """Single-qubit channel: Riccati flow, coefficient assembly, map action."""
 
+import functools
 import math
+import operator
 import time
 import tracemalloc
 
@@ -166,6 +168,71 @@ def test_riccati_pole_raises_tolerance_error(monkeypatch):
     with pytest.raises(ToleranceError) as want:
         _reference_integrate(P_C, ts)
     assert str(got.value) == str(want.value)
+
+
+def _dot(weights, ks):
+    """sum(map(operator.mul, weights, ks)) as sum() adds it up to Python
+    3.11: from the int 0, left to right (3.12 compensates float sums)."""
+    return functools.reduce(operator.add, map(operator.mul, weights, ks), 0)
+
+
+def _summed_stages(recs, hs, jp, kp, djp, dkp):
+    """The stage loop that _riccati_stages replaced: every entry of DOP853's
+    A and B, weighted and added by _dot."""
+    rk = _tableaux.DOP853
+    a_rows = [rk.A[s, :s].tolist() for s in range(1, rk.n_stages)]
+    values_j, values_k, derivs_j, derivs_k = [], [], [], []
+    for i, h in enumerate(hs):
+        step = recs[i * len(a_rows):(i + 1) * len(a_rows)]
+        kj, kk = [djp], [dkp]
+        for a, rec in zip(a_rows, step):
+            js = jp + _dot(a, kj) * h
+            ks = kp + _dot(a, kk) * h
+            values_j.append(js)
+            values_k.append(ks)
+            djp, dkp = lie_channel._riccati_rhs(rec, js, ks)
+            kj.append(djp)
+            kk.append(dkp)
+        jp = jp + h * _dot(rk.B.tolist(), kj)
+        kp = kp + h * _dot(rk.B.tolist(), kk)
+        values_j.append(jp)
+        values_k.append(kp)
+        djp, dkp = lie_channel._riccati_rhs(step[-1], jp, kp)
+        derivs_j += kj + [djp]
+        derivs_k += kk + [dkp]
+    return values_j, values_k, derivs_j, derivs_k
+
+
+def _signed(rng, n):
+    """n reals over twelve decades, a quarter of them +0.0 or -0.0."""
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    return np.where(rng.random(n) < 0.25, np.copysign(0.0, v), v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_straight_line_stages_add_as_sum_does(monkeypatch, seed):
+    # the generated stages leave out the zero entries of A and B; with
+    # finite derivatives, signed zeros among them, every stage value, end
+    # value and derivative is the same to the bit as the summed loop's
+    rng = np.random.default_rng(seed)
+    steps = 3
+    # (j+', k+') at the start, then at stages 1..11 and the end of each step
+    n = 1 + 12 * steps
+    derivs = list(zip((_signed(rng, n) + 1j * _signed(rng, n)).tolist(),
+                      _signed(rng, n).tolist()))
+    hs = rng.uniform(1e-3, 1.0, steps).tolist()
+    jp, kp = complex(*_signed(rng, 2)), float(_signed(rng, 1)[0])
+
+    def run(stages):
+        # _riccati_rhs hands out the drawn derivatives in the order asked
+        drawn = iter(derivs[1:])
+        monkeypatch.setattr(lie_channel, "_riccati_rhs",
+                            lambda rec, j, k: next(drawn))
+        return stages([None] * 11 * steps, hs, jp, kp, *derivs[0])
+
+    got, want = run(lie_channel._riccati_stages()), run(_summed_stages)
+    for g, w in zip(got, want, strict=True):
+        assert np.array(g).view(np.uint64).tolist() == np.array(w).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("points", [11, 201])
