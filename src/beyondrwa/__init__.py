@@ -8,10 +8,12 @@ verify uses it; integrate is the paper's Wei-Norman route, in equal DOP853
 steps at the step cap with only an interval that misses the tolerance
 refined, and verify checks it against the direct route.
 
+    import numpy as np
     from beyondrwa import (BathParams, propagate, BellFamilyState,
                            initial_state, evolve_pair, concurrence_xstate)
 
     p = BathParams(omega0=10.0, gamma=1.0, lam=10.0)
+    times = np.linspace(0.0, 10.0, 201)   # in units of 1/gamma
     series = propagate(p, times)          # a ChannelSeries over times
     rho0 = initial_state(BellFamilyState("phi", 0.5 ** 0.5))
     curve = concurrence_xstate(evolve_pair(series, rho0)).value

@@ -36,18 +36,19 @@ integrate steps the Wei-Norman system with DOP853, on the tableau that
 _tableaux holds, in equal steps of at most step_cap(p) between sample
 times, which resolve the 2 omega0 phase of the counter-rotating terms;
 the cap is fixed by the parameters, not a setting.  One driver,
-_step_plan, takes these steps a block at a time across interval ends and
-refines them, for integrate and the direct oracle (oracle.direct_channel)
-alike: from the first step that misses the tolerance (error_norm), its
-interval is stepped again with twice as many steps (doubled), and the
-next interval on its own.  Each route gives it only a block stepper.
-The coefficients depend on t alone, so integrate's (_riccati_block) takes
-them in one call for the stage times of a block of up to
-RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are nonlinear: they are
-stepped through every stage of the block's steps in Python scalars, by
-straight-line code generated from the tableau on first use
-(_riccati_stages), one expression per stage with the tableau's nonzero
-entries as literals.  The four driven components follow for the whole
+_step_plan, takes the steps of all three routes, integrate, the direct
+oracle (oracle.direct_channel) and propagate, a block at a time across
+interval ends, and refines them: from the first step that misses the
+tolerance (error_norm), its interval is stepped again with twice as many
+steps (doubled), and the next interval on its own.  Each route gives it
+only a block stepper; propagate's (_magnus_block) reports no error, so
+its steps are never refined.  The coefficients depend on t alone, so
+integrate's (_riccati_block) takes them in one call for the stage times
+of a block of up to RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are
+nonlinear: they are stepped through every stage of the block's steps in
+Python scalars, by straight-line code generated from the tableau on
+first use (_riccati_stages), one expression per stage with the tableau's
+nonzero entries as literals.  The four driven components follow for the whole
 block in NumPy, since X0' needs only the stage values of X+ and X-' only
 those of X0, and so do the block's error norms.  Every route here runs on
 NumPy alone.
@@ -196,10 +197,10 @@ def _step_remedy(p: BathParams, h: float) -> str:
     return "shorten --tmax"
 
 
-def _coefficient_columns(times: np.ndarray, p: BathParams, cfn: CoefficientFn) -> list:
+def _coefficient_columns(times: np.ndarray, p: BathParams) -> list:
     """The six coefficients (eps0, eps+, eps-, nu0, nu+, nu-) at `times`
-    from one call of cfn, each of times' shape (a scalar is repeated)."""
-    return [np.broadcast_to(v, times.shape) for v in cfn(times, p)]
+    from one call of kernels.coefficients, each of times' shape."""
+    return list(kernels.coefficients(times, p))
 
 
 def _records(cols: list) -> list:
@@ -366,7 +367,7 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     rk = _tableaux.DOP853
     y, f = state
     times = t0[:, None] + rk.C[1:] * h[:, None]
-    flat = _coefficient_columns(times.ravel(), p, kernels.coefficients)
+    flat = _coefficient_columns(times.ravel(), p)
     rows = _records(flat)
     cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
     jp, j0, jm, kp, k0, km = _components(y)
@@ -393,10 +394,11 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
 def _step_plan(block_fn: Callable, prev: np.ndarray, ts: np.ndarray,
                steps: np.ndarray, state: tuple, tol: float, out: np.ndarray,
                block: int, doublings: int = 0) -> tuple:
-    """Step the intervals (prev[i], ts[i]] in steps[i] equal DOP853 steps
-    from `state`, writing the first part of the state at ts[i] into out[i];
-    returns the state at the end.  The driver of integrate and
-    oracle.direct_channel.
+    """Step the intervals (prev[i], ts[i]] in steps[i] equal steps from
+    `state`, writing the first part of the state at ts[i] into out[i];
+    returns the state at the end.  The one step walk of integrate,
+    oracle.direct_channel and propagate; propagate's error norms are all 0,
+    so it is never refined and tol is never read.
 
     Step k of interval i starts at prev[i] + k dt[i].  The steps are taken
     in order, the next `block` of them at a time across interval ends, by
@@ -464,7 +466,7 @@ def integrate(p: BathParams, times: Sequence[float],
     steps = _step_counts(prev, ts, p, step_cap(p), RICCATI_MAX_STEPS,
                          ("DOP853", "integrate"))
     y = np.zeros(9)
-    start = _records(_coefficient_columns(np.zeros(1), p, kernels.coefficients))
+    start = _records(_coefficient_columns(np.zeros(1), p))
     f = np.array(_rhs(start[0], y))
     out = np.empty((ts.size, 9))
     # a step into a pole overflows; its error norm is not finite, and the
@@ -546,63 +548,54 @@ def _step_counts(prev: np.ndarray, ts: np.ndarray, p: BathParams, h: float,
     return steps.astype(np.int64)
 
 
-def _pieces(prev: np.ndarray, ts: np.ndarray, steps: np.ndarray, block: int):
-    """Split each interval (prev[i], ts[i]] into steps[i] equal steps, in
-    pieces of at most `block` steps.  Returns, per piece: start time, step,
-    step count and the interval it belongs to, in the order of the
-    intervals."""
-    dt = (ts - prev) / steps
-    parts = -(-steps // block)
-    owner = np.repeat(np.arange(ts.size), parts)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
-    base, extra = steps[owner] // parts[owner], steps[owner] % parts[owner]
-    count = base + (k < extra)
-    first = k * base + np.minimum(k, extra)
-    start = prev[owner] + first * dt[owner]
-    return start, dt[owner], count, owner
-
-
-def _blocks(start: np.ndarray, dt: np.ndarray, count: np.ndarray, block: int):
-    """Consecutive runs of pieces whose count x widest piece fits in `block`
-    steps, with the start and length of each of their steps, steps of
-    length 0 padding the shorter pieces: (first, stop, t0, h) per run, t0
-    and h of shape (stop - first, widest count)."""
-    def run(first, stop, width):
-        j = np.arange(width)
-        n = count[first:stop, None]
-        h = np.where(j < n, dt[first:stop, None], 0.0)
-        t0 = start[first:stop, None] + np.minimum(j, n) * dt[first:stop, None]
-        return first, stop, t0, h
-
-    first, width = 0, 0
-    for i, c in enumerate(count.tolist()):
-        w = max(width, c)
-        if (i - first + 1) * w > block:
-            yield run(first, i, width)
-            first, w = i, c
-        width = w
-    yield run(first, count.size, width)
-
-
-def _ordered_product(e: np.ndarray) -> np.ndarray:
-    """Product along axis -3 with later factors on the left, by pairwise
-    halving: (..., k, n, n) -> (..., n, n)."""
-    while e.shape[-3] > 1:
-        if e.shape[-3] % 2:
-            eye = np.broadcast_to(np.eye(e.shape[-1]), e.shape[:-3] + (1,) + e.shape[-2:])
-            e = np.concatenate((e, eye), axis=-3)
-        e = e[..., 1::2, :, :] @ e[..., 0::2, :, :]
-    return e[..., 0, :, :]
-
-
 def _prefix_products(e: np.ndarray) -> np.ndarray:
-    """The running products along axis -3, later factors on the left, by
-    doubling, in place: entry k becomes e_k ... e_1 e_0."""
-    d = 1
-    while d < e.shape[-3]:
-        e[..., d:, :, :] = e[..., d:, :, :] @ e[..., :-d, :, :]
-        d *= 2
+    """The running products along axis -3, later factors on the left, in
+    place: entry k becomes e_k ... e_1 e_0.  A work-efficient scan, about
+    2k products for k entries: each odd entry takes the even one before
+    it, the scan recurses on the odd entries, then each even entry takes
+    the odd one before it."""
+    k = e.shape[-3]
+    if k > 1:
+        e[..., 1::2, :, :] = e[..., 1::2, :, :] @ e[..., 0:k - 1:2, :, :]
+        _prefix_products(e[..., 1::2, :, :])
+        e[..., 2::2, :, :] = e[..., 2::2, :, :] @ e[..., 1:k - 1:2, :, :]
     return e
+
+
+def _commutator2(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """[b, a] = b a - a b of 2x2 matrices (..., 2, 2), entry by entry: the
+    diagonal products cancel, and [b, a] is traceless."""
+    out = np.empty_like(a)
+    out[..., 0, 0] = b[..., 0, 1] * a[..., 1, 0] - a[..., 0, 1] * b[..., 1, 0]
+    out[..., 1, 1] = -out[..., 0, 0]
+    da, db = a[..., 0, 0] - a[..., 1, 1], b[..., 0, 0] - b[..., 1, 1]
+    out[..., 0, 1] = a[..., 0, 1] * db - b[..., 0, 1] * da
+    out[..., 1, 0] = b[..., 1, 0] * da - a[..., 1, 0] * db
+    return out
+
+
+def _magnus_block(p: BathParams, cfn: CoefficientFn, t0: np.ndarray,
+                  h: np.ndarray, state: tuple) -> tuple:
+    """Magnus steps of lengths h (m,) from the times t0 and the propagator
+    state = (u,): ((U,), err), U (m, 4, 4) the propagator after each step
+    on [rho11, Re rho10, Im rho10, rho00], as oracle.direct_channel lays
+    it out, and err zero: there is no error control.
+
+    One call of cfn takes both Gauss nodes of every step.  The two sector
+    exponentials of a step fill the population block [::3, ::3] and the
+    coherence block [1:3, 1:3] of one 4x4 step matrix; u is folded into
+    the first step, and the steps are prefix-multiplied
+    (_prefix_products)."""
+    nodes = np.stack([t0 + g * h for g in _GAUSS_NODES])
+    a = _generators(cfn(nodes, p), nodes.shape)
+    a1, a2 = a[:, 0], a[:, 1]
+    w = h[:, None, None]
+    e = _expm2(w / 2.0 * (a1 + a2)
+               + math.sqrt(3.0) / 12.0 * w * w * _commutator2(a2, a1))
+    step = np.zeros((h.size, 4, 4))
+    step[:, ::3, ::3], step[:, 1:3, 1:3] = e
+    step[0] = step[0] @ state[0]
+    return (_prefix_products(step),), np.zeros(h.size)
 
 
 def propagate(
@@ -616,44 +609,31 @@ def propagate(
         Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],
 
     exponentiated in closed form (_expm2).  Each interval between sample
-    times takes equal steps of at most magnus_step(p); their propagators
-    are multiplied within the interval and then prefix-multiplied across
-    intervals.  coefficient_fn is called with arrays of times, once per
-    block of at most MAGNUS_BLOCK_STEPS steps.
+    times takes equal steps of at most magnus_step(p), stepped by the
+    driver of the DOP853 routes, _step_plan, in blocks of at most
+    MAGNUS_BLOCK_STEPS steps across interval ends (_magnus_block).
+    coefficient_fn is called with arrays of times, once per block.
 
-    The result is sector_channel of the two propagators.  Raises GridError
-    on a bad grid.
+    The result is sector_channel of the two propagators, as in
+    oracle.direct_channel.  Raises GridError on a bad grid.
 
-    There is no error control: the step is set by the parameters alone.
-    A coefficient_fn with a pole inside the grid gives a finite map that
-    is wrong, and nothing is raised; across the zero of the rotating-wave
-    amplitude, where the exact rotating-wave decay rate diverges, the map
-    was off by 0.97.  The commands pass only the bounded TCL2 and
-    truncated generators.
+    There is no error control: the step is set by the parameters alone,
+    and no interval is refined.  A coefficient_fn with a pole inside the
+    grid gives a finite map that is wrong, and nothing is raised; across
+    the zero of the rotating-wave amplitude, where the exact rotating-wave
+    decay rate diverges, the map was off by 0.97.  The commands pass only
+    the bounded TCL2 and truncated generators.
     """
     cfn = coefficient_fn or kernels.coefficients
     ts = check_grid(times)
     prev = np.concatenate(([0.0], ts[:-1]))
     steps = _step_counts(prev, ts, p, magnus_step(p), MAGNUS_MAX_STEPS,
                          ("Magnus", "propagate"))
-    start, dt, count, owner = _pieces(prev, ts, steps, MAGNUS_BLOCK_STEPS)
-    # the last piece of each interval
-    ends = np.append(owner[1:] != owner[:-1], True)
-
-    props = []
-    current = np.broadcast_to(np.eye(2), (2, 2, 2))
-    for first, stop, t0, h in _blocks(start, dt, count, MAGNUS_BLOCK_STEPS):
-        nodes = np.stack([t0 + g * h for g in _GAUSS_NODES])
-        a = _generators(cfn(nodes, p), nodes.shape)
-        a1, a2 = a[:, 0], a[:, 1]
-        w = h[..., None, None]
-        omega = (w / 2.0 * (a1 + a2)
-                 + math.sqrt(3.0) / 12.0 * w * w * (a2 @ a1 - a1 @ a2))
-        piece = _prefix_products(_ordered_product(_expm2(omega))) @ current[:, None]
-        current = piece[:, -1]
-        props.append(piece[:, ends[first:stop]])
-
-    return sector_channel(ts, *np.concatenate(props, axis=1))
+    u = np.empty((ts.size, 4, 4))
+    # every error norm is 0, so the tolerance is never read
+    _step_plan(functools.partial(_magnus_block, p, cfn), prev, ts, steps,
+               (np.eye(4),), None, u, MAGNUS_BLOCK_STEPS)
+    return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
 
 def sector_channel(ts: np.ndarray, pop: np.ndarray, coh: np.ndarray) -> ChannelSeries:

@@ -6,10 +6,11 @@ Three families of cross-checks live here:
   matrix ODE, superoperator by superoperator, with no Wei-Norman
   structure: its 4x4 propagator gives the channel for every input state.
   The equation is linear, so its DOP853 steps are matrices, built for
-  blocks of steps at once and stepped by the driver of
-  lie_channel.integrate (lie_channel._step_plan): equal steps at the cap,
-  doubled in an interval where the error asks.  Agreement with
-  lie_channel is the central correctness check of the repository.
+  blocks of steps at once and stepped by the one step walk of
+  lie_channel.integrate and lie_channel.propagate
+  (lie_channel._step_plan): equal steps at the cap, doubled in an interval
+  where the error asks.  Agreement with lie_channel is the central
+  correctness check of the repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
   quadrature for the correlation kernels, running integrals for the rest),
   through SciPy's QUADPACK extension loaded without scipy.integrate.
@@ -166,13 +167,15 @@ def direct_channel(
     so the rest of U stays zero).
 
     Each interval between sample times takes equal DOP853 steps of at most
-    step_cap(p), stepped by the driver of the channel integration
-    (lie_channel._step_plan, as lie_channel.integrate), so both routes
-    resolve the 2 omega0 oscillation equally well.  An interval with a
-    step whose error norm (error_norm, at settings.rel_tol) reaches 1 is
-    stepped again from its start with twice the steps (doubled).  Per
-    block of at most DIRECT_BLOCK_STEPS steps (_direct_block), the step
-    matrices are prefix-multiplied onto U at the block's start.
+    step_cap(p), stepped by the driver of the channel routes
+    (lie_channel._step_plan, as lie_channel.integrate and
+    lie_channel.propagate), so both DOP853 routes resolve the 2 omega0
+    oscillation equally well.  An interval with a step whose error norm
+    (error_norm, at settings.rel_tol) reaches 1 is stepped again from its
+    start with twice the steps (doubled).  Per block of at most
+    DIRECT_BLOCK_STEPS steps (_direct_block), the step matrices are
+    prefix-multiplied (lie_channel._prefix_products) onto U at the block's
+    start, as propagate's Magnus steps are.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
     than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when an

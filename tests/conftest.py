@@ -59,9 +59,10 @@ def direct_bank():
 
 
 def step_plans(monkeypatch) -> list:
-    """Record the total step count of every plan that the DOP853 driver
-    (lie_channel._step_plan) steps, for integrate and direct_channel
-    alike: the whole grid's, then one per interval stepped again."""
+    """Record the total step count of every plan that the one step walk
+    (lie_channel._step_plan) steps, for integrate, direct_channel and
+    propagate alike: the whole grid's, then one per interval stepped again
+    (never for propagate, whose steps are never refined)."""
     plans = []
     plan = lie_channel._step_plan
 

@@ -472,6 +472,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # arguments name
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+import numpy as np
 from beyondrwa import cli, kernels, lie_channel
 from beyondrwa.errors import ToleranceError
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -487,8 +488,9 @@ for argv in (["sweep", "--preset", "A"],
 built = [lie_channel._riccati_stages.cache_info().misses]
 # the Wei-Norman route run into the pole of j+ = tan t, to its ToleranceError
 coefficients = kernels.coefficients
-kernels.coefficients = lambda t, p: kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j,
-                                                           0.0, 0.0, 0.0)
+# every field of the times' shape, as in kernels.coefficients
+kernels.coefficients = lambda t, p: kernels.CoefficientSet(
+    *(np.full(np.shape(t), v) for v in (0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)))
 try:
     lie_channel.integrate(cli.PRESETS["C"], [0.2 * i for i in range(11)])
 except ToleranceError:

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import textwrap
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ import scipy.integrate
 
 from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series, step_plans
 
+import beyondrwa
 from beyondrwa import BathParams, _tableaux, kernels, lie_channel, oracle
 from beyondrwa.errors import DomainError, GridError, ToleranceError
 from beyondrwa.lie_channel import (MIN_REL_TOL, IntegratorSettings,
@@ -56,9 +58,9 @@ def test_identity_at_origin():
     assert np.array_equal(apply_channel(cf, rho)[0], rho)
 
 
-def _record(p, t, cfn=kernels.coefficients):
+def _record(p, t):
     """The coefficient record that integrate's stage functions read at t."""
-    return lie_channel._records(lie_channel._coefficient_columns(np.array([t]), p, cfn))[0]
+    return lie_channel._records(lie_channel._coefficient_columns(np.array([t]), p))[0]
 
 
 def test_rhs_at_origin():
@@ -151,16 +153,17 @@ def test_settings_reject_unusable_tolerance(rel_tol):
 
 
 def _tan_riccati(t, p):
-    # j+' = 1 + j+^2 is solved by tan t, which blows up at pi/2
-    return kernels.CoefficientSet(0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)
+    # j+' = 1 + j+^2 is solved by tan t, which blows up at pi/2; every
+    # field has the times' shape, as in kernels.coefficients
+    return kernels.CoefficientSet(
+        *(np.full(np.shape(t), v) for v in (0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)))
 
 
 def test_riccati_pole_raises_tolerance_error(monkeypatch):
     # the Wei-Norman route steps DOP853; an interval that steps into the pole
     # of tan t misses the tolerance however often its steps double, and the
-    # integration ends there.  The generator returns scalar fields, and the
-    # scalar core runs into the pole without OverflowError, as the
-    # nine-component reference loop does
+    # integration ends there.  The scalar core runs into the pole without
+    # OverflowError, as the nine-component reference loop does
     monkeypatch.setattr(kernels, "coefficients", _tan_riccati)
     ts = np.linspace(0.0, 2.0, 11)
     with pytest.raises(ToleranceError, match=r"t = 1\.4 miss .*--rel-tol") as got:
@@ -323,7 +326,7 @@ def _reference_integrate(p, times, rel_tol=1e-9):
     """The reference for integrate: all nine Wei-Norman reals stepped one
     DOP853 step and one stage at a time through _rhs, on the same plan,
     stage times, error norm and refinement, with one coefficient call per
-    piece of an interval."""
+    interval."""
     rk = _tableaux.DOP853
     ns = rk.n_stages
     weights = [rk.A[s, :s] for s in range(ns)]
@@ -333,29 +336,26 @@ def _reference_integrate(p, times, rel_tol=1e-9):
                                      lie_channel.RICCATI_MAX_STEPS, ("DOP853", "integrate"))
 
     def rows(times):
-        cols = lie_channel._coefficient_columns(times.ravel(), p, kernels.coefficients)
-        return lie_channel._records(cols)
+        return lie_channel._records(lie_channel._coefficient_columns(times.ravel(), p))
 
     def interval(i, n, y, f):
         k = np.empty((ns + 1, 9))
         kt = [k[:s].T for s in range(ns + 2)]
-        start, dt, count, _ = lie_channel._pieces(prev[i:i + 1], ts[i:i + 1], n,
-                                                   lie_channel.RICCATI_BLOCK_STEPS)
-        for t0, h, c in zip(start.tolist(), dt.tolist(), count.tolist()):
-            recs = rows((t0 + np.arange(c) * h)[:, None] + rk.C[1:] * h)
-            for at in range(0, len(recs), ns - 1):
-                rec = recs[at:at + ns - 1]
-                k[0] = f
-                for s in range(1, ns):
-                    k[s] = lie_channel._rhs(rec[s - 1], y + np.dot(kt[s], weights[s]) * h)
-                y_new = y + h * np.dot(kt[ns], rk.B)
-                f_new = lie_channel._rhs(rec[-1], y_new)
-                k[ns] = f_new
-                err = lie_channel.error_norm(h, np.dot(kt[ns + 1], rk.E5),
-                                             np.dot(kt[ns + 1], rk.E3), y, y_new, rel_tol)
-                if not err < 1.0:
-                    return None
-                y, f = y_new, np.array(f_new)
+        h = float((ts[i] - prev[i]) / n[0])
+        recs = rows((prev[i] + np.arange(n[0]) * h)[:, None] + rk.C[1:] * h)
+        for at in range(0, len(recs), ns - 1):
+            rec = recs[at:at + ns - 1]
+            k[0] = f
+            for s in range(1, ns):
+                k[s] = lie_channel._rhs(rec[s - 1], y + np.dot(kt[s], weights[s]) * h)
+            y_new = y + h * np.dot(kt[ns], rk.B)
+            f_new = lie_channel._rhs(rec[-1], y_new)
+            k[ns] = f_new
+            err = lie_channel.error_norm(h, np.dot(kt[ns + 1], rk.E5),
+                                         np.dot(kt[ns + 1], rk.E3), y, y_new, rel_tol)
+            if not err < 1.0:
+                return None
+            y, f = y_new, np.array(f_new)
         return y, f
 
     y = np.zeros(9)
@@ -391,17 +391,25 @@ def test_integrate_matches_the_reference_stepper(channel_bank, name, rel_tol, ts
         assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-13, field
 
 
-def test_integrate_keeps_its_memory_to_a_block(channel_bank):
-    # one block of at most RICCATI_BLOCK_STEPS steps at a time: a table of
-    # the whole grid's stage records would take several MB
-    entry = channel_bank["A"]
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
     tracemalloc.start()
     try:
-        integrate(entry.params, entry.times)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+
+
+def test_integrate_keeps_its_memory_to_a_block(channel_bank):
+    # one block of at most RICCATI_BLOCK_STEPS steps at a time: a table of
+    # the whole grid's stage records would take several MB.  propagate on A
+    # to gamma t = 100, 102 001 Magnus steps, holds one block of at most
+    # MAGNUS_BLOCK_STEPS at a time as well (1.2 MB): in one block, the
+    # whole grid peaks at 46 MB
+    entry = channel_bank["A"]
+    assert _traced_peak(integrate, entry.params, entry.times) < 1_000_000
+    assert _traced_peak(propagate, entry.params, 10.0 * entry.times) < 2_000_000
 
 
 def test_grid_validation():
@@ -501,6 +509,15 @@ def test_propagate_runs_to_the_stationary_state():
     assert np.max(np.abs(cf.x[-20:])) < 1e-10
 
 
+def test_package_example_runs():
+    # the indented example of the package docstring, run as written there
+    code = textwrap.dedent("\n".join(line for line in beyondrwa.__doc__.splitlines()
+                                     if line.startswith("    ")))
+    space = {}
+    exec(code, space)
+    assert space["curve"].shape == (201,) and abs(space["curve"][0] - 1.0) < 1e-12
+
+
 def test_magnus_step_rule():
     for p in (P_A, P_B, P_C):
         assert magnus_step(p) == step_cap(p) / 4.0
@@ -508,36 +525,53 @@ def test_magnus_step_rule():
     assert magnus_step(strong) == 1.0 / 40000.0
 
 
-def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
-    # uneven intervals; at 37 steps per block most of them are split into
-    # pieces, and the pieces and blocks regroup the same steps
-    ts = np.array([0.25, 0.5, 0.503, 3.0, 3.2, 7.0])
-    base = propagate(P_C, ts)
-    monkeypatch.setattr(lie_channel, "MAGNUS_BLOCK_STEPS", 37)
-    small = propagate(P_C, ts)
-    for name in ("l", "m", "n", "p", "x", "y"):
-        assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
-    # the first interval runs from t = 0 to the first sample time
-    assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
-
-
 @pytest.mark.parametrize("p, rel_tol, ts", [
     (P_C, 1e-9, [0.25, 0.5, 0.503, 3.0, 3.2, 7.0]),
     (P_A, 1e-11, [0.0, 0.05, 0.1, 1.0, 1.03]),
 ], ids=["C-1e-9", "A-1e-11"])
 def test_dop853_block_size_does_not_change_the_channel(monkeypatch, p, rel_tol, ts):
-    # the DOP853 driver cuts the same steps into blocks of 7 and of 37 across
-    # interval ends, and on A at 1e-11 refines intervals that start in one
-    # block and miss in a later one
+    # the one step walk (_step_plan) cuts the same steps into blocks of 7
+    # and of 37 across uneven interval ends, for the two DOP853 routes and
+    # propagate alike, and on A at 1e-11 refines intervals that start in
+    # one block and miss in a later one
     settings = IntegratorSettings(rel_tol=rel_tol)
-    base = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
+    routes = lambda: (integrate(p, ts, settings),
+                      oracle.direct_channel(p, ts, settings), propagate(p, ts))
+    base = routes()
     for block in (7, 37):
-        monkeypatch.setattr(lie_channel, "RICCATI_BLOCK_STEPS", block)
-        monkeypatch.setattr(oracle, "DIRECT_BLOCK_STEPS", block)
-        small = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
-        for got, want in zip(small, base):
+        for module, name in ((lie_channel, "RICCATI_BLOCK_STEPS"),
+                             (oracle, "DIRECT_BLOCK_STEPS"),
+                             (lie_channel, "MAGNUS_BLOCK_STEPS")):
+            monkeypatch.setattr(module, name, block)
+        for got, want in zip(routes(), base):
             for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
                 assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
+    # propagate's first interval runs from t = 0 to the first sample time
+    assert abs(base[2].l[0] - propagate(p, np.unique([0.0, ts[0]])).l[-1]) < 1e-15
+    # and it takes one plan, the _step_counts total at magnus_step, which
+    # nothing refines
+    plans = step_plans(monkeypatch)
+    propagate(p, ts)
+    ts = np.asarray(ts)
+    steps = lie_channel._step_counts(np.concatenate(([0.0], ts[:-1])), ts, p,
+                                     magnus_step(p), math.inf, ("Magnus", "propagate"))
+    assert plans == [int(steps.sum())]
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 2048])
+@pytest.mark.parametrize("size", [2, 4])
+def test_prefix_products_match_a_left_multiplying_loop(n, size):
+    # entry k of the scan is e_k ... e_1 e_0, over a leading axis too, and
+    # the scan writes into the array it was given.  The factors are near
+    # the identity, as the steps of the propagators are
+    e = np.eye(size) + 0.01 * np.random.default_rng(n).normal(size=(3, n, size, size))
+    want = e.copy()
+    for k in range(1, n):
+        want[:, k] = want[:, k] @ want[:, k - 1]
+    got = lie_channel._prefix_products(e)
+    assert got is e
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.max(np.abs(got - want) / scale) < 1e-13
 
 
 @pytest.mark.parametrize("p, ts", [
