@@ -525,37 +525,44 @@ def test_magnus_step_rule():
     assert magnus_step(strong) == 1.0 / 40000.0
 
 
+def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
+    # the one step walk (_step_plan) cuts the same Magnus steps into blocks
+    # of 7 and of 37 across uneven interval ends
+    ts = np.array([0.25, 0.5, 0.503, 3.0, 3.2, 7.0])
+    base = propagate(P_C, ts)
+    for block in (7, 37):
+        monkeypatch.setattr(lie_channel, "MAGNUS_BLOCK_STEPS", block)
+        small = propagate(P_C, ts)
+        for name in ("l", "m", "n", "p", "x", "y"):
+            assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
+    # the first interval runs from t = 0 to the first sample time
+    assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
+    # and propagate takes one plan, the _step_counts total at magnus_step,
+    # which nothing refines
+    plans = step_plans(monkeypatch)
+    propagate(P_C, ts)
+    steps = lie_channel._step_counts(np.concatenate(([0.0], ts[:-1])), ts, P_C,
+                                     magnus_step(P_C), math.inf, ("Magnus", "propagate"))
+    assert plans == [int(steps.sum())]
+
+
 @pytest.mark.parametrize("p, rel_tol, ts", [
     (P_C, 1e-9, [0.25, 0.5, 0.503, 3.0, 3.2, 7.0]),
     (P_A, 1e-11, [0.0, 0.05, 0.1, 1.0, 1.03]),
 ], ids=["C-1e-9", "A-1e-11"])
 def test_dop853_block_size_does_not_change_the_channel(monkeypatch, p, rel_tol, ts):
-    # the one step walk (_step_plan) cuts the same steps into blocks of 7
-    # and of 37 across uneven interval ends, for the two DOP853 routes and
-    # propagate alike, and on A at 1e-11 refines intervals that start in
-    # one block and miss in a later one
+    # the DOP853 driver cuts the same steps into blocks of 7 and of 37 across
+    # interval ends, and on A at 1e-11 refines intervals that start in one
+    # block and miss in a later one
     settings = IntegratorSettings(rel_tol=rel_tol)
-    routes = lambda: (integrate(p, ts, settings),
-                      oracle.direct_channel(p, ts, settings), propagate(p, ts))
-    base = routes()
+    base = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
     for block in (7, 37):
-        for module, name in ((lie_channel, "RICCATI_BLOCK_STEPS"),
-                             (oracle, "DIRECT_BLOCK_STEPS"),
-                             (lie_channel, "MAGNUS_BLOCK_STEPS")):
-            monkeypatch.setattr(module, name, block)
-        for got, want in zip(routes(), base):
+        monkeypatch.setattr(lie_channel, "RICCATI_BLOCK_STEPS", block)
+        monkeypatch.setattr(oracle, "DIRECT_BLOCK_STEPS", block)
+        small = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
+        for got, want in zip(small, base):
             for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
                 assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
-    # propagate's first interval runs from t = 0 to the first sample time
-    assert abs(base[2].l[0] - propagate(p, np.unique([0.0, ts[0]])).l[-1]) < 1e-15
-    # and it takes one plan, the _step_counts total at magnus_step, which
-    # nothing refines
-    plans = step_plans(monkeypatch)
-    propagate(p, ts)
-    ts = np.asarray(ts)
-    steps = lie_channel._step_counts(np.concatenate(([0.0], ts[:-1])), ts, p,
-                                     magnus_step(p), math.inf, ("Magnus", "propagate"))
-    assert plans == [int(steps.sum())]
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 2048])
