@@ -67,8 +67,9 @@ class BathParams:
 class CoefficientSet(NamedTuple):
     """The six generator coefficients at one instant or over an array of times.
 
-    Each field is a scalar or an array of the shape of the times it was
-    evaluated at; a field that does not depend on time may stay a scalar.
+    Each field has the shape of the times it was evaluated at, also where
+    it does not depend on them: a scalar at one float time, an array over
+    an array of times.
 
     eps0, eps_plus, eps_minus drive the coherence sector; nu0, nu_plus,
     nu_minus drive the population sector and are real.  eps_minus is always

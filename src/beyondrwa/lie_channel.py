@@ -35,16 +35,18 @@ uses it, and only verify's Wei-Norman checks use integrate.
 integrate steps the Wei-Norman system with DOP853, on the tableau that
 _tableaux holds, in equal steps of at most step_cap(p) between sample
 times, which resolve the 2 omega0 phase of the counter-rotating terms;
-the cap is fixed by the parameters, not a setting.  One driver,
-_step_plan, takes the steps of all three routes, integrate, the direct
-oracle (oracle.direct_channel) and propagate, a block at a time across
-interval ends, and refines them: from the first step that misses the
-tolerance (error_norm), its interval is stepped again with twice as many
-steps (doubled), and the next interval on its own.  Each route gives it
-only a block stepper; propagate's (_magnus_block) reports no error, so
-its steps are never refined.  The coefficients depend on t alone, so
-integrate's (_riccati_block) takes them in one call for the stage times
-of a block of up to RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are
+the cap is fixed by the parameters, not a setting.  One loop,
+_step_plan, turns the grid of all three routes, integrate, the direct
+oracle (oracle.direct_channel) and propagate, into steps and samples: it
+checks the grid, counts the steps against the route's limit, takes them
+a block at a time across interval ends and refines them: at the first
+step that misses the tolerance (error_norm), its interval's steps are
+doubled (doubled) and the walk resumes at its start.  Each route gives
+it only a block stepper, a start state and a step; propagate's stepper
+(_magnus_block) reports no error, so its steps are never refined.  The
+coefficients depend on t alone, so integrate's (_riccati_block) takes
+them in one call for the stage times of a block of up to
+RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are
 nonlinear: they are stepped through every stage of the block's steps in
 Python scalars, by straight-line code generated from the tableau on
 first use (_riccati_stages), one expression per stage with the tableau's
@@ -197,14 +199,8 @@ def _step_remedy(p: BathParams, h: float) -> str:
     return "shorten --tmax"
 
 
-def _coefficient_columns(times: np.ndarray, p: BathParams) -> list:
-    """The six coefficients (eps0, eps+, eps-, nu0, nu+, nu-) at `times`
-    from one call of kernels.coefficients, each of times' shape."""
-    return list(kernels.coefficients(times, p))
-
-
-def _records(cols: list) -> list:
-    """_coefficient_columns as one tuple of Python scalars per time."""
+def _records(cols) -> list:
+    """kernels.coefficients on 1-d times as one tuple of scalars per time."""
     return list(zip(*(c.tolist() for c in cols)))
 
 
@@ -220,14 +216,14 @@ def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
 
 def _zero_rhs(c, jp, kp) -> tuple:
     """(j0', k0'), X0' = mu0 - 2 mu- X+, at the values jp and kp, on the
-    coefficients c of _coefficient_columns or _records."""
+    coefficients c of kernels.coefficients or _records."""
     eps0, _, eps_minus, nu0, _, nu_minus = c
     return eps0 - 2.0 * eps_minus * jp, nu0 - 2.0 * nu_minus * kp
 
 
 def _minus_rhs(c, j0, k0) -> tuple:
     """(j-', k-'), X-' = mu- e^{X0}, at the values j0 and k0, on the
-    coefficients c of _coefficient_columns or _records."""
+    coefficients c of kernels.coefficients or _records."""
     _, _, eps_minus, _, _, nu_minus = c
     return eps_minus * np.exp(j0), nu_minus * np.exp(k0)
 
@@ -367,7 +363,7 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     rk = _tableaux.DOP853
     y, f = state
     times = t0[:, None] + rk.C[1:] * h[:, None]
-    flat = _coefficient_columns(times.ravel(), p)
+    flat = kernels.coefficients(times.ravel(), p)
     rows = _records(flat)
     cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
     jp, j0, jm, kp, k0, km = _components(y)
@@ -391,30 +387,46 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     return (ends, k[:, :, -1]), err
 
 
-def _step_plan(block_fn: Callable, prev: np.ndarray, ts: np.ndarray,
-               steps: np.ndarray, state: tuple, tol: float, out: np.ndarray,
-               block: int, doublings: int = 0) -> tuple:
-    """Step the intervals (prev[i], ts[i]] in steps[i] equal steps from
-    `state`, writing the first part of the state at ts[i] into out[i];
-    returns the state at the end.  The one step walk of integrate,
-    oracle.direct_channel and propagate; propagate's error norms are all 0,
-    so it is never refined and tol is never read.
+def _step_plan(block_fn: Callable, p: BathParams, times: Sequence[float], h: float,
+               limit: float, route: tuple, state: tuple, tol: Optional[float],
+               block: int) -> tuple:
+    """The one step walk of integrate, oracle.direct_channel and propagate:
+    from t = 0 and `state`, step to each of the grid `times` and return
+    (ts, out), the checked times and the first part of the state at each.
 
-    Step k of interval i starts at prev[i] + k dt[i].  The steps are taken
-    in order, the next `block` of them at a time across interval ends, by
-    block_fn(t0, h, state) -> (states, err): the state after each step, a
-    tuple of arrays along the steps, and each step's error norm.  At the
-    first step whose error norm reaches 1, or is not finite, the intervals
-    before its own are kept and its interval is stepped again from its
-    start with twice the steps (doubled).  The next interval is then
-    stepped alone, so that a run of missed intervals does not step the
-    rest of each block again."""
-    dt = (ts - prev) / steps
-    ends = np.cumsum(steps)
-    # kept is the state at the end of the last interval kept
-    kept, at, alone = state, 0, False
+    Each interval (ts[i-1], ts[i]], the first from 0, takes equal steps of
+    at most h, at least one.  GridError on a bad grid; DomainError, before
+    any allocation, when the total is not finite or exceeds limit, with
+    route, e.g. ("Magnus", "propagate"), naming the steps and their taker
+    and _step_remedy the flags to change.  Step k of interval i starts at
+    ts[i-1] + k dt[i].  The steps are taken in order, the next `block` of
+    them at a time across interval ends, by block_fn(t0, h, state) ->
+    (states, err): the state after each step, a tuple of arrays along the
+    steps, and each step's error norm.  At the first step whose error norm
+    reaches 1, or is not finite, the intervals before its own are kept, its
+    steps are doubled (doubled, counted per interval) and the walk resumes
+    at its start; until the interval after it has closed, blocks end at
+    interval ends.  An error norm reads only its own step, so where blocks
+    end changes no plan.  propagate's error norms are all 0: it is never
+    refined, and tol is never read."""
+    ts = check_grid(times)
+    prev = np.concatenate(([0.0], ts[:-1]))
+    with np.errstate(over="ignore"):
+        steps = np.maximum(1.0, np.ceil((ts - prev) / h))
+    total = float(np.sum(steps))
+    if not total <= limit:
+        raise DomainError(f"the grid to t = {ts[-1]:.6g} needs {total:.3g} {route[0]} "
+                          f"steps of at most {h:.3g}, more than the "
+                          f"{limit:.0e} {route[1]} takes: {_step_remedy(p, h)}")
+    steps = steps.astype(np.int64)
+    dt, ends = (ts - prev) / steps, np.cumsum(steps)
+    doublings = np.zeros(ts.size, dtype=int)
+    out = np.empty((ts.size,) + state[0].shape)
+    # kept is the state at the end of the last interval kept; blocks end at
+    # interval ends while at < bound
+    kept, at, bound = state, 0, 0
     while at < ends[-1]:
-        last = ends[np.searchsorted(ends, at, side="right")] if alone else ends[-1]
+        last = ends[np.searchsorted(ends, at, side="right")] if at < bound else ends[-1]
         g = np.arange(at, min(at + block, last))
         owner = np.searchsorted(ends, g, side="right")
         h = dt[owner]
@@ -427,13 +439,14 @@ def _step_plan(block_fn: Callable, prev: np.ndarray, ts: np.ndarray,
             kept = tuple(s[closed[-1]] for s in states)
         if missed.size:
             i = owner[n]
-            state = kept = _step_plan(block_fn, prev[i:i + 1], ts[i:i + 1],
-                                      doubled(steps[i:i + 1], doublings, tol, prev[i]),
-                                      kept, tol, out[i:i + 1], block, doublings + 1)
-            at, alone = int(ends[i]), True
+            steps[i] = doubled(steps[i], doublings[i], tol, prev[i])
+            doublings[i] += 1
+            dt, ends = (ts - prev) / steps, np.cumsum(steps)
+            at, bound = int(ends[i] - steps[i]), int(ends[min(i + 1, ts.size - 1)])
+            state = kept
         else:
-            state, at, alone = tuple(s[-1] for s in states), at + g.size, False
-    return state
+            state, at = tuple(s[-1] for s in states), at + g.size
+    return ts, out
 
 
 def integrate(p: BathParams, times: Sequence[float],
@@ -441,7 +454,7 @@ def integrate(p: BathParams, times: Sequence[float],
     """Integrate both Riccati sectors from t=0 and sample the channel at `times`.
 
     The Wei-Norman system of kernels.coefficients is stepped with DOP853
-    by the driver of the direct oracle (oracle.direct_channel), _step_plan:
+    by the step walk of every route, _step_plan, which takes the grid:
     each interval between sample times takes equal steps of at most
     step_cap(p), and ends on its sample time, so no dense output is
     needed.  Per block of at most RICCATI_BLOCK_STEPS steps, which may
@@ -461,19 +474,14 @@ def integrate(p: BathParams, times: Sequence[float],
     interval misses the tolerance after MAX_DOUBLINGS doublings.
     """
     tol = (settings or IntegratorSettings()).rel_tol
-    ts = check_grid(times)
-    prev = np.concatenate(([0.0], ts[:-1]))
-    steps = _step_counts(prev, ts, p, step_cap(p), RICCATI_MAX_STEPS,
-                         ("DOP853", "integrate"))
     y = np.zeros(9)
-    start = _records(_coefficient_columns(np.zeros(1), p))
-    f = np.array(_rhs(start[0], y))
-    out = np.empty((ts.size, 9))
+    f = np.array(_rhs(_records(kernels.coefficients(np.zeros(1), p))[0], y))
     # a step into a pole overflows; its error norm is not finite, and the
     # interval is refined
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_plan(functools.partial(_riccati_block, p, tol), prev, ts, steps,
-                   (y, f), tol, out, RICCATI_BLOCK_STEPS)
+        ts, out = _step_plan(functools.partial(_riccati_block, p, tol), p, times,
+                             step_cap(p), RICCATI_MAX_STEPS, ("DOP853", "integrate"),
+                             (y, f), tol, RICCATI_BLOCK_STEPS)
     return channel_at(ts, out.T, kernels.decay_exponent(ts, p))
 
 
@@ -525,27 +533,6 @@ def _expm2(m: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = scale * odd * m[..., 0, 1]
     out[..., 1, 0] = scale * odd * m[..., 1, 0]
     return out
-
-
-def _step_counts(prev: np.ndarray, ts: np.ndarray, p: BathParams, h: float,
-                 limit: float, route: tuple) -> np.ndarray:
-    """The number of equal steps of at most h that each interval
-    (prev[i], ts[i]] takes, at least one, as int64.
-
-    Raises DomainError, before any allocation, when the total is not finite
-    or exceeds limit; route, e.g. ("Magnus", "propagate"), names the steps
-    and their taker in its message, which names the flags to change.
-    """
-    spans = ts - prev
-    with np.errstate(over="ignore"):
-        steps = np.maximum(1.0, np.ceil(spans / h))
-    total = float(np.sum(steps))
-    if not total <= limit:
-        kind, taker = route
-        raise DomainError(f"the grid to t = {ts[-1]:.6g} needs {total:.3g} {kind} "
-                          f"steps of at most {h:.3g}, more than the "
-                          f"{limit:.0e} {taker} takes: {_step_remedy(p, h)}")
-    return steps.astype(np.int64)
 
 
 def _prefix_products(e: np.ndarray) -> np.ndarray:
@@ -609,13 +596,15 @@ def propagate(
         Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1],
 
     exponentiated in closed form (_expm2).  Each interval between sample
-    times takes equal steps of at most magnus_step(p), stepped by the
-    driver of the DOP853 routes, _step_plan, in blocks of at most
+    times takes equal steps of at most magnus_step(p), stepped by the walk
+    of the DOP853 routes, _step_plan, in blocks of at most
     MAGNUS_BLOCK_STEPS steps across interval ends (_magnus_block).
-    coefficient_fn is called with arrays of times, once per block.
+    coefficient_fn is called with arrays of times, once per block, and
+    returns every field with their shape (CoefficientSet).
 
-    The result is sector_channel of the two propagators, as in
-    oracle.direct_channel.  Raises GridError on a bad grid.
+    The result is sector_channel of the 4x4 propagator, as in
+    oracle.direct_channel.  Raises GridError on a bad grid and DomainError
+    when the grid needs more than MAGNUS_MAX_STEPS steps.
 
     There is no error control: the step is set by the parameters alone,
     and no interval is refined.  A coefficient_fn with a pole inside the
@@ -625,22 +614,20 @@ def propagate(
     the bounded TCL2 and truncated generators.
     """
     cfn = coefficient_fn or kernels.coefficients
-    ts = check_grid(times)
-    prev = np.concatenate(([0.0], ts[:-1]))
-    steps = _step_counts(prev, ts, p, magnus_step(p), MAGNUS_MAX_STEPS,
-                         ("Magnus", "propagate"))
-    u = np.empty((ts.size, 4, 4))
     # every error norm is 0, so the tolerance is never read
-    _step_plan(functools.partial(_magnus_block, p, cfn), prev, ts, steps,
-               (np.eye(4),), None, u, MAGNUS_BLOCK_STEPS)
-    return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
+    ts, u = _step_plan(functools.partial(_magnus_block, p, cfn), p, times,
+                       magnus_step(p), MAGNUS_MAX_STEPS, ("Magnus", "propagate"),
+                       (np.eye(4),), None, MAGNUS_BLOCK_STEPS)
+    return sector_channel(ts, u)
 
 
-def sector_channel(ts: np.ndarray, pop: np.ndarray, coh: np.ndarray) -> ChannelSeries:
-    """The channel from the real (T, 2, 2) propagators pop on (rho11, rho00)
-    and C = coh on (Re rho10, Im rho10): l, m, p, n are the entries of pop,
+def sector_channel(ts: np.ndarray, u: np.ndarray) -> ChannelSeries:
+    """The channel from the real (T, 4, 4) propagator u on [rho11, Re rho10,
+    Im rho10, rho00]: l, m, p, n are the entries of its population block
+    u[:, ::3, ::3], and its coherence block C = u[:, 1:3, 1:3] gives
     x = (C00 + C11)/2 + i (C10 - C01)/2, y = (C00 - C11)/2 + i (C10 + C01)/2,
-    q = conj(x) and r = conj(y)."""
+    q = conj(x) and r = conj(y); the rest of u is zero and not read."""
+    pop, coh = u[:, ::3, ::3], u[:, 1:3, 1:3]
     x = (coh[:, 0, 0] + coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] - coh[:, 0, 1])
     y = (coh[:, 0, 0] - coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] + coh[:, 0, 1])
     return ChannelSeries(

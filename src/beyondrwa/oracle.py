@@ -8,9 +8,10 @@ Three families of cross-checks live here:
   The equation is linear, so its DOP853 steps are matrices, built for
   blocks of steps at once and stepped by the one step walk of
   lie_channel.integrate and lie_channel.propagate
-  (lie_channel._step_plan): equal steps at the cap, doubled in an interval
-  where the error asks.  Agreement with lie_channel is the central
-  correctness check of the repository.
+  (lie_channel._step_plan), which turns the grid into equal steps at the
+  cap, doubled in an interval where the error asks, and the samples.
+  Agreement with lie_channel is the central correctness check of the
+  repository.
 * quadrature validations of every closed-form kernel (Fourier-weighted
   quadrature for the correlation kernels, running integrals for the rest),
   through SciPy's QUADPACK extension loaded without scipy.integrate.
@@ -37,8 +38,8 @@ from . import kernels, lie_channel
 from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
-                          _prefix_products, _step_counts, apply_channel,
-                          check_grid, error_norm, sector_channel, step_cap)
+                          _prefix_products, apply_channel, check_grid,
+                          error_norm, sector_channel, step_cap)
 
 # direct_channel evaluates the generator on the stage times of at most this
 # many DOP853 steps at once, which bounds its working memory
@@ -144,14 +145,16 @@ def _direct_block(p: BathParams, cfn: CoefficientFn, tol: float, t0: np.ndarray,
                   h: np.ndarray, state: tuple) -> tuple:
     """DOP853 steps of lengths h from the times t0 and the propagator
     state = (u,): ((U,), err), U (T, 4, 4) the propagator after each step
-    and err the error norm of each.  ToleranceError if a step is not
-    finite, which no refinement mends."""
+    and err the error norm of each; u is folded into the first step, as
+    in lie_channel._magnus_block.  ToleranceError if a step is not finite,
+    which no refinement mends."""
     step, err = _dop853_steps(p, cfn, tol, t0, h)
     if not np.all(np.isfinite(err)):
         raise ToleranceError(f"integration failed: a direct step from t = "
                              f"{t0[np.argmin(np.isfinite(err))]:.6g} "
                              f"is not finite")
-    return (_prefix_products(step) @ state[0],), err
+    step[0] = step[0] @ state[0]
+    return (_prefix_products(step),), err
 
 
 def direct_channel(
@@ -162,20 +165,20 @@ def direct_channel(
 ) -> ChannelSeries:
     """The channel at t_grid from the real 4x4 propagator U of the master
     equation on [rho11, Re rho10, Im rho10, rho00], U(0) = I: sector_channel
-    of its population block U[:, ::3, ::3] and coherence block
-    U[:, 1:3, 1:3] (no term of _BASIS couples a population to a coherence,
-    so the rest of U stays zero).
+    of U, which reads its population and coherence blocks (no term of
+    _BASIS couples a population to a coherence, so the rest of U stays
+    zero).
 
     Each interval between sample times takes equal DOP853 steps of at most
-    step_cap(p), stepped by the driver of the channel routes
+    step_cap(p), stepped by the walk of the channel routes
     (lie_channel._step_plan, as lie_channel.integrate and
     lie_channel.propagate), so both DOP853 routes resolve the 2 omega0
     oscillation equally well.  An interval with a step whose error norm
     (error_norm, at settings.rel_tol) reaches 1 is stepped again from its
     start with twice the steps (doubled).  Per block of at most
-    DIRECT_BLOCK_STEPS steps (_direct_block), the step matrices are
-    prefix-multiplied (lie_channel._prefix_products) onto U at the block's
-    start, as propagate's Magnus steps are.
+    DIRECT_BLOCK_STEPS steps (_direct_block), U at the block's start is
+    folded into the first step matrix and the steps are prefix-multiplied
+    (lie_channel._prefix_products), as propagate's Magnus steps are.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
     than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when an
@@ -184,14 +187,11 @@ def direct_channel(
     """
     cfn = coefficient_fn or kernels.coefficients
     tol = (settings or IntegratorSettings()).rel_tol
-    ts = check_grid(t_grid)
-    prev = np.concatenate(([0.0], ts[:-1]))
-    steps = _step_counts(prev, ts, p, step_cap(p), DIRECT_MAX_STEPS,
-                         ("DOP853", "direct_channel"))
-    u = np.empty((ts.size, 4, 4))
-    lie_channel._step_plan(functools.partial(_direct_block, p, cfn, tol), prev, ts,
-                           steps, (np.eye(4),), tol, u, DIRECT_BLOCK_STEPS)
-    return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
+    ts, u = lie_channel._step_plan(functools.partial(_direct_block, p, cfn, tol), p,
+                                   t_grid, step_cap(p), DIRECT_MAX_STEPS,
+                                   ("DOP853", "direct_channel"), (np.eye(4),), tol,
+                                   DIRECT_BLOCK_STEPS)
+    return sector_channel(ts, u)
 
 
 def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
@@ -301,12 +301,18 @@ def rwa_amplitude(t, p: BathParams):
 
 
 def rwa_amplitude_rate(t: float, p: BathParams) -> complex:
-    """Closed-form dq/dt; collapses to -(lam gamma/d) e^{-gamma t/2} sin(dt/2)."""
+    """Closed-form dq/dt = -(lam gamma/d) e^{-gamma t/2} sin(dt/2); at weak
+    coupling, d = i kappa, in the bounded form of rwa_amplitude."""
     g = p.gamma
     d = cmath.sqrt(complex(2.0 * p.lam * g - g * g))
     env = math.exp(-g * t / 2.0)
     if abs(d) < 1e-12:
         return complex(-p.lam * g * env * t / 2.0)
+    if d.real == 0.0:
+        # (lam gamma/kappa) e^{-lam gamma t/(kappa + gamma)} expm1(-kappa t)/2
+        kappa = d.imag
+        return complex(p.lam * g / kappa * math.exp(-p.lam * g / (kappa + g) * t)
+                       * math.expm1(-kappa * t) / 2.0)
     return -(p.lam * g / d) * env * cmath.sin(d * t / 2.0)
 
 
@@ -438,17 +444,18 @@ def decay_exponent_quadrature(t: float, p: BathParams) -> float:
 
 def truncated_coefficients(t, p: BathParams) -> CoefficientSet:
     """Generator with every counter-rotating contribution removed; t may be
-    an array, and the fields that do not depend on it stay scalars.
+    an array, and every field has its shape, as CoefficientSet asks.
 
     Only the alpha1-driven decay survives: nu_minus = lam f(t), no upward
     pumping, no coherence coupling to the conjugate, bare 2 omega0 rotation.
     """
     ft = kernels.f(t, p)
+    fill = lambda v: np.full(np.shape(t), v)
     return CoefficientSet(
-        eps0=-2j * p.omega0,
-        eps_plus=0j,
-        eps_minus=0j,
+        eps0=fill(-2j * p.omega0),
+        eps_plus=fill(0j),
+        eps_minus=fill(0j),
         nu0=-p.lam * ft,
-        nu_plus=0.0,
+        nu_plus=fill(0.0),
         nu_minus=p.lam * ft,
     )

@@ -59,18 +59,27 @@ def direct_bank():
 
 
 def step_plans(monkeypatch) -> list:
-    """Record the total step count of every plan that the one step walk
-    (lie_channel._step_plan) steps, for integrate, direct_channel and
-    propagate alike: the whole grid's, then one per interval stepped again
-    (never for propagate, whose steps are never refined)."""
+    """Record the plans that the one step walk (lie_channel._step_plan)
+    steps, for integrate, direct_channel and propagate alike: the total
+    step count of the whole grid's first plan, equal steps of at most h
+    and at least one in each interval, then the step count of every
+    interval that the walk doubles (lie_channel.doubled; never for
+    propagate, whose steps are never refined)."""
     plans = []
-    plan = lie_channel._step_plan
+    plan, double = lie_channel._step_plan, lie_channel.doubled
 
-    def counted(block_fn, prev, ts, steps, *args):
-        plans.append(int(steps.sum()))
-        return plan(block_fn, prev, ts, steps, *args)
+    def counted(block_fn, p, times, h, *args):
+        spans = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+        plans.append(int(np.maximum(1.0, np.ceil(spans / h)).sum()))
+        return plan(block_fn, p, times, h, *args)
+
+    def doubled(*args):
+        steps = double(*args)
+        plans.append(int(steps))
+        return steps
 
     monkeypatch.setattr(lie_channel, "_step_plan", counted)
+    monkeypatch.setattr(lie_channel, "doubled", doubled)
     return plans
 
 

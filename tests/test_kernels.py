@@ -225,6 +225,20 @@ def test_coefficients_at_a_float_equal_the_array_call(name):
             assert got.tobytes() == want.tobytes(), (field, t)
 
 
+@pytest.mark.parametrize("generator", [kernels.coefficients,
+                                       oracle.truncated_coefficients])
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_every_coefficient_has_the_shape_of_the_times(generator, shape):
+    # one rule for every generator (CoefficientSet): each of the six fields
+    # has the times' shape, also a field that does not depend on them, so
+    # every route can read any generator by element
+    ts = np.linspace(0.0, 5.0, math.prod(shape)).reshape(shape)
+    c = generator(ts, PRESET_PARAMS["B"])
+    assert len(c) == 6
+    for field in kernels.CoefficientSet._fields:
+        assert np.shape(getattr(c, field)) == shape, field
+
+
 def test_nu_plus_goes_negative():
     # the upward population rate is genuinely sign-indefinite
     p = PRESET_PARAMS["B"]

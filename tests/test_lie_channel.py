@@ -60,7 +60,7 @@ def test_identity_at_origin():
 
 def _record(p, t):
     """The coefficient record that integrate's stage functions read at t."""
-    return lie_channel._records(lie_channel._coefficient_columns(np.array([t]), p))[0]
+    return lie_channel._records(kernels.coefficients(np.array([t]), p))[0]
 
 
 def test_rhs_at_origin():
@@ -326,17 +326,17 @@ def _reference_integrate(p, times, rel_tol=1e-9):
     """The reference for integrate: all nine Wei-Norman reals stepped one
     DOP853 step and one stage at a time through _rhs, on the same plan,
     stage times, error norm and refinement, with one coefficient call per
-    interval."""
+    interval.  It counts its own steps: equal steps of at most step_cap,
+    and at least one, in each interval."""
     rk = _tableaux.DOP853
     ns = rk.n_stages
     weights = [rk.A[s, :s] for s in range(ns)]
     ts = lie_channel.check_grid(times)
     prev = np.concatenate(([0.0], ts[:-1]))
-    steps = lie_channel._step_counts(prev, ts, p, step_cap(p),
-                                     lie_channel.RICCATI_MAX_STEPS, ("DOP853", "integrate"))
+    steps = np.maximum(1.0, np.ceil((ts - prev) / step_cap(p))).astype(np.int64)
 
     def rows(times):
-        return lie_channel._records(lie_channel._coefficient_columns(times.ravel(), p))
+        return lie_channel._records(kernels.coefficients(times.ravel(), p))
 
     def interval(i, n, y, f):
         k = np.empty((ns + 1, 9))
@@ -389,6 +389,34 @@ def test_integrate_matches_the_reference_stepper(channel_bank, name, rel_tol, ts
     want = _reference_integrate(entry.params, times, rel_tol)
     for field in ("l", "m", "n", "p", "x", "y", "q", "r"):
         assert np.max(np.abs(getattr(got, field) - getattr(want, field))) < 1e-13, field
+
+
+@pytest.mark.parametrize("rel_tol, ts", [
+    (1e-11, GAMMA_T_GRID / P_A.gamma), (1e-10, RESTART_GRID),
+], ids=["A-1e-11", "A-1e-10-restart"])
+def test_refinement_does_not_depend_on_the_block_size(monkeypatch, rel_tol, ts):
+    # a step's error norm reads only that step, so where the walk's blocks
+    # end changes no plan: blocks of 7 and 37 cut A's 13-step and 26-step
+    # intervals, and the restart grid's intervals of 255 and 510 steps
+    # span several blocks.  The channel moves by rounding alone: NumPy's
+    # matmul in _driven_steps rounds a row by the number of rows in its
+    # block (1, 2, 3 or 7 rows, against 64): a few ulps of k0, about
+    # -2 Gamma_k, move n and p by at most 3.8e-15 relative on A
+    settings = IntegratorSettings(rel_tol=rel_tol)
+    runs = []
+    for block in (7, 37, 64):
+        monkeypatch.setattr(lie_channel, "RICCATI_BLOCK_STEPS", block)
+        plans = step_plans(monkeypatch)
+        runs.append((plans, integrate(P_A, ts, settings)))
+        monkeypatch.undo()
+    (want_plans, want), *others = runs
+    assert len(want_plans) > 1
+    for plans, got in others:
+        assert plans == want_plans
+        assert np.array_equal(got.t, want.t)
+        for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
 
 
 def _traced_peak(fn, *args) -> int:
@@ -537,13 +565,18 @@ def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
             assert np.max(np.abs(getattr(small, name) - getattr(base, name))) < 1e-13
     # the first interval runs from t = 0 to the first sample time
     assert abs(base.l[0] - propagate(P_C, [0.0, ts[0]]).l[-1]) < 1e-15
-    # and propagate takes one plan, the _step_counts total at magnus_step,
-    # which nothing refines
-    plans = step_plans(monkeypatch)
+    # and propagate takes one plan at magnus_step, which nothing refines:
+    # its block stepper takes each of the plan's steps once
+    plans, taken = step_plans(monkeypatch), []
+    block = lie_channel._magnus_block
+
+    def counted(p, cfn, t0, h, state):
+        taken.append(h.size)
+        return block(p, cfn, t0, h, state)
+
+    monkeypatch.setattr(lie_channel, "_magnus_block", counted)
     propagate(P_C, ts)
-    steps = lie_channel._step_counts(np.concatenate(([0.0], ts[:-1])), ts, P_C,
-                                     magnus_step(P_C), math.inf, ("Magnus", "propagate"))
-    assert plans == [int(steps.sum())]
+    assert len(plans) == 1 and plans == [sum(taken)]
 
 
 @pytest.mark.parametrize("p, rel_tol, ts", [
@@ -592,6 +625,20 @@ def test_prefix_products_match_a_left_multiplying_loop(n, size):
 def test_propagate_refuses_too_many_steps(p, ts):
     with pytest.raises(DomainError, match="Magnus steps"):
         propagate(p, ts)
+
+
+@pytest.mark.parametrize("route, message", [
+    (integrate, r"DOP853 steps .* more than the 1e\+06 integrate takes"),
+    (oracle.direct_channel, r"DOP853 steps .* more than the 1e\+07 direct_channel takes"),
+    (propagate, r"Magnus steps .* more than the 1e\+08 propagate takes"),
+], ids=["integrate", "direct_channel", "propagate"])
+def test_every_route_refuses_too_many_steps(route, message):
+    # the one step walk counts the steps of every route against the
+    # route's own limit, before it allocates anything, and names the flags
+    # that cut the count
+    with pytest.raises(DomainError, match=message) as caught:
+        route(P_C, [0.0, 1e12])
+    assert str(caught.value).endswith(": shorten --tmax")
 
 
 def test_propagate_grid_rules():

@@ -216,6 +216,21 @@ def test_rwa_rate_matches_finite_difference():
         assert abs(oracle.rwa_amplitude_rate(t, P_B) - fd) < 1e-6
 
 
+def test_rwa_rate_stays_finite_at_weak_coupling():
+    # with 2 lam gamma < gamma^2, sin(d t/2) of the oscillatory form
+    # overflows by gamma t = 2000, while q is 1.5e-98; the bounded form
+    # matches a central difference of q there
+    weak = BathParams(omega0=10.0, gamma=1.0, lam=0.2)
+    h = 1e-3
+    for t in (2000.0, 5000.0):
+        rate = oracle.rwa_amplitude_rate(t, weak)
+        fd = (oracle.rwa_amplitude(t + h, weak)
+              - oracle.rwa_amplitude(t - h, weak)) / (2.0 * h)
+        assert math.isfinite(rate.real) and rate.real < 0.0
+        assert abs(rate - fd) < 1e-7 * abs(rate)
+    assert math.isfinite(oracle.rwa_residual(weak, [0.0, 1.0, 2000.0, 5000.0]))
+
+
 def test_rwa_hyperbolic_regime():
     weak = BathParams(omega0=10.0, gamma=1.0, lam=0.3)
     mags = [abs(oracle.rwa_amplitude(t, weak))
