@@ -65,22 +65,22 @@ class BathParams:
 
 
 class CoefficientSet(NamedTuple):
-    """The six generator coefficients at one instant or over an array of times.
+    """The five generator coefficients at one instant or over an array of times.
 
     Each field has the shape of the times it was evaluated at, also where
     it does not depend on them: a scalar at one float time, an array over
     an array of times.
 
-    eps0, eps_plus, eps_minus drive the coherence sector; nu0, nu_plus,
-    nu_minus drive the population sector and are real.  eps_minus is always
-    the conjugate of eps_plus.  nu_minus = lam*f(t) is nonnegative, but
+    eps0 and eps_plus drive the coherence sector; nu0, nu_plus, nu_minus
+    drive the population sector and are real.  eps- is not stored: the
+    generator preserves Hermiticity, so eps- = conj(eps_plus), and each
+    route forms it where it reads it.  nu_minus = lam*f(t) is nonnegative, but
     nu_plus = lam*gamma*alpha^R oscillates below zero transiently on all
     presets; it is a genuinely sign-indefinite non-Markovian rate.
     """
 
     eps0: complex
     eps_plus: complex
-    eps_minus: complex
     nu0: float
     nu_plus: float
     nu_minus: float
@@ -146,7 +146,7 @@ def decay_exponent(t, p: BathParams):
 
 
 def coefficients(t, p: BathParams) -> CoefficientSet:
-    """All six generator coefficients at time t, or at every time of an array.
+    """All five generator coefficients at time t, or at every time of an array.
 
     At t=0 this is (eps0=-2i omega0, all others zero): the free rotation
     alone.  The sector decay rate Gamma_k' = lam (gamma alpha^R + f)/2 is not
@@ -157,7 +157,6 @@ def coefficients(t, p: BathParams) -> CoefficientSet:
     return CoefficientSet(
         eps0=-1j * (2.0 * p.omega0 - p.lam * p.gamma * a.imag),
         eps_plus=p.lam * (p.gamma * a + ft) / 2.0,
-        eps_minus=p.lam * (p.gamma * a.conjugate() + ft) / 2.0,
         nu0=p.lam * (p.gamma * a.real - ft),
         nu_plus=p.lam * p.gamma * a.real,
         nu_minus=p.lam * ft,

@@ -205,27 +205,27 @@ def _records(cols) -> list:
 
 
 def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
-    """X+' = mu+ - mu- X+^2 + mu0 X+ of j+ (mu = eps) and k+ (mu = nu) at
-    one record c of _records, in Python scalars: cheaper than NumPy at one
-    call per stage.  Products, not **, which raises OverflowError near a
-    pole."""
-    eps0, eps_plus, eps_minus, nu0, nu_plus, nu_minus = c
-    return (eps_plus - eps_minus * jp * jp + eps0 * jp,
+    """X+' = mu+ - mu- X+^2 + mu0 X+ of j+ (mu = eps, eps- = conj(eps+))
+    and k+ (mu = nu) at one record c of _records, in Python scalars:
+    cheaper than NumPy at one call per stage.  Products, not **, which
+    raises OverflowError near a pole."""
+    eps0, eps_plus, nu0, nu_plus, nu_minus = c
+    return (eps_plus - eps_plus.conjugate() * jp * jp + eps0 * jp,
             nu_plus - nu_minus * kp * kp + nu0 * kp)
 
 
 def _zero_rhs(c, jp, kp) -> tuple:
     """(j0', k0'), X0' = mu0 - 2 mu- X+, at the values jp and kp, on the
     coefficients c of kernels.coefficients or _records."""
-    eps0, _, eps_minus, nu0, _, nu_minus = c
-    return eps0 - 2.0 * eps_minus * jp, nu0 - 2.0 * nu_minus * kp
+    eps0, eps_plus, nu0, _, nu_minus = c
+    return eps0 - 2.0 * np.conj(eps_plus) * jp, nu0 - 2.0 * nu_minus * kp
 
 
 def _minus_rhs(c, j0, k0) -> tuple:
     """(j-', k-'), X-' = mu- e^{X0}, at the values j0 and k0, on the
     coefficients c of kernels.coefficients or _records."""
-    _, _, eps_minus, _, _, nu_minus = c
-    return eps_minus * np.exp(j0), nu_minus * np.exp(k0)
+    _, eps_plus, _, _, nu_minus = c
+    return np.conj(eps_plus) * np.exp(j0), nu_minus * np.exp(k0)
 
 
 def _rhs(c: tuple, yv) -> list:
@@ -336,13 +336,15 @@ def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
     its derivative is f0, from its derivatives d (m, 12) at stages 1..11
     and the end of each step: the derivatives at all 13 stages and the
     values at stages 1..11 and the end.  The ends add up from y0 in the
-    order a step-by-step loop adds them."""
+    order a step-by-step loop adds them.  The weighted sums are einsum's,
+    not matmul's: matmul rounds a row by the number of rows beside it, so
+    the channel would depend on RICCATI_BLOCK_STEPS."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
     k = np.concatenate((np.append(f0, d[:-1, -1])[:, None], d), axis=1)
-    ends = np.add.accumulate(np.append(y0, h * (k[:, :-1] @ rk.B)))
-    stages = ends[:-1, None] + (k[:, :-1] @ rk.A[1:].T) * h[:, None]
+    ends = np.add.accumulate(np.append(y0, h * np.einsum("ms,s->m", k[:, :-1], rk.B)))
+    stages = ends[:-1, None] + np.einsum("ms,rs->mr", k[:, :-1], rk.A[1:]) * h[:, None]
     return k, np.concatenate((stages, ends[1:, None]), axis=1)
 
 
@@ -491,8 +493,7 @@ def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:
     Index 0 acts on the populations (rho11, rho00), index 1 on the
     coherence (Re rho10, Im rho10) through
     rho10' = (-Gdot + eps0/2) rho10 + eps_plus conj(rho10), where
-    Gdot = (nu_plus + nu_minus)/2; the rho01 equation is its conjugate
-    because eps_minus = conj(eps_plus).
+    Gdot = (nu_plus + nu_minus)/2; the rho01 equation is its conjugate.
     """
     gdot = (c.nu_plus + c.nu_minus) / 2.0
     e = -gdot + c.eps0 / 2.0
@@ -670,18 +671,16 @@ def channel_at(t: np.ndarray, yv: np.ndarray, decay: np.ndarray) -> ChannelSerie
 
 
 def apply_channel(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
-    """Evolve one qubit density matrix through the map at every time.
+    """Evolve one qubit density matrix through the map at every time: the
+    action of transfer_matrix on vec(rho0).
 
     rho0 is 2x2 in the (excited, ground) basis: rho0[0, 0] is the excited
     population, rho0[0, 1] the coherence <1|rho|0>.  Returns shape (T, 2, 2).
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.empty((len(series), 2, 2), dtype=complex)
-    out[:, 0, 0] = series.l * rho0[0, 0] + series.m * rho0[1, 1]
-    out[:, 0, 1] = series.x * rho0[0, 1] + series.y * rho0[1, 0]
-    out[:, 1, 0] = series.q * rho0[1, 0] + series.r * rho0[0, 1]
-    out[:, 1, 1] = series.n * rho0[1, 1] + series.p * rho0[0, 0]
-    return out
+    vec = np.asarray(rho0, dtype=complex).reshape(4)
+    # a product and a sum, not @: matmul and einsum round a complex
+    # coherence's terms differently from the map's element formulas
+    return (transfer_matrix(series) * vec).sum(axis=-1).reshape(-1, 2, 2)
 
 
 def transfer_matrix(series: ChannelSeries) -> np.ndarray:

@@ -72,7 +72,7 @@ _TERMS = (
     lambda rho: -rho,                                   # Gdot
     lambda rho: (_SZ @ rho - rho @ _SZ) / 4.0,          # eps0
     lambda rho: _SP @ rho @ _SP,                        # eps_plus
-    lambda rho: _SM @ rho @ _SM,                        # eps_minus
+    lambda rho: _SM @ rho @ _SM,                        # conj(eps_plus)
     lambda rho: (_PE @ rho + rho @ _PE - rho) / 2.0,    # nu0
     lambda rho: _SP @ rho @ _SM,                        # nu_plus
     lambda rho: _SM @ rho @ _SP,                        # nu_minus
@@ -107,7 +107,7 @@ def _direct_matrices(times: np.ndarray, p: BathParams,
     c = cfn(times, p)
     w = np.empty((times.size, len(_TERMS)), dtype=complex)
     for j, v in enumerate(((c.nu_plus + c.nu_minus) / 2.0, c.eps0, c.eps_plus,
-                           c.eps_minus, c.nu0, c.nu_plus, c.nu_minus)):
+                           np.conj(c.eps_plus), c.nu0, c.nu_plus, c.nu_minus)):
         w[:, j] = v
     # a complex array viewed as floats interleaves real and imaginary parts,
     # matching the row order of _BASIS
@@ -454,7 +454,6 @@ def truncated_coefficients(t, p: BathParams) -> CoefficientSet:
     return CoefficientSet(
         eps0=fill(-2j * p.omega0),
         eps_plus=fill(0j),
-        eps_minus=fill(0j),
         nu0=-p.lam * ft,
         nu_plus=fill(0.0),
         nu_minus=p.lam * ft,

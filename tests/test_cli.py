@@ -486,11 +486,11 @@ for argv in (["sweep", "--preset", "A"],
 # how often the generated DOP853 stages were built: by none of the commands
 # above, once by the pole run, and once by verify after a cache_clear
 built = [lie_channel._riccati_stages.cache_info().misses]
-# the Wei-Norman route run into the pole of j+ = tan t, to its ToleranceError
+# the Wei-Norman route run into the pole of k+ = tan t, to its ToleranceError
 coefficients = kernels.coefficients
 # every field of the times' shape, as in kernels.coefficients
 kernels.coefficients = lambda t, p: kernels.CoefficientSet(
-    *(np.full(np.shape(t), v) for v in (0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)))
+    *(np.full(np.shape(t), v) for v in (0j, 0j, 0.0, 1.0, -1.0)))
 try:
     lie_channel.integrate(cli.PRESETS["C"], [0.2 * i for i in range(11)])
 except ToleranceError:

@@ -2,7 +2,8 @@
 fingerprint, fingerprint.json beside this file.
 
 The fingerprint holds every 10th time row of the sweep_A and sweep_C_wide
-surfaces (the stock presets, as the benchmark's seed 0 runs them), both
+surfaces (the stock presets, as the benchmark's seed 0 runs them) and of
+sweep --preset B --truncated-rwa (the truncated generator), both
 40001-point rotating-wave reports whole, every 10th row of trace --preset
 B, and the 16 names, bounds and values of a default verify.  Concurrences
 and channel columns must match within an absolute 1e-12, report lines as
@@ -35,6 +36,7 @@ SWEEPS = {
     "sweep_A": ["sweep", "--preset", "A"],
     "sweep_C_wide": ["sweep", "--preset", "C", "--state", "psi",
                      "--beta2-steps", "501"],
+    "sweep_B_truncated": ["sweep", "--preset", "B", "--truncated-rwa"],
 }
 REPORTS = {
     "report_rwa_phi": ["report", "--preset", "RWA", "--t-steps", "40001",

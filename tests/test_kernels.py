@@ -170,7 +170,6 @@ def test_coefficients_at_zero():
     c = kernels.coefficients(0.0, p)
     assert c.eps0 == -2j * p.omega0
     assert c.eps_plus == 0.0
-    assert c.eps_minus == 0.0
     assert c.nu0 == 0.0
     assert c.nu_plus == 0.0
     assert c.nu_minus == 0.0
@@ -180,7 +179,6 @@ def test_coefficients_at_zero():
 @settings(max_examples=80)
 def test_coefficients_structure(p, t):
     c = kernels.coefficients(t, p)
-    assert c.eps_minus == complex(c.eps_plus.real, -c.eps_plus.imag)
     assert c.eps0.real == 0.0
     assert c.nu_minus >= 0.0
     # rate identity: nu0 = nu_plus - nu_minus
@@ -229,12 +227,12 @@ def test_coefficients_at_a_float_equal_the_array_call(name):
                                        oracle.truncated_coefficients])
 @pytest.mark.parametrize("shape", [(7,), (3, 5)])
 def test_every_coefficient_has_the_shape_of_the_times(generator, shape):
-    # one rule for every generator (CoefficientSet): each of the six fields
+    # one rule for every generator (CoefficientSet): each of the five fields
     # has the times' shape, also a field that does not depend on them, so
     # every route can read any generator by element
     ts = np.linspace(0.0, 5.0, math.prod(shape)).reshape(shape)
     c = generator(ts, PRESET_PARAMS["B"])
-    assert len(c) == 6
+    assert len(c) == 5
     for field in kernels.CoefficientSet._fields:
         assert np.shape(getattr(c, field)) == shape, field
 

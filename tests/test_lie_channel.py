@@ -100,15 +100,30 @@ def test_channel_at_hand_values():
     assert cf.r[0] == pytest.approx(-1.0j, rel=1e-14)
 
 
-def test_transfer_matrix_matches_apply():
+def _apply_by_elements(series, rho0):
+    """The map's action written element by element (module docstring):
+    the reference that apply_channel, the action of transfer_matrix, must
+    reproduce."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    out = np.empty((len(series), 2, 2), dtype=complex)
+    out[:, 0, 0] = series.l * rho0[0, 0] + series.m * rho0[1, 1]
+    out[:, 0, 1] = series.x * rho0[0, 1] + series.y * rho0[1, 0]
+    out[:, 1, 0] = series.q * rho0[1, 0] + series.r * rho0[0, 1]
+    out[:, 1, 1] = series.n * rho0[1, 1] + series.p * rho0[0, 0]
+    return out
+
+
+def test_transfer_matrix_matches_apply(direct_bank):
     # j+ = 0.1-0.2i, j0 = -0.4+2i, j- = 0.05+0.01i, k+ = 0.3, k0 = -1.1,
     # k- = 0.2, Gamma_k = 0.8
     cf = _at_one_time([0.1, -0.2, -0.4, 2.0, 0.05, 0.01, 0.3, -1.1, 0.2],
                       decay=0.8)
     rho = np.array([[0.55, 0.2 - 0.1j], [0.2 + 0.1j, 0.45]])
+    for series in (cf, direct_bank["C"]):
+        for probe in (rho, *HERMITIAN_PROBES.values()):
+            assert np.array_equal(apply_channel(series, probe),
+                                  _apply_by_elements(series, probe))
     (tm,) = transfer_matrix(cf)
-    via_matrix = (tm @ rho.reshape(4)).reshape(2, 2)
-    assert np.allclose(via_matrix, apply_channel(cf, rho)[0], rtol=0, atol=1e-16)
     # vec order is (rho11, rho10, rho01, rho00)
     assert tm[0, 3] == cf.m[0]
     assert tm[3, 0] == cf.p[0]
@@ -153,10 +168,11 @@ def test_settings_reject_unusable_tolerance(rel_tol):
 
 
 def _tan_riccati(t, p):
-    # j+' = 1 + j+^2 is solved by tan t, which blows up at pi/2; every
-    # field has the times' shape, as in kernels.coefficients
+    # k+' = 1 + k+^2 (nu_plus = 1, nu_minus = -1) is solved by tan t, which
+    # blows up at pi/2; every field has the times' shape, as in
+    # kernels.coefficients
     return kernels.CoefficientSet(
-        *(np.full(np.shape(t), v) for v in (0j, 1.0 + 0j, -1.0 + 0j, 0.0, 0.0, 0.0)))
+        *(np.full(np.shape(t), v) for v in (0j, 0j, 0.0, 1.0, -1.0)))
 
 
 def test_riccati_pole_raises_tolerance_error(monkeypatch):
@@ -398,10 +414,9 @@ def test_refinement_does_not_depend_on_the_block_size(monkeypatch, rel_tol, ts):
     # a step's error norm reads only that step, so where the walk's blocks
     # end changes no plan: blocks of 7 and 37 cut A's 13-step and 26-step
     # intervals, and the restart grid's intervals of 255 and 510 steps
-    # span several blocks.  The channel moves by rounding alone: NumPy's
-    # matmul in _driven_steps rounds a row by the number of rows in its
-    # block (1, 2, 3 or 7 rows, against 64): a few ulps of k0, about
-    # -2 Gamma_k, move n and p by at most 3.8e-15 relative on A
+    # span several blocks.  Every step rounds as it would in any block
+    # (_driven_steps sums by einsum, not matmul), so the channel is the same
+    # to the bit
     settings = IntegratorSettings(rel_tol=rel_tol)
     runs = []
     for block in (7, 37, 64):
@@ -413,10 +428,8 @@ def test_refinement_does_not_depend_on_the_block_size(monkeypatch, rel_tol, ts):
     assert len(want_plans) > 1
     for plans, got in others:
         assert plans == want_plans
-        assert np.array_equal(got.t, want.t)
-        for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+        for name in ("t", "l", "m", "n", "p", "x", "y", "q", "r"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _traced_peak(fn, *args) -> int:
@@ -510,6 +523,21 @@ def test_propagate_truncated_generator_matches_direct_route():
     assert np.max(np.abs(apply_channel(cf, plus) - direct)) < 1e-6
 
 
+@pytest.mark.parametrize("cfn", [kernels.coefficients, oracle.truncated_coefficients])
+@pytest.mark.parametrize("p", [P_A, P_B, P_C, BathParams(omega0=3.0, gamma=1.0, lam=100.0)],
+                         ids=["A", "B", "C", "C-lam100"])
+def test_magnus_generators_are_the_direct_routes(p, cfn):
+    # propagate's sector generators, written by hand, are the blocks of the
+    # direct route's 4x4 matrix, built from the operator terms, to the bit;
+    # no term couples a population to a coherence
+    t = np.linspace(0.0, 20.0 / p.gamma, 4001)
+    pop, coh = lie_channel._generators(cfn(t, p), t.shape)
+    m = oracle._direct_matrices(t, p, cfn)
+    assert np.array_equal(pop, m[:, ::3, ::3])
+    assert np.array_equal(coh, m[:, 1:3, 1:3])
+    assert not m[:, ::3, 1:3].any() and not m[:, 1:3, ::3].any()
+
+
 @pytest.mark.parametrize("name, route", [*((n, "magnus") for n in "ABC"),
                                          *((n, "direct") for n in "ABC")],
                          ids=["p0", "p1", "p2", "direct_A", "direct_B", "direct_C"])
@@ -586,16 +614,18 @@ def test_propagate_block_size_does_not_change_the_channel(monkeypatch):
 def test_dop853_block_size_does_not_change_the_channel(monkeypatch, p, rel_tol, ts):
     # the DOP853 driver cuts the same steps into blocks of 7 and of 37 across
     # interval ends, and on A at 1e-11 refines intervals that start in one
-    # block and miss in a later one
+    # block and miss in a later one.  The Wei-Norman channel is the same to
+    # the bit; the direct one moves by rounding, as its prefix products
+    # associate by block
     settings = IntegratorSettings(rel_tol=rel_tol)
     base = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
     for block in (7, 37):
         monkeypatch.setattr(lie_channel, "RICCATI_BLOCK_STEPS", block)
         monkeypatch.setattr(oracle, "DIRECT_BLOCK_STEPS", block)
-        small = (integrate(p, ts, settings), oracle.direct_channel(p, ts, settings))
-        for got, want in zip(small, base):
-            for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
-                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
+        wei_norman, direct = integrate(p, ts, settings), oracle.direct_channel(p, ts, settings)
+        for name in ("l", "m", "n", "p", "x", "y", "q", "r"):
+            assert np.array_equal(getattr(wei_norman, name), getattr(base[0], name)), name
+            assert np.max(np.abs(getattr(direct, name) - getattr(base[1], name))) < 1e-13
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 2048])

@@ -62,7 +62,7 @@ def _operator_rhs(t, yv, p, cfn):
     d = (-gdot * rho
          + c.eps0 * (sz @ rho - rho @ sz) / 4.0
          + c.eps_plus * (sp @ rho @ sp)
-         + c.eps_minus * (sm @ rho @ sm)
+         + np.conj(c.eps_plus) * (sm @ rho @ sm)
          + c.nu0 * (pe @ rho + rho @ pe - rho) / 2.0
          + c.nu_plus * (sp @ rho @ sm)
          + c.nu_minus * (sm @ rho @ sp))
