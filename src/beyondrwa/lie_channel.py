@@ -28,9 +28,11 @@ integration error.
 A second route, propagate, integrates the same master equation without
 the disentangling: per qubit it is two real 2x2 linear systems, the
 populations (rho11, rho00) and the coherence (Re rho10, Im rho10), which a
-fourth-order Magnus scheme steps on a fixed grid.  It takes any
-generator and no tolerance; every command that prints a channel or a state
-uses it, and only verify's Wei-Norman checks use integrate.
+fourth-order Magnus scheme steps on a fixed grid.  Their generators,
+the blocks of the operator terms _TERMS weighted in _generator_blocks,
+are the direct oracle's too.  It takes any generator and no tolerance;
+every command that prints a channel or a state uses it, and only
+verify's Wei-Norman checks use integrate.
 
 integrate steps the Wei-Norman system with DOP853, on the tableau that
 _tableaux holds, in equal steps of at most step_cap(p) between sample
@@ -167,7 +169,7 @@ def check_grid(times: Sequence[float]) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise GridError("times must be a nonempty 1-d sequence")
-    if ts[0] < 0.0:
+    if not ts[0] >= 0.0:
         raise GridError(f"times must be nonnegative, got t={ts[0]}")
     if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
         raise GridError("times must be strictly increasing")
@@ -487,28 +489,75 @@ def integrate(p: BathParams, times: Sequence[float],
     return channel_at(ts, out.T, kernels.decay_exponent(ts, p))
 
 
-def _generators(c: CoefficientSet, shape: tuple) -> np.ndarray:
-    """Real generators of both sectors, shape (2,) + shape + (2, 2).
+_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
+_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PE = _SP @ _SM                                            # excited projector
 
-    Index 0 acts on the populations (rho11, rho00), index 1 on the
-    coherence (Re rho10, Im rho10) through
-    rho10' = (-Gdot + eps0/2) rho10 + eps_plus conj(rho10), where
-    Gdot = (nu_plus + nu_minus)/2; the rho01 equation is its conjugate.
+
+def _density(yv) -> np.ndarray:
+    """The 2x2 matrix of the reals yv = [rho11, Re rho10, Im rho10, rho00];
+    rho00 is a component of its own, so trace drift stays visible."""
+    return np.array([[yv[0], yv[1] + 1j * yv[2]],
+                     [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
+
+
+def _layout(d: np.ndarray) -> list:
+    """The reals [rho11, Re rho10, Im rho10, rho00] of a 2x2 matrix d."""
+    return [d[0, 0].real, d[0, 1].real, d[0, 1].imag, d[1, 1].real]
+
+
+# the superoperators of the master equation, each without its coefficient,
+# in the order of the weights _generator_blocks forms
+_TERMS = (
+    lambda rho: -rho,                                   # Gdot
+    lambda rho: (_SZ @ rho - rho @ _SZ) / 4.0,          # eps0
+    lambda rho: _SP @ rho @ _SP,                        # eps_plus
+    lambda rho: _SM @ rho @ _SM,                        # conj(eps_plus)
+    lambda rho: (_PE @ rho + rho @ _PE - rho) / 2.0,    # nu0
+    lambda rho: _SP @ rho @ _SM,                        # nu_plus
+    lambda rho: _SM @ rho @ _SP,                        # nu_minus
+)
+
+
+def _superoperator_basis() -> np.ndarray:
+    """Real 4x4 matrix of every term on the layout of _density, for the
+    coefficient 1 and for the coefficient i: shape (2 len(_TERMS), 16),
+    rows in the order (term 0, 1), (term 0, i), (term 1, 1), ...
+
+    Built by applying each term to the four unit vectors, so it follows
+    the operator expressions above rather than a hand derivation.
     """
-    gdot = (c.nu_plus + c.nu_minus) / 2.0
-    e = -gdot + c.eps0 / 2.0
-    e_re, e_im = np.real(e), np.imag(e)
-    ep_re, ep_im = np.real(c.eps_plus), np.imag(c.eps_plus)
-    a = np.empty((2,) + shape + (2, 2))
-    a[0, ..., 0, 0] = -gdot + c.nu0 / 2.0
-    a[0, ..., 0, 1] = c.nu_plus
-    a[0, ..., 1, 0] = c.nu_minus
-    a[0, ..., 1, 1] = -gdot - c.nu0 / 2.0
-    a[1, ..., 0, 0] = e_re + ep_re
-    a[1, ..., 0, 1] = ep_im - e_im
-    a[1, ..., 1, 0] = e_im + ep_im
-    a[1, ..., 1, 1] = e_re - ep_re
-    return a
+    basis = np.empty((len(_TERMS), 2, 4, 4))
+    for k, term in enumerate(_TERMS):
+        for j, unit in enumerate(np.eye(4)):
+            d = term(_density(unit))
+            basis[k, 0, :, j] = _layout(d)
+            basis[k, 1, :, j] = _layout(1j * d)
+    return basis.reshape(2 * len(_TERMS), 16)
+
+
+_BASIS = _superoperator_basis()
+
+# the 8 columns of _BASIS in the population block [::3, ::3] and the
+# coherence block [1:3, 1:3], as sector_channel reads them
+_BLOCK_BASIS = np.stack([_BASIS.reshape(-1, 4, 4)[:, ::3, ::3],
+                         _BASIS.reshape(-1, 4, 4)[:, 1:3, 1:3]], axis=1).reshape(-1, 8)
+
+
+def _generator_blocks(c: CoefficientSet) -> np.ndarray:
+    """The one generator of propagate and oracle.direct_channel at every time
+    of c, (T, 2, 2, 2): its population block, on (rho11, rho00), and its
+    coherence block, on (Re rho10, Im rho10), from the terms of _TERMS,
+    weighted with Gdot = (nu_plus + nu_minus)/2 and eps- = conj(eps_plus)."""
+    weights = ((c.nu_plus + c.nu_minus) / 2.0, c.eps0, c.eps_plus,
+               np.conj(c.eps_plus), c.nu0, c.nu_plus, c.nu_minus)
+    w = np.empty((c.nu0.size, len(_TERMS)), dtype=complex)
+    for j, v in enumerate(weights):
+        w[:, j] = v
+    # a complex array viewed as floats interleaves real and imaginary parts,
+    # matching the row order of _BASIS
+    return (w.view(float) @ _BLOCK_BASIS).reshape(-1, 2, 2, 2)
 
 
 def _expm2(m: np.ndarray) -> np.ndarray:
@@ -569,14 +618,15 @@ def _magnus_block(p: BathParams, cfn: CoefficientFn, t0: np.ndarray,
     on [rho11, Re rho10, Im rho10, rho00], as oracle.direct_channel lays
     it out, and err zero: there is no error control.
 
-    One call of cfn takes both Gauss nodes of every step.  The two sector
-    exponentials of a step fill the population block [::3, ::3] and the
-    coherence block [1:3, 1:3] of one 4x4 step matrix; u is folded into
-    the first step, and the steps are prefix-multiplied
-    (_prefix_products)."""
-    nodes = np.stack([t0 + g * h for g in _GAUSS_NODES])
-    a = _generators(cfn(nodes, p), nodes.shape)
-    a1, a2 = a[:, 0], a[:, 1]
+    One call of cfn and of _generator_blocks takes both Gauss nodes of
+    every step.  The two sector exponentials of a step fill the population
+    block [::3, ::3] and the coherence block [1:3, 1:3] of one 4x4 step
+    matrix; u is folded into the first step, and the steps are
+    prefix-multiplied (_prefix_products)."""
+    nodes = np.concatenate([t0 + g * h for g in _GAUSS_NODES])
+    a = _generator_blocks(cfn(nodes, p)).reshape(2, h.size, 2, 2, 2)
+    # along the nodes: a1 and a2 hold both sectors, (2, m, 2, 2) each
+    a1, a2 = a.transpose(0, 2, 1, 3, 4)
     w = h[:, None, None]
     e = _expm2(w / 2.0 * (a1 + a2)
                + math.sqrt(3.0) / 12.0 * w * w * _commutator2(a2, a1))

@@ -3,11 +3,12 @@
 Three families of cross-checks live here:
 
 * direct_channel: the time-local master equation integrated as a plain
-  matrix ODE, superoperator by superoperator, with no Wei-Norman
-  structure: its 4x4 propagator gives the channel for every input state.
-  The equation is linear, so its DOP853 steps are matrices, built for
-  blocks of steps at once and stepped by the one step walk of
-  lie_channel.integrate and lie_channel.propagate
+  matrix ODE, with no Wei-Norman structure: its 4x4 propagator gives the
+  channel for every input state.  Its generator is propagate's
+  (lie_channel._generator_blocks); its own part is the integrator.  The
+  equation is linear, so its DOP853 steps, with error control, are
+  matrices, built for blocks of steps at once and stepped by the one
+  step walk of lie_channel.integrate and lie_channel.propagate
   (lie_channel._step_plan), which turns the grid into equal steps at the
   cap, doubled in an interval where the error asks, and the samples.
   Agreement with lie_channel is the central correctness check of the
@@ -38,8 +39,8 @@ from . import kernels, lie_channel
 from .errors import DomainError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 from .lie_channel import (ChannelSeries, CoefficientFn, IntegratorSettings,
-                          _prefix_products, apply_channel, check_grid,
-                          error_norm, sector_channel, step_cap)
+                          _generator_blocks, _prefix_products, apply_channel,
+                          check_grid, error_norm, sector_channel, step_cap)
 
 # direct_channel evaluates the generator on the stage times of at most this
 # many DOP853 steps at once, which bounds its working memory
@@ -49,69 +50,18 @@ DIRECT_BLOCK_STEPS = 256
 # the step cap: at about 5 us per step that is about a minute
 DIRECT_MAX_STEPS = 1e7
 
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |1><0|
-_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |0><1|
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PE = _SP @ _SM                                            # excited projector
-
-
-def _hermitian(yv) -> np.ndarray:
-    # Hermitian parameterization: [rho11, Re rho10, Im rho10, rho00];
-    # rho00 is integrated on its own so trace drift stays visible
-    return np.array([[yv[0], yv[1] + 1j * yv[2]],
-                     [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
-
-
-def _components(d: np.ndarray) -> list:
-    return [d[0, 0].real, d[0, 1].real, d[0, 1].imag, d[1, 1].real]
-
-
-# the superoperators of the master equation, each without its coefficient,
-# in the order of the weights _direct_matrices forms
-_TERMS = (
-    lambda rho: -rho,                                   # Gdot
-    lambda rho: (_SZ @ rho - rho @ _SZ) / 4.0,          # eps0
-    lambda rho: _SP @ rho @ _SP,                        # eps_plus
-    lambda rho: _SM @ rho @ _SM,                        # conj(eps_plus)
-    lambda rho: (_PE @ rho + rho @ _PE - rho) / 2.0,    # nu0
-    lambda rho: _SP @ rho @ _SM,                        # nu_plus
-    lambda rho: _SM @ rho @ _SP,                        # nu_minus
-)
-
-
-def _superoperator_basis() -> np.ndarray:
-    """Real 4x4 matrix of every term on the parameterization, for the
-    coefficient 1 and for the coefficient i: shape (2 len(_TERMS), 16),
-    rows in the order (term 0, 1), (term 0, i), (term 1, 1), ...
-
-    Built by applying each term to the four unit vectors, so it follows
-    the operator expressions above rather than a hand derivation.
-    """
-    basis = np.empty((len(_TERMS), 2, 4, 4))
-    for k, term in enumerate(_TERMS):
-        for j, unit in enumerate(np.eye(4)):
-            d = term(_hermitian(unit))
-            basis[k, 0, :, j] = _components(d)
-            basis[k, 1, :, j] = _components(1j * d)
-    return basis.reshape(2 * len(_TERMS), 16)
-
-
-_BASIS = _superoperator_basis()
-
 
 def _direct_matrices(times: np.ndarray, p: BathParams,
                      cfn: CoefficientFn) -> np.ndarray:
     """The master equation on [rho11, Re rho10, Im rho10, rho00] at each of
-    `times`, from one call of cfn: the coefficients weight the
-    superoperator basis into one real 4x4 matrix per time, shape (T, 4, 4)."""
-    c = cfn(times, p)
-    w = np.empty((times.size, len(_TERMS)), dtype=complex)
-    for j, v in enumerate(((c.nu_plus + c.nu_minus) / 2.0, c.eps0, c.eps_plus,
-                           np.conj(c.eps_plus), c.nu0, c.nu_plus, c.nu_minus)):
-        w[:, j] = v
-    # a complex array viewed as floats interleaves real and imaginary parts,
-    # matching the row order of _BASIS
-    return (w.view(float) @ _BASIS).reshape(-1, 4, 4)
+    `times`, from one call of cfn, (T, 4, 4): _generator_blocks in the
+    population block [::3, ::3] and the coherence block [1:3, 1:3], zero
+    elsewhere, as no term couples a population to a coherence (a test
+    checks that on lie_channel._BASIS)."""
+    a = _generator_blocks(cfn(times, p))
+    m = np.zeros((times.size, 4, 4))
+    m[:, ::3, ::3], m[:, 1:3, 1:3] = a[:, 0], a[:, 1]
+    return m
 
 
 def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
@@ -165,9 +115,8 @@ def direct_channel(
 ) -> ChannelSeries:
     """The channel at t_grid from the real 4x4 propagator U of the master
     equation on [rho11, Re rho10, Im rho10, rho00], U(0) = I: sector_channel
-    of U, which reads its population and coherence blocks (no term of
-    _BASIS couples a population to a coherence, so the rest of U stays
-    zero).
+    of U, which reads its population and coherence blocks (the rest of
+    U stays zero, as in _direct_matrices).
 
     Each interval between sample times takes equal DOP853 steps of at most
     step_cap(p), stepped by the walk of the channel routes

@@ -39,9 +39,11 @@ def test_direct_grid_validation():
         oracle.integrate_master_direct(P_B, PLUS, [])
     with pytest.raises(GridError):
         oracle.integrate_master_direct(P_B, PLUS, [0.0, 2.0, 1.0])
-    # the rotating-wave channel follows the same grid rules
-    with pytest.raises(GridError):
-        oracle.rwa_channel([1.0, 0.0], P_B)
+    # the rotating-wave channel follows the same grid rules, also on a
+    # lone NaN, where no difference can be compared
+    for bad in ([1.0, 0.0], [math.nan]):
+        with pytest.raises(GridError):
+            oracle.rwa_channel(bad, P_B)
 
 
 def test_direct_matches_channel_on_coherent_state():
@@ -52,12 +54,13 @@ def test_direct_matches_channel_on_coherent_state():
 
 
 def _operator_rhs(t, yv, p, cfn):
-    """The direct right-hand side term by term on the 2x2 density matrix,
-    the form _direct_matrices replaced by its superoperator basis."""
+    """The master equation's right-hand side term by term on the 2x2
+    density matrix, the form lie_channel._generator_blocks replaced by its
+    superoperator basis."""
     c = cfn(t, p)
     rho = np.array([[yv[0], yv[1] + 1j * yv[2]],
                     [yv[1] - 1j * yv[2], yv[3]]], dtype=complex)
-    sp, sm, sz, pe = oracle._SP, oracle._SM, oracle._SZ, oracle._PE
+    sp, sm, sz, pe = lie_channel._SP, lie_channel._SM, lie_channel._SZ, lie_channel._PE
     gdot = (c.nu_plus + c.nu_minus) / 2.0
     d = (-gdot * rho
          + c.eps0 * (sz @ rho - rho @ sz) / 4.0
@@ -71,7 +74,7 @@ def _operator_rhs(t, yv, p, cfn):
 
 @pytest.mark.parametrize("cfn", [kernels.coefficients,
                                  oracle.truncated_coefficients])
-@pytest.mark.parametrize("p", [P_A, P_B, P_C])
+@pytest.mark.parametrize("p", [P_A, P_B, P_C, BathParams(omega0=3.0, gamma=1.0, lam=100.0)])
 def test_direct_rhs_matches_operator_expression(p, cfn):
     rng = np.random.default_rng(11)
     for t, yv in zip(rng.uniform(0.0, 10.0, 50), rng.normal(size=(50, 4))):
@@ -79,9 +82,15 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
         (m,) = oracle._direct_matrices(np.array([t]), p, cfn)
         got = m @ yv
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # direct_channel reads only the population and coherence blocks of the
+        # propagate steps the same generator: its sector blocks are the
+        # operator algebra's, column by column
+        full = np.stack([_operator_rhs(t, unit, p, cfn) for unit in np.eye(4)], axis=1)
+        ((pop, coh),) = lie_channel._generator_blocks(cfn(np.array([t]), p))
+        for block, want in ((pop, full[::3, ::3]), (coh, full[1:3, 1:3])):
+            assert np.max(np.abs(block - want)) <= 1e-14 * np.max(np.abs(want))
+    # both routes read only the population and coherence blocks of the
     # propagator: no term may couple the two
-    basis = oracle._BASIS.reshape(-1, 4, 4)
+    basis = lie_channel._BASIS.reshape(-1, 4, 4)
     assert not basis[:, [0, 0, 3, 3, 1, 1, 2, 2], [1, 2, 1, 2, 0, 3, 0, 3]].any()
 
 
