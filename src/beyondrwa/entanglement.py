@@ -171,11 +171,13 @@ def detect_esd(times: Sequence[float], values: Sequence[float],
     Grid semantics: death is the first sample with value < threshold;
     a revival episode is a maximal run of consecutive samples strictly above
     threshold occurring after that sample.  The times follow check_grid's
-    rules, and there are at least three of them, one per value.
+    rules, are finite, and there are at least three of them, one per value.
     """
     if threshold <= 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
     t = check_grid(times)
+    if not np.all(np.isfinite(t)):
+        raise GridError("times must be finite")
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape:
         raise GridError("times and values must be the same length")

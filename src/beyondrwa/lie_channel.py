@@ -52,10 +52,11 @@ RICCATI_BLOCK_STEPS steps.  Only j+ and k+ are
 nonlinear: they are stepped through every stage of the block's steps in
 Python scalars, by straight-line code generated from the tableau on
 first use (_riccati_stages), one expression per stage with the tableau's
-nonzero entries as literals.  The four driven components follow for the whole
-block in NumPy, since X0' needs only the stage values of X+ and X-' only
-those of X0, and so do the block's error norms.  Every route here runs on
-NumPy alone.
+nonzero entries as literals and the Riccati equations inline, on six
+coefficient lists unpacked per step.  The four driven components follow
+for the whole block in NumPy, since X0' needs only the stage values of X+
+and X-' only those of X0, and so do the block's error norms.  Every route
+here runs on NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -72,7 +73,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, GridError, ToleranceError
+from .errors import DomainError, GridError, ShapeError, ToleranceError
 from .kernels import BathParams, CoefficientSet
 
 # step cap in units of the reservoir memory time 1/gamma
@@ -206,14 +207,23 @@ def _records(cols) -> list:
     return list(zip(*(c.tolist() for c in cols)))
 
 
-def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
-    """X+' = mu+ - mu- X+^2 + mu0 X+ of j+ (mu = eps, eps- = conj(eps+))
-    and k+ (mu = nu) at one record c of _records, in Python scalars:
-    cheaper than NumPy at one call per stage.  Products, not **, which
+def _riccati(plus: str, minus: str, zero: str, x: str) -> str:
+    """X+' = mu+ - mu- X+^2 + mu0 X+ as Python source on the names given:
+    the one expression of both Riccati equations, evaluated by _riccati_at
+    and inlined in the stages of _riccati_stages.  Products, not **, which
     raises OverflowError near a pole."""
+    return f"{plus} - {minus} * {x} * {x} + {zero} * {x}"
+
+
+_riccati_at = eval("lambda plus, minus, zero, x: " + _riccati("plus", "minus", "zero", "x"))
+
+
+def _riccati_rhs(c: tuple, jp: complex, kp: float) -> tuple:
+    """(j+', k+'): the Riccati equations of j+ (mu = eps, eps- = conj(eps+))
+    and k+ (mu = nu) at one record c of _records, in Python scalars."""
     eps0, eps_plus, nu0, nu_plus, nu_minus = c
-    return (eps_plus - eps_plus.conjugate() * jp * jp + eps0 * jp,
-            nu_plus - nu_minus * kp * kp + nu0 * kp)
+    return (_riccati_at(eps_plus, eps_plus.conjugate(), eps0, jp),
+            _riccati_at(nu_plus, nu_minus, nu0, kp))
 
 
 def _zero_rhs(c, jp, kp) -> tuple:
@@ -285,21 +295,29 @@ def doubled(steps, doublings: int, tol: float, start: float):
     return steps * 2
 
 
+# the coefficient columns of _riccati_stages, in the order of _riccati's
+# arguments per sector, and the names its stages give them
+_STAGE_COLUMNS = ("eps_plus", "eps_minus", "eps0", "nu_plus", "nu_minus", "nu0")
+
+
 @functools.cache
 def _riccati_stages() -> Callable:
     """DOP853 steps of j+ and k+ alone, as straight-line Python generated
-    from _tableaux.DOP853 on first use: stages(recs, hs, jp, kp, djp, dkp)
+    from _tableaux.DOP853 on first use: stages(cols, hs, jp, kp, djp, dkp)
     steps jp and kp, of derivatives djp and dkp, through steps of lengths
-    hs, each on its 11 records of recs (stages 1..11; 11 is the end), and
-    returns (values_j, values_k, derivs_j, derivs_k): per step, the values
-    at stages 1..11 and the end, and the derivatives at all 13 stages.
+    hs, and returns (values_j, values_k, derivs_j, derivs_k): per step, the
+    values at stages 1..11 and the end, and the derivatives at all 13
+    stages.  cols are the lists eps_plus, eps- = conj(eps_plus), eps0,
+    nu_plus, nu_minus and nu0 (_STAGE_COLUMNS), each with one list per
+    step of its 11 values at stages 1..11 (11 is the end).
 
     Each stage is one expression with the tableau's entries as literals,
     added left to right from 0, as sum(map(operator.mul, A[s, :s], k))
     adds them up to Python 3.11, but without the zero entries.  Such a
     sum is never -0, so a term 0 * k changes it only when k is not
     finite; then the step's error norm is not finite, and its interval is
-    refined."""
+    refined.  The derivatives follow inline, from _riccati's source: the
+    same operations, in the same order, as _riccati_rhs."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
@@ -311,25 +329,33 @@ def _riccati_stages() -> Callable:
         return "(0" + "".join(f" + {a!r} * d{x}{i}"
                               for i, a in enumerate(row.tolist()) if a) + ")"
 
-    lines = ["def stages(recs, hs, jp, kp, dj0, dk0):",
+    def rates(out: int, s: int, j: str, k: str) -> list:
+        """dj{out} and dk{out}: the Riccati equations on the coefficients
+        of stage s, at j+ = j and k+ = k."""
+        c = [f"{name}_{s}" for name in _STAGE_COLUMNS]
+        return [f"        dj{out} = {_riccati(*c[:3], j)}",
+                f"        dk{out} = {_riccati(*c[3:], k)}"]
+
+    columns = ", ".join(f"({names(c + '_', n)})" for c in _STAGE_COLUMNS)
+    lines = ["def stages(cols, hs, jp, kp, dj0, dk0):",
              "    values_j, values_k, derivs_j, derivs_k = [], [], [], []",
-             f"    for h, ({names('r', n)}) in zip(hs, zip(*[iter(recs)] * {n - 1})):"]
+             f"    for h, {columns} in zip(hs, *cols):"]
     for s in range(1, n):
         lines += [f"        j{s} = jp + {weighted(rk.A[s, :s], 'j')} * h",
                   f"        k{s} = kp + {weighted(rk.A[s, :s], 'k')} * h",
-                  f"        dj{s}, dk{s} = _riccati_rhs(r{s}, j{s}, k{s})"]
+                  *rates(s, s, f"j{s}", f"k{s}")]
     lines += [f"        jp = jp + h * {weighted(rk.B, 'j')}",
               f"        kp = kp + h * {weighted(rk.B, 'k')}",
-              f"        dj{n}, dk{n} = _riccati_rhs(r{n - 1}, jp, kp)",
+              # the end's coefficients are stage 11's
+              *rates(n, n - 1, "jp", "kp"),
               f"        values_j.extend(({names('j', n)}, jp))",
               f"        values_k.extend(({names('k', n)}, kp))",
               f"        derivs_j.extend(({names('dj', n + 1, 0)}))",
               f"        derivs_k.extend(({names('dk', n + 1, 0)}))",
               f"        dj0, dk0 = dj{n}, dk{n}",
               "    return values_j, values_k, derivs_j, derivs_k"]
-    # the module's globals: the stages look up _riccati_rhs when they run
     space: dict = {}
-    exec(compile("\n".join(lines), "<_riccati_stages>", "exec"), globals(), space)
+    exec(compile("\n".join(lines), "<_riccati_stages>", "exec"), {}, space)
     return space["stages"]
 
 
@@ -360,20 +386,21 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     One call of kernels.coefficients takes the stage times t0 + C[1:] h of
     every step; the last is the step's end.  j+ and k+ go through every
     stage in Python scalars, in the straight-line stages of
-    _riccati_stages, then the driven components through all steps at once
-    (_zero_rhs, then _minus_rhs)."""
+    _riccati_stages on the coefficients as lists (m, 11), then the driven
+    components through all steps at once (_zero_rhs, then _minus_rhs)."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
     y, f = state
     times = t0[:, None] + rk.C[1:] * h[:, None]
     flat = kernels.coefficients(times.ravel(), p)
-    rows = _records(flat)
+    named = {**flat._asdict(), "eps_minus": np.conj(flat.eps_plus)}
     cols = [c.reshape(times.shape)[:, _STAGE_RECORD] for c in flat]
     jp, j0, jm, kp, k0, km = _components(y)
     djp, f_j0, f_jm, dkp, f_k0, f_km = _components(f)
     values_j, values_k, derivs_j, derivs_k = _riccati_stages()(
-        rows, h.tolist(), jp, kp, djp, dkp)
+        [named[c].reshape(times.shape).tolist() for c in _STAGE_COLUMNS],
+        h.tolist(), jp, kp, djp, dkp)
 
     m = h.size
     jps = np.array(values_j, complex).reshape(m, -1)
@@ -725,9 +752,13 @@ def apply_channel(series: ChannelSeries, rho0: np.ndarray) -> np.ndarray:
     action of transfer_matrix on vec(rho0).
 
     rho0 is 2x2 in the (excited, ground) basis: rho0[0, 0] is the excited
-    population, rho0[0, 1] the coherence <1|rho|0>.  Returns shape (T, 2, 2).
+    population, rho0[0, 1] the coherence <1|rho|0>; ShapeError otherwise.
+    Returns shape (T, 2, 2).
     """
-    vec = np.asarray(rho0, dtype=complex).reshape(4)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (2, 2):
+        raise ShapeError(f"qubit state must be 2x2, got {rho0.shape}")
+    vec = rho0.reshape(4)
     # a product and a sum, not @: matmul and einsum round a complex
     # coherence's terms differently from the map's element formulas
     return (transfer_matrix(series) * vec).sum(axis=-1).reshape(-1, 2, 2)

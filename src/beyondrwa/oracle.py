@@ -13,9 +13,13 @@ Three families of cross-checks live here:
   cap, doubled in an interval where the error asks, and the samples.
   Agreement with lie_channel is the central correctness check of the
   repository.
-* quadrature validations of every closed-form kernel (Fourier-weighted
-  quadrature for the correlation kernels, running integrals for the rest),
-  through SciPy's QUADPACK extension loaded without scipy.integrate.
+* quadrature validations of every closed-form kernel, through SciPy's
+  QUADPACK extension loaded without scipy.integrate: Fourier-weighted
+  quadrature for the correlation kernels and for the running integrals
+  of the counter-rotating kernel, alpha and alpha~, whose oscillation
+  e^{-2i omega0 u} is the weight of QUADPACK's oscillatory rule and whose
+  envelope is smooth (alpha~ with the order of integration swapped), and
+  plain quadrature of f for the rest of Gamma_k.
 * the exact rotating-wave single-excitation amplitude q(t) and the channel
   built from it, used by the comparison sweeps, plus the residual of its
   defining integro-differential equation  q'(t) = -int_0^t alpha1(t-s) q(s) ds.
@@ -279,11 +283,14 @@ def rwa_first_zero(p: BathParams) -> float:
 
 def rwa_channel(times: Sequence[float], p: BathParams) -> ChannelSeries:
     """Package q(t) as a channel series for the shared two-qubit pipeline;
-    GridError on a grid that check_grid refuses.
+    GridError on a grid that check_grid refuses, DomainError on an infinite
+    time, where q is not defined.
 
     Trace preserving exactly: l + p = 1 and m + n = 1 by construction.
     """
     ts = check_grid(times)
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("the rotating-wave amplitude needs finite times")
     qa = rwa_amplitude(ts, p)
     pop = np.abs(qa) ** 2
     zeros, czeros = np.zeros(ts.size), np.zeros(ts.size, dtype=complex)
@@ -344,46 +351,47 @@ def alpha2_quadrature(t: float, p: BathParams) -> complex:
     return cmath.exp(2j * p.omega0 * t) * _lorentzian_core(t, p)
 
 
+def _damped_fourier(env, a: float, b: float, p: BathParams, weight: str) -> float:
+    """int_a^b env(u) cos(2 omega0 u) du, or with sin, by QUADPACK's
+    oscillatory rule (QAWO): the real or the negated imaginary part of
+    int_a^b env(u) e^{-2i omega0 u} du, for a smooth real env."""
+    return _quad(env, a, b, weight=weight, wvar=2.0 * p.omega0, limit=2000,
+                 epsabs=1e-13, epsrel=1e-13)
+
+
 def alpha_quadrature(t: float, p: BathParams) -> complex:
     """Running integral of the normalized counter-rotating kernel, done as
     oscillatory-weighted quadrature of the bare exponential."""
     if t == 0.0:
         return 0j
     env = lambda s: math.exp(-p.gamma * s)
-    w = 2.0 * p.omega0
-    re = _quad(env, 0.0, t, weight="cos", wvar=w, limit=2000,
-               epsabs=1e-13, epsrel=1e-13)
-    im = _quad(env, 0.0, t, weight="sin", wvar=w, limit=2000,
-               epsabs=1e-13, epsrel=1e-13)
-    return complex(re, -im)
+    return complex(_damped_fourier(env, 0.0, t, p, "cos"),
+                   -_damped_fourier(env, 0.0, t, p, "sin"))
 
 
-def _scalar_alpha(p: BathParams):
-    """The closed form of kernels.alpha, (1 - e^{-cs})/c with
-    c = gamma + 2i omega0, on one Python float s: QUADPACK calls its
-    integrand once per node, where NumPy's per-call cost would dominate."""
-    c = complex(p.gamma, 2.0 * p.omega0)
-    return lambda s: (1.0 - cmath.exp(-c * s)) / c
+def _tail(t: float, p: BathParams, a: float, weight: str) -> float:
+    """int_a^t (t - u) e^{-gamma u} cos(2 omega0 u) du, or with sin."""
+    return _damped_fourier(lambda u: (t - u) * math.exp(-p.gamma * u), a, t, p, weight)
 
 
 def alpha_tilde_quadrature(t: float, p: BathParams, s_lower: float = 0.0) -> complex:
-    """int_{s_lower}^{t} alpha(s) ds by adaptive quadrature of the closed-form
-    alpha (itself pinned by alpha_quadrature)."""
-    alpha = _scalar_alpha(p)
-    re = _quad(lambda s: alpha(s).real, s_lower, t,
-               limit=20000, epsabs=1e-12, epsrel=1e-12)
-    im = _quad(lambda s: alpha(s).imag, s_lower, t,
-               limit=20000, epsabs=1e-12, epsrel=1e-12)
-    return complex(re, im)
+    """int_{s_lower}^{t} alpha(s) ds with the order of integration swapped,
+    (t - a) int_0^a e^{-cu} du + int_a^t (t - u) e^{-cu} du for a = s_lower
+    and c = gamma + 2i omega0: alpha_quadrature(a) and the cos- and
+    sin-weighted integrals of the smooth envelope (t - u) e^{-gamma u}.  It
+    reads no closed form of kernels."""
+    # the head vanishes at a = 0: no call of alpha_quadrature there
+    head = (t - s_lower) * alpha_quadrature(s_lower, p) if s_lower > 0.0 else 0j
+    return head + complex(_tail(t, p, s_lower, "cos"), -_tail(t, p, s_lower, "sin"))
 
 
 def decay_exponent_quadrature(t: float, p: BathParams) -> float:
-    """Defining integral of Gamma_k, with the alpha^R and f parts integrated
-    separately so neither term's roundoff hides the other's."""
-    alpha = _scalar_alpha(p)
-    i1 = _quad(lambda s: alpha(s).real, 0.0, t,
-               limit=20000, epsabs=1e-12, epsrel=1e-12)
-    i2 = _quad(lambda s: kernels.f(s, p), 0.0, t,
+    """Defining integral of Gamma_k, with the alpha~^R and F parts integrated
+    separately so neither term's roundoff hides the other's: alpha~^R is
+    the cos-weighted part of alpha_tilde_quadrature, F the integral of
+    f = 1 - e^{-gamma s} in Python scalars."""
+    i1 = _tail(t, p, 0.0, "cos")
+    i2 = _quad(lambda s: -math.expm1(-p.gamma * s), 0.0, t,
                limit=2000, epsabs=1e-12, epsrel=1e-12)
     return p.lam * (p.gamma * i1 + i2) / 2.0
 

@@ -298,6 +298,8 @@ def test_esd_input_validation():
         detect_esd([0.0, 1.0, 2.0], [1.0, 0.0])
     with pytest.raises(DomainError):
         detect_esd([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], threshold=0.0)
+    with pytest.raises(GridError, match="finite"):
+        detect_esd([0.0, 1.0, math.inf], [1.0, 0.0, 0.5])
 
 
 def test_esd_on_rotating_wave_curve(rwa_dense_curves):

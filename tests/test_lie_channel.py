@@ -15,7 +15,7 @@ from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series, step_pl
 
 import beyondrwa
 from beyondrwa import BathParams, _tableaux, kernels, lie_channel, oracle
-from beyondrwa.errors import DomainError, GridError, ToleranceError
+from beyondrwa.errors import DomainError, GridError, ShapeError, ToleranceError
 from beyondrwa.lie_channel import (MIN_REL_TOL, IntegratorSettings,
                                    apply_channel, channel_at, integrate,
                                    magnus_step, propagate, step_cap,
@@ -56,6 +56,13 @@ def test_identity_at_origin():
     _assert_identity(cf)
     rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
     assert np.array_equal(apply_channel(cf, rho)[0], rho)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (1, 2, 2), (4, 4)])
+def test_apply_channel_takes_one_qubit_state(shape):
+    # as evolve_pair refuses a joint state that is not 4x4
+    with pytest.raises(ShapeError, match="2x2"):
+        apply_channel(IDENTITY, np.zeros(shape))
 
 
 def _record(p, t):
@@ -195,16 +202,19 @@ def _dot(weights, ks):
     return functools.reduce(operator.add, map(operator.mul, weights, ks), 0)
 
 
-def _summed_stages(recs, hs, jp, kp, djp, dkp):
+def _summed_stages(cols, hs, jp, kp, djp, dkp):
     """The stage loop that _riccati_stages replaced: every entry of DOP853's
-    A and B, weighted and added by _dot."""
+    A and B, weighted and added by _dot, and each derivative from
+    _riccati_rhs on the record of its stage.  It reads eps_plus, not the
+    eps- column."""
     rk = _tableaux.DOP853
     a_rows = [rk.A[s, :s].tolist() for s in range(1, rk.n_stages)]
+    eps_plus, _, eps0, nu_plus, nu_minus, nu0 = cols
     values_j, values_k, derivs_j, derivs_k = [], [], [], []
     for i, h in enumerate(hs):
-        step = recs[i * len(a_rows):(i + 1) * len(a_rows)]
+        recs = list(zip(eps0[i], eps_plus[i], nu0[i], nu_plus[i], nu_minus[i]))
         kj, kk = [djp], [dkp]
-        for a, rec in zip(a_rows, step):
+        for a, rec in zip(a_rows, recs, strict=True):
             js = jp + _dot(a, kj) * h
             ks = kp + _dot(a, kk) * h
             values_j.append(js)
@@ -216,41 +226,41 @@ def _summed_stages(recs, hs, jp, kp, djp, dkp):
         kp = kp + h * _dot(rk.B.tolist(), kk)
         values_j.append(jp)
         values_k.append(kp)
-        djp, dkp = lie_channel._riccati_rhs(step[-1], jp, kp)
+        djp, dkp = lie_channel._riccati_rhs(recs[-1], jp, kp)
         derivs_j += kj + [djp]
         derivs_k += kk + [dkp]
     return values_j, values_k, derivs_j, derivs_k
 
 
-def _signed(rng, n):
-    """n reals over twelve decades, a quarter of them +0.0 or -0.0."""
-    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
-    return np.where(rng.random(n) < 0.25, np.copysign(0.0, v), v)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_straight_line_stages_add_as_sum_does(monkeypatch, seed):
-    # the generated stages leave out the zero entries of A and B; with
-    # finite derivatives, signed zeros among them, every stage value, end
-    # value and derivative is the same to the bit as the summed loop's
+@pytest.mark.parametrize("seed", range(6))
+def test_straight_line_stages_add_as_sum_does(seed):
+    # the generated stages leave out the zero entries of A and B and
+    # inline the Riccati equations; on drawn coefficient columns, with a
+    # share `zeros` of signed zeros among them and in the start (all of
+    # them on the last two seeds), every stage value, end value and
+    # derivative is the same to the bit as the summed loop's on _riccati_rhs
     rng = np.random.default_rng(seed)
+    zeros = (0.25, 0.25, 0.75, 0.75, 1.0, 1.0)[seed]
+
+    def signed(shape, decades):
+        # normal draws scaled by 10^u, u uniform in [-decades, decades]
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+        return np.where(rng.random(shape) < zeros, np.copysign(0.0, v), v)
+
     steps = 3
-    # (j+', k+') at the start, then at stages 1..11 and the end of each step
-    n = 1 + 12 * steps
-    derivs = list(zip((_signed(rng, n) + 1j * _signed(rng, n)).tolist(),
-                      _signed(rng, n).tolist()))
-    hs = rng.uniform(1e-3, 1.0, steps).tolist()
-    jp, kp = complex(*_signed(rng, 2)), float(_signed(rng, 1)[0])
+    shape = (steps, 11)
+    eps_plus, eps0 = (signed(shape, 2) + 1j * signed(shape, 2) for _ in range(2))
+    # in the order of _STAGE_COLUMNS
+    cols = [eps_plus.tolist(), np.conj(eps_plus).tolist(), eps0.tolist(),
+            *(signed(shape, 2).tolist() for _ in range(3))]
+    hs = rng.uniform(1e-4, 1e-3, steps).tolist()
+    jp, djp = (complex(*signed(2, 1)) for _ in range(2))
+    kp, dkp = signed(2, 1).tolist()
 
-    def run(stages):
-        # _riccati_rhs hands out the drawn derivatives in the order asked
-        drawn = iter(derivs[1:])
-        monkeypatch.setattr(lie_channel, "_riccati_rhs",
-                            lambda rec, j, k: next(drawn))
-        return stages([None] * 11 * steps, hs, jp, kp, *derivs[0])
-
-    got, want = run(lie_channel._riccati_stages()), run(_summed_stages)
+    got = lie_channel._riccati_stages()(cols, hs, jp, kp, djp, dkp)
+    want = _summed_stages(cols, hs, jp, kp, djp, dkp)
     for g, w in zip(got, want, strict=True):
+        assert np.all(np.isfinite(g))
         assert np.array(g).view(np.uint64).tolist() == np.array(w).view(np.uint64).tolist()
 
 
