@@ -322,8 +322,9 @@ def check_concurrence(names, wei_norman, direct):
     yield "concurrence_dual_path", dev if 4 * gated < total else math.inf, 1e-10
 
 
-# kernels.<name> against oracle.<name>_quadrature, both looked up at call
-# time, with the bound of kernel_<name>
+# kernels.<name>, looked up at call time, against oracle.kernel_quadratures'
+# <name>, the value of oracle.<name>_quadrature, with the bound of
+# kernel_<name>
 KERNEL_BOUNDS = (("alpha1", 1e-10), ("alpha2", 1e-10), ("alpha", 1e-10),
                  ("alpha_tilde", 1e-8), ("decay_exponent", 1e-8))
 
@@ -331,11 +332,11 @@ KERNEL_BOUNDS = (("alpha1", 1e-10), ("alpha2", 1e-10), ("alpha", 1e-10),
 def check_kernels(names, *_):
     points = [(gt / p.gamma, p) for p in (PRESETS[name] for name in names)
               for gt in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
+    quadratures = [oracle.kernel_quadratures(t, p) for t, p in points]
     for name, bound in KERNEL_BOUNDS:
         closed = getattr(kernels, name)
-        quadrature = getattr(oracle, f"{name}_quadrature")
         yield (f"kernel_{name}", float(np.max(
-            [abs(closed(t, p) - quadrature(t, p)) for t, p in points])), bound)
+            [abs(closed(t, p) - q[name]) for (t, p), q in zip(points, quadratures)])), bound)
 
 
 def check_rwa(*_):

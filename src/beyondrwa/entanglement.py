@@ -114,11 +114,19 @@ def concurrence_general(rho: np.ndarray):
     This stays stable where direct eigenvalues of the non-normal product
     rho rho~ lose half the working precision.
 
-    A state whose spectrum is negative beyond SPECTRUM_TOL is refused: a
-    single state raises NumericalError, a state in a stack reads NaN.
+    A state that is not finite, or whose spectrum is negative beyond
+    SPECTRUM_TOL, is refused: a single state raises NumericalError, a
+    state in a stack reads NaN.
     """
+    rho = _states(rho)
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if finite.ndim == 0 and not finite:
+        raise NumericalError("state is not finite")
+    if not finite.all():
+        # eigh cannot take them: zero states, refused below
+        rho = np.where(finite[..., None, None], rho, 0.0)
     w, u = np.linalg.eigh(_hermitian_part(rho))
-    refused = w.min(axis=-1) < -SPECTRUM_TOL
+    refused = (w.min(axis=-1) < -SPECTRUM_TOL) | ~finite
     if refused.ndim == 0 and refused:
         raise NumericalError(
             f"state eigenvalue {w.min():.3g} below -{SPECTRUM_TOL:g}; "

@@ -28,9 +28,12 @@ integration error.
 A second route, propagate, integrates the same master equation without
 the disentangling: per qubit it is two real 2x2 linear systems, the
 populations (rho11, rho00) and the coherence (Re rho10, Im rho10), which a
-fourth-order Magnus scheme steps on a fixed grid.  Their generators,
-the blocks of the operator terms _TERMS weighted in _generator_blocks,
-are the direct oracle's too.  It takes any generator and no tolerance;
+fourth-order Magnus scheme steps on a fixed grid, as the two blocks of a
+4x4 propagator on [rho11, Re rho10, Im rho10, rho00]; sector_channel reads
+the channel from the two blocks.  Their generators, the blocks of the
+operator terms _TERMS weighted in _generator_blocks, are the direct
+oracle's too, which steps the two 2x2 blocks alone.  It takes any
+generator and no tolerance;
 every command that prints a channel or a state uses it, and only
 verify's Wei-Norman checks use integrate.
 
@@ -55,8 +58,9 @@ first use (_riccati_stages), one expression per stage with the tableau's
 nonzero entries as literals and the Riccati equations inline, on six
 coefficient lists unpacked per step.  The four driven components follow
 for the whole block in NumPy, since X0' needs only the stage values of X+
-and X-' only those of X0, and so do the block's error norms.  Every route
-here runs on NumPy alone.
+and X-' only those of X0, and so do the block's error norms, with every
+weighted sum over the stages one matmul per component (_stage_sums) on a
+fixed number of rows.  Every route here runs on NumPy alone.
 
 Everything here is per-qubit and time-major: a ChannelSeries holds one
 array per coefficient over the sampled times.  Two-qubit evolution is the
@@ -92,6 +96,13 @@ RICCATI_BLOCK_STEPS = 64
 # step cap: at about 25 us per step on a 2-core Xeon (straight-line j+ and
 # k+ stages, driven components per block) that is under half a minute
 RICCATI_MAX_STEPS = 1e6
+
+# the rows of each matmul of _stage_sums, whatever the block size: BLAS may
+# round a row of a product by the number of rows beside it, which it tiles,
+# but not by its place among a fixed number, so each step rounds as in a
+# block of any size and the Wei-Norman channel does not depend on
+# RICCATI_BLOCK_STEPS (tests check it on blocks of 7, 37 and 64)
+_SUM_ROWS = 64
 
 # an interval whose equal DOP853 steps miss the tolerance is stepped again
 # with twice as many, at most this many times (doubled)
@@ -165,9 +176,12 @@ CoefficientFn = Callable[[np.ndarray, BathParams], CoefficientSet]
 
 
 def check_grid(times: Sequence[float]) -> np.ndarray:
-    """The sample times as an array; GridError unless nonempty, 1-d,
-    nonnegative and strictly increasing."""
-    ts = np.asarray(times, dtype=float)
+    """The sample times as an array; GridError unless numeric, nonempty,
+    1-d, nonnegative and strictly increasing."""
+    try:
+        ts = np.asarray(times, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise GridError(f"times must be real numbers: {err}") from None
     if ts.ndim != 1 or ts.size == 0:
         raise GridError("times must be a nonempty 1-d sequence")
     if not ts[0] >= 0.0:
@@ -261,23 +275,26 @@ def _components(yv) -> tuple:
 
 
 def _reals(jp, j0, jm, kp, k0, km) -> np.ndarray:
-    """Arrays of the six components, (m, ...) each, as the Wei-Norman
-    reals laid out as in _rhs along axis 1."""
-    return np.stack((jp.real, jp.imag, j0.real, j0.imag, jm.real, jm.imag,
-                     kp, k0, km), axis=1)
+    """Arrays of the six components, (m,) each, as the Wei-Norman reals
+    laid out as in _rhs, (m, 9)."""
+    out = np.empty((kp.size, 9))
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = jp.real, jp.imag, j0.real, j0.imag
+    out[:, 4], out[:, 5], out[:, 6], out[:, 7], out[:, 8] = jm.real, jm.imag, kp, k0, km
+    return out
 
 
-def error_norm(h, err5, err3, y, y_new, tol: float):
+def error_norm(h, err5, err3, y, y_new, tol: float, n: Optional[int] = None):
     """DOP853's error norm of steps of length h from y to y_new (Hairer,
     Norsett & Wanner, Solving ODEs I, Sec. II.10, as SciPy forms it), each
     of shape (..., n) over n components: err5 and err3 are the tableau's
     fifth- and third-order estimates E5 and E3 applied to the stages, and
     every component is scaled by tol (1 + max(|y|, |y_new|)).  Below 1
-    where a step meets rel_tol tol; 0 where both estimates vanish."""
+    where a step meets rel_tol tol; 0 where both estimates vanish.  n, the
+    last axis by default, counts components whose errors are zero too."""
     scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
     e5, e3 = err5 / scale, err3 / scale
     e5, e3 = (e5 * e5).sum(axis=-1), (e3 * e3).sum(axis=-1)
-    denom = ((e5 + 0.01 * e3) * scale.shape[-1]) ** 0.5
+    denom = ((e5 + 0.01 * e3) * (n or scale.shape[-1])) ** 0.5
     # denom is 0 only where e5 is: divide by 1 there
     return h * e5 / (denom + (denom == 0.0))
 
@@ -359,21 +376,47 @@ def _riccati_stages() -> Callable:
     return space["stages"]
 
 
-def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
-    """A driven component over DOP853 steps of lengths h from y0, where
-    its derivative is f0, from its derivatives d (m, 12) at stages 1..11
-    and the end of each step: the derivatives at all 13 stages and the
-    values at stages 1..11 and the end.  The ends add up from y0 in the
-    order a step-by-step loop adds them.  The weighted sums are einsum's,
-    not matmul's: matmul rounds a row by the number of rows beside it, so
-    the channel would depend on RICCATI_BLOCK_STEPS."""
+@functools.cache
+def _stage_weights() -> np.ndarray:
+    """The DOP853 weights of the 13 stage derivatives of a step, (13, 14):
+    B for its end, A[1:] for stages 1..11, then E5 and E3 for its error
+    estimates."""
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    k = np.concatenate((np.append(f0, d[:-1, -1])[:, None], d), axis=1)
-    ends = np.add.accumulate(np.append(y0, h * np.einsum("ms,s->m", k[:, :-1], rk.B)))
-    stages = ends[:-1, None] + np.einsum("ms,rs->mr", k[:, :-1], rk.A[1:]) * h[:, None]
-    return k, np.concatenate((stages, ends[1:, None]), axis=1)
+    w = np.zeros((rk.n_stages + 1, 14))
+    w[:-1, 0], w[:-1, 1:12] = rk.B, rk.A[1:].T
+    w[:, 12], w[:, 13] = rk.E5, rk.E3
+    return w
+
+
+def _stage_sums(k: np.ndarray) -> np.ndarray:
+    """k @ _stage_weights() for the stage derivatives k (m, 13) of m steps,
+    by matmul on _SUM_ROWS rows at a time, padded with zero rows."""
+    m, w = k.shape[0], _stage_weights()
+    if m % _SUM_ROWS:
+        k = np.concatenate((k, np.zeros((-m % _SUM_ROWS, k.shape[1]), k.dtype)))
+    if k.shape[0] == _SUM_ROWS:
+        return (k @ w)[:m]
+    return np.concatenate([k[i:i + _SUM_ROWS] @ w for i in range(0, m, _SUM_ROWS)])[:m]
+
+
+def _driven_steps(d: np.ndarray, y0, f0, h: np.ndarray) -> tuple:
+    """A driven component over DOP853 steps of lengths h from y0, where
+    its derivative is f0, from its derivatives d (m, 12) at stages 1..11
+    and the end of each step: the derivatives at all 13 stages, the
+    values at stages 1..11 and the end, and the sums of _stage_sums.  The
+    ends add up from y0 in the order a step-by-step loop adds them."""
+    m = h.size
+    k = np.empty((m, 13), d.dtype)
+    k[0, 0], k[1:, 0], k[:, 1:] = f0, d[:-1, -1], d
+    sums = _stage_sums(k)
+    ends = np.empty(m + 1, d.dtype)
+    ends[0], ends[1:] = y0, h * sums[:, 0]
+    np.add.accumulate(ends, out=ends)
+    values = np.empty((m, 12), d.dtype)
+    values[:, :11], values[:, 11] = ends[:-1, None] + sums[:, 1:12] * h[:, None], ends[1:]
+    return k, values, sums
 
 
 def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
@@ -405,17 +448,20 @@ def _riccati_block(p: BathParams, tol: float, t0: np.ndarray, h: np.ndarray,
     m = h.size
     jps = np.array(values_j, complex).reshape(m, -1)
     kps = np.array(values_k, float).reshape(m, -1)
+    k_jp = np.array(derivs_j, complex).reshape(m, -1)
+    k_kp = np.array(derivs_k, float).reshape(m, -1)
     dj0, dk0 = _zero_rhs(cols, jps, kps)
-    k_j0, j0s = _driven_steps(dj0, j0, f_j0, h)
-    k_k0, k0s = _driven_steps(dk0, k0, f_k0, h)
+    k_j0, j0s, s_j0 = _driven_steps(dj0, j0, f_j0, h)
+    k_k0, k0s, s_k0 = _driven_steps(dk0, k0, f_k0, h)
     djm, dkm = _minus_rhs(cols, j0s, k0s)
-    k_jm, jms = _driven_steps(djm, jm, f_jm, h)
-    k_km, kms = _driven_steps(dkm, km, f_km, h)
-    k = _reals(np.array(derivs_j, complex).reshape(m, -1), k_j0, k_jm,
-               np.array(derivs_k, float).reshape(m, -1), k_k0, k_km)
+    k_jm, jms, s_jm = _driven_steps(djm, jm, f_jm, h)
+    k_km, kms, s_km = _driven_steps(dkm, km, f_km, h)
+    sums = (_stage_sums(k_jp), s_j0, s_jm, _stage_sums(k_kp), s_k0, s_km)
+    err5, err3 = (_reals(*(s[:, col] for s in sums)) for col in (12, 13))
     ends = _reals(*(v[:, -1] for v in (jps, j0s, jms, kps, k0s, kms)))
-    err = error_norm(h, k @ rk.E5, k @ rk.E3, np.vstack((y, ends[:-1])), ends, tol)
-    return (ends, k[:, :, -1]), err
+    derivs = _reals(*(k[:, -1] for k in (k_jp, k_j0, k_jm, k_kp, k_k0, k_km)))
+    err = error_norm(h, err5, err3, np.vstack((y, ends[:-1])), ends, tol)
+    return (ends, derivs), err
 
 
 def _step_plan(block_fn: Callable, p: BathParams, times: Sequence[float], h: float,
@@ -696,16 +742,16 @@ def propagate(
     ts, u = _step_plan(functools.partial(_magnus_block, p, cfn), p, times,
                        magnus_step(p), MAGNUS_MAX_STEPS, ("Magnus", "propagate"),
                        (np.eye(4),), None, MAGNUS_BLOCK_STEPS)
-    return sector_channel(ts, u)
+    return sector_channel(ts, u[:, ::3, ::3], u[:, 1:3, 1:3])
 
 
-def sector_channel(ts: np.ndarray, u: np.ndarray) -> ChannelSeries:
-    """The channel from the real (T, 4, 4) propagator u on [rho11, Re rho10,
-    Im rho10, rho00]: l, m, p, n are the entries of its population block
-    u[:, ::3, ::3], and its coherence block C = u[:, 1:3, 1:3] gives
-    x = (C00 + C11)/2 + i (C10 - C01)/2, y = (C00 - C11)/2 + i (C10 + C01)/2,
-    q = conj(x) and r = conj(y); the rest of u is zero and not read."""
-    pop, coh = u[:, ::3, ::3], u[:, 1:3, 1:3]
+def sector_channel(ts: np.ndarray, pop: np.ndarray, coh: np.ndarray) -> ChannelSeries:
+    """The channel from the two blocks, (T, 2, 2) each, of a real propagator
+    on [rho11, Re rho10, Im rho10, rho00]: l, m, p, n are the entries of
+    its population block pop, on (rho11, rho00), and its coherence block
+    C = coh, on (Re rho10, Im rho10), gives x = (C00 + C11)/2 + i (C10 -
+    C01)/2, y = (C00 - C11)/2 + i (C10 + C01)/2, q = conj(x) and
+    r = conj(y)."""
     x = (coh[:, 0, 0] + coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] - coh[:, 0, 1])
     y = (coh[:, 0, 0] - coh[:, 1, 1]) / 2.0 + 0.5j * (coh[:, 1, 0] + coh[:, 0, 1])
     return ChannelSeries(

@@ -3,12 +3,13 @@
 Three families of cross-checks live here:
 
 * direct_channel: the time-local master equation integrated as a plain
-  matrix ODE, with no Wei-Norman structure: its 4x4 propagator gives the
+  matrix ODE, with no Wei-Norman structure: its propagator, held as its
+  population and coherence 2x2 blocks (the rest is zero), gives the
   channel for every input state.  Its generator is propagate's
   (lie_channel._generator_blocks); its own part is the integrator.  The
   equation is linear, so its DOP853 steps, with error control, are
-  matrices, built for blocks of steps at once and stepped by the one
-  step walk of lie_channel.integrate and lie_channel.propagate
+  pairs of 2x2 blocks, built for blocks of steps at once and stepped by
+  the one step walk of lie_channel.integrate and lie_channel.propagate
   (lie_channel._step_plan), which turns the grid into equal steps at the
   cap, doubled in an interval where the error asks, and the samples.
   Agreement with lie_channel is the central correctness check of the
@@ -19,7 +20,8 @@ Three families of cross-checks live here:
   of the counter-rotating kernel, alpha and alpha~, whose oscillation
   e^{-2i omega0 u} is the weight of QUADPACK's oscillatory rule and whose
   envelope is smooth (alpha~ with the order of integration swapped), and
-  plain quadrature of f for the rest of Gamma_k.
+  plain quadrature of f for the rest of Gamma_k.  kernel_quadratures
+  takes all five at one point with each integral once, for verify.
 * the exact rotating-wave single-excitation amplitude q(t) and the channel
   built from it, used by the comparison sweeps, plus the residual of its
   defining integro-differential equation  q'(t) = -int_0^t alpha1(t-s) q(s) ds.
@@ -55,60 +57,54 @@ DIRECT_BLOCK_STEPS = 256
 DIRECT_MAX_STEPS = 1e7
 
 
-def _direct_matrices(times: np.ndarray, p: BathParams,
-                     cfn: CoefficientFn) -> np.ndarray:
-    """The master equation on [rho11, Re rho10, Im rho10, rho00] at each of
-    `times`, from one call of cfn, (T, 4, 4): _generator_blocks in the
-    population block [::3, ::3] and the coherence block [1:3, 1:3], zero
-    elsewhere, as no term couples a population to a coherence (a test
-    checks that on lie_channel._BASIS)."""
-    a = _generator_blocks(cfn(times, p))
-    m = np.zeros((times.size, 4, 4))
-    m[:, ::3, ::3], m[:, 1:3, 1:3] = a[:, 0], a[:, 1]
-    return m
-
-
 def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
                   t0: np.ndarray, h: np.ndarray):
-    """The matrices S of DOP853 steps of length h from the times t0,
-    U(t0 + h) = S U(t0), shape (T, 4, 4), and the error norm (error_norm,
-    at rel_tol tol) of each as a step of the identity, shape (T,).
+    """The sector blocks S of DOP853 steps of length h from the times t0,
+    U(t0 + h) = S U(t0), shape (2, T, 2, 2): the population block, then
+    the coherence block, of each step.  Also the error norm (error_norm,
+    at rel_tol tol) of each as a step of the identity, shape (T,), over
+    the 16 entries of the 4x4 step on [rho11, Re rho10, Im rho10, rho00],
+    whose eight entries outside the blocks are zero.
 
     U' = M(t) U is linear, so each stage is a matrix, batched over the
-    steps: K_s = M_s (I + h sum_j a_sj K_j) and S = I + h sum_i b_i K_i,
-    with every M_s from one call of cfn.  A step of length 0 is I, error 0.
+    sectors and steps: K_s = M_s (I + h sum_j a_sj K_j) and
+    S = I + h sum_i b_i K_i, with every M_s the blocks of
+    lie_channel._generator_blocks from one call of cfn.  A step of
+    length 0 is I, error 0.
     """
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    m = _direct_matrices((t0[:, None] + rk.C * h[:, None]).ravel(), p, cfn)
-    m = m.reshape(t0.size, rk.n_stages, 4, 4)
-    eye, w = np.eye(4), h[:, None, None]
-    k = np.empty((rk.n_stages + 1, t0.size, 4, 4))
-    k[0] = m[:, 0]
+    a = _generator_blocks(cfn((t0[:, None] + rk.C * h[:, None]).ravel(), p))
+    a = a.reshape(t0.size, rk.n_stages, 2, 2, 2).transpose(1, 2, 0, 3, 4)
+    eye, w = np.eye(2), h[:, None, None]
+    k = np.empty((rk.n_stages + 1, 2, t0.size, 2, 2))
+    k[0] = a[0]
     for s in range(1, rk.n_stages):
-        k[s] = m[:, s] @ (eye + w * np.tensordot(rk.A[s, :s], k[:s], axes=1))
+        k[s] = a[s] @ (eye + w * np.tensordot(rk.A[s, :s], k[:s], axes=1))
     step = eye + w * np.tensordot(rk.B, k[:-1], axes=1)
     # the error estimate's extra stage, at the last stage time t0 + h
-    k[-1] = m[:, -1] @ step
-    err5, err3 = (np.tensordot(e, k, axes=1).reshape(-1, 16) for e in (rk.E5, rk.E3))
-    return step, error_norm(h, err5, err3, eye.ravel(), step.reshape(-1, 16), tol)
+    k[-1] = a[-1] @ step
+    flat = lambda b: b.transpose(1, 0, 2, 3).reshape(t0.size, 8)
+    err5, err3 = (flat(np.tensordot(e, k, axes=1)) for e in (rk.E5, rk.E3))
+    return step, error_norm(h, err5, err3, np.tile(eye.ravel(), 2), flat(step), tol, 16)
 
 
 def _direct_block(p: BathParams, cfn: CoefficientFn, tol: float, t0: np.ndarray,
                   h: np.ndarray, state: tuple) -> tuple:
-    """DOP853 steps of lengths h from the times t0 and the propagator
-    state = (u,): ((U,), err), U (T, 4, 4) the propagator after each step
-    and err the error norm of each; u is folded into the first step, as
-    in lie_channel._magnus_block.  ToleranceError if a step is not finite,
-    which no refinement mends."""
+    """DOP853 steps of lengths h from the times t0 and the propagator's
+    sector blocks state = (u,), u (2, 2, 2): ((U,), err), U (T, 2, 2, 2)
+    the blocks after each step and err the error norm of each; u is folded
+    into the first step, as in lie_channel._magnus_block.  ToleranceError
+    if a step is not finite, which no refinement mends."""
     step, err = _dop853_steps(p, cfn, tol, t0, h)
     if not np.all(np.isfinite(err)):
         raise ToleranceError(f"integration failed: a direct step from t = "
                              f"{t0[np.argmin(np.isfinite(err))]:.6g} "
                              f"is not finite")
-    step[0] = step[0] @ state[0]
-    return (_prefix_products(step),), err
+    step[:, 0] = step[:, 0] @ state[0]
+    # the scan runs along axis -3, the steps; the walk takes them first
+    return (_prefix_products(step).transpose(1, 0, 2, 3),), err
 
 
 def direct_channel(
@@ -117,10 +113,12 @@ def direct_channel(
     settings: Optional[IntegratorSettings] = None,
     coefficient_fn: Optional[CoefficientFn] = None,
 ) -> ChannelSeries:
-    """The channel at t_grid from the real 4x4 propagator U of the master
-    equation on [rho11, Re rho10, Im rho10, rho00], U(0) = I: sector_channel
-    of U, which reads its population and coherence blocks (the rest of
-    U stays zero, as in _direct_matrices).
+    """The channel at t_grid from the real propagator U of the master
+    equation on [rho11, Re rho10, Im rho10, rho00], U(0) = I, held as its
+    two 2x2 sector blocks, on (rho11, rho00) and (Re rho10, Im rho10):
+    sector_channel of the blocks.  No term couples a population to a
+    coherence (a test checks that on lie_channel._BASIS), so the rest of
+    U stays zero.
 
     Each interval between sample times takes equal DOP853 steps of at most
     step_cap(p), stepped by the walk of the channel routes
@@ -130,7 +128,7 @@ def direct_channel(
     (error_norm, at settings.rel_tol) reaches 1 is stepped again from its
     start with twice the steps (doubled).  Per block of at most
     DIRECT_BLOCK_STEPS steps (_direct_block), U at the block's start is
-    folded into the first step matrix and the steps are prefix-multiplied
+    folded into the first step's blocks and the steps are prefix-multiplied
     (lie_channel._prefix_products), as propagate's Magnus steps are.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
@@ -142,9 +140,10 @@ def direct_channel(
     tol = (settings or IntegratorSettings()).rel_tol
     ts, u = lie_channel._step_plan(functools.partial(_direct_block, p, cfn, tol), p,
                                    t_grid, step_cap(p), DIRECT_MAX_STEPS,
-                                   ("DOP853", "direct_channel"), (np.eye(4),), tol,
+                                   ("DOP853", "direct_channel"),
+                                   (np.tile(np.eye(2), (2, 1, 1)),), tol,
                                    DIRECT_BLOCK_STEPS)
-    return sector_channel(ts, u)
+    return sector_channel(ts, u[:, 0], u[:, 1])
 
 
 def integrate_master_direct(p: BathParams, rho0, t_grid: Sequence[float],
@@ -232,25 +231,31 @@ def rwa_amplitude(t, p: BathParams):
     be an array.
 
     q(t) = e^{-gamma t/2} [cos(d t/2) + (gamma/d) sin(d t/2)] with
-    d = sqrt(2 lam gamma - gamma^2); continues through hyperbolic d for
-    weak coupling.  Real-valued for real parameters, complex-typed.
+    d = sqrt(2 lam gamma - gamma^2), in real arithmetic; continues through
+    hyperbolic d for weak coupling.  Real-valued, complex-typed, and finite
+    at every finite t.
     """
     g = p.gamma
     d = cmath.sqrt(complex(2.0 * p.lam * g - g * g))
-    t = np.asarray(t, dtype=float)
+    # at weak coupling d = i kappa with 0 < kappa < gamma: cosh and sinh of
+    # kappa t/2 overflow past kappa t ~ 1400 while e^{-gamma t/2}
+    # underflows, so q is taken as e^{(kappa - gamma) t/2} = e^{-rate t}
+    # times bounded factors
+    weak = d.real == 0.0 and abs(d) >= 1e-12
+    rate = p.lam * g / (d.imag + g) if weak else g / 2.0
+    # past 750/rate q is 0 to the last bit (e^{-750} underflows), so the
+    # times are clipped there, where no product of t overflows
+    t = np.minimum(np.asarray(t, dtype=float), 750.0 / rate)
+    if weak:
+        kappa = d.imag
+        return np.exp(-rate * t) * (
+            1.0 + np.exp(-kappa * t) - g / kappa * np.expm1(-kappa * t)) / 2.0 + 0j
     env = np.exp(-g * t / 2.0)
     if abs(d) < 1e-12:
         # critically damped limit: sin(dt/2)/d -> t/2
         return env * (1.0 + g * t / 2.0) + 0j
-    if d.real == 0.0:
-        # d = i kappa with 0 < kappa < gamma: cosh and sinh of kappa t/2
-        # overflow past kappa t ~ 1400 while env underflows, so the product
-        # is e^{(kappa - gamma) t/2} = e^{-lam gamma t/(kappa + gamma)}
-        # times bounded factors
-        kappa = d.imag
-        return np.exp(-p.lam * g / (kappa + g) * t) * (
-            1.0 + np.exp(-kappa * t) - g / kappa * np.expm1(-kappa * t)) / 2.0 + 0j
-    return env * (np.cos(d * t / 2.0) + (g / d) * np.sin(d * t / 2.0))
+    phase = d.real * t / 2.0
+    return env * (np.cos(phase) + (g / d.real) * np.sin(phase)) + 0j
 
 
 def rwa_amplitude_rate(t: float, p: BathParams) -> complex:
@@ -348,7 +353,11 @@ def alpha1_quadrature(t: float, p: BathParams) -> complex:
 def alpha2_quadrature(t: float, p: BathParams) -> complex:
     """Fourier integral of J against e^{+i(w+w0)t} = e^{2i w0 t} x the
     same even core as alpha1."""
-    return cmath.exp(2j * p.omega0 * t) * _lorentzian_core(t, p)
+    return _alpha2(t, p, _lorentzian_core(t, p))
+
+
+def _alpha2(t: float, p: BathParams, core: float) -> complex:
+    return cmath.exp(2j * p.omega0 * t) * core
 
 
 def _damped_fourier(env, a: float, b: float, p: BathParams, weight: str) -> float:
@@ -380,9 +389,13 @@ def alpha_tilde_quadrature(t: float, p: BathParams, s_lower: float = 0.0) -> com
     and c = gamma + 2i omega0: alpha_quadrature(a) and the cos- and
     sin-weighted integrals of the smooth envelope (t - u) e^{-gamma u}.  It
     reads no closed form of kernels."""
+    return _alpha_tilde(t, p, s_lower, _tail(t, p, s_lower, "cos"))
+
+
+def _alpha_tilde(t: float, p: BathParams, s_lower: float, cos: float) -> complex:
     # the head vanishes at a = 0: no call of alpha_quadrature there
     head = (t - s_lower) * alpha_quadrature(s_lower, p) if s_lower > 0.0 else 0j
-    return head + complex(_tail(t, p, s_lower, "cos"), -_tail(t, p, s_lower, "sin"))
+    return head + complex(cos, -_tail(t, p, s_lower, "sin"))
 
 
 def decay_exponent_quadrature(t: float, p: BathParams) -> float:
@@ -390,10 +403,24 @@ def decay_exponent_quadrature(t: float, p: BathParams) -> float:
     separately so neither term's roundoff hides the other's: alpha~^R is
     the cos-weighted part of alpha_tilde_quadrature, F the integral of
     f = 1 - e^{-gamma s} in Python scalars."""
-    i1 = _tail(t, p, 0.0, "cos")
-    i2 = _quad(lambda s: -math.expm1(-p.gamma * s), 0.0, t,
-               limit=2000, epsabs=1e-12, epsrel=1e-12)
-    return p.lam * (p.gamma * i1 + i2) / 2.0
+    return _decay_exponent(t, p, _tail(t, p, 0.0, "cos"))
+
+
+def _decay_exponent(t: float, p: BathParams, cos: float) -> float:
+    f = _quad(lambda s: -math.expm1(-p.gamma * s), 0.0, t,
+              limit=2000, epsabs=1e-12, epsrel=1e-12)
+    return p.lam * (p.gamma * cos + f) / 2.0
+
+
+def kernel_quadratures(t: float, p: BathParams) -> dict:
+    """The five <name>_quadrature values at t, keyed by kernel name
+    (alpha1, alpha2, alpha, alpha_tilde, decay_exponent), with each
+    QUADPACK integral taken once: alpha2 shares alpha1's Fourier core, and
+    decay_exponent the cos-weighted integral of alpha_tilde."""
+    core, cos = _lorentzian_core(t, p), _tail(t, p, 0.0, "cos")
+    return {"alpha1": complex(core), "alpha2": _alpha2(t, p, core),
+            "alpha": alpha_quadrature(t, p), "alpha_tilde": _alpha_tilde(t, p, 0.0, cos),
+            "decay_exponent": _decay_exponent(t, p, cos)}
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,21 @@ def test_general_rejects_indefinite_states():
     assert both[0] == pytest.approx(1.0, abs=1e-12) and np.isnan(both[1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_general_refuses_states_that_are_not_finite(bad):
+    # eigh cannot take them: a single one raises, one in a stack reads NaN
+    # and the others are kept
+    bell = initial_state(BellFamilyState("phi", math.sqrt(0.5)))
+    broken = bell.copy()
+    broken[1, 2] = bad
+    with pytest.raises(NumericalError, match="not finite"):
+        concurrence_general(broken)
+    both = concurrence_general(np.array([[bell, broken], [broken, bell]]))
+    assert both.shape == (2, 2)
+    assert np.isnan(both[0, 1]) and np.isnan(both[1, 0])
+    assert both[0, 0] == both[1, 1] == concurrence_general(bell)
+
+
 def test_shape_rejection():
     with pytest.raises(ShapeError):
         concurrence_xstate(np.eye(3))

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from conftest import step_plans
 
 from beyondrwa import BathParams, cli, kernels, lie_channel, oracle
+from beyondrwa.entanglement import detect_esd
 from beyondrwa.errors import DomainError, GridError, ToleranceError
 from beyondrwa.lie_channel import IntegratorSettings, apply_channel
 
@@ -47,6 +48,21 @@ def test_direct_grid_validation():
             oracle.rwa_channel(bad, P_B)
 
 
+@pytest.mark.parametrize("bad", [["a"], [0.0, 1j], [[0.0], [1.0, 2.0]], [object()]],
+                         ids=["text", "complex", "ragged", "object"])
+def test_every_route_refuses_a_grid_that_is_not_numeric(bad):
+    # one conversion, lie_channel.check_grid, serves every route, and it
+    # names the grid rather than raising NumPy's conversion error
+    routes = (lambda ts: lie_channel.propagate(P_B, ts),
+              lambda ts: lie_channel.integrate(P_B, ts),
+              lambda ts: oracle.direct_channel(P_B, ts),
+              lambda ts: oracle.rwa_channel(ts, P_B),
+              lambda ts: detect_esd(ts, [0.0] * len(ts)))
+    for route in routes:
+        with pytest.raises(GridError, match="times must be real numbers"):
+            route(bad)
+
+
 def test_direct_matches_channel_on_coherent_state():
     ts = np.linspace(0.0, 10.0, 51)
     series = lie_channel.integrate(P_B, ts)
@@ -78,13 +94,9 @@ def _operator_rhs(t, yv, p, cfn):
 @pytest.mark.parametrize("p", [P_A, P_B, P_C, BathParams(omega0=3.0, gamma=1.0, lam=100.0)])
 def test_direct_rhs_matches_operator_expression(p, cfn):
     rng = np.random.default_rng(11)
-    for t, yv in zip(rng.uniform(0.0, 10.0, 50), rng.normal(size=(50, 4))):
-        ref = _operator_rhs(t, yv, p, cfn)
-        (m,) = oracle._direct_matrices(np.array([t]), p, cfn)
-        got = m @ yv
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # propagate steps the same generator: its sector blocks are the
-        # operator algebra's, column by column
+    for t in rng.uniform(0.0, 10.0, 50):
+        # the direct route and propagate step the sector blocks of one
+        # generator: they are the operator algebra's, column by column
         full = np.stack([_operator_rhs(t, unit, p, cfn) for unit in np.eye(4)], axis=1)
         ((pop, coh),) = lie_channel._generator_blocks(cfn(np.array([t]), p))
         for block, want in ((pop, full[::3, ::3]), (coh, full[1:3, 1:3])):
@@ -158,17 +170,19 @@ def test_every_verify_quadrature_is_scipys(monkeypatch):
     assert len(records) == 6
     # every routine _quad dispatches to: plain finite (qagse) and infinite
     # (qagie), cosine- and sine-weighted finite (qawoe) and infinite (qawfe)
-    assert len(seen) == 206
+    assert len(seen) == 158
     assert set(seen) == {(None, False), (None, True), ("cos", False),
                          ("sin", False), ("cos", True)}
 
 
 def test_kernel_checks_keep_their_integrand_work(monkeypatch):
     # alpha~ and Gamma_k integrate a smooth envelope against the 2 omega0
-    # oscillation in QUADPACK's oscillatory rule: 38 262 integrand calls
-    # over verify's presets, against 136 788 when they integrated the
-    # closed-form alpha node by node.  The bound leaves about 20% for
-    # other libm and QUADPACK builds
+    # oscillation in QUADPACK's oscillatory rule, and each integral is
+    # taken once per point: 22 157 integrand calls over verify's presets,
+    # against 38 262 when alpha2 and Gamma_k took alpha1's and alpha~'s
+    # again, and 136 788 when they integrated the closed-form alpha node
+    # by node.  The bound leaves about 20% for other libm and QUADPACK
+    # builds
     quad = oracle._quad
     calls = [0]
 
@@ -180,7 +194,19 @@ def test_kernel_checks_keep_their_integrand_work(monkeypatch):
 
     monkeypatch.setattr(oracle, "_quad", counted)
     assert len(list(cli.check_kernels(cli.VERIFY_PRESETS))) == 5
-    assert 0 < calls[0] <= 46_000
+    assert 0 < calls[0] <= 26_600
+
+
+def test_kernel_quadratures_are_the_five_quadratures():
+    # check_kernels reads the five quadratures of a point from one call,
+    # which shares alpha1's integral with alpha2 and alpha~'s cos-weighted
+    # one with Gamma_k: the same values, to the bit
+    for p in (P_A, P_C):
+        for t in (0.0, 0.5 / p.gamma, 5.0 / p.gamma):
+            got = oracle.kernel_quadratures(t, p)
+            assert list(got) == [name for name, _ in cli.KERNEL_BOUNDS]
+            for name, value in got.items():
+                assert value == getattr(oracle, f"{name}_quadrature")(t, p), name
 
 
 def test_quad_falls_back_to_scipy_and_keeps_its_warning(monkeypatch):
@@ -259,6 +285,20 @@ def test_rwa_rate_stays_finite_at_weak_coupling():
         assert math.isfinite(rate.real) and rate.real < 0.0
         assert abs(rate - fd) < 1e-7 * abs(rate)
     assert math.isfinite(oracle.rwa_residual(weak, [0.0, 1.0, 2000.0, 5000.0]))
+
+
+@pytest.mark.parametrize("p", [BathParams(10.0, 1.0, 10.0), BathParams(10.0, 4.0, 2.0),
+                               BathParams(10.0, 4.0, 0.5)],
+                         ids=["oscillatory", "critical", "hyperbolic"])
+def test_rwa_channel_is_finite_at_any_finite_time(p):
+    # d t and gamma t overflow near the largest float, where q has long
+    # underflowed to 0: the map there is the ground state's, with no
+    # overflow, invalid value or warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = oracle.rwa_channel([0.0, 1e300, 1e308], p)
+    assert np.array_equal(c.l, [1.0, 0.0, 0.0]) and np.array_equal(c.p, [0.0, 1.0, 1.0])
+    assert np.array_equal(c.x, [1.0, 0.0, 0.0])
 
 
 def test_rwa_hyperbolic_regime():
