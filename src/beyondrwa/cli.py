@@ -51,9 +51,14 @@ from .two_qubit import (BellFamilyState, evolve_pair, evolve_sectors,
 BETA2_FLOOR = 1e-4
 REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
 DEATH_THRESHOLD = 1e-6
-# compute_surface evolves at most this many (time, beta^2) cells at once
-# (at least one time row), which bounds its working memory
-SURFACE_BLOCK_CELLS = 1024
+# compute_surface evolves at most SURFACE_BLOCK_CELLS (time, beta^2) cells
+# and SURFACE_BLOCK_TIMES times at once (at least one time row), which
+# bounds its working memory.  A block costs about 0.1 ms of NumPy calls
+# whatever its size; 4096 cells are 8 rows of a 501-state sweep, and past
+# that a block's complex arrays pass 256 kB and run slower again.  The time
+# bound keeps a report's blocks, and its sector maps, at 1024 times
+SURFACE_BLOCK_CELLS = 4096
+SURFACE_BLOCK_TIMES = 1024
 
 
 PRESETS = {
@@ -124,11 +129,14 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     """Concurrence over the full grid with one channel propagation.
 
     The channel depends on time only, so it is evolved against every beta^2
-    at once, SURFACE_BLOCK_CELLS cells at a time.  Both families are X
-    states, so only their diagonal and antidiagonal are evolved: read from
-    the stack once (two_qubit.sector_blocks), then through each block of
-    times (two_qubit.evolve_sectors) of the sector maps, built for up to
-    SURFACE_BLOCK_CELLS times at once (two_qubit.sector_maps).
+    at once, in blocks of whole time rows: as many rows as fit in
+    SURFACE_BLOCK_CELLS cells, but at least one and at most
+    SURFACE_BLOCK_TIMES.  Both families are X states, so only their
+    diagonal and antidiagonal are evolved: read from the stack once
+    (two_qubit.sector_blocks), then through each block of times
+    (two_qubit.evolve_sectors) of the sector maps, built for whole blocks
+    and up to SURFACE_BLOCK_TIMES times at once (two_qubit.sector_maps).
+    Every cell is computed alone, so its bits do not depend on the blocks.
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     series = _channel_series(spec, gts / spec.params.gamma)
@@ -136,10 +144,10 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     blocks = sector_blocks(_initial_states(spec.family, b2s, spec.eta_phase))
 
     values = np.empty((gts.size, b2s.size))
-    rows = max(1, SURFACE_BLOCK_CELLS // max(1, b2s.size))
-    # the sector maps of whole blocks and at most SURFACE_BLOCK_CELLS times
+    rows = max(1, min(SURFACE_BLOCK_TIMES, SURFACE_BLOCK_CELLS // max(1, b2s.size)))
+    # the sector maps of whole blocks and at most SURFACE_BLOCK_TIMES times
     # at once: a map of every time of a long report would cost 96 bytes a time
-    span = rows * max(1, SURFACE_BLOCK_CELLS // rows)
+    span = rows * (SURFACE_BLOCK_TIMES // rows)
     for start in range(0, gts.size, span):
         pop, coh = sector_maps(series[start:start + span])
         for i in range(0, pop.shape[-1], rows):

@@ -618,11 +618,21 @@ _BLOCK_BASIS = np.stack([_BASIS.reshape(-1, 4, 4)[:, ::3, ::3],
                          _BASIS.reshape(-1, 4, 4)[:, 1:3, 1:3]], axis=1).reshape(-1, 8)
 
 
-def _generator_blocks(c: CoefficientSet) -> np.ndarray:
-    """The one generator of propagate and oracle.direct_channel at every time
-    of c, (T, 2, 2, 2): its population block, on (rho11, rho00), and its
-    coherence block, on (Re rho10, Im rho10), from the terms of _TERMS,
-    weighted with Gdot = (nu_plus + nu_minus)/2 and eps- = conj(eps_plus)."""
+def _generator_blocks(cfn: CoefficientFn, times: np.ndarray, p: BathParams) -> np.ndarray:
+    """The one generator of propagate and oracle.direct_channel at every one
+    of the 1-d `times`, (T, 2, 2, 2): its population block, on (rho11,
+    rho00), and its coherence block, on (Re rho10, Im rho10), from the
+    terms of _TERMS, weighted with the coefficients c = cfn(times, p),
+    Gdot = (nu_plus + nu_minus)/2 and eps- = conj(eps_plus).
+
+    ShapeError, naming coefficient_fn, unless every field of c has the
+    shape of times: a scalar field would broadcast over every time."""
+    c = cfn(times, p)
+    for name, v in zip(CoefficientSet._fields, c):
+        if np.shape(v) != times.shape:
+            raise ShapeError(f"coefficient_fn returned {name} of shape "
+                             f"{np.shape(v)} for times of shape {times.shape}: "
+                             f"every field must have the shape of the times")
     weights = ((c.nu_plus + c.nu_minus) / 2.0, c.eps0, c.eps_plus,
                np.conj(c.eps_plus), c.nu0, c.nu_plus, c.nu_minus)
     w = np.empty((c.nu0.size, len(_TERMS)), dtype=complex)
@@ -697,7 +707,7 @@ def _magnus_block(p: BathParams, cfn: CoefficientFn, t0: np.ndarray,
     matrix; u is folded into the first step, and the steps are
     prefix-multiplied (_prefix_products)."""
     nodes = np.concatenate([t0 + g * h for g in _GAUSS_NODES])
-    a = _generator_blocks(cfn(nodes, p)).reshape(2, h.size, 2, 2, 2)
+    a = _generator_blocks(cfn, nodes, p).reshape(2, h.size, 2, 2, 2)
     # along the nodes: a1 and a2 hold both sectors, (2, m, 2, 2) each
     a1, a2 = a.transpose(0, 2, 1, 3, 4)
     w = h[:, None, None]
@@ -724,7 +734,8 @@ def propagate(
     of the DOP853 routes, _step_plan, in blocks of at most
     MAGNUS_BLOCK_STEPS steps across interval ends (_magnus_block).
     coefficient_fn is called with arrays of times, once per block, and
-    returns every field with their shape (CoefficientSet).
+    returns every field with their shape (CoefficientSet); ShapeError
+    otherwise (_generator_blocks).
 
     The result is sector_channel of the 4x4 propagator, as in
     oracle.direct_channel.  Raises GridError on a bad grid and DomainError

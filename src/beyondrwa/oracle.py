@@ -75,7 +75,7 @@ def _dop853_steps(p: BathParams, cfn: CoefficientFn, tol: float,
     from . import _tableaux
 
     rk = _tableaux.DOP853
-    a = _generator_blocks(cfn((t0[:, None] + rk.C * h[:, None]).ravel(), p))
+    a = _generator_blocks(cfn, (t0[:, None] + rk.C * h[:, None]).ravel(), p)
     a = a.reshape(t0.size, rk.n_stages, 2, 2, 2).transpose(1, 2, 0, 3, 4)
     eye, w = np.eye(2), h[:, None, None]
     k = np.empty((rk.n_stages + 1, 2, t0.size, 2, 2))
@@ -132,9 +132,10 @@ def direct_channel(
     (lie_channel._prefix_products), as propagate's Magnus steps are.
 
     Raises GridError on a bad grid, DomainError when the grid needs more
-    than DIRECT_MAX_STEPS steps at the cap, and ToleranceError when an
+    than DIRECT_MAX_STEPS steps at the cap, ToleranceError when an
     interval misses the tolerance after MAX_DOUBLINGS doublings or a step
-    is not finite.
+    is not finite, and ShapeError when a field of coefficient_fn's result
+    lacks the shape of its times (lie_channel._generator_blocks).
     """
     cfn = coefficient_fn or kernels.coefficients
     tol = (settings or IntegratorSettings()).rel_tol

@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +114,16 @@ def default_verify():
         calls = count_solvers(mp)
         code = main(["verify"])
     return code, [line.split("\t") for line in out.getvalue().splitlines()], calls
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def single_time_series(t=1.0, l=1.0, m=0.0, n=1.0, p=0.0, x=1.0, y=0.0,

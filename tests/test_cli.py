@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import count_solvers
+from conftest import count_solvers, traced_peak
 
 from beyondrwa import BathParams, kernels, lie_channel, oracle
 from beyondrwa import cli
@@ -674,19 +674,36 @@ def test_surface_matches_the_general_pair_route():
 
 
 def test_surface_bits_do_not_depend_on_the_block_size(monkeypatch):
-    # the X blocks are read once; each time block only multiplies them
-    spec = SweepSpec(params=PRESETS["C"], family="psi", eta_phase=0.7,
-                     beta2_values=beta2_grid(41), t_steps=61)
-    surfaces = []
-    for cells in (7, 1024, 10 ** 6):
-        monkeypatch.setattr(cli, "SURFACE_BLOCK_CELLS", cells)
-        surfaces.append(compute_surface(spec).values)
-    gts = np.linspace(0.0, spec.t_max, spec.t_steps)
-    series = _channel_series(spec, gts / spec.params.gamma)
-    rho0s = _initial_states("psi", np.array(spec.beta2_values), 0.7)
-    whole = concurrence_sectors(*evolve_xstate(series, rho0s)).value
-    for values in surfaces:
-        assert values.tobytes() == whole.tobytes()
+    # the X blocks are read once; each time block only multiplies them.
+    # (cells, times): one row at a time, the defaults, rows capped by the
+    # times and not the cells, and the whole grid in one block; on a
+    # surface and on one state, as a report evolves
+    for b2s, t_steps in ((beta2_grid(41), 61), ((0.3,), 2501)):
+        spec = SweepSpec(params=PRESETS["C"], family="psi", eta_phase=0.7,
+                         beta2_values=b2s, t_steps=t_steps)
+        surfaces = []
+        for cells, times in ((7, 1024), (4096, 1024), (10 ** 6, 5), (10 ** 6, 10 ** 6)):
+            monkeypatch.setattr(cli, "SURFACE_BLOCK_CELLS", cells)
+            monkeypatch.setattr(cli, "SURFACE_BLOCK_TIMES", times)
+            surfaces.append(compute_surface(spec).values)
+        gts = np.linspace(0.0, spec.t_max, spec.t_steps)
+        series = _channel_series(spec, gts / spec.params.gamma)
+        rho0s = _initial_states("psi", np.array(b2s), 0.7)
+        whole = concurrence_sectors(*evolve_xstate(series, rho0s)).value
+        for values in surfaces:
+            assert values.tobytes() == whole.tobytes()
+
+
+def test_compute_surface_keeps_its_memory_to_a_block():
+    # 1.85 MB on the wide surface, 0.8 MB of it the result, and 4.8 MB on
+    # the dense report, most of it rwa_channel; one block for the whole
+    # grid peaks at 17 and 25 MB, and blocks of 4096 times, as the cell
+    # bound alone would give the report, at 9.8 MB
+    wide = SweepSpec(params=PRESETS["C"], family="psi", beta2_values=beta2_grid(501))
+    report = SweepSpec(params=PRESETS["RWA"], channel="rwa",
+                       beta2_values=beta2_grid(1, 0.5), t_steps=40001)
+    assert traced_peak(compute_surface, wide) < 2_200_000
+    assert traced_peak(compute_surface, report) < 5_800_000
 
 
 def test_report_keeps_the_gross_negativity_guard(capsys):

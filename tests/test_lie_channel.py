@@ -5,13 +5,13 @@ import math
 import operator
 import textwrap
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series, step_plans
+from conftest import (GAMMA_T_GRID, HERMITIAN_PROBES, single_time_series, step_plans,
+                      traced_peak)
 
 import beyondrwa
 from beyondrwa import BathParams, _tableaux, kernels, lie_channel, oracle
@@ -442,16 +442,6 @@ def test_refinement_does_not_depend_on_the_block_size(monkeypatch, rel_tol, ts):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def _traced_peak(fn, *args) -> int:
-    """The tracemalloc peak, in bytes, of one call fn(*args)."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_integrate_keeps_its_memory_to_a_block(channel_bank):
     # one block of at most RICCATI_BLOCK_STEPS steps at a time: a table of
     # the whole grid's stage records would take several MB.  propagate on A
@@ -459,8 +449,8 @@ def test_integrate_keeps_its_memory_to_a_block(channel_bank):
     # MAGNUS_BLOCK_STEPS at a time as well (1.2 MB): in one block, the
     # whole grid peaks at 46 MB
     entry = channel_bank["A"]
-    assert _traced_peak(integrate, entry.params, entry.times) < 1_000_000
-    assert _traced_peak(propagate, entry.params, 10.0 * entry.times) < 2_000_000
+    assert traced_peak(integrate, entry.params, entry.times) < 1_000_000
+    assert traced_peak(propagate, entry.params, 10.0 * entry.times) < 2_000_000
 
 
 def test_grid_validation():
@@ -517,6 +507,19 @@ def test_integrate_keeps_every_sample_at_strong_coupling():
 def test_propagate_matches_direct_route(direct_bank, name):
     p = {"A": P_A, "B": P_B, "C": P_C}[name]
     assert _max_gap(propagate(p, GAMMA_T_GRID / p.gamma), direct_bank[name]) < 1e-6
+
+
+@pytest.mark.parametrize("route", [propagate, oracle.direct_channel],
+                         ids=["propagate", "direct"])
+def test_routes_refuse_coefficients_without_the_times_shape(route):
+    # one time's coefficients for many times failed in a NumPy reshape,
+    # and a single scalar field broadcast over the times without an error
+    ts = np.linspace(0.0, 2.0, 11)
+    one_time = lambda t, p: kernels.coefficients(0.5, p)
+    one_field = lambda t, p: kernels.coefficients(t, p)._replace(eps0=0.1j)
+    for cfn, field in ((one_time, "eps0"), (one_field, "eps0 of shape ()")):
+        with pytest.raises(ShapeError, match=f"coefficient_fn returned {field}"):
+            route(P_B, ts, coefficient_fn=cfn)
 
 
 def test_propagate_matches_direct_route_at_strong_coupling():

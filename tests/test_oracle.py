@@ -98,7 +98,7 @@ def test_direct_rhs_matches_operator_expression(p, cfn):
         # the direct route and propagate step the sector blocks of one
         # generator: they are the operator algebra's, column by column
         full = np.stack([_operator_rhs(t, unit, p, cfn) for unit in np.eye(4)], axis=1)
-        ((pop, coh),) = lie_channel._generator_blocks(cfn(np.array([t]), p))
+        ((pop, coh),) = lie_channel._generator_blocks(cfn, np.array([t]), p)
         for block, want in ((pop, full[::3, ::3]), (coh, full[1:3, 1:3])):
             assert np.max(np.abs(block - want)) <= 1e-14 * np.max(np.abs(want))
     # both routes read only the population and coherence blocks of the
