@@ -53,9 +53,9 @@ REVIVAL_AMPLITUDE = 0.01   # minimum peak for an episode to count in reports
 DEATH_THRESHOLD = 1e-6
 # compute_surface evolves at most SURFACE_BLOCK_CELLS (time, beta^2) cells
 # and SURFACE_BLOCK_TIMES times at once (at least one time row), which
-# bounds its working memory.  A block costs about 0.1 ms of NumPy calls
-# whatever its size; 4096 cells are 8 rows of a 501-state sweep, and past
-# that a block's complex arrays pass 256 kB and run slower again.  The time
+# bounds its working memory.  On the 501-state wide sweep, warm, 2048
+# cells took 13-19% longer than 4096 (8 rows) and 16384 cells 51-63%
+# longer; 8192 cells took 0-10% less but peak 0.6 MB higher.  The time
 # bound keeps a report's blocks, and its sector maps, at 1024 times
 SURFACE_BLOCK_CELLS = 4096
 SURFACE_BLOCK_TIMES = 1024
@@ -136,7 +136,8 @@ def compute_surface(spec: SweepSpec) -> ConcurrenceSurface:
     (two_qubit.sector_blocks), then through each block of times
     (two_qubit.evolve_sectors) of the sector maps, built for whole blocks
     and up to SURFACE_BLOCK_TIMES times at once (two_qubit.sector_maps).
-    Every cell is computed alone, so its bits do not depend on the blocks.
+    Every cell is summed alone, in one order at any block shape, so its
+    bits do not depend on the blocks.
     """
     gts = np.linspace(0.0, spec.t_max, spec.t_steps)
     series = _channel_series(spec, gts / spec.params.gamma)

@@ -20,10 +20,10 @@ two 2x2 blocks apart: the populations D = [[rho11, rho22], [rho33, rho44]]
 evolve as P D P^T and the antidiagonal A = [[rho14, rho23], [rho32, rho41]]
 as C A C^T, with the single-qubit P = [[l, m], [p, n]] and
 C = [[x, y], [r, q]] (1-based element labels).  evolve_xstate takes that
-route; evolve_pair is the general one.  A caller that evolves one stack
-through many blocks of times builds P and C (sector_maps) and reads the
-stack's blocks (sector_blocks) once, and evolves them per block of times
-(evolve_sectors).
+route, to evolve_pair's bits; evolve_pair is the general one.  A caller
+that evolves one stack through many blocks of times builds P and C
+(sector_maps) and reads the stack's blocks (sector_blocks) once, and
+evolves them per block of times (evolve_sectors).
 """
 
 from __future__ import annotations
@@ -146,15 +146,17 @@ def x_blocks(rho: np.ndarray):
 def _sector_square(k: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """k D0 k^T for every time of k, shape (2, 2, T), and every block of
     v0, shape (S, 4) (the 2x2 blocks D0 raveled): (2, 2, T, S)."""
-    # (k x k)[2i+j, 2a+b] = k[i, a] k[j, b], time last.  Elementwise sums
-    # over (T, S) planes, not a BLAS product: threaded OpenBLAS spent
-    # milliseconds on a complex 1024-time block that one thread does in
-    # microseconds
-    kk = (k[:, None, :, None] * k[None, :, None, :]).reshape(4, 4, -1, 1)
-    out = kk[:, 0] * v0[:, 0]
-    for j in range(1, 4):
-        out += kk[:, j] * v0[:, j]
-    return out.reshape((2, 2) + out.shape[1:])
+    # (k x k)[2i+j, 2a+b] = k[i, a] k[j, b], time last; one product per
+    # sector, (4, T, 4) @ (4, S), on the transposed view, whose (T, 4)
+    # matrices BLAS reads in place.  NumPy sends a one-row or one-column
+    # product to BLAS's vector routines, which round unlike its matrix
+    # routine, so one time or one state is repeated and sliced off again
+    t, s = k.shape[-1], v0.shape[0]
+    k = k.repeat(2, axis=-1) if t == 1 else k
+    v0 = v0.repeat(2, axis=0) if s == 1 else v0
+    kk = (k[:, None, :, None] * k[None, :, None, :]).reshape(4, 4, -1)
+    out = kk.transpose(0, 2, 1) @ v0.T
+    return out[:, :t, :s].reshape(2, 2, t, s)
 
 
 def sector_blocks(rho0s: np.ndarray):
@@ -184,11 +186,14 @@ def sector_maps(series: ChannelSeries):
 def evolve_sectors(pop: np.ndarray, coh: np.ndarray, d0: np.ndarray, a0: np.ndarray):
     """D = P D0 P^T and A = C A0 C^T, as two (T, S, 2, 2) arrays, for the
     maps (pop, coh) = (P, C) of sector_maps and the blocks (d0, a0) of
-    sector_blocks."""
+    sector_blocks.  One BLAS product per sector sums the nonzero terms of
+    evolve_pair's 16-term product, and on every shape tested the elements
+    are evolve_pair's to the bit."""
     diag = _sector_square(pop, d0)
     anti = _sector_square(coh, a0)
     # views with time and state leading; each element's (T, S) plane stays
-    # contiguous for the concurrence that reads it
+    # contiguous for the concurrence that reads it (strided by the padding
+    # of a single state)
     return diag.transpose(2, 3, 0, 1), anti.transpose(2, 3, 0, 1)
 
 
@@ -197,7 +202,8 @@ def evolve_xstate(series: ChannelSeries, rho0s: np.ndarray):
     local channels, as two (T, S, 2, 2) arrays (D, A) for a stack rho0s of
     shape (S, 4, 4): D = P D0 P^T from the real part of the diagonal, and
     A = C A0 C^T (see the module docstring).  These are the X elements of
-    evolve_pair(series, rho0s), without the twelve that stay zero.
+    evolve_pair(series, rho0s), to the bit on every shape tested, without
+    the twelve that stay zero.
 
     Raises ShapeError unless rho0s is a stack of exact X states.
     """

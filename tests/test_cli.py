@@ -673,6 +673,25 @@ def test_surface_matches_the_general_pair_route():
     assert np.max(np.abs(surface.values - concurrence_xstate(rho).value)) <= 1e-15
 
 
+@pytest.mark.parametrize("preset, family, b2s, t_steps, channel", [
+    ("A", "phi", beta2_grid(51), 201, "full"),
+    ("B", "phi", beta2_grid(51), 201, "full"),
+    ("C", "psi", beta2_grid(501), 201, "full"),
+    ("RWA", "phi", beta2_grid(1, 0.5), 4001, "rwa"),
+], ids=["A", "B", "C_wide", "report"])
+def test_surface_is_the_general_pair_route_to_the_bit(preset, family, b2s,
+                                                       t_steps, channel):
+    # the sweeps as the command line runs them, and a one-state report on a
+    # tenth of its grid: each cell's BLAS sector product sums the nonzero
+    # terms of evolve_pair's 16-term BLAS product, in the same order
+    spec = SweepSpec(params=PRESETS[preset], channel=channel, family=family,
+                     beta2_values=b2s, t_steps=t_steps)
+    surface = compute_surface(spec)
+    series = _channel_series(spec, surface.gamma_t / spec.params.gamma)
+    rho = evolve_pair(series, _initial_states(family, surface.beta2))
+    assert surface.values.tobytes() == concurrence_xstate(rho).value.tobytes()
+
+
 def test_surface_bits_do_not_depend_on_the_block_size(monkeypatch):
     # the X blocks are read once; each time block only multiplies them.
     # (cells, times): one row at a time, the defaults, rows capped by the

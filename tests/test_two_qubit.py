@@ -12,9 +12,10 @@ from beyondrwa.cli import PRESETS, _initial_states, beta2_grid
 from beyondrwa.entanglement import concurrence_xstate
 from beyondrwa.errors import DomainError, ShapeError
 from beyondrwa.lie_channel import transfer_matrix
-from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_xstate,
-                                 explicit_elements, initial_state,
-                                 initial_states, is_x_state, x_blocks)
+from beyondrwa.two_qubit import (BellFamilyState, evolve_pair, evolve_sectors,
+                                 evolve_xstate, explicit_elements,
+                                 initial_state, initial_states, is_x_state,
+                                 sector_blocks, sector_maps, x_blocks)
 
 IDENT = single_time_series()
 
@@ -230,8 +231,36 @@ def test_sector_route_matches_evolve_pair(channel_bank, route):
     assert diag.shape == anti.shape == (len(series), rho0s.shape[0], 2, 2)
     assert diag.dtype == float and anti.dtype == complex
     want_diag, want_anti = x_blocks(evolve_pair(series, rho0s))
-    assert np.max(np.abs(diag - want_diag)) <= 1e-15
-    assert np.max(np.abs(anti - want_anti)) <= 1e-15
+    assert np.array_equal(diag, want_diag)
+    assert np.array_equal(anti, want_anti)
+
+
+@pytest.mark.parametrize("rows, states", [(8, 501), (1, 501), (64, 1)],
+                         ids=["wide_block", "one_row", "one_state"])
+def test_a_nan_of_the_map_reaches_every_x_element_it_multiplies(channel_bank,
+                                                                rows, states):
+    # NaN x 0 is NaN: a product that skipped zero operands would leave 0
+    # where the psi blocks hold zeros beside rho11 and rho44, and the
+    # excited state |11><11| (last) reaches its NaN elements through zeros
+    # alone
+    excited = np.zeros((1, 4, 4), dtype=complex)
+    excited[0, 0, 0] = 1.0
+    b2s = np.array(beta2_grid(501))[:states - 1]
+    d0, a0 = sector_blocks(np.concatenate([_initial_states("psi", b2s), excited]))
+    pop, coh = sector_maps(channel_bank["C"].series[100:100 + rows])
+    clean = evolve_sectors(pop, coh, d0, a0)
+    t0 = rows - 1
+    for i0, a in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for sector in (0, 1):
+            maps = [pop.copy(), coh.copy()]
+            maps[sector][i0, a, t0] = np.nan
+            got = evolve_sectors(*maps, d0, a0)[sector]
+            # row i0 or column i0 of the 2x2 block: every element that
+            # k[i0, a] enters in k D0 k^T, for every state
+            hit = np.zeros(got.shape, dtype=bool)
+            hit[t0, :, i0, :] = hit[t0, :, :, i0] = True
+            assert np.array_equal(np.isnan(got), hit)
+            assert np.array_equal(got[~hit], clean[sector][~hit])
 
 
 def test_sector_route_at_identity_returns_the_blocks():
